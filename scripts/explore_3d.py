@@ -38,7 +38,7 @@ def main(argv=None) -> int:
     print("note              : exploratory candidate, no body certificate")
 
     if args.out:
-        write_text_atomic(args.out, result_to_json(res) + "\n")
+        write_text_atomic(args.out, result_to_json(res))
         print(f"wrote {args.out}")
     return 0
 

@@ -51,7 +51,7 @@ def main(argv=None) -> int:
           f"sign_consistency={report.sign_consistency:.6f}")
 
     if args.out:
-        write_text_atomic(args.out, result_to_json(best) + "\n")
+        write_text_atomic(args.out, result_to_json(best))
         print(f"wrote {args.out}")
     return 0
 

@@ -8,8 +8,7 @@ Exit codes: 0 success, 1 invariant failure, 2 usage or malformed input,
 3 numerical failure, 4 regression (an internal cross-check went wrong).
 All file output is written to a temp file and renamed into place, so failures
 leave no partial files. Identical flags and seed produce identical bytes;
---timestamp opts into a nondeterministic field. ORBIFORM_THREADS caps restart
-parallelism for optimize.
+--timestamp opts into a nondeterministic field.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_REGRESSION = 4
 
-TRIANGLE_AREA = 0.5 * (np.pi - np.sqrt(3.0))  # width-1 benchmark
+TRIANGLE_AREA = float(0.5 * (np.pi - np.sqrt(3.0)))  # width-1 benchmark
 
 
 def render_svg(body: body2d.SupportBody, samples: int = 1024) -> str:

@@ -8,15 +8,17 @@ Green quadratic form, strictly negative definite on the subspace, so its
 minimum over the box sits at extreme points: a.e. on the boundary of the box
 wherever the gradient (twice the mean-free support function) is nonzero.
 
-Projection onto the intersection is Dykstra's alternating scheme between the
-spectral subspace projector and the clip; minimization is projected gradient
-descent with a doubling/halving step.
+Projection onto the intersection is solved exactly: the box is odd and
+separable, so only the degree-1 constraints couple the nodes, and their 2
+(dim 2) or 3 (dim 3) Lagrange multipliers solve a small concave dual by
+safeguarded Newton steps (a continuous quadratic knapsack with 2-3
+constraints). Minimization is projected gradient descent with a doubling
+step.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,13 +57,13 @@ __all__ = [
     "result_to_json",
 ]
 
-DYKSTRA_TOL = 1e-12
-DYKSTRA_MAX_SWEEPS = 10000
+PROJECTION_RTOL = 1e-13  # degree-1 residual, as the box excess it can cause, over the bound
+PROJECTION_MAX_STEPS = 100  # Newton steps of the dual solve; a few suffice in practice
 STEP_GROWTH_CAP = 2.0**10  # line-search eta never exceeds this multiple of eta0
 
 
 class NumericalFailure(RuntimeError):
-    """An iterative scheme failed to converge within its sweep budget."""
+    """An iterative scheme failed to converge within its step budget."""
 
 
 def box_bound(dim: int, width: float) -> float:
@@ -149,6 +151,7 @@ class _Workspace:
         mask1 = degs == 1
         self.basis_1 = np.ascontiguousarray(basis[:, mask1])
         self.basis_1_w = np.ascontiguousarray(basis[:, mask1] * grid.weights[:, None])
+        self.basis_1_sup = float(np.max(np.linalg.norm(self.basis_1, axis=1)))
         self.antipode = grid.antipode_index
 
     def to_subspace(self, values: GridFn) -> np.ndarray:
@@ -156,11 +159,6 @@ class _Workspace:
 
     def from_subspace(self, coeffs_h: np.ndarray) -> GridFn:
         return self.basis_h @ coeffs_h
-
-    def project_s(self, values: GridFn) -> GridFn:
-        """Orthogonal projection onto {antisymmetric} ∩ {degree-1 component 0}."""
-        x = 0.5 * (values - values[self.antipode])
-        return x - self.basis_1 @ (self.basis_1_w.T @ x)
 
     def phi_of(self, coeffs_h: np.ndarray) -> float:
         return float(np.dot(self.green * coeffs_h, coeffs_h))
@@ -170,54 +168,92 @@ class _Workspace:
         return 2.0 * self.from_subspace(self.green * coeffs_h)
 
 
-def _dykstra_core(
+def _line_max(
+    u: np.ndarray, s: np.ndarray, w: np.ndarray, bound: float, slope0: float
+) -> float:
+    """Maximizer over t > 0 of the dual along lam + t*d, by breakpoint search.
+
+    With u = a - B1 lam and s = B1 d, node i is free while u_i - t*s_i lies
+    inside the box, which is one interval of t. The dual's slope along the
+    ray is slope0 minus the integral of sum(w_i s_i^2) over the free nodes:
+    continuous, nonincreasing, linear between the interval ends, positive at
+    0 (an ascent direction) and negative once every node has left the box.
+    Sorting the interval ends gives the slope at each of them by cumulative
+    sums, and the root is exact inside the linear piece where the sign flips.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_a, t_b = (u - bound) / s, (u + bound) / s
+    enter = np.maximum(np.minimum(t_a, t_b), 0.0)
+    leave = np.maximum(t_a, t_b)
+    keep = (s != 0.0) & (leave > enter)
+    curv = w[keep] * s[keep] ** 2
+    times = np.concatenate((enter[keep], leave[keep]))
+    order = np.argsort(times)
+    times = times[order]
+    rate = np.cumsum(np.concatenate((curv, -curv))[order])  # on [times[j], times[j+1])
+    slopes = slope0 - np.concatenate(([0.0], np.cumsum(rate[:-1] * np.diff(times))))
+    j = int(np.searchsorted(-slopes, 0.0))  # first breakpoint with slope <= 0
+    # slopes[0] = slope0 > 0 and the last slope is negative: only rounding
+    # reaches either guard
+    if j == 0:
+        return 0.0
+    if j == slopes.size:
+        return float(times[-1])
+    return float(times[j - 1] + slopes[j - 1] / rate[j - 1])
+
+
+def _project_exact(
     ws: _Workspace,
     values: GridFn,
     bound: float,
-    tol: float,
-    max_sweeps: int,
-    q: np.ndarray | None = None,
-) -> tuple[GridFn, np.ndarray, np.ndarray, bool, int]:
-    """Dykstra's alternating projections onto subspace-and-box.
+    rtol: float = PROJECTION_RTOL,
+    max_iter: int = PROJECTION_MAX_STEPS,
+) -> tuple[GridFn, np.ndarray]:
+    """Exact metric projection onto the admissible set through its small dual.
 
-    The subspace is affine, so only the box keeps a correction increment q;
-    passing a q from a previous call with a nearby input warm-starts the dual
-    variables. Stagnation is measured on the subspace-step outputs (the box
-    outputs can park on a vertex while the increments still move). The final
-    point is the last subspace output with any residual box excess clipped,
-    so it satisfies the admissibility invariants with margin.
-    Returns (values, window coefficients, q, converged flag, sweeps used).
+    Antisymmetrizing is the projection onto the antisymmetric samples, and the
+    odd box commutes with it, so the nearest admissible point is
+    x(lam) = clip(a - B1 lam, +-bound) with a the antisymmetric part and lam
+    one multiplier per degree-1 harmonic (2 in dim 2, 3 in dim 3) chosen so
+    that B1_w^T x(lam) = 0. Those multipliers maximize a concave piecewise
+    quadratic dual whose gradient is B1_w^T x(lam) and whose generalized
+    Hessian is -B1_w^T diag(free) B1. Each step takes the Levenberg-regularized
+    Newton direction and the exact maximizer of the dual along it, so the
+    dual rises monotonically even where only one antipodal pair is free and
+    the Hessian is singular. A final subspace step x - B1 (B1_w^T x) removes
+    the residual degree-1 part; the stopping rule caps the box excess it can
+    add at rtol * bound, and a last antisymmetrize-and-clip takes that excess
+    and any rounding back. Returns (values, window coefficients).
     """
-    x = np.array(values, dtype=float, copy=True)
-    q = np.zeros_like(x) if q is None else np.array(q, dtype=float, copy=True)
-    converged = False
-    sweeps = 0
-    y = None
-    y_prev = None
-    feas_gate = bound + 10.0 * tol
-    for sweeps in range(1, max_sweeps + 1):
-        y = ws.project_s(x)
-        # stagnation alone is not enough: the box output can park on a vertex
-        # for a stretch of sweeps while y holds still far outside the box
-        if (
-            y_prev is not None
-            and float(np.max(np.abs(y - y_prev))) <= tol
-            and float(np.max(np.abs(y))) <= feas_gate
-        ):
-            converged = True
+    a = 0.5 * (values - values[ws.antipode])
+    lam = ws.basis_1_w.T @ a  # exact when nothing clips
+    gtol = rtol * bound / ws.basis_1_sup
+    dual_scale = bound * np.sqrt(ws.grid.total_measure)  # bounds |B1_w^T x|
+    for steps in range(max_iter + 1):
+        u = a - ws.basis_1 @ lam
+        x = np.clip(u, -bound, bound)
+        g = ws.basis_1_w.T @ x
+        gnorm = float(np.linalg.norm(g))
+        if gnorm <= gtol:
+            # B1 is odd only up to rounding, which at large widths exceeds
+            # the absolute antisymmetry check; the clip moves no node by more
+            # than rtol * bound, which keeps the box exact at any width and
+            # the degree-1 part far below the relative check
+            x = x - ws.basis_1 @ g
+            x = np.clip(0.5 * (x - x[ws.antipode]), -bound, bound)
+            return x, ws.to_subspace(x)
+        if steps == max_iter:
             break
-        y_prev = y
-        t = y + q
-        x = np.clip(t, -bound, bound)
-        np.subtract(t, x, out=q)
-    # terminal polish: alternate plain projections until the subspace-side
-    # point is inside the box up to the admissibility tolerance, then hand
-    # that point back (its antisymmetry and degree-1 component are exact)
-    for _ in range(256):
-        if float(np.max(np.abs(y))) - bound <= tol:
-            break
-        y = ws.project_s(np.clip(y, -bound, bound))
-    return y, ws.to_subspace(y), q, converged, sweeps
+        free = np.abs(u) < bound
+        hess = ws.basis_1_w[free].T @ ws.basis_1[free]
+        hess[np.diag_indices_from(hess)] += 1e-2 * gnorm / dual_scale
+        d = np.linalg.solve(hess, g)
+        s = ws.basis_1 @ d
+        lam = lam + _line_max(u, s, ws.grid.weights, bound, float(g @ d)) * d
+    raise NumericalFailure(
+        f"admissible projection did not converge in {max_iter} Newton steps "
+        f"(degree-1 residual {gnorm:.3e}, tolerance {gtol:.3e})"
+    )
 
 
 def project_admissible(
@@ -225,18 +261,18 @@ def project_admissible(
     width: float,
     grid: SphereGrid,
     max_degree: int,
-    tol: float = DYKSTRA_TOL,
-    max_sweeps: int = DYKSTRA_MAX_SWEEPS,
+    tol: float = PROJECTION_RTOL,
+    max_sweeps: int = PROJECTION_MAX_STEPS,
 ) -> AdmissibleR:
-    """Nearest admissible point in the (weighted) L2 sense, by Dykstra sweeps."""
+    """Nearest admissible point in the (weighted) L2 sense, solved exactly.
+
+    tol is relative to the box bound; max_sweeps caps the Newton steps of the
+    dual solve, and running into it raises NumericalFailure.
+    """
     ws = _workspace_for(grid, max_degree)
-    bound = box_bound(grid.dim, width)
-    projected, _, _, converged, _ = _dykstra_core(ws, values, bound, tol, max_sweeps)
-    if not converged:
-        raise NumericalFailure(
-            f"Dykstra projection did not converge in {max_sweeps} sweeps "
-            "(this normally signals a grid or antipode-table defect)"
-        )
+    projected, _ = _project_exact(
+        ws, np.asarray(values, dtype=float), box_bound(grid.dim, width), tol, max_sweeps
+    )
     return admissible_from_values(width, grid, max_degree, projected)
 
 
@@ -336,8 +372,6 @@ class MinimizeConfig:
     restarts: int = 16
     max_iterations: int = 50000
     rel_tol: float = 1e-12
-    init_max_degree: int = 15
-    threads: int | None = None  # None: read ORBIFORM_THREADS, default 1
 
 
 @dataclass(frozen=True)
@@ -359,7 +393,7 @@ class OptimizationResult:
 
 
 def _initial_values(ws: _Workspace, width: float, rng: np.random.Generator) -> GridFn:
-    """Uniform random coefficients on odd degrees 3..init cap, synthesized."""
+    """Uniform random coefficients on odd degrees 3..15, synthesized."""
     degs = coeff_degrees(ws.grid.dim, ws.max_degree)
     mask = (degs % 2 == 1) & (degs >= 3)
     sub_degs = degs[mask]
@@ -376,16 +410,20 @@ def _descend(
     start_values: GridFn,
     cfg: MinimizeConfig,
 ) -> tuple[GridFn, float, int, bool]:
-    """Projected gradient descent with doubling/halving step control."""
+    """Projected gradient descent with a doubling step.
+
+    phi is concave and the projection exact, so every projected step lowers
+    phi by at least |step|^2 / eta: no step is ever too long, and the descent
+    stops once a step moves phi by less than rel_tol of its value. The rule is
+    dimensionless, so the iteration count does not depend on the width.
+    """
     bound = box_bound(ws.grid.dim, width)
     g3 = abs(ws.green[0])  # first kept degree is 3: the flattest multiplier
     eta0 = 1.0 / (2.0 * g3)
     eta = eta0
     eta_max = STEP_GROWTH_CAP * eta0
 
-    x, c, q, x_ok, _ = _dykstra_core(
-        ws, start_values, bound, DYKSTRA_TOL, DYKSTRA_MAX_SWEEPS
-    )
+    x, c = _project_exact(ws, start_values, bound)
     phi_cur = ws.phi_of(c)
     iterations = 0
     converged = False
@@ -393,52 +431,21 @@ def _descend(
     while iterations < cfg.max_iterations:
         iterations += 1
         grad = ws.gradient_values(c)
-        # warm-start the box increments: successive inputs are close, and the
-        # dual creep they drive is the expensive part of each projection
-        candidate, c_new, q, proj_ok, _ = _dykstra_core(
-            ws, x - eta * grad, bound, DYKSTRA_TOL, DYKSTRA_MAX_SWEEPS, q=q
-        )
+        candidate, c_new = _project_exact(ws, x - eta * grad, bound)
         phi_new = ws.phi_of(c_new)
-        if phi_new < phi_cur:
-            rel_dec = (phi_cur - phi_new) / max(abs(phi_cur), np.finfo(float).tiny)
-            x, c, phi_cur, x_ok = candidate, c_new, phi_new, proj_ok
-            eta = min(eta * 2.0, eta_max)
-            if rel_dec < cfg.rel_tol:
-                converged = True
-                break
-        else:
-            # candidate == x at a converged projection is a projected-gradient
-            # fixed point; the same point is the output for every smaller eta
-            if proj_ok and float(np.max(np.abs(candidate - x))) <= 1e-13 * max(1.0, bound):
-                converged = True
-                break
-            eta *= 0.5
-            if eta < 1e-18 * eta0:
-                converged = True
-                break
-    if not x_ok:
-        # the accepted point slipped through a capped projection; the final
-        # answer must satisfy the admissibility invariants, so reproject from
-        # scratch (near-feasible input, converges in a handful of sweeps)
-        x, c, _, x_ok, _ = _dykstra_core(
-            ws, x, bound, DYKSTRA_TOL, DYKSTRA_MAX_SWEEPS
-        )
-        if not x_ok:
+        decrease = phi_cur - phi_new
+        scale = max(abs(phi_cur), np.finfo(float).tiny)
+        if decrease > 0:
+            x, c, phi_cur = candidate, c_new, phi_new
+        if abs(decrease) <= cfg.rel_tol * scale:
+            converged = True
+            break
+        if decrease < 0:
             raise NumericalFailure(
-                "final admissibility projection did not converge"
+                f"a projected step raised phi by {-decrease / scale:.3e} of its value"
             )
-        phi_cur = ws.phi_of(c)
+        eta = min(eta * 2.0, eta_max)
     return x, phi_cur, iterations, converged
-
-
-def _threads_from_env(cfg: MinimizeConfig) -> int:
-    if cfg.threads is not None:
-        return max(1, cfg.threads)
-    raw = os.environ.get("ORBIFORM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _finish_result(
@@ -482,32 +489,22 @@ def minimize_restarts(
 ) -> list[OptimizationResult]:
     """Run every restart and return the per-restart results, index order.
 
-    Restart i draws from default_rng([seed, i]), so results are reproducible
-    and independent of execution order; ORBIFORM_THREADS (or config.threads)
-    caps how many restarts run concurrently.
+    Restart i draws from default_rng([seed, i]), so a restart's result does
+    not depend on how many restarts run.
     """
     cfg = config or MinimizeConfig()
     if cfg.restarts < 1:
         raise ValueError("restarts must be >= 1")
     ws = _workspace_for(grid, max_degree)
 
-    def run(i: int) -> tuple[GridFn, float, int, bool]:
-        rng = np.random.default_rng([seed, i])
-        return _descend(ws, width, _initial_values(ws, width, rng), cfg)
-
-    threads = min(_threads_from_env(cfg), cfg.restarts)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(run, range(cfg.restarts)))
-    else:
-        raw = [run(i) for i in range(cfg.restarts)]
-
-    return [
-        _finish_result(ws, width, vals, ph, its, conv, seed, i, equivalence_warning)
-        for i, (vals, ph, its, conv) in enumerate(raw)
-    ]
+    results = []
+    for i in range(cfg.restarts):
+        start = _initial_values(ws, width, np.random.default_rng([seed, i]))
+        vals, ph, its, conv = _descend(ws, width, start, cfg)
+        results.append(
+            _finish_result(ws, width, vals, ph, its, conv, seed, i, equivalence_warning)
+        )
+    return results
 
 
 def minimize(

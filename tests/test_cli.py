@@ -98,6 +98,13 @@ def test_optimize_writes_result_json(tmp_path, capsys):
     assert payload["seed"] == 3
 
 
+def test_optimize_prints_plain_floats(capsys):
+    assert cli.main(OPT_FLAGS) == 0
+    out = capsys.readouterr().out
+    assert "benchmark (odd 3-gon, same width): 0.704770923010458" in out
+    assert "np.float64" not in out
+
+
 def test_optimize_byte_identical_reruns(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert cli.main(OPT_FLAGS + ["--out", str(a)]) == 0

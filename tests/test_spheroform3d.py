@@ -86,9 +86,7 @@ def test_width_residual_zero_for_odd_harmonics(grid3_16, rng):
 
 
 def test_explore_minimize3d_contract(grid3_16):
-    res = explore_minimize3d(
-        1.0, grid3_16, 7, seed=5, config=MinimizeConfig(restarts=2, init_max_degree=7)
-    )
+    res = explore_minimize3d(1.0, grid3_16, 7, seed=5, config=MinimizeConfig(restarts=2))
     assert res.equivalence_warning
     assert res.area is None
     assert res.phi_value < 0
