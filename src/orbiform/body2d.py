@@ -20,6 +20,7 @@ from .harmonic_core import (
     SpectralCoeffs,
     SphereGrid,
     TWO_PI,
+    apply_green,
     coeff_degrees,
     differentiate,
     index2,
@@ -232,11 +233,14 @@ def validate(
 ) -> ValidationReport:
     """Check the constant-width invariants and report per-check residuals.
 
-    convexity_tol defaults to 1e-9 * width. Spectrally truncated Reuleaux
-    polygons need a relaxed value (about 0.12 * width): plain Fourier truncation
-    of their square-wave curvature dips several percent of the width below zero
-    near the switch angles, which is a property of the truncation, not a defect
-    of the body.
+    convexity_tol bounds both curvature checks (R >= 0 and R <= width) and
+    is absolute, in units of length; it defaults to 1e-9 * width.
+    Spectrally truncated Reuleaux polygons need a relaxed value that scales
+    with the width, about 0.12 * width: plain Fourier truncation of their
+    square-wave curvature dips several percent of the width below zero near
+    the switch angles (0.0895 * width for the triangle at band limit 1024),
+    which is a property of the truncation, not a defect of the body. A bare
+    0.12 therefore only fits width 1.
     """
     B = body.width
     c = body.support_coeffs
@@ -301,10 +305,4 @@ def random_body(
     peak = float(np.max(np.abs(vals)))
     if peak > 0:
         rc = rc.with_values(rc.values * ((0.5 - margin) * width / peak))
-    # p_dev = G[R_dev]: divide each degree k by (1 - k^2)
-    degs = coeff_degrees(2, L).astype(float)
-    factor = np.zeros_like(degs)
-    nonzero = degs >= 3
-    factor[nonzero] = 1.0 / (1.0 - degs[nonzero] ** 2)
-    p_dev = rc.with_values(rc.values * factor)
-    return body_from_deviation(width, p_dev, canonical=True)
+    return body_from_deviation(width, apply_green(rc), canonical=True)

@@ -34,9 +34,13 @@ TRIANGLE_AREA = float(0.5 * (np.pi - np.sqrt(3.0)))  # width-1 benchmark
 
 
 def render_svg(body: body2d.SupportBody, samples: int = 1024) -> str:
-    """Render the boundary as one closed path in a 512 x 512 viewBox, 5% margin."""
-    om = 2.0 * np.pi * np.arange(samples) / samples
-    x, y = body2d.boundary_point(body, om)
+    """Render the boundary as one closed path in a 512 x 512 viewBox, 5% margin.
+
+    samples is the number of uniformly spaced normal angles; it must be even
+    and >= 8, as for make_grid.
+    """
+    curve = body2d.boundary(body, make_grid(2, samples))
+    x, y = curve.x, curve.y
     xmin, xmax = float(np.min(x)), float(np.max(x))
     ymin, ymax = float(np.min(y)), float(np.max(y))
     span = max(xmax - xmin, ymax - ymin, np.finfo(float).tiny)
@@ -81,7 +85,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_v = sub.add_parser("validate", help="check invariants of a shape file")
     p_v.add_argument("file", type=str)
-    p_v.add_argument("--convexity-tol", type=float, default=None)
+    p_v.add_argument(
+        "--convexity-tol", type=float, default=None,
+        help="absolute tolerance, in units of length, on R < 0 and R > width "
+        "(default 1e-9 * width); a truncated Reuleaux polygon rings by up to "
+        "about 0.12 * width, so pass 0.12 times its width, not 0.12",
+    )
 
     p_t = sub.add_parser("table", help="closed-form area table as CSV")
     p_t.add_argument("--max", type=int, default=21, help="largest side count")

@@ -251,22 +251,13 @@ def _normalized_legendre(max_degree: int, x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _basis_matrix(dim: int, resolution: int, max_degree: int) -> np.ndarray:
-    """Orthonormal basis functions evaluated on the grid, shape (N, num_coeffs).
+def _basis_matrix(resolution: int, max_degree: int) -> np.ndarray:
+    """Real spherical harmonics evaluated on the dim-3 grid, shape (N, num_coeffs).
 
-    Cached by (dim, resolution, max_degree); node layout matches make_grid.
+    Cached by (resolution, max_degree); node layout matches make_grid. Dim 2
+    needs no matrix: its transforms are FFTs.
     """
     L = max_degree
-    if dim == 2:
-        n = resolution
-        omega = TWO_PI * np.arange(n) / n
-        cols = [np.full(n, 1.0 / np.sqrt(TWO_PI))]
-        inv_sqrt_pi = 1.0 / np.sqrt(np.pi)
-        for k in range(1, L + 1):
-            cols.append(np.cos(k * omega) * inv_sqrt_pi)
-            cols.append(np.sin(k * omega) * inv_sqrt_pi)
-        return np.stack(cols, axis=1)
-
     n_az = resolution
     n_pol = resolution // 2
     mu, _ = np.polynomial.legendre.leggauss(n_pol)
@@ -290,6 +281,44 @@ def _basis_matrix(dim: int, resolution: int, max_degree: int) -> np.ndarray:
     return out
 
 
+def _analyze2(f: np.ndarray, max_degree: int) -> np.ndarray:
+    """Trapezoid inner products with 1/sqrt(2 pi), cos(k w)/sqrt(pi), sin(k w)/sqrt(pi).
+
+    The rfft bin F_k is sum_j f_j exp(-i k w_j), so with the uniform weight
+    2 pi / N the cos and sin sums are Re F_k and -Im F_k. Needs
+    max_degree <= N / 2 - 1.
+    """
+    spec = np.fft.rfft(f)[: max_degree + 1] * (TWO_PI / f.size)
+    out = np.empty(2 * max_degree + 1)
+    out[0] = spec[0].real / np.sqrt(TWO_PI)
+    out[1::2] = spec[1:].real / np.sqrt(np.pi)
+    out[2::2] = -spec[1:].imag / np.sqrt(np.pi)
+    return out
+
+
+def _synthesize2(values: np.ndarray, n: int) -> np.ndarray:
+    """The dim-2 expansion at the n uniform nodes, by one inverse rfft.
+
+    a cos(k w) + b sin(k w) is the real part of (a - i b) exp(i k w). At the
+    nodes mode k equals mode k mod n, and a mode past n/2 equals the negative
+    frequency n - (k mod n) with the conjugate amplitude; folding every mode
+    that way keeps band limits >= n/2 exact at the nodes. Modes landing on
+    bin 0 or n/2 have no partner there and contribute their real part twice.
+    """
+    k = np.arange(1, (values.size - 1) // 2 + 1)
+    amp = (values[1::2] - 1j * values[2::2]) * (0.5 * n / np.sqrt(np.pi))
+    m = k % n
+    past = m > n // 2
+    m[past] = n - m[past]
+    amp[past] = np.conj(amp[past])
+    edge = (m == 0) | (2 * m == n)
+    amp[edge] = 2.0 * amp[edge].real
+    spec = np.zeros(n // 2 + 1, dtype=complex)
+    spec[0] = values[0] * n / np.sqrt(TWO_PI)
+    np.add.at(spec, m, amp)
+    return np.fft.irfft(spec, n)
+
+
 def _require_resolution(grid: SphereGrid, max_degree: int) -> None:
     if grid.resolution < 2 * max_degree + 2:
         raise ValueError(
@@ -301,7 +330,8 @@ def _require_resolution(grid: SphereGrid, max_degree: int) -> None:
 def analyze(grid: SphereGrid, f: GridFn, max_degree: int | None = None) -> SpectralCoeffs:
     """Forward transform: quadrature inner products against the orthonormal basis.
 
-    Exact for band-limited f when resolution >= 2 * max_degree + 2.
+    Exact for band-limited f when resolution >= 2 * max_degree + 2. Dim 2 is
+    one real FFT; dim 3 multiplies by the cached basis matrix.
     """
     if max_degree is None:
         max_degree = default_max_degree(grid.resolution)
@@ -309,27 +339,33 @@ def analyze(grid: SphereGrid, f: GridFn, max_degree: int | None = None) -> Spect
     f = np.asarray(f, dtype=float)
     if f.shape != (grid.size,):
         raise ValueError(f"grid function has shape {f.shape}, expected ({grid.size},)")
-    basis = _basis_matrix(grid.dim, grid.resolution, max_degree)
-    return SpectralCoeffs(grid.dim, max_degree, basis.T @ (grid.weights * f))
+    if grid.dim == 2:
+        return SpectralCoeffs(2, max_degree, _analyze2(f, max_degree))
+    basis = _basis_matrix(grid.resolution, max_degree)
+    return SpectralCoeffs(3, max_degree, basis.T @ (grid.weights * f))
 
 
 def synthesize(coeffs: SpectralCoeffs, grid: SphereGrid) -> GridFn:
-    """Evaluate the expansion at the grid nodes."""
+    """Evaluate the expansion at the grid nodes.
+
+    Any band limit is accepted; in dim 2 modes at or past resolution / 2
+    alias onto lower ones, which is exact at the nodes.
+    """
     if coeffs.dim != grid.dim:
         raise ValueError(f"dimension mismatch: coeffs dim {coeffs.dim}, grid dim {grid.dim}")
-    basis = _basis_matrix(grid.dim, grid.resolution, coeffs.max_degree)
-    return basis @ coeffs.values
+    if grid.dim == 2:
+        return _synthesize2(coeffs.values, grid.size)
+    return _basis_matrix(grid.resolution, coeffs.max_degree) @ coeffs.values
 
 
 def differentiate(coeffs: SpectralCoeffs) -> SpectralCoeffs:
     """d/d(omega) in coefficient space (dim 2 only)."""
     if coeffs.dim != 2:
         raise ValueError("differentiate is defined for dim 2 only")
+    k = np.arange(1, coeffs.max_degree + 1)
     out = np.zeros_like(coeffs.values)
-    for k in range(1, coeffs.max_degree + 1):
-        a, b = coeffs.values[2 * k - 1], coeffs.values[2 * k]
-        out[2 * k - 1] = k * b
-        out[2 * k] = -k * a
+    out[1::2] = k * coeffs.values[2::2]
+    out[2::2] = -k * coeffs.values[1::2]
     return coeffs.with_values(out)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .body2d import SupportBody, body_from_deviation
-from .harmonic_core import SpectralCoeffs, coeff_degrees, index2, zero_coeffs
+from .harmonic_core import SpectralCoeffs, apply_green, index2, zero_coeffs
 
 __all__ = [
     "ReuleauxSpec",
@@ -114,12 +114,7 @@ def to_body(spec: ReuleauxSpec, max_degree: int) -> SupportBody:
         raise ValueError(
             f"max_degree {max_degree} too small for {spec.sides} sides; need >= {4 * spec.sides}"
         )
-    r_dev = deviation_coeffs(spec, max_degree)
-    degs = coeff_degrees(2, max_degree).astype(float)
-    factor = np.zeros_like(degs)
-    nz = degs >= 2
-    factor[nz] = 1.0 / (1.0 - degs[nz] ** 2)
-    p_dev = r_dev.with_values(r_dev.values * factor)
+    p_dev = apply_green(deviation_coeffs(spec, max_degree))
     return body_from_deviation(spec.width, p_dev, canonical=True)
 
 

@@ -28,8 +28,8 @@ from .body2d import area_spectral, body_from_deviation
 from .harmonic_core import (
     GridFn,
     SpectralCoeffs,
+    SPHERE_AREA,
     SphereGrid,
-    _basis_matrix,
     analyze,
     apply_green,
     coeff_degrees,
@@ -122,10 +122,10 @@ def admissible_from_values(
 
 
 class _Workspace:
-    """Cached matrices for one (grid, max_degree) pair.
+    """Window mask and degree-1 columns for one (grid, max_degree) pair.
 
     Two different linear objects live here. The functional only sees the
-    analysis window: basis columns at odd degrees >= 3 up to max_degree, with
+    analysis window: coefficients at odd degrees >= 3 up to max_degree, with
     their Green multipliers, give phi and its gradient. The constraint
     subspace for the projection is much bigger: all antipodally antisymmetric
     sample vectors orthogonal to the degree-1 harmonics. Samples are not
@@ -142,23 +142,26 @@ class _Workspace:
             )
         self.grid = grid
         self.max_degree = max_degree
-        basis = _basis_matrix(grid.dim, grid.resolution, max_degree)
         degs = coeff_degrees(grid.dim, max_degree)
-        mask = (degs % 2 == 1) & (degs >= 3)
-        self.basis_h = np.ascontiguousarray(basis[:, mask])
-        self.basis_h_w = np.ascontiguousarray(basis[:, mask] * grid.weights[:, None])
-        self.green = green_multipliers(grid.dim, max_degree).values[degs[mask]]
-        mask1 = degs == 1
-        self.basis_1 = np.ascontiguousarray(basis[:, mask1])
-        self.basis_1_w = np.ascontiguousarray(basis[:, mask1] * grid.weights[:, None])
+        self.window = (degs % 2 == 1) & (degs >= 3)
+        self.green = green_multipliers(grid.dim, max_degree).values[degs[self.window]]
+        # the degree-1 harmonics are the coordinates, in flat-index order:
+        # (cos, sin) in dim 2, orders -1, 0, 1 = (y, z, x) in dim 3
+        if grid.dim == 2:
+            self.basis_1 = grid.nodes / np.sqrt(np.pi)
+        else:
+            self.basis_1 = np.sqrt(3.0 / SPHERE_AREA) * grid.nodes[:, [1, 2, 0]]
+        self.basis_1_w = self.basis_1 * grid.weights[:, None]
         self.basis_1_sup = float(np.max(np.linalg.norm(self.basis_1, axis=1)))
         self.antipode = grid.antipode_index
 
     def to_subspace(self, values: GridFn) -> np.ndarray:
-        return self.basis_h_w.T @ values
+        return analyze(self.grid, values, self.max_degree).values[self.window]
 
     def from_subspace(self, coeffs_h: np.ndarray) -> GridFn:
-        return self.basis_h @ coeffs_h
+        full = np.zeros(self.window.size)
+        full[self.window] = coeffs_h
+        return synthesize(SpectralCoeffs(self.grid.dim, self.max_degree, full), self.grid)
 
     def phi_of(self, coeffs_h: np.ndarray) -> float:
         return float(np.dot(self.green * coeffs_h, coeffs_h))
@@ -394,9 +397,7 @@ class OptimizationResult:
 
 def _initial_values(ws: _Workspace, width: float, rng: np.random.Generator) -> GridFn:
     """Uniform random coefficients on odd degrees 3..15, synthesized."""
-    degs = coeff_degrees(ws.grid.dim, ws.max_degree)
-    mask = (degs % 2 == 1) & (degs >= 3)
-    sub_degs = degs[mask]
+    sub_degs = coeff_degrees(ws.grid.dim, ws.max_degree)[ws.window]
     cap = min(15, ws.max_degree)
     c = np.zeros(sub_degs.size)
     active = sub_degs <= cap
@@ -515,13 +516,18 @@ def minimize(
     config: MinimizeConfig | None = None,
     equivalence_warning: bool = False,
 ) -> OptimizationResult:
-    """Best restart by phi; ties break toward the smallest restart index."""
-    results = minimize_restarts(width, grid, max_degree, seed, config, equivalence_warning)
-    best = results[0]
-    for r in results[1:]:
-        if r.phi_value < best.phi_value:
-            best = r
-    return best
+    """Best restart by phi; ties break toward the smallest restart index.
+
+    Restarts whose phi lies within rel_tol * |phi_min| of the minimum tie:
+    the descent stops at that relative precision, so a smaller difference
+    only reflects rounding, and which rotated copy of the same body wins
+    must not hinge on the last bits.
+    """
+    cfg = config or MinimizeConfig()
+    results = minimize_restarts(width, grid, max_degree, seed, cfg, equivalence_warning)
+    phi_min = min(r.phi_value for r in results)
+    cutoff = phi_min + cfg.rel_tol * abs(phi_min)
+    return next(r for r in results if r.phi_value <= cutoff)
 
 
 def result_to_json(result: OptimizationResult, timestamp: str | None = None) -> str:

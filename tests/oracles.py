@@ -61,3 +61,19 @@ def ball3_phi1(width: float) -> float:
     measure 4 pi, so the value is (1/3)(1/2) B^2 (4 pi) = 2 pi B^2 / 3.
     """
     return 2.0 * np.pi * width * width / 3.0
+
+
+def fourier_matrix(n: int, max_degree: int) -> np.ndarray:
+    """Orthonormal cos/sin basis at the n uniform nodes, one column per mode.
+
+    Columns follow the flat dim-2 layout: 1/sqrt(2 pi), then cos(k w)/sqrt(pi)
+    and sin(k w)/sqrt(pi) for k = 1..max_degree, at w_j = 2 pi j / n. Built
+    column by column from the definitions; modes at or past n/2 are evaluated
+    as they are, with no folding.
+    """
+    omega = TWO_PI * np.arange(n) / n
+    cols = [np.full(n, 1.0 / np.sqrt(TWO_PI))]
+    for k in range(1, max_degree + 1):
+        cols.append(np.cos(k * omega) / np.sqrt(np.pi))
+        cols.append(np.sin(k * omega) / np.sqrt(np.pi))
+    return np.stack(cols, axis=1)

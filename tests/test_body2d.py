@@ -1,5 +1,7 @@
 """Planar constant-width bodies built from support expansions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,6 +190,28 @@ def test_validate_truncated_polygon_needs_relaxed_tolerance():
     b = to_body(make_spec(3, 1.0), 128)
     assert not validate(b).check("convexity").passed  # Gibbs dip below zero
     assert validate(b, convexity_tol=0.12).valid
+
+
+def test_validate_convexity_tol_is_absolute():
+    # the ringing scales with the width, the tolerance does not; band limit
+    # 1023 is what a `reuleaux --modes 1024` file reads back as (residual
+    # 0.0895 * width on the 2048-node check grid)
+    b = to_body(make_spec(3, 1.4), 1023)
+    assert not validate(b, convexity_tol=0.12).check("convexity").passed
+    assert validate(b, convexity_tol=0.12 * 1.4).valid
+
+
+def test_high_band_area_and_validate_stay_small():
+    # a dense N x (2L+1) basis at L = 2048 alone would take 128 MB
+    body = to_body(make_spec(3, 1.0), 2048)
+    tracemalloc.start()
+    try:
+        area_quadrature(body, make_grid(2, 2 * 2048 + 2))
+        validate(body, convexity_tol=0.12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_validate_canonical_check():

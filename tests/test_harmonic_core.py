@@ -24,7 +24,7 @@ from orbiform.harmonic_core import (
     zero_coeffs,
 )
 
-from oracles import TWO_PI
+from oracles import TWO_PI, fourier_matrix
 
 
 # ---------------------------------------------------------------- grids
@@ -112,6 +112,27 @@ def test_basis_is_orthonormal_dim3(grid3_16):
     assert np.max(np.abs(gram - eye)) <= 1e-12
 
 
+@pytest.mark.parametrize("n,L", [(8, 3), (16, 5), (64, 31), (62, 20), (130, 64)])
+def test_analyze_dim2_matches_explicit_quadrature(n, L, rng):
+    grid = make_grid(2, n)
+    f = rng.normal(size=n)
+    want = fourier_matrix(n, L).T @ (f * (TWO_PI / n))
+    got = analyze(grid, f, L).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(f)))
+
+
+# L < n/2 is plain evaluation; L >= n/2 aliases modes onto k mod n (bins 0
+# and n/2 included), which must equal evaluating every mode at the nodes
+@pytest.mark.parametrize(
+    "n,L", [(8, 3), (64, 31), (62, 20), (8, 4), (8, 8), (8, 17), (16, 40), (10, 33)]
+)
+def test_synthesize_dim2_matches_explicit_sum(n, L, rng):
+    c = SpectralCoeffs(2, L, rng.normal(size=num_coeffs(2, L)))
+    want = fourier_matrix(n, L) @ c.values
+    got = synthesize(c, make_grid(2, n))
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.sum(np.abs(c.values)))
+
+
 def test_analyze_known_coefficients(grid2_256):
     om = grid2_256.angles
     c = analyze(grid2_256, np.cos(3.0 * om), 8)
@@ -169,6 +190,16 @@ def test_differentiate_matches_trig_calculus(grid2_64):
     assert d.coeff(4, part="cos") == 0.0
     vals = synthesize(d, grid2_64)
     assert np.allclose(vals, -4.0 * np.sin(4.0 * grid2_64.angles) / np.sqrt(np.pi))
+
+
+def test_differentiate_matches_per_mode_rule(rng):
+    c = SpectralCoeffs(2, 17, rng.normal(size=num_coeffs(2, 17)))
+    want = np.zeros(c.values.size)
+    for k in range(1, 18):
+        a, b = c.coeff(k, part="cos"), c.coeff(k, part="sin")
+        want[index2(k, "cos")] = k * b
+        want[index2(k, "sin")] = -k * a
+    assert np.array_equal(differentiate(c).values, want)
 
 
 def test_differentiate_rejects_dim3():

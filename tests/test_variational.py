@@ -1,6 +1,7 @@
 """Admissible states, metric projection, functional, and the optimizer."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from orbiform.harmonic_core import (
     synthesize,
     zero_coeffs,
 )
+from orbiform import variational
 from orbiform.reuleaux import deviation_coeffs, make_spec
 from orbiform.variational import (
     AdmissibleR,
@@ -339,6 +341,22 @@ def test_minimize_scale_covariance():
     b = minimize(2.0, grid, 32, seed=2, config=SMALL)
     assert b.phi_value == pytest.approx(4.0 * a.phi_value, rel=1e-12)
     assert b.area == pytest.approx(4.0 * a.area, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "phis,best",
+    [
+        ([-1.0, -1.0 - 5e-13, -1.0 - 9e-13], 0),  # all within rel_tol of the minimum
+        ([-1.0, -1.0 - 3e-12, -1.0 - 3.5e-12], 1),
+        ([-0.5, -1.0, -2.0], 2),
+        ([0.0, 0.0], 0),
+    ],
+)
+def test_minimize_best_restart_is_lowest_index_within_rel_tol(monkeypatch, phis, best):
+    fake = [SimpleNamespace(phi_value=p, restart_index=i) for i, p in enumerate(phis)]
+    monkeypatch.setattr(variational, "minimize_restarts", lambda *args, **kwargs: fake)
+    result = minimize(1.0, make_grid(2, 64), 15, 0, MinimizeConfig(rel_tol=1e-12))
+    assert result.restart_index == best
 
 
 def test_minimize_restarts_provenance():
