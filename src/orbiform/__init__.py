@@ -18,6 +18,7 @@ from .harmonic_core import (
     apply_green,
     apply_laplacian,
     default_max_degree,
+    degree_one_residual,
     differentiate,
     green_multipliers,
     laplace_eigenvalue,
@@ -60,6 +61,7 @@ from .variational import (
     MinimizeConfig,
     NumericalFailure,
     OptimizationResult,
+    SolveStats,
     bang_bang_report,
     box_bound,
     canonical_align,

@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import body2d, reuleaux, shapeio, spheroform3d, variational
-from .harmonic_core import default_max_degree, make_grid, synthesize
+from .harmonic_core import default_max_degree, degree_one_residual, make_grid, synthesize
 
 __all__ = ["main", "entrypoint", "render_svg"]
 
@@ -201,8 +201,7 @@ def _cmd_validate(args) -> int:
     bound = variational.box_bound(3, width)
     box_resid = max(0.0, float(np.max(np.abs(vals))) - bound)
     anti_resid = float(np.max(np.abs(vals + vals[grid.antipode_index])))
-    sl = coeffs.degree_slice(1)
-    deg1 = float(np.max(np.abs(coeffs.values[sl]))) if sl.stop > sl.start else 0.0
+    deg1 = degree_one_residual(coeffs)
     checks = [
         ("box-bound", box_resid, 1e-12),
         ("antipodal-antisymmetry", anti_resid, 1e-12),

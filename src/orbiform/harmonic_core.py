@@ -42,6 +42,7 @@ __all__ = [
     "apply_green",
     "quadratic_form_green",
     "project_linear_H",
+    "degree_one_residual",
 ]
 
 # Values of a function sampled at the nodes of a SphereGrid, shape (grid.size,).
@@ -418,17 +419,23 @@ def green_multipliers(dim: int, max_degree: int) -> GreenMultipliers:
     return GreenMultipliers(dim, max_degree, vals)
 
 
+def degree_one_residual(coeffs: SpectralCoeffs) -> float:
+    """Largest |degree-1 coefficient|, or 0.0 when the band limit is 0.
+
+    The degree-1 harmonics are the translations; callers compare this with
+    their own tolerance.
+    """
+    block = coeffs.values[coeffs.degree_slice(1)]
+    return float(np.max(np.abs(block))) if block.size else 0.0
+
+
 def _degree_one_violation(coeffs: SpectralCoeffs, rtol: float) -> tuple[int, float] | None:
     """Return (flat index, magnitude) of the worst offending degree-1 coefficient."""
-    sl = coeffs.degree_slice(1)
-    block = coeffs.values[sl]
-    if block.size == 0:
-        return None
-    worst = int(np.argmax(np.abs(block)))
-    mag = abs(float(block[worst]))
+    mag = degree_one_residual(coeffs)
     if mag <= rtol * max(coeffs.norm(), np.finfo(float).tiny):
         return None
-    return sl.start + worst, mag
+    sl = coeffs.degree_slice(1)
+    return sl.start + int(np.argmax(np.abs(coeffs.values[sl]))), mag
 
 
 def _degree_one_label(coeffs: SpectralCoeffs, flat_index: int) -> str:

@@ -25,6 +25,7 @@ from .harmonic_core import (
     SPHERE_AREA,
     SpectralCoeffs,
     SphereGrid,
+    degree_one_residual,
     quadratic_form_green,
     zero_coeffs,
 )
@@ -76,12 +77,10 @@ def phi1(coeffs: SpectralCoeffs) -> float:
     """
     if coeffs.dim not in (2, 3):
         raise ValueError(f"phi1 supports dim 2 and 3 only, got {coeffs.dim}")
-    sl = coeffs.degree_slice(1)
-    block = coeffs.values[sl]
-    if block.size and np.max(np.abs(block)) > 1e-12 * max(coeffs.norm(), np.finfo(float).tiny):
+    resid = degree_one_residual(coeffs)
+    if resid > 1e-12 * max(coeffs.norm(), np.finfo(float).tiny):
         raise ClosednessError(
-            f"curvature sum has a degree-1 component ({np.max(np.abs(block)):.3e}); "
-            "no closed boundary has one"
+            f"curvature sum has a degree-1 component ({resid:.3e}); no closed boundary has one"
         )
     return quadratic_form_green(coeffs) / coeffs.dim
 

@@ -10,15 +10,19 @@ wherever the gradient (twice the mean-free support function) is nonzero.
 
 Projection onto the intersection is solved exactly: the box is odd and
 separable, so only the degree-1 constraints couple the nodes, and their 2
-(dim 2) or 3 (dim 3) Lagrange multipliers solve a small concave dual by
-safeguarded Newton steps (a continuous quadratic knapsack with 2-3
-constraints). Minimization is projected gradient descent with a doubling
-step.
+(dim 2) or 3 (dim 3) Lagrange multipliers solve a small concave dual (a
+continuous quadratic knapsack with 2-3 constraints). The solve runs on one
+node per antipodal pair. Each step is a plain Newton step when no node
+changes side of the box along it, which lands exactly on the dual maximizer
+of that piece; otherwise a Levenberg step with an exact breakpoint line
+search. Minimization is projected gradient descent with a doubling step;
+each restart reports its projection work in OptimizationResult.stats.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +37,7 @@ from .harmonic_core import (
     analyze,
     apply_green,
     coeff_degrees,
+    degree_one_residual,
     green_multipliers,
     project_linear_H,
     quadratic_form_green,
@@ -45,6 +50,7 @@ __all__ = [
     "MinimizeConfig",
     "NumericalFailure",
     "OptimizationResult",
+    "SolveStats",
     "box_bound",
     "project_admissible",
     "phi",
@@ -59,6 +65,7 @@ __all__ = [
 
 PROJECTION_RTOL = 1e-13  # degree-1 residual, as the box excess it can cause, over the bound
 PROJECTION_MAX_STEPS = 100  # Newton steps of the dual solve; a few suffice in practice
+SINGULAR_RTOL = 1e-10  # |det| over Hadamard's bound below which a small solve is singular
 STEP_GROWTH_CAP = 2.0**10  # line-search eta never exceeds this multiple of eta0
 
 
@@ -101,12 +108,9 @@ class AdmissibleR:
         anti = float(np.max(np.abs(vals + vals[self.grid.antipode_index])))
         if anti > 1e-12:
             raise ValueError(f"antipodal antisymmetry violated by {anti:.3e}")
-        sl = self.coeffs.degree_slice(1)
-        block = self.coeffs.values[sl]
-        if block.size:
-            lim = 1e-12 * max(self.coeffs.norm(), np.finfo(float).tiny)
-            if float(np.max(np.abs(block))) > lim:
-                raise ValueError("degree-1 component violates orthogonality to translations")
+        lim = 1e-12 * max(self.coeffs.norm(), np.finfo(float).tiny)
+        if degree_one_residual(self.coeffs) > lim:
+            raise ValueError("degree-1 component violates orthogonality to translations")
 
     @property
     def dim(self) -> int:
@@ -145,18 +149,20 @@ class _Workspace:
         degs = coeff_degrees(grid.dim, max_degree)
         self.window = (degs % 2 == 1) & (degs >= 3)
         self.green = green_multipliers(grid.dim, max_degree).values[degs[self.window]]
+        # the projection works on odd vectors: one node per antipodal pair,
+        # the one with the smaller index, carrying the weight of both
+        self.half = np.flatnonzero(np.arange(grid.size) < grid.antipode_index)
+        self.pair = grid.antipode_index[self.half]
+        self.weights = 2.0 * grid.weights[self.half]
         # the degree-1 harmonics are the coordinates, in flat-index order:
         # (cos, sin) in dim 2, orders -1, 0, 1 = (y, z, x) in dim 3
+        nodes = grid.nodes[self.half]
         if grid.dim == 2:
-            self.basis_1 = grid.nodes / np.sqrt(np.pi)
+            self.basis_1 = nodes / np.sqrt(np.pi)
         else:
-            self.basis_1 = np.sqrt(3.0 / SPHERE_AREA) * grid.nodes[:, [1, 2, 0]]
-        self.basis_1_w = self.basis_1 * grid.weights[:, None]
+            self.basis_1 = np.sqrt(3.0 / SPHERE_AREA) * nodes[:, [1, 2, 0]]
+        self.basis_1_w = self.basis_1 * self.weights[:, None]
         self.basis_1_sup = float(np.max(np.linalg.norm(self.basis_1, axis=1)))
-        self.antipode = grid.antipode_index
-
-    def to_subspace(self, values: GridFn) -> np.ndarray:
-        return analyze(self.grid, values, self.max_degree).values[self.window]
 
     def from_subspace(self, coeffs_h: np.ndarray) -> GridFn:
         full = np.zeros(self.window.size)
@@ -184,17 +190,18 @@ def _line_max(
     Sorting the interval ends gives the slope at each of them by cumulative
     sums, and the root is exact inside the linear piece where the sign flips.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_a, t_b = (u - bound) / s, (u + bound) / s
+    moving = s != 0.0
+    u, s, w = u[moving], s[moving], w[moving]
+    t_a, t_b = (u - bound) / s, (u + bound) / s
     enter = np.maximum(np.minimum(t_a, t_b), 0.0)
     leave = np.maximum(t_a, t_b)
-    keep = (s != 0.0) & (leave > enter)
+    keep = leave > enter
     curv = w[keep] * s[keep] ** 2
     times = np.concatenate((enter[keep], leave[keep]))
     order = np.argsort(times)
     times = times[order]
     rate = np.cumsum(np.concatenate((curv, -curv))[order])  # on [times[j], times[j+1])
-    slopes = slope0 - np.concatenate(([0.0], np.cumsum(rate[:-1] * np.diff(times))))
+    slopes = slope0 - np.concatenate(([0.0], np.cumsum(rate[:-1] * (times[1:] - times[:-1]))))
     j = int(np.searchsorted(-slopes, 0.0))  # first breakpoint with slope <= 0
     # slopes[0] = slope0 > 0 and the last slope is negative: only rounding
     # reaches either guard
@@ -205,54 +212,96 @@ def _line_max(
     return float(times[j - 1] + slopes[j - 1] / rate[j - 1])
 
 
+def _solve_small(h: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+    """h^-1 g for a 2 x 2 or 3 x 3 system, by the adjugate.
+
+    Returns None when |det h| is at most SINGULAR_RTOL times the product of
+    the row norms (Hadamard's bound on |det h|): the matrix is then singular
+    to working precision and the closed form is not to be trusted.
+    """
+    if h.shape[0] == 2:
+        (a, b), (c, d) = h.tolist()
+        det = a * d - b * c
+        scale = math.hypot(a, b) * math.hypot(c, d)
+        if not abs(det) > SINGULAR_RTOL * scale:
+            return None
+        g0, g1 = g.tolist()
+        return np.array([d * g0 - b * g1, a * g1 - c * g0]) / det
+    (a, b, c), (d, e, f), (p, q, r) = h.tolist()
+    c0, c1, c2 = e * r - f * q, f * p - d * r, d * q - e * p  # cofactors of row 0
+    det = a * c0 + b * c1 + c * c2
+    scale = math.hypot(a, b, c) * math.hypot(d, e, f) * math.hypot(p, q, r)
+    if not abs(det) > SINGULAR_RTOL * scale:
+        return None
+    g0, g1, g2 = g.tolist()
+    return np.array([
+        c0 * g0 + (c * q - b * r) * g1 + (b * f - c * e) * g2,
+        c1 * g0 + (a * r - c * p) * g1 + (c * d - a * f) * g2,
+        c2 * g0 + (b * p - a * q) * g1 + (a * e - b * d) * g2,
+    ]) / det
+
+
 def _project_exact(
     ws: _Workspace,
     values: GridFn,
     bound: float,
     rtol: float = PROJECTION_RTOL,
     max_iter: int = PROJECTION_MAX_STEPS,
-) -> tuple[GridFn, np.ndarray]:
+) -> tuple[GridFn, SpectralCoeffs, int]:
     """Exact metric projection onto the admissible set through its small dual.
 
     Antisymmetrizing is the projection onto the antisymmetric samples, and the
     odd box commutes with it, so the nearest admissible point is
     x(lam) = clip(a - B1 lam, +-bound) with a the antisymmetric part and lam
     one multiplier per degree-1 harmonic (2 in dim 2, 3 in dim 3) chosen so
-    that B1_w^T x(lam) = 0. Those multipliers maximize a concave piecewise
+    that B1_w^T x(lam) = 0. Everything here is odd, so the solve runs on one
+    node per antipodal pair with twice its weight, and the full vector is
+    written as x and -x. The multipliers maximize a concave piecewise
     quadratic dual whose gradient is B1_w^T x(lam) and whose generalized
-    Hessian is -B1_w^T diag(free) B1. Each step takes the Levenberg-regularized
-    Newton direction and the exact maximizer of the dual along it, so the
-    dual rises monotonically even where only one antipodal pair is free and
-    the Hessian is singular. A final subspace step x - B1 (B1_w^T x) removes
-    the residual degree-1 part; the stopping rule caps the box excess it can
-    add at rtol * bound, and a last antisymmetrize-and-clip takes that excess
-    and any rounding back. Returns (values, window coefficients).
+    Hessian is -B1_w^T diag(free) B1. Each step first tries the plain Newton
+    step and keeps it when no node changes side of the box: the dual is then
+    one quadratic along the step, whose maximizer the step lands on.
+    Otherwise it takes the Levenberg-regularized direction and the exact
+    maximizer of the dual along it, so the dual rises monotonically even where
+    only one antipodal pair is free and the Hessian is singular. A final
+    subspace step x - B1 (B1_w^T x) removes the residual degree-1 part; the
+    stopping rule caps the box excess it can add at rtol * bound, and a last
+    clip takes that excess back. Returns (values, their analysis, Newton
+    steps taken).
     """
-    a = 0.5 * (values - values[ws.antipode])
-    lam = ws.basis_1_w.T @ a  # exact when nothing clips
+    B1, B1_w = ws.basis_1, ws.basis_1_w
+    u = 0.5 * (values[ws.half] - values[ws.pair])
+    u = u - B1 @ (B1_w.T @ u)  # exact when nothing clips
     gtol = rtol * bound / ws.basis_1_sup
     dual_scale = bound * np.sqrt(ws.grid.total_measure)  # bounds |B1_w^T x|
     for steps in range(max_iter + 1):
-        u = a - ws.basis_1 @ lam
-        x = np.clip(u, -bound, bound)
-        g = ws.basis_1_w.T @ x
-        gnorm = float(np.linalg.norm(g))
+        x = u.clip(-bound, bound)
+        g = B1_w.T @ x
+        gnorm = math.hypot(*g.tolist())
         if gnorm <= gtol:
-            # B1 is odd only up to rounding, which at large widths exceeds
-            # the absolute antisymmetry check; the clip moves no node by more
-            # than rtol * bound, which keeps the box exact at any width and
-            # the degree-1 part far below the relative check
-            x = x - ws.basis_1 @ g
-            x = np.clip(0.5 * (x - x[ws.antipode]), -bound, bound)
-            return x, ws.to_subspace(x)
+            # the subspace step moves no node by more than rtol * bound; the
+            # clip takes that back, keeping the box exact at any width
+            x = (x - B1 @ g).clip(-bound, bound)
+            full = np.empty(ws.grid.size)
+            full[ws.half] = x
+            full[ws.pair] = -x
+            return full, analyze(ws.grid, full, ws.max_degree), steps
         if steps == max_iter:
             break
-        free = np.abs(u) < bound
-        hess = ws.basis_1_w[free].T @ ws.basis_1[free]
-        hess[np.diag_indices_from(hess)] += 1e-2 * gnorm / dual_scale
-        d = np.linalg.solve(hess, g)
-        s = ws.basis_1 @ d
-        lam = lam + _line_max(u, s, ws.grid.weights, bound, float(g @ d)) * d
+        above, below = u >= bound, u <= -bound
+        hess = (B1_w.T * ~(above | below)) @ B1
+        d = _solve_small(hess, g)
+        if d is not None:
+            u_new = u - B1 @ d
+            if np.array_equal(u_new >= bound, above) and np.array_equal(u_new <= -bound, below):
+                u = u_new
+                continue
+        hess.flat[:: hess.shape[0] + 1] += 1e-2 * gnorm / dual_scale
+        d = _solve_small(hess, g)
+        if d is None:
+            d = np.linalg.solve(hess, g)
+        s = B1 @ d
+        u = u - _line_max(u, s, ws.weights, bound, float(g @ d)) * s
     raise NumericalFailure(
         f"admissible projection did not converge in {max_iter} Newton steps "
         f"(degree-1 residual {gnorm:.3e}, tolerance {gtol:.3e})"
@@ -273,10 +322,10 @@ def project_admissible(
     dual solve, and running into it raises NumericalFailure.
     """
     ws = _workspace_for(grid, max_degree)
-    projected, _ = _project_exact(
+    projected, coeffs, _ = _project_exact(
         ws, np.asarray(values, dtype=float), box_bound(grid.dim, width), tol, max_sweeps
     )
-    return admissible_from_values(width, grid, max_degree, projected)
+    return AdmissibleR(width, grid, max_degree, projected, coeffs)
 
 
 _WORKSPACES: dict[tuple[int, int, int], _Workspace] = {}
@@ -378,6 +427,20 @@ class MinimizeConfig:
 
 
 @dataclass(frozen=True)
+class SolveStats:
+    """Work counters of one restart; result_to_json leaves them out.
+
+    projections: calls of the admissible projection, the start included.
+    newton_steps: Newton steps of the dual solve summed over those calls;
+    max_newton_steps: the most any single call took.
+    """
+
+    projections: int = 0
+    newton_steps: int = 0
+    max_newton_steps: int = 0
+
+
+@dataclass(frozen=True)
 class OptimizationResult:
     minimizer: AdmissibleR
     phi_value: float
@@ -389,6 +452,7 @@ class OptimizationResult:
     sign_consistency: float
     converged: bool
     equivalence_warning: bool = False
+    stats: SolveStats = SolveStats()
 
     def __post_init__(self):
         if self.phi_value > 1e-12:
@@ -410,7 +474,7 @@ def _descend(
     width: float,
     start_values: GridFn,
     cfg: MinimizeConfig,
-) -> tuple[GridFn, float, int, bool]:
+) -> tuple[AdmissibleR, float, int, bool, SolveStats]:
     """Projected gradient descent with a doubling step.
 
     phi is concave and the projection exact, so every projected step lowers
@@ -424,7 +488,9 @@ def _descend(
     eta = eta0
     eta_max = STEP_GROWTH_CAP * eta0
 
-    x, c = _project_exact(ws, start_values, bound)
+    x, coeffs, steps = _project_exact(ws, start_values, bound)
+    newton_steps = [steps]
+    c = coeffs.values[ws.window]
     phi_cur = ws.phi_of(c)
     iterations = 0
     converged = False
@@ -432,12 +498,14 @@ def _descend(
     while iterations < cfg.max_iterations:
         iterations += 1
         grad = ws.gradient_values(c)
-        candidate, c_new = _project_exact(ws, x - eta * grad, bound)
+        candidate, coeffs_new, steps = _project_exact(ws, x - eta * grad, bound)
+        newton_steps.append(steps)
+        c_new = coeffs_new.values[ws.window]
         phi_new = ws.phi_of(c_new)
         decrease = phi_cur - phi_new
         scale = max(abs(phi_cur), np.finfo(float).tiny)
         if decrease > 0:
-            x, c, phi_cur = candidate, c_new, phi_new
+            x, coeffs, c, phi_cur = candidate, coeffs_new, c_new, phi_new
         if abs(decrease) <= cfg.rel_tol * scale:
             converged = True
             break
@@ -446,25 +514,25 @@ def _descend(
                 f"a projected step raised phi by {-decrease / scale:.3e} of its value"
             )
         eta = min(eta * 2.0, eta_max)
-    return x, phi_cur, iterations, converged
+    stats = SolveStats(len(newton_steps), sum(newton_steps), max(newton_steps))
+    r = AdmissibleR(width, ws.grid, ws.max_degree, x, coeffs)
+    return r, phi_cur, iterations, converged, stats
 
 
 def _finish_result(
-    ws: _Workspace,
-    width: float,
-    values: GridFn,
+    r: AdmissibleR,
     phi_value: float,
     iterations: int,
     converged: bool,
+    stats: SolveStats,
     seed: int,
     index: int,
     equivalence_warning: bool,
 ) -> OptimizationResult:
-    r = admissible_from_values(width, ws.grid, ws.max_degree, values)
     report = bang_bang_report(r)
     area = None
-    if ws.grid.dim == 2:
-        body = body_from_deviation(width, apply_green(project_linear_H(r.coeffs)))
+    if r.dim == 2:
+        body = body_from_deviation(r.width, apply_green(project_linear_H(r.coeffs)))
         area = area_spectral(body)
     return OptimizationResult(
         minimizer=r,
@@ -477,6 +545,7 @@ def _finish_result(
         sign_consistency=report.sign_consistency,
         converged=converged,
         equivalence_warning=equivalence_warning,
+        stats=stats,
     )
 
 
@@ -501,10 +570,8 @@ def minimize_restarts(
     results = []
     for i in range(cfg.restarts):
         start = _initial_values(ws, width, np.random.default_rng([seed, i]))
-        vals, ph, its, conv = _descend(ws, width, start, cfg)
-        results.append(
-            _finish_result(ws, width, vals, ph, its, conv, seed, i, equivalence_warning)
-        )
+        r, ph, its, conv, stats = _descend(ws, width, start, cfg)
+        results.append(_finish_result(r, ph, its, conv, stats, seed, i, equivalence_warning))
     return results
 
 

@@ -195,10 +195,21 @@ def test_validate_truncated_polygon_needs_relaxed_tolerance():
 def test_validate_convexity_tol_is_absolute():
     # the ringing scales with the width, the tolerance does not; band limit
     # 1023 is what a `reuleaux --modes 1024` file reads back as (residual
-    # 0.0895 * width on the 2048-node check grid)
+    # 0.0895 * width)
     b = to_body(make_spec(3, 1.4), 1023)
     assert not validate(b, convexity_tol=0.12).check("convexity").passed
     assert validate(b, convexity_tol=0.12 * 1.4).valid
+
+
+def test_validate_convexity_residual_does_not_depend_on_band_parity():
+    # the dip is the Gibbs overshoot, 0.0895 * width; a check grid of only
+    # 2L + 2 nodes read 0.077 * width at L = 1024 and 0.0895 * width at 1023
+    B = 1.4
+    dips = [
+        validate(to_body(make_spec(3, B), L)).check("convexity").residual for L in (1023, 1024)
+    ]
+    assert abs(dips[0] - dips[1]) <= 1e-4 * B
+    assert dips[0] == pytest.approx(0.0895 * B, abs=1e-4 * B)
 
 
 def test_high_band_area_and_validate_stay_small():

@@ -11,6 +11,7 @@ from orbiform.harmonic_core import (
     apply_laplacian,
     coeff_degrees,
     default_max_degree,
+    degree_one_residual,
     differentiate,
     green_multipliers,
     index2,
@@ -246,6 +247,14 @@ def test_green_rejects_degree_one_input():
     c[index2(1, "sin")] = 1.0
     with pytest.raises(ValueError, match="degree-1"):
         apply_green(SpectralCoeffs(2, 4, c))
+
+
+def test_degree_one_residual_is_largest_translation_coefficient():
+    c = zero_coeffs(3, 4).values.copy()
+    c[index3(1, -1)], c[index3(1, 1)], c[index3(3, 0)] = 0.25, -0.5, 7.0
+    assert degree_one_residual(SpectralCoeffs(3, 4, c)) == 0.5
+    assert degree_one_residual(SpectralCoeffs(2, 0, np.array([3.0]))) == 0.0
+    assert degree_one_residual(zero_coeffs(2, 5)) == 0.0
 
 
 def test_quadratic_form_green_signs(rng):

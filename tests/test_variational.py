@@ -1,6 +1,7 @@
 """Admissible states, metric projection, functional, and the optimizer."""
 
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +24,7 @@ from orbiform.variational import (
     AdmissibleR,
     MinimizeConfig,
     NumericalFailure,
+    SolveStats,
     admissible_from_values,
     bang_bang_report,
     box_bound,
@@ -200,6 +202,74 @@ def test_project_large_dim3_steps_stay_admissible(grid3_16):
         assert isinstance(step, AdmissibleR)
         # phi is concave: a projected gradient step never raises it
         assert phi(step) <= phi0 + 1e-12
+
+
+def test_project_output_is_exactly_antisymmetric(grid2_256, grid3_16, rng):
+    # the solve runs on one node per antipodal pair and writes the other as -x
+    for grid, L in ((grid2_256, 60), (grid3_16, 7), (make_grid(3, 10), 3)):
+        for width in (1.0, 1e8):
+            v = project_admissible(rng.normal(0.0, 2.0 * width, grid.size), width, grid, L).values
+            assert np.array_equal(v[grid.antipode_index], -v)
+
+
+def test_project_pairs_cover_odd_polar_grid(rng):
+    # 5 polar rows of 10 nodes: the middle row is the equator, and its
+    # antipodal pairs lie within the row
+    grid = make_grid(3, 10)
+    ws = variational._workspace_for(grid, 3)
+    assert ws.half.size == grid.size // 2
+    assert np.array_equal(ws.pair, grid.antipode_index[ws.half])
+    assert np.array_equal(np.sort(np.concatenate((ws.half, ws.pair))), np.arange(grid.size))
+    assert np.all(ws.half < ws.pair)
+    equator = 20 + np.arange(10)
+    assert np.array_equal(np.intersect1d(ws.half, equator), equator[:5])
+    r = project_admissible(rng.normal(0.0, 2.0, grid.size), 1.0, grid, 3)
+    assert isinstance(r, AdmissibleR)
+    assert np.max(np.abs(r.values)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_solve_small_matches_linalg_solve(k, rng):
+    for _ in range(20):
+        m = rng.normal(size=(k, k))
+        for h in (m, m @ m.T + 1e-3 * np.eye(k)):
+            g = rng.normal(size=k)
+            d = variational._solve_small(h, g)
+            assert np.allclose(d, np.linalg.solve(h, g), rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_solve_small_returns_none_when_singular(k, rng):
+    # with fewer free antipodal pairs than multipliers the dual Hessian is
+    # a sum of fewer than k outer products
+    b = rng.normal(size=(k - 1, k))
+    assert variational._solve_small(b.T @ b, rng.normal(size=k)) is None
+    assert variational._solve_small(np.zeros((k, k)), rng.normal(size=k)) is None
+
+
+@pytest.mark.parametrize("dim,res,L", [(2, 64, 15), (3, 10, 3), (3, 32, 15)])
+def test_project_converges_in_few_newton_steps(dim, res, L, rng):
+    # plain Newton steps are kept only while no node changes side of the box;
+    # kept blindly they cycle on some of these inputs and hit the step cap
+    grid = make_grid(dim, res)
+    ws = variational._workspace_for(grid, L)
+    for _ in range(100):
+        f = rng.normal(0.0, 10.0 ** rng.uniform(-2, 2), grid.size)
+        assert variational._project_exact(ws, f, 1.0)[2] <= 8
+
+
+def test_project_newton_steps_on_dim3_ladder(grid3_16):
+    # the ladder of test_project_large_dim3_steps_stay_admissible: a solver
+    # taking only Levenberg steps with a line search needed 63 Newton steps
+    # on it; exact plain Newton steps take 42
+    r = minimize(1.0, grid3_16, 7, seed=7, config=MinimizeConfig(restarts=1)).minimizer
+    grad = phi_gradient(r)
+    ws = variational._workspace_for(grid3_16, 7)
+    steps = [
+        variational._project_exact(ws, r.values - 5.0 * 2.0**k * grad, 1.0)[2]
+        for k in range(11)
+    ]
+    assert sum(steps) < 63
 
 
 # ---------------------------------------------------------------- functional
@@ -385,6 +455,21 @@ def test_result_json_schema():
     assert payload["area"] is not None
     again = json.loads(result_to_json(res, timestamp="2024-01-01T00:00:00+00:00"))
     assert again["timestamp"] == "2024-01-01T00:00:00+00:00"
+
+
+def test_minimize_reports_projection_stats_outside_the_json():
+    grid = make_grid(2, 128)
+    results = minimize_restarts(1.0, grid, 32, seed=4, config=SMALL)
+    for res in results:
+        stats = res.stats
+        # one projection of the start point, then one per descent iteration
+        assert stats.projections == res.iterations + 1
+        assert stats.max_newton_steps <= stats.newton_steps
+        assert stats.newton_steps <= stats.projections * stats.max_newton_steps
+        assert stats.max_newton_steps <= variational.PROJECTION_MAX_STEPS
+        assert result_to_json(res) == result_to_json(replace(res, stats=SolveStats()))
+        assert "stats" not in json.loads(result_to_json(res))
+    assert sum(r.stats.newton_steps for r in results) > 0
 
 
 def test_result_rejects_positive_phi(grid240):
