@@ -63,6 +63,7 @@ from .variational import (
     OptimizationResult,
     SolveStats,
     bang_bang_report,
+    best_restart,
     box_bound,
     canonical_align,
     minimize,

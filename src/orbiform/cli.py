@@ -4,6 +4,10 @@ Subcommands: reuleaux (closed-form polygons, optional shape JSON and SVG),
 optimize (multi-restart functional minimization), validate (invariant checks
 on a shape file), table (closed-form area table as CSV).
 
+optimize prints one line per restart (phi, iterations, converged, projection
+work), in dim 2 or 3, then reports the restart that variational.best_restart
+picks, as minimize does; --out writes that restart as result JSON.
+
 Exit codes: 0 success, 1 invariant failure, 2 usage or malformed input,
 3 numerical failure, 4 regression (an internal cross-check went wrong).
 All file output is written to a temp file and renamed into place, so failures
@@ -19,7 +23,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import body2d, reuleaux, shapeio, spheroform3d, variational
+from . import body2d, reuleaux, shapeio, variational
 from .harmonic_core import default_max_degree, degree_one_residual, make_grid, synthesize
 
 __all__ = ["main", "entrypoint", "render_svg"]
@@ -141,10 +145,7 @@ def _cmd_optimize(args) -> int:
     try:
         grid = make_grid(args.dim, resolution)
         cfg = variational.MinimizeConfig(restarts=args.restarts, max_iterations=args.max_iter)
-        if args.dim == 2:
-            result = variational.minimize(args.width, grid, modes, args.seed, cfg)
-        else:
-            result = spheroform3d.explore_minimize3d(args.width, grid, modes, args.seed, cfg)
+        results = variational.minimize_restarts(args.width, grid, modes, args.seed, cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -152,6 +153,13 @@ def _cmd_optimize(args) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
+    for r in results:
+        print(
+            f"restart {r.restart_index}: phi={r.phi_value!r} iterations={r.iterations} "
+            f"converged={r.converged} projections={r.stats.projections} "
+            f"newton_steps={r.stats.newton_steps} max_newton_steps={r.stats.max_newton_steps}"
+        )
+    result = variational.best_restart(results, cfg.rel_tol)
     print(
         f"phi={result.phi_value!r} iterations={result.iterations} "
         f"restart={result.restart_index} converged={result.converged}"

@@ -58,7 +58,7 @@ class ClosednessError(ValueError):
     """A degree-1 harmonic component blocks an operation that needs a closed boundary."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compares and hashes by identity: caches key on the grid
 class SphereGrid:
     """Antipodally closed quadrature grid on S^1 (dim 2) or S^2 (dim 3).
 

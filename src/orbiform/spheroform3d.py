@@ -9,8 +9,8 @@ minimization coincide for genuine constant-width bodies.
 
 The caveat, and it is structural: an admissible deviation on the sphere need
 not be realizable as the curvature sum of an actual convex body, so dim-3
-minimization results are candidates, not certified bodies. Every result out of
-this module carries equivalence_warning=True for that reason.
+minimization results are candidates, not certified bodies. Every dim-3
+OptimizationResult carries equivalence_warning=True for that reason.
 """
 
 from __future__ import annotations
@@ -114,11 +114,11 @@ def explore_minimize3d(
 ) -> OptimizationResult:
     """Dim-3 functional minimization; results are exploratory candidates.
 
-    Identical engine to the planar minimizer. The returned result always has
-    equivalence_warning=True: admissibility on the sphere does not certify that
-    a convex body realizes the candidate, so the surface-area/volume
-    equivalence is conditional.
+    Identical engine to the planar minimizer. The returned result, like every
+    dim-3 result, has equivalence_warning=True: admissibility on the sphere
+    does not certify that a convex body realizes the candidate, so the
+    surface-area/volume equivalence is conditional.
     """
     if grid.dim != 3:
         raise ValueError("explore_minimize3d expects a dim-3 grid")
-    return minimize(width, grid, max_degree, seed, config, equivalence_warning=True)
+    return minimize(width, grid, max_degree, seed, config)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,6 +59,7 @@ __all__ = [
     "support_deviation",
     "minimize",
     "minimize_restarts",
+    "best_restart",
     "bang_bang_report",
     "canonical_align",
     "result_to_json",
@@ -328,18 +330,10 @@ def project_admissible(
     return AdmissibleR(width, grid, max_degree, projected, coeffs)
 
 
-_WORKSPACES: dict[tuple[int, int, int], _Workspace] = {}
-
-
+@lru_cache(maxsize=8)
 def _workspace_for(grid: SphereGrid, max_degree: int) -> _Workspace:
-    key = (grid.dim, grid.resolution, max_degree)
-    ws = _WORKSPACES.get(key)
-    if ws is None or ws.grid is not grid:
-        ws = _Workspace(grid, max_degree)
-        if len(_WORKSPACES) > 8:
-            _WORKSPACES.clear()
-        _WORKSPACES[key] = ws
-    return ws
+    # SphereGrid hashes by identity, so each grid object gets its own workspace
+    return _Workspace(grid, max_degree)
 
 
 def phi(r: AdmissibleR) -> float:
@@ -451,12 +445,16 @@ class OptimizationResult:
     bangbang_violation: float
     sign_consistency: float
     converged: bool
-    equivalence_warning: bool = False
     stats: SolveStats = SolveStats()
 
     def __post_init__(self):
         if self.phi_value > 1e-12:
             raise ValueError(f"phi must be <= 0, got {self.phi_value}")
+
+    @property
+    def equivalence_warning(self) -> bool:
+        """True in dim 3, where no convex body is certified to realize the candidate."""
+        return self.minimizer.dim == 3
 
 
 def _initial_values(ws: _Workspace, width: float, rng: np.random.Generator) -> GridFn:
@@ -527,7 +525,6 @@ def _finish_result(
     stats: SolveStats,
     seed: int,
     index: int,
-    equivalence_warning: bool,
 ) -> OptimizationResult:
     report = bang_bang_report(r)
     area = None
@@ -544,7 +541,6 @@ def _finish_result(
         bangbang_violation=report.violation,
         sign_consistency=report.sign_consistency,
         converged=converged,
-        equivalence_warning=equivalence_warning,
         stats=stats,
     )
 
@@ -555,7 +551,6 @@ def minimize_restarts(
     max_degree: int,
     seed: int,
     config: MinimizeConfig | None = None,
-    equivalence_warning: bool = False,
 ) -> list[OptimizationResult]:
     """Run every restart and return the per-restart results, index order.
 
@@ -571,8 +566,21 @@ def minimize_restarts(
     for i in range(cfg.restarts):
         start = _initial_values(ws, width, np.random.default_rng([seed, i]))
         r, ph, its, conv, stats = _descend(ws, width, start, cfg)
-        results.append(_finish_result(r, ph, its, conv, stats, seed, i, equivalence_warning))
+        results.append(_finish_result(r, ph, its, conv, stats, seed, i))
     return results
+
+
+def best_restart(results: list[OptimizationResult], rel_tol: float) -> OptimizationResult:
+    """Best restart by phi; ties break toward the smallest restart index.
+
+    Restarts whose phi lies within rel_tol * |phi_min| of the minimum tie:
+    the descent stops at that relative precision, so a smaller difference
+    only reflects rounding, and which rotated copy of the same body wins
+    must not hinge on the last bits.
+    """
+    phi_min = min(r.phi_value for r in results)
+    cutoff = phi_min + rel_tol * abs(phi_min)
+    return next(r for r in results if r.phi_value <= cutoff)
 
 
 def minimize(
@@ -581,20 +589,10 @@ def minimize(
     max_degree: int,
     seed: int,
     config: MinimizeConfig | None = None,
-    equivalence_warning: bool = False,
 ) -> OptimizationResult:
-    """Best restart by phi; ties break toward the smallest restart index.
-
-    Restarts whose phi lies within rel_tol * |phi_min| of the minimum tie:
-    the descent stops at that relative precision, so a smaller difference
-    only reflects rounding, and which rotated copy of the same body wins
-    must not hinge on the last bits.
-    """
+    """The best_restart of minimize_restarts, with the config's rel_tol."""
     cfg = config or MinimizeConfig()
-    results = minimize_restarts(width, grid, max_degree, seed, cfg, equivalence_warning)
-    phi_min = min(r.phi_value for r in results)
-    cutoff = phi_min + cfg.rel_tol * abs(phi_min)
-    return next(r for r in results if r.phi_value <= cutoff)
+    return best_restart(minimize_restarts(width, grid, max_degree, seed, cfg), cfg.rel_tol)
 
 
 def result_to_json(result: OptimizationResult, timestamp: str | None = None) -> str:

@@ -6,9 +6,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from orbiform import cli
+from orbiform import cli, variational
+from orbiform.harmonic_core import make_grid
 from orbiform.shapeio import loads_shape
-from orbiform.variational import NumericalFailure
+from orbiform.variational import MinimizeConfig, NumericalFailure
 
 MEAN = 0.5 * np.sqrt(2 * np.pi)  # degree-0 coefficient of the width-1 disk
 
@@ -144,6 +145,46 @@ def test_optimize_dim3_equivalence_warning(tmp_path, capsys):
     assert "candidate" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--dim", "2", "--grid", "64", "--modes", "16"],
+        ["--dim", "3", "--grid", "16", "--modes", "7"],
+    ],
+    ids=["dim2", "dim3"],
+)
+def test_optimize_result_file_ends_with_one_newline(flags, tmp_path, capsys):
+    out = tmp_path / "result.json"
+    assert cli.main(["optimize", *flags, "--restarts", "1", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.endswith("}\n")
+    assert not text.endswith("\n\n")
+
+
+def test_optimize_prints_one_line_per_restart(capsys):
+    assert cli.main(OPT_FLAGS) == 0
+    lines = capsys.readouterr().out.splitlines()
+    per_restart = [line for line in lines if line.startswith("restart ")]
+    assert [line.split(":")[0] for line in per_restart] == ["restart 0", "restart 1"]
+    assert all("newton_steps=" in line for line in per_restart)
+
+
+@pytest.mark.parametrize(
+    "dim, resolution, modes", [(2, 64, 16), (3, 16, 7)], ids=["dim2", "dim3"]
+)
+def test_optimize_writes_what_minimize_returns(dim, resolution, modes, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    flags = ["--dim", str(dim), "--grid", str(resolution), "--modes", str(modes)]
+    rc = cli.main(["optimize", *flags, "--restarts", "3", "--seed", "5", "--out", str(out)])
+    assert rc == 0
+    stdout = capsys.readouterr().out
+    best = variational.minimize(
+        1.0, make_grid(dim, resolution), modes, 5, MinimizeConfig(restarts=3)
+    )
+    assert f"restart={best.restart_index} " in stdout
+    assert out.read_text() == variational.result_to_json(best)
+
+
 def test_optimize_rejects_bad_flags(capsys):
     assert cli.main(["optimize", "--dim", "4"]) == 2
     assert cli.main(["optimize", "--restarts", "0"]) == 2
@@ -154,7 +195,7 @@ def test_optimize_maps_numerical_failure(monkeypatch, capsys):
     def boom(*a, **k):
         raise NumericalFailure("forced")
 
-    monkeypatch.setattr(cli.variational, "minimize", boom)
+    monkeypatch.setattr(cli.variational, "minimize_restarts", boom)
     assert cli.main(OPT_FLAGS) == 3
     assert "numerical failure" in capsys.readouterr().err
 

@@ -457,6 +457,25 @@ def test_result_json_schema():
     assert again["timestamp"] == "2024-01-01T00:00:00+00:00"
 
 
+def test_minimize_labels_dim3_results_as_candidates(grid3_16):
+    res = minimize(1.0, grid3_16, 7, seed=2, config=MinimizeConfig(restarts=1))
+    assert res.equivalence_warning is True
+    assert '"equivalence_warning": true' in result_to_json(res)
+    planar = minimize(1.0, make_grid(2, 64), 15, seed=2, config=MinimizeConfig(restarts=1))
+    assert planar.equivalence_warning is False
+    assert "equivalence_warning" not in result_to_json(planar)
+
+
+def test_workspace_is_cached_per_grid_object():
+    grid = make_grid(3, 16)
+    ws = variational._workspace_for(grid, 7)
+    assert variational._workspace_for(grid, 7) is ws
+    twin = make_grid(3, 16)
+    ws_twin = variational._workspace_for(twin, 7)
+    assert ws_twin is not ws
+    assert ws_twin.grid is twin
+
+
 def test_minimize_reports_projection_stats_outside_the_json():
     grid = make_grid(2, 128)
     results = minimize_restarts(1.0, grid, 32, seed=4, config=SMALL)
