@@ -75,7 +75,6 @@ from .variational import (
     support_deviation,
 )
 from .spheroform3d import (
-    SpheroformCandidate,
     ball_curvature_sum,
     blaschke_volume,
     explore_minimize3d,

@@ -5,8 +5,9 @@ optimize (multi-restart functional minimization), validate (invariant checks
 on a shape file), table (closed-form area table as CSV).
 
 optimize prints one line per restart (phi, iterations, converged, projection
-work), in dim 2 or 3, then reports the restart that variational.best_restart
-picks, as minimize does; --out writes that restart as result JSON.
+work: projections, newton_steps, max_newton_steps, line_searches), in dim 2
+or 3, then reports the restart that variational.best_restart picks, as
+minimize does; --out writes that restart as result JSON.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage or malformed input,
 3 numerical failure, 4 regression (an internal cross-check went wrong).
@@ -157,7 +158,8 @@ def _cmd_optimize(args) -> int:
         print(
             f"restart {r.restart_index}: phi={r.phi_value!r} iterations={r.iterations} "
             f"converged={r.converged} projections={r.stats.projections} "
-            f"newton_steps={r.stats.newton_steps} max_newton_steps={r.stats.max_newton_steps}"
+            f"newton_steps={r.stats.newton_steps} max_newton_steps={r.stats.max_newton_steps} "
+            f"line_searches={r.stats.line_searches}"
         )
     result = variational.best_restart(results, cfg.rel_tol)
     print(

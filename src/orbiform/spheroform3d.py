@@ -15,8 +15,6 @@ OptimizationResult carries equivalence_warning=True for that reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .harmonic_core import (
@@ -32,28 +30,12 @@ from .harmonic_core import (
 from .variational import MinimizeConfig, OptimizationResult, minimize
 
 __all__ = [
-    "SpheroformCandidate",
     "ball_curvature_sum",
     "phi1",
     "blaschke_volume",
     "width_residual",
     "explore_minimize3d",
 ]
-
-
-@dataclass(frozen=True)
-class SpheroformCandidate:
-    """Dim-3 curvature-sum deviation candidate with optional provenance."""
-
-    width: float
-    deviation_coeffs: SpectralCoeffs
-    provenance: dict | None = None
-
-    def __post_init__(self):
-        if not np.isfinite(self.width) or self.width <= 0:
-            raise ValueError(f"width must be finite and > 0, got {self.width}")
-        if self.deviation_coeffs.dim != 3:
-            raise ValueError("SpheroformCandidate requires dim-3 coefficients")
 
 
 def ball_curvature_sum(width: float, dim: int = 3, max_degree: int = 0) -> SpectralCoeffs:

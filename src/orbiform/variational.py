@@ -12,11 +12,12 @@ Projection onto the intersection is solved exactly: the box is odd and
 separable, so only the degree-1 constraints couple the nodes, and their 2
 (dim 2) or 3 (dim 3) Lagrange multipliers solve a small concave dual (a
 continuous quadratic knapsack with 2-3 constraints). The solve runs on one
-node per antipodal pair. Each step is a plain Newton step when no node
-changes side of the box along it, which lands exactly on the dual maximizer
-of that piece; otherwise a Levenberg step with an exact breakpoint line
-search. Minimization is projected gradient descent with a doubling step;
-each restart reports its projection work in OptimizationResult.stats.
+node per antipodal pair. Each step solves the Newton system once (with a
+Levenberg shift only where the dual Hessian is singular) and keeps the full
+step while the dual still rises at it; otherwise it moves to the exact
+maximizer along the same direction by a breakpoint line search.
+Minimization is projected gradient descent with a doubling step; each
+restart reports its projection work in OptimizationResult.stats.
 """
 
 from __future__ import annotations
@@ -260,25 +261,27 @@ def _project_exact(
     node per antipodal pair with twice its weight, and the full vector is
     written as x and -x. The multipliers maximize a concave piecewise
     quadratic dual whose gradient is B1_w^T x(lam) and whose generalized
-    Hessian is -B1_w^T diag(free) B1. Each step first tries the plain Newton
-    step and keeps it when no node changes side of the box: the dual is then
-    one quadratic along the step, whose maximizer the step lands on.
-    Otherwise it takes the Levenberg-regularized direction and the exact
-    maximizer of the dual along it, so the dual rises monotonically even where
-    only one antipodal pair is free and the Hessian is singular. A final
-    subspace step x - B1 (B1_w^T x) removes the residual degree-1 part; the
-    stopping rule caps the box excess it can add at rtol * bound, and a last
-    clip takes that excess back. Returns (values, their analysis, Newton
-    steps taken).
+    Hessian is -B1_w^T diag(free) B1. Each step solves the Newton system
+    once, adding a Levenberg shift only when that system is singular (fewer
+    free antipodal pairs than multipliers, for one). The full step is kept when the dual's
+    slope along the direction, d . B1_w^T x_new, is still >= 0 there, or when
+    x_new already meets the stopping rule; otherwise the step moves to the
+    exact maximizer of the dual along that same direction, a breakpoint line
+    search, so the dual rises monotonically. A final subspace step
+    x - B1 (B1_w^T x) removes the residual degree-1 part; the stopping rule
+    caps the box excess it can add at rtol * bound, and a last clip takes
+    that excess back. Returns (values, their analysis, Newton steps taken,
+    steps that took the line search).
     """
     B1, B1_w = ws.basis_1, ws.basis_1_w
     u = 0.5 * (values[ws.half] - values[ws.pair])
     u = u - B1 @ (B1_w.T @ u)  # exact when nothing clips
     gtol = rtol * bound / ws.basis_1_sup
     dual_scale = bound * np.sqrt(ws.grid.total_measure)  # bounds |B1_w^T x|
+    x = u.clip(-bound, bound)
+    g = B1_w.T @ x
+    line_searches = 0
     for steps in range(max_iter + 1):
-        x = u.clip(-bound, bound)
-        g = B1_w.T @ x
         gnorm = math.hypot(*g.tolist())
         if gnorm <= gtol:
             # the subspace step moves no node by more than rtol * bound; the
@@ -287,23 +290,29 @@ def _project_exact(
             full = np.empty(ws.grid.size)
             full[ws.half] = x
             full[ws.pair] = -x
-            return full, analyze(ws.grid, full, ws.max_degree), steps
+            return full, analyze(ws.grid, full, ws.max_degree), steps, line_searches
         if steps == max_iter:
             break
-        above, below = u >= bound, u <= -bound
-        hess = (B1_w.T * ~(above | below)) @ B1
-        d = _solve_small(hess, g)
-        if d is not None:
-            u_new = u - B1 @ d
-            if np.array_equal(u_new >= bound, above) and np.array_equal(u_new <= -bound, below):
-                u = u_new
-                continue
-        hess.flat[:: hess.shape[0] + 1] += 1e-2 * gnorm / dual_scale
+        hess = (B1_w.T * (np.abs(u) < bound)) @ B1
         d = _solve_small(hess, g)
         if d is None:
-            d = np.linalg.solve(hess, g)
+            hess.flat[:: hess.shape[0] + 1] += 1e-2 * gnorm / dual_scale
+            d = _solve_small(hess, g)
+            if d is None:
+                d = np.linalg.solve(hess, g)
         s = B1 @ d
+        u_new = u - s
+        x_new = u_new.clip(-bound, bound)
+        g_new = B1_w.T @ x_new
+        if g_new @ d >= 0.0 or math.hypot(*g_new.tolist()) <= gtol:
+            # the dual still rises at the full step, or the step already
+            # meets the stopping rule, where rounding can tip that slope
+            u, x, g = u_new, x_new, g_new
+            continue
+        line_searches += 1
         u = u - _line_max(u, s, ws.weights, bound, float(g @ d)) * s
+        x = u.clip(-bound, bound)
+        g = B1_w.T @ x
     raise NumericalFailure(
         f"admissible projection did not converge in {max_iter} Newton steps "
         f"(degree-1 residual {gnorm:.3e}, tolerance {gtol:.3e})"
@@ -324,7 +333,7 @@ def project_admissible(
     dual solve, and running into it raises NumericalFailure.
     """
     ws = _workspace_for(grid, max_degree)
-    projected, coeffs, _ = _project_exact(
+    projected, coeffs, _, _ = _project_exact(
         ws, np.asarray(values, dtype=float), box_bound(grid.dim, width), tol, max_sweeps
     )
     return AdmissibleR(width, grid, max_degree, projected, coeffs)
@@ -427,11 +436,14 @@ class SolveStats:
     projections: calls of the admissible projection, the start included.
     newton_steps: Newton steps of the dual solve summed over those calls;
     max_newton_steps: the most any single call took.
+    line_searches: Newton steps that fell back to the exact breakpoint line
+    search, summed like newton_steps.
     """
 
     projections: int = 0
     newton_steps: int = 0
     max_newton_steps: int = 0
+    line_searches: int = 0
 
 
 @dataclass(frozen=True)
@@ -486,7 +498,7 @@ def _descend(
     eta = eta0
     eta_max = STEP_GROWTH_CAP * eta0
 
-    x, coeffs, steps = _project_exact(ws, start_values, bound)
+    x, coeffs, steps, line_searches = _project_exact(ws, start_values, bound)
     newton_steps = [steps]
     c = coeffs.values[ws.window]
     phi_cur = ws.phi_of(c)
@@ -496,8 +508,9 @@ def _descend(
     while iterations < cfg.max_iterations:
         iterations += 1
         grad = ws.gradient_values(c)
-        candidate, coeffs_new, steps = _project_exact(ws, x - eta * grad, bound)
+        candidate, coeffs_new, steps, searches = _project_exact(ws, x - eta * grad, bound)
         newton_steps.append(steps)
+        line_searches += searches
         c_new = coeffs_new.values[ws.window]
         phi_new = ws.phi_of(c_new)
         decrease = phi_cur - phi_new
@@ -512,7 +525,7 @@ def _descend(
                 f"a projected step raised phi by {-decrease / scale:.3e} of its value"
             )
         eta = min(eta * 2.0, eta_max)
-    stats = SolveStats(len(newton_steps), sum(newton_steps), max(newton_steps))
+    stats = SolveStats(len(newton_steps), sum(newton_steps), max(newton_steps), line_searches)
     r = AdmissibleR(width, ws.grid, ws.max_degree, x, coeffs)
     return r, phi_cur, iterations, converged, stats
 

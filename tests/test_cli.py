@@ -1,6 +1,7 @@
 """Command-line behavior: flags, exit codes, files, determinism."""
 
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -167,6 +168,7 @@ def test_optimize_prints_one_line_per_restart(capsys):
     per_restart = [line for line in lines if line.startswith("restart ")]
     assert [line.split(":")[0] for line in per_restart] == ["restart 0", "restart 1"]
     assert all("newton_steps=" in line for line in per_restart)
+    assert all(re.search(r" max_newton_steps=\d+ line_searches=\d+$", line) for line in per_restart)
 
 
 @pytest.mark.parametrize(

@@ -249,7 +249,7 @@ def test_solve_small_returns_none_when_singular(k, rng):
 
 @pytest.mark.parametrize("dim,res,L", [(2, 64, 15), (3, 10, 3), (3, 32, 15)])
 def test_project_converges_in_few_newton_steps(dim, res, L, rng):
-    # plain Newton steps are kept only while no node changes side of the box;
+    # full Newton steps are kept only while the dual still rises at them;
     # kept blindly they cycle on some of these inputs and hit the step cap
     grid = make_grid(dim, res)
     ws = variational._workspace_for(grid, L)
@@ -261,7 +261,7 @@ def test_project_converges_in_few_newton_steps(dim, res, L, rng):
 def test_project_newton_steps_on_dim3_ladder(grid3_16):
     # the ladder of test_project_large_dim3_steps_stay_admissible: a solver
     # taking only Levenberg steps with a line search needed 63 Newton steps
-    # on it; exact plain Newton steps take 42
+    # on it; full Newton steps kept while the dual still rises take 46
     r = minimize(1.0, grid3_16, 7, seed=7, config=MinimizeConfig(restarts=1)).minimizer
     grad = phi_gradient(r)
     ws = variational._workspace_for(grid3_16, 7)
@@ -270,6 +270,49 @@ def test_project_newton_steps_on_dim3_ladder(grid3_16):
         for k in range(11)
     ]
     assert sum(steps) < 63
+
+
+def test_project_line_searches_on_dim3_ladder(grid3_32):
+    # the descent's step-size ladder eta0 * 2**k at the spheroform3d size:
+    # trying the plain Newton step only when no node changed side of the box
+    # took the breakpoint line search on 46 of the ladder's Newton steps;
+    # keeping the full step while the dual still rises at it, or once it
+    # meets the stopping rule, takes it on 24
+    r = minimize(1.0, grid3_32, 15, seed=7, config=MinimizeConfig(restarts=4)).minimizer
+    grad = phi_gradient(r)
+    ws = variational._workspace_for(grid3_32, 15)
+    searches = [
+        variational._project_exact(ws, r.values - 5.0 * 2.0**k * grad, 1.0)[3]
+        for k in range(11)
+    ]
+    assert sum(searches) < 46
+
+
+def test_project_satisfies_variational_inequality_on_dim3_ladder(grid3_16, rng):
+    # the longest steps of the dim-3 ladder, where almost every node clips
+    # and the dual Hessian is singular, then random inputs with many free
+    # nodes. Zero, -P(v), the minimizer the ladder starts from and every
+    # other projection are admissible points y
+    r = minimize(1.0, grid3_16, 7, seed=7, config=MinimizeConfig(restarts=1)).minimizer
+    grad = phi_gradient(r)
+    inputs = [r.values - 5.0 * 2.0**k * grad for k in range(6, 11)]
+    inputs += [rng.normal(0.0, scale, grid3_16.size) for scale in (0.5, 2.0, 20.0)]
+    projections = [project_admissible(v, 1.0, grid3_16, 7).values for v in inputs]
+    for v, p in zip(inputs, projections):
+        scale = float(np.max(np.abs(v)))
+        for y in [np.zeros(grid3_16.size), -p, r.values] + projections:
+            assert grid3_16.inner(v - p, y - p) <= 1e-12 * max(1.0, scale)
+        # y = p +- e * delta is admissible for small e when delta is odd,
+        # zero where p clips and W-orthogonal to degree 1, so the inequality
+        # for both signs says <v - p, delta>_W = 0: this checks the metric,
+        # which the far-away points above cannot
+        free = np.abs(p) < 1.0 - 1e-9
+        delta = np.where(free, rng.normal(size=grid3_16.size), 0.0)
+        delta = 0.5 * (delta - delta[grid3_16.antipode_index])
+        nodes, w = grid3_16.nodes[free], grid3_16.weights[free]
+        coef = np.linalg.lstsq((nodes.T * w) @ nodes, (nodes.T * w) @ delta[free], rcond=None)[0]
+        delta[free] -= nodes @ coef
+        assert abs(grid3_16.inner(v - p, delta)) <= 1e-12 * max(1.0, scale)
 
 
 # ---------------------------------------------------------------- functional
@@ -486,6 +529,7 @@ def test_minimize_reports_projection_stats_outside_the_json():
         assert stats.max_newton_steps <= stats.newton_steps
         assert stats.newton_steps <= stats.projections * stats.max_newton_steps
         assert stats.max_newton_steps <= variational.PROJECTION_MAX_STEPS
+        assert stats.line_searches <= stats.newton_steps
         assert result_to_json(res) == result_to_json(replace(res, stats=SolveStats()))
         assert "stats" not in json.loads(result_to_json(res))
     assert sum(r.stats.newton_steps for r in results) > 0
