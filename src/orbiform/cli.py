@@ -4,6 +4,9 @@ Subcommands: reuleaux (closed-form polygons, optional shape JSON and SVG),
 optimize (multi-restart functional minimization), validate (invariant checks
 on a shape file), table (closed-form area table as CSV).
 
+validate prints one report format in both dims: body2d.validate on a dim-2
+file, AdmissibleR's variational.admissibility_residuals on a dim-3 file.
+
 optimize prints one line per restart (phi, iterations, converged, projection
 work: projections, newton_steps, max_newton_steps, line_searches), in dim 2
 or 3, then reports the restart that variational.best_restart picks, as
@@ -25,7 +28,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import body2d, reuleaux, shapeio, variational
-from .harmonic_core import default_max_degree, degree_one_residual, make_grid, synthesize
+from .harmonic_core import default_max_degree, make_grid, synthesize
 
 __all__ = ["main", "entrypoint", "render_svg"]
 
@@ -36,15 +39,12 @@ EXIT_NUMERICAL = 3
 EXIT_REGRESSION = 4
 
 TRIANGLE_AREA = float(0.5 * (np.pi - np.sqrt(3.0)))  # width-1 benchmark
+SVG_SAMPLES = 1024  # uniformly spaced normal angles on the rendered boundary
 
 
-def render_svg(body: body2d.SupportBody, samples: int = 1024) -> str:
-    """Render the boundary as one closed path in a 512 x 512 viewBox, 5% margin.
-
-    samples is the number of uniformly spaced normal angles; it must be even
-    and >= 8, as for make_grid.
-    """
-    curve = body2d.boundary(body, make_grid(2, samples))
+def render_svg(body: body2d.SupportBody) -> str:
+    """Render the boundary as one closed path in a 512 x 512 viewBox, 5% margin."""
+    curve = body2d.boundary(body, make_grid(2, SVG_SAMPLES))
     x, y = curve.x, curve.y
     xmin, xmax = float(np.min(x)), float(np.max(x))
     ymin, ymax = float(np.min(y)), float(np.max(y))
@@ -63,6 +63,17 @@ def render_svg(body: body2d.SupportBody, samples: int = 1024) -> str:
     )
 
 
+def _width(text: str) -> float:
+    """argparse type of --width: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbiform",
@@ -72,14 +83,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_r = sub.add_parser("reuleaux", help="closed-form Reuleaux polygon")
     p_r.add_argument("--sides", type=int, required=True, help="odd side count >= 3")
-    p_r.add_argument("--width", type=float, default=1.0)
+    p_r.add_argument("--width", type=_width, default=1.0)
     p_r.add_argument("--modes", type=int, default=512, help="spectral band limit")
     p_r.add_argument("--out", type=str, default=None, help="shape JSON path")
     p_r.add_argument("--svg", type=str, default=None, help="SVG rendering path")
 
     p_o = sub.add_parser("optimize", help="minimize the area functional")
     p_o.add_argument("--dim", type=int, choices=(2, 3), default=2)
-    p_o.add_argument("--width", type=float, default=1.0)
+    p_o.add_argument("--width", type=_width, default=1.0)
     p_o.add_argument("--grid", type=int, default=None, help="grid resolution")
     p_o.add_argument("--modes", type=int, default=None, help="spectral band limit")
     p_o.add_argument("--restarts", type=int, default=16)
@@ -99,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_t = sub.add_parser("table", help="closed-form area table as CSV")
     p_t.add_argument("--max", type=int, default=21, help="largest side count")
-    p_t.add_argument("--width", type=float, default=1.0)
+    p_t.add_argument("--width", type=_width, default=1.0)
     p_t.add_argument("--out", type=str, default=None, help="CSV path")
     return parser
 
@@ -107,9 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_reuleaux(args) -> int:
     if args.sides < 3 or args.sides % 2 == 0:
         print(f"error: --sides must be odd and >= 3, got {args.sides}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.width <= 0:
-        print(f"error: --width must be > 0, got {args.width}", file=sys.stderr)
         return EXIT_USAGE
     spec = reuleaux.make_spec(args.sides, args.width)
     try:
@@ -202,35 +210,19 @@ def _cmd_validate(args) -> int:
     if dim == 2:
         body = body2d.SupportBody(width, coeffs)
         report = body2d.validate(body, convexity_tol=args.convexity_tol)
-        print(report.summary())
-        return EXIT_OK if report.valid else EXIT_INVARIANT
-
-    # dim 3: admissibility checks for a curvature-sum deviation candidate
-    grid = make_grid(3, max(16, 2 * coeffs.max_degree + 2))
-    vals = synthesize(coeffs, grid)
-    bound = variational.box_bound(3, width)
-    box_resid = max(0.0, float(np.max(np.abs(vals))) - bound)
-    anti_resid = float(np.max(np.abs(vals + vals[grid.antipode_index])))
-    deg1 = degree_one_residual(coeffs)
-    checks = [
-        ("box-bound", box_resid, 1e-12),
-        ("antipodal-antisymmetry", anti_resid, 1e-12),
-        ("translation-orthogonality", deg1, 1e-12 * max(coeffs.norm(), 1e-300)),
-    ]
-    ok = True
-    for name, resid, tol in checks:
-        passed = resid <= tol
-        ok = ok and passed
-        print(f"{'PASS' if passed else 'FAIL'} {name}: residual={resid:.3e} tol={tol:.3e}")
-    return EXIT_OK if ok else EXIT_INVARIANT
+    else:
+        # a dim-3 file holds a curvature-sum deviation: AdmissibleR's checks
+        grid = make_grid(3, max(16, 2 * coeffs.max_degree + 2))
+        values = synthesize(coeffs, grid)
+        checks = variational.admissibility_residuals(values, grid, width, coeffs)
+        report = body2d.ValidationReport(tuple(body2d.CheckResult(*c) for c in checks))
+    print(report.summary())
+    return EXIT_OK if report.valid else EXIT_INVARIANT
 
 
 def _cmd_table(args) -> int:
     if args.max < 3:
         print("error: --max must be >= 3", file=sys.stderr)
-        return EXIT_USAGE
-    if args.width <= 0:
-        print(f"error: --width must be > 0, got {args.width}", file=sys.stderr)
         return EXIT_USAGE
     rows = reuleaux.area_table(args.max, args.width)
     areas = [a for _, a in rows]

@@ -10,7 +10,9 @@ band limit.
 The Green operator implemented here is the reduced resolvent of the spherical
 Laplacian at its second eigenvalue d-1: diagonal in the harmonic basis, with
 the degree-1 eigenspace excluded (that subspace is the kernel of translations
-and the resolvent is undefined on it).
+and the resolvent is undefined on it). require_translation_free is the one
+degree-1 check: apply_green, body2d.area_spectral, spheroform3d.phi1 and
+variational.AdmissibleR call it.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ __all__ = [
     "quadratic_form_green",
     "project_linear_H",
     "degree_one_residual",
+    "translation_residual",
+    "require_translation_free",
 ]
 
 # Values of a function sampled at the nodes of a SphereGrid, shape (grid.size,).
@@ -51,7 +55,7 @@ GridFn = np.ndarray
 TWO_PI = 2.0 * np.pi
 SPHERE_AREA = 4.0 * np.pi
 
-DEGREE_ONE_RTOL = 1e-12  # relative degree-1 tolerance for resolvent inputs
+DEGREE_ONE_RTOL = 1e-12  # degree-1 residual over the norm that still counts as translation-free
 
 
 class ClosednessError(ValueError):
@@ -422,41 +426,40 @@ def green_multipliers(dim: int, max_degree: int) -> GreenMultipliers:
 def degree_one_residual(coeffs: SpectralCoeffs) -> float:
     """Largest |degree-1 coefficient|, or 0.0 when the band limit is 0.
 
-    The degree-1 harmonics are the translations; callers compare this with
-    their own tolerance.
+    The degree-1 harmonics are the translations.
     """
     block = coeffs.values[coeffs.degree_slice(1)]
     return float(np.max(np.abs(block))) if block.size else 0.0
 
 
-def _degree_one_violation(coeffs: SpectralCoeffs, rtol: float) -> tuple[int, float] | None:
-    """Return (flat index, magnitude) of the worst offending degree-1 coefficient."""
-    mag = degree_one_residual(coeffs)
-    if mag <= rtol * max(coeffs.norm(), np.finfo(float).tiny):
-        return None
-    sl = coeffs.degree_slice(1)
-    return sl.start + int(np.argmax(np.abs(coeffs.values[sl]))), mag
+def translation_residual(coeffs: SpectralCoeffs) -> tuple[float, float]:
+    """(degree_one_residual, DEGREE_ONE_RTOL * norm): the expansion counts as
+    translation-free when the first does not exceed the second."""
+    tol = DEGREE_ONE_RTOL * max(coeffs.norm(), np.finfo(float).tiny)
+    return degree_one_residual(coeffs), tol
 
 
-def _degree_one_label(coeffs: SpectralCoeffs, flat_index: int) -> str:
-    if coeffs.dim == 2:
-        return "part=cos" if flat_index == index2(1, "cos") else "part=sin"
-    return f"order={flat_index - index3(1, 0)}"
+def require_translation_free(coeffs: SpectralCoeffs, what: str) -> None:
+    """Raise ClosednessError naming the largest degree-1 coefficient if any."""
+    resid, tol = translation_residual(coeffs)
+    if resid <= tol:
+        return
+    # the degree-1 block is (cos, sin) in dim 2 and orders -1, 0, 1 in dim 3
+    idx = int(np.argmax(np.abs(coeffs.values[coeffs.degree_slice(1)])))
+    label = ("part=cos", "part=sin")[idx] if coeffs.dim == 2 else f"order={idx - 1}"
+    raise ClosednessError(
+        f"{what} has a degree-1 component: coefficient (degree=1, {label}) "
+        f"has magnitude {resid:.3e}, tolerance {tol:.3e}"
+    )
 
 
-def apply_green(coeffs: SpectralCoeffs, rtol: float = DEGREE_ONE_RTOL) -> SpectralCoeffs:
+def apply_green(coeffs: SpectralCoeffs) -> SpectralCoeffs:
     """Apply the reduced resolvent: solve laplacian(p) + (dim-1) p = input on H1.
 
-    The input must be orthogonal to the degree-1 harmonics within rtol of its
-    norm; the output has exact zeros at degree 1.
+    The input must pass require_translation_free; the output has exact zeros
+    at degree 1.
     """
-    bad = _degree_one_violation(coeffs, rtol)
-    if bad is not None:
-        idx, mag = bad
-        raise ValueError(
-            f"input is not orthogonal to the degree-1 harmonics: coefficient "
-            f"(degree=1, {_degree_one_label(coeffs, idx)}) has magnitude {mag:.3e}"
-        )
+    require_translation_free(coeffs, "resolvent input")
     mult = green_multipliers(coeffs.dim, coeffs.max_degree).per_coefficient()
     out = coeffs.values * mult
     out[np.isnan(mult)] = 0.0

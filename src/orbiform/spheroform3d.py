@@ -10,7 +10,8 @@ minimization coincide for genuine constant-width bodies.
 The caveat, and it is structural: an admissible deviation on the sphere need
 not be realizable as the curvature sum of an actual convex body, so dim-3
 minimization results are candidates, not certified bodies. Every dim-3
-OptimizationResult carries equivalence_warning=True for that reason.
+OptimizationResult carries equivalence_warning=True for that reason. phi1
+refuses a degree-1 part through harmonic_core.require_translation_free.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from .harmonic_core import (
-    ClosednessError,
     GridFn,
     SPHERE_AREA,
     SpectralCoeffs,
     SphereGrid,
-    degree_one_residual,
     quadratic_form_green,
+    require_translation_free,
     zero_coeffs,
 )
 from .variational import MinimizeConfig, OptimizationResult, minimize
@@ -59,11 +59,7 @@ def phi1(coeffs: SpectralCoeffs) -> float:
     """
     if coeffs.dim not in (2, 3):
         raise ValueError(f"phi1 supports dim 2 and 3 only, got {coeffs.dim}")
-    resid = degree_one_residual(coeffs)
-    if resid > 1e-12 * max(coeffs.norm(), np.finfo(float).tiny):
-        raise ClosednessError(
-            f"curvature sum has a degree-1 component ({resid:.3e}); no closed boundary has one"
-        )
+    require_translation_free(coeffs, "curvature sum")
     return quadratic_form_green(coeffs) / coeffs.dim
 
 

@@ -7,6 +7,9 @@ with a pointwise box |value| <= (dim-1) * width / 2. The functional is the
 Green quadratic form, strictly negative definite on the subspace, so its
 minimum over the box sits at extreme points: a.e. on the boundary of the box
 wherever the gradient (twice the mean-free support function) is nonzero.
+admissibility_residuals computes the three checks (box, antisymmetry,
+degree 1) once; AdmissibleR enforces them and `orbiform validate` reports
+them for dim-3 files.
 
 Projection onto the intersection is solved exactly: the box is odd and
 separable, so only the degree-1 constraints couple the nodes, and their 2
@@ -39,11 +42,12 @@ from .harmonic_core import (
     analyze,
     apply_green,
     coeff_degrees,
-    degree_one_residual,
     green_multipliers,
     project_linear_H,
     quadratic_form_green,
+    require_translation_free,
     synthesize,
+    translation_residual,
 )
 
 __all__ = [
@@ -53,6 +57,7 @@ __all__ = [
     "NumericalFailure",
     "OptimizationResult",
     "SolveStats",
+    "admissibility_residuals",
     "box_bound",
     "project_admissible",
     "phi",
@@ -66,6 +71,7 @@ __all__ = [
     "result_to_json",
 ]
 
+ADMISSIBLE_ATOL = 1e-12  # absolute slack of the box and antisymmetry checks
 PROJECTION_RTOL = 1e-13  # degree-1 residual, as the box excess it can cause, over the bound
 PROJECTION_MAX_STEPS = 100  # Newton steps of the dual solve; a few suffice in practice
 SINGULAR_RTOL = 1e-10  # |det| over Hadamard's bound below which a small solve is singular
@@ -81,15 +87,31 @@ def box_bound(dim: int, width: float) -> float:
     return 0.5 * (dim - 1) * width
 
 
+def admissibility_residuals(
+    values: GridFn, grid: SphereGrid, width: float, coeffs: SpectralCoeffs
+) -> tuple[tuple[str, float, float], ...]:
+    """(name, residual, tolerance) of the box-bound, antipodal-antisymmetry
+    and translation-orthogonality checks; each passes when residual <= tolerance.
+    The first two use ADMISSIBLE_ATOL, the last harmonic_core.translation_residual.
+    """
+    box = max(0.0, float(np.max(np.abs(values))) - box_bound(grid.dim, width))
+    anti = float(np.max(np.abs(values + values[grid.antipode_index])))
+    return (
+        ("box-bound", box, ADMISSIBLE_ATOL),
+        ("antipodal-antisymmetry", anti, ADMISSIBLE_ATOL),
+        ("translation-orthogonality", *translation_residual(coeffs)),
+    )
+
+
 @dataclass(frozen=True)
 class AdmissibleR:
     """Admissible curvature deviation: grid samples plus their spectral form.
 
-    Invariants, enforced at construction: |values| within 1e-12 of the box
-    bound, antipodal antisymmetry within 1e-12, degree-1 coefficients below
-    1e-12 of the norm. The samples themselves are unrestricted beyond that;
-    clipped and other rough states are first-class members, and coeffs is
-    their analysis window at the stated band limit, not a reconstruction.
+    Invariants, enforced at construction by admissibility_residuals: box,
+    antipodal antisymmetry, and no degree-1 component; a degree-1 failure
+    raises ClosednessError. The samples themselves are unrestricted beyond
+    that; clipped and other rough states are first-class members, and coeffs
+    is their analysis window at the stated band limit, not a reconstruction.
     """
 
     width: float
@@ -104,16 +126,11 @@ class AdmissibleR:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.grid.size,):
             raise ValueError("values shape does not match the grid")
-        bound = box_bound(self.grid.dim, self.width)
-        excess = float(np.max(np.abs(vals))) - bound
-        if excess > 1e-12:
-            raise ValueError(f"box bound violated by {excess:.3e}")
-        anti = float(np.max(np.abs(vals + vals[self.grid.antipode_index])))
-        if anti > 1e-12:
-            raise ValueError(f"antipodal antisymmetry violated by {anti:.3e}")
-        lim = 1e-12 * max(self.coeffs.norm(), np.finfo(float).tiny)
-        if degree_one_residual(self.coeffs) > lim:
-            raise ValueError("degree-1 component violates orthogonality to translations")
+        for name, resid, tol in admissibility_residuals(vals, self.grid, self.width, self.coeffs):
+            if not resid <= tol:
+                if name == "translation-orthogonality":
+                    require_translation_free(self.coeffs, "curvature deviation")
+                raise ValueError(f"{name} violated by {resid:.3e}")
 
     @property
     def dim(self) -> int:
@@ -248,9 +265,8 @@ def _project_exact(
     ws: _Workspace,
     values: GridFn,
     bound: float,
-    rtol: float = PROJECTION_RTOL,
     max_iter: int = PROJECTION_MAX_STEPS,
-) -> tuple[GridFn, SpectralCoeffs, int]:
+) -> tuple[GridFn, SpectralCoeffs, int, int]:
     """Exact metric projection onto the admissible set through its small dual.
 
     Antisymmetrizing is the projection onto the antisymmetric samples, and the
@@ -269,14 +285,14 @@ def _project_exact(
     exact maximizer of the dual along that same direction, a breakpoint line
     search, so the dual rises monotonically. A final subspace step
     x - B1 (B1_w^T x) removes the residual degree-1 part; the stopping rule
-    caps the box excess it can add at rtol * bound, and a last clip takes
-    that excess back. Returns (values, their analysis, Newton steps taken,
+    caps the box excess it can add at PROJECTION_RTOL * bound, and a last clip
+    takes that excess back. Returns (values, their analysis, Newton steps taken,
     steps that took the line search).
     """
     B1, B1_w = ws.basis_1, ws.basis_1_w
     u = 0.5 * (values[ws.half] - values[ws.pair])
     u = u - B1 @ (B1_w.T @ u)  # exact when nothing clips
-    gtol = rtol * bound / ws.basis_1_sup
+    gtol = PROJECTION_RTOL * bound / ws.basis_1_sup
     dual_scale = bound * np.sqrt(ws.grid.total_measure)  # bounds |B1_w^T x|
     x = u.clip(-bound, bound)
     g = B1_w.T @ x
@@ -284,8 +300,8 @@ def _project_exact(
     for steps in range(max_iter + 1):
         gnorm = math.hypot(*g.tolist())
         if gnorm <= gtol:
-            # the subspace step moves no node by more than rtol * bound; the
-            # clip takes that back, keeping the box exact at any width
+            # the subspace step moves no node by more than PROJECTION_RTOL *
+            # bound; the clip takes that back, keeping the box exact at any width
             x = (x - B1 @ g).clip(-bound, bound)
             full = np.empty(ws.grid.size)
             full[ws.half] = x
@@ -324,17 +340,17 @@ def project_admissible(
     width: float,
     grid: SphereGrid,
     max_degree: int,
-    tol: float = PROJECTION_RTOL,
     max_sweeps: int = PROJECTION_MAX_STEPS,
 ) -> AdmissibleR:
     """Nearest admissible point in the (weighted) L2 sense, solved exactly.
 
-    tol is relative to the box bound; max_sweeps caps the Newton steps of the
-    dual solve, and running into it raises NumericalFailure.
+    The dual solve stops once its degree-1 residual can move no node by more
+    than PROJECTION_RTOL times the box bound; max_sweeps caps its Newton
+    steps, and running into it raises NumericalFailure.
     """
     ws = _workspace_for(grid, max_degree)
     projected, coeffs, _, _ = _project_exact(
-        ws, np.asarray(values, dtype=float), box_bound(grid.dim, width), tol, max_sweeps
+        ws, np.asarray(values, dtype=float), box_bound(grid.dim, width), max_sweeps
     )
     return AdmissibleR(width, grid, max_degree, projected, coeffs)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbiform import body2d
 from orbiform.body2d import (
     SupportBody,
     area_quadrature,
@@ -28,6 +29,7 @@ from orbiform.harmonic_core import (
     index2,
     make_grid,
     num_coeffs,
+    require_translation_free,
     zero_coeffs,
 )
 from orbiform.reuleaux import make_spec, to_body
@@ -141,9 +143,16 @@ def test_area_spectral_rejects_open_curvature():
     # R kills degree 1, so the spectral area still works on a translated body
     assert np.isfinite(area_spectral(body))
     with pytest.raises(ClosednessError):
-        from orbiform.body2d import _require_closed
+        require_translation_free(SpectralCoeffs(2, 3, c), "test input")
 
-        _require_closed(SpectralCoeffs(2, 3, c), "test input")
+
+def test_area_spectral_names_a_degree_one_curvature(monkeypatch):
+    # curvature_coeffs zeroes degree 1 exactly; a broken one must not slip through
+    c = zero_coeffs(2, 3).values.copy()
+    c[0], c[index2(1, "sin")] = 1.0, 0.5
+    monkeypatch.setattr(body2d, "curvature_coeffs", lambda body: SpectralCoeffs(2, 3, c))
+    with pytest.raises(ClosednessError, match=r"degree-1.*\(degree=1, part=sin\)"):
+        area_spectral(disk(1.0))
 
 
 def test_barbier_perimeter(rng, grid2_256):

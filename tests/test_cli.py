@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from orbiform import cli, variational
-from orbiform.harmonic_core import make_grid
+from orbiform.harmonic_core import make_grid, synthesize
 from orbiform.shapeio import loads_shape
 from orbiform.variational import MinimizeConfig, NumericalFailure
 
@@ -261,6 +261,51 @@ def test_validate_dim3(tmp_path, capsys):
     assert "FAIL translation-orthogonality" in capsys.readouterr().out
 
 
+DIM3_CASES = {
+    "admissible": [{"degree": 3, "order": 1, "value": 0.1}],
+    "box": [{"degree": 3, "order": 0, "value": 5.0}],
+    "antisymmetry": [{"degree": 2, "order": 1, "value": 0.1}],
+    "translation": [{"degree": 1, "order": 0, "value": 0.1}],
+}
+
+
+def dim3_file(tmp_path, case):
+    return write(tmp_path / f"{case}.json", {"dim": 3, "width": 1.0, "coeffs": DIM3_CASES[case]})
+
+
+@pytest.mark.parametrize("case", sorted(DIM3_CASES))
+def test_validate_dim3_agrees_with_admissible_r(case, tmp_path, capsys):
+    path = dim3_file(tmp_path, case)
+    rc = cli.main(["validate", path])
+    _, width, coeffs = loads_shape(open(path).read())
+    grid = make_grid(3, max(16, 2 * coeffs.max_degree + 2))
+    values = synthesize(coeffs, grid)
+    try:
+        variational.AdmissibleR(width, grid, coeffs.max_degree, values, coeffs)
+        refused = False
+    except ValueError:
+        refused = True
+    assert rc == (1 if refused else 0)
+    assert refused == (case != "admissible")
+
+
+def test_validate_dim3_stdout_is_pinned(tmp_path, capsys):
+    # the files of test_validate_dim3; the text is the one printed before
+    # validate shared AdmissibleR's checks
+    assert cli.main(["validate", dim3_file(tmp_path, "admissible")]) == 0
+    assert capsys.readouterr().out == (
+        "PASS box-bound: residual=0.000e+00 tol=1.000e-12\n"
+        "PASS antipodal-antisymmetry: residual=3.123e-17 tol=1.000e-12\n"
+        "PASS translation-orthogonality: residual=0.000e+00 tol=1.000e-13\n"
+    )
+    assert cli.main(["validate", dim3_file(tmp_path, "translation")]) == 1
+    assert capsys.readouterr().out == (
+        "PASS box-bound: residual=0.000e+00 tol=1.000e-12\n"
+        "PASS antipodal-antisymmetry: residual=0.000e+00 tol=1.000e-12\n"
+        "FAIL translation-orthogonality: residual=1.000e-01 tol=1.000e-13\n"
+    )
+
+
 # ---------------------------------------------------------------- table
 
 
@@ -296,6 +341,22 @@ def test_table_detects_regression(monkeypatch, capsys):
     )
     assert cli.main(["table"]) == 4
     assert "cross-check" in capsys.readouterr().err
+
+
+WIDTH_COMMANDS = {
+    "reuleaux": ["reuleaux", "--sides", "3"],
+    "optimize": ["optimize", "--grid", "64", "--modes", "16", "--restarts", "1"],
+    "table": ["table"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", sorted(WIDTH_COMMANDS))
+def test_width_must_be_finite_and_positive(command, value, capsys):
+    assert cli.main([*WIDTH_COMMANDS[command], f"--width={value}"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --width: must be finite and > 0" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------- parser

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbiform.harmonic_core import (
+    ClosednessError,
     SpectralCoeffs,
     analyze,
     apply_green,
@@ -21,7 +22,9 @@ from orbiform.harmonic_core import (
     num_coeffs,
     project_linear_H,
     quadratic_form_green,
+    require_translation_free,
     synthesize,
+    translation_residual,
     zero_coeffs,
 )
 
@@ -255,6 +258,36 @@ def test_degree_one_residual_is_largest_translation_coefficient():
     assert degree_one_residual(SpectralCoeffs(3, 4, c)) == 0.5
     assert degree_one_residual(SpectralCoeffs(2, 0, np.array([3.0]))) == 0.0
     assert degree_one_residual(zero_coeffs(2, 5)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "dim, flat, label",
+    [
+        (2, index2(1, "cos"), "part=cos"),
+        (2, index2(1, "sin"), "part=sin"),
+        (3, index3(1, -1), "order=-1"),
+        (3, index3(1, 0), "order=0"),
+        (3, index3(1, 1), "order=1"),
+    ],
+)
+def test_green_names_the_degree_one_coefficient(dim, flat, label):
+    c = zero_coeffs(dim, 3).values.copy()
+    c[0], c[flat] = 1.0, 0.5
+    with pytest.raises(ClosednessError, match=rf"degree-1.*\(degree=1, {label}\)"):
+        apply_green(SpectralCoeffs(dim, 3, c))
+
+
+def test_translation_residual_is_relative_to_the_norm():
+    c = zero_coeffs(2, 3).values.copy()
+    c[0], c[index2(1, "sin")] = 1e6, 1e-7
+    resid, tol = translation_residual(SpectralCoeffs(2, 3, c))
+    assert resid == 1e-7
+    assert tol == 1e-12 * np.linalg.norm(c)
+    require_translation_free(SpectralCoeffs(2, 3, c), "small translation")
+    c[index2(1, "sin")] = 1e-5
+    with pytest.raises(ClosednessError):
+        require_translation_free(SpectralCoeffs(2, 3, c), "large translation")
+    require_translation_free(zero_coeffs(3, 2), "the zero expansion")
 
 
 def test_quadratic_form_green_signs(rng):

@@ -39,7 +39,7 @@ def test_phi1_ball_frozen_value():
 def test_phi1_rejects_translation_residue():
     c = zero_coeffs(3, 2).values.copy()
     c[index3(1, 0)] = 1.0
-    with pytest.raises(ClosednessError):
+    with pytest.raises(ClosednessError, match=r"degree-1.*\(degree=1, order=0\)"):
         phi1(SpectralCoeffs(3, 2, c))
 
 

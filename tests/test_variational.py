@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbiform.harmonic_core import (
+    ClosednessError,
     SpectralCoeffs,
     analyze,
     index2,
@@ -95,8 +96,20 @@ def test_admissible_rejects_asymmetry(grid240):
 
 def test_admissible_rejects_translation_component(grid240):
     vals = 0.2 * np.sin(grid240.angles)
-    with pytest.raises(ValueError, match="degree-1"):
+    with pytest.raises(ClosednessError, match=r"degree-1.*\(degree=1, part=sin\)"):
         admissible_from_values(1.0, grid240, 60, vals)
+
+
+def test_admissibility_residuals_names_and_order(grid240):
+    vals = triangle_values(grid240)
+    r = admissible_from_values(1.0, grid240, 60, vals)
+    checks = variational.admissibility_residuals(vals, grid240, 1.0, r.coeffs)
+    assert [name for name, _, _ in checks] == [
+        "box-bound", "antipodal-antisymmetry", "translation-orthogonality",
+    ]
+    assert all(resid <= tol for _, resid, tol in checks)
+    box, anti, _ = variational.admissibility_residuals(2.0 * vals, grid240, 1.0, r.coeffs)
+    assert box[1] == pytest.approx(0.5) and anti[1] == 0.0
 
 
 # ---------------------------------------------------------------- projection
