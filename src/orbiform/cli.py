@@ -4,6 +4,11 @@ Subcommands: reuleaux (closed-form polygons, optional shape JSON and SVG),
 optimize (multi-restart functional minimization), validate (invariant checks
 on a shape file), table (closed-form area table as CSV).
 
+Parsing, --help and usage errors use the standard library only: each
+subcommand imports the modules it runs when it runs, so numpy is loaded only
+by a subcommand that computes, and reuleaux, table and dim-2 validate never
+load variational or spheroform3d.
+
 validate prints one report format in both dims: body2d.validate on a dim-2
 file, AdmissibleR's variational.admissibility_residuals on a dim-3 file.
 
@@ -22,13 +27,12 @@ leave no partial files. Identical flags and seed produce identical bytes;
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import body2d, reuleaux, shapeio, variational
-from .harmonic_core import default_max_degree, make_grid, synthesize
+if TYPE_CHECKING:
+    from .body2d import SupportBody
 
 __all__ = ["main", "entrypoint", "render_svg"]
 
@@ -38,12 +42,21 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_REGRESSION = 4
 
-TRIANGLE_AREA = float(0.5 * (np.pi - np.sqrt(3.0)))  # width-1 benchmark
+TRIANGLE_AREA = 0.5 * (math.pi - math.sqrt(3.0))  # width-1 benchmark
+# accepted --width range: the problem is scale-free (B only scales the answer);
+# every subcommand succeeds across it, while B**2 overflows past about 1e154
+# and the area and degree-1 checks fail from about 1e153 and 1e-160 on
+WIDTH_RANGE = (1e-100, 1e100)
 SVG_SAMPLES = 1024  # uniformly spaced normal angles on the rendered boundary
 
 
-def render_svg(body: body2d.SupportBody) -> str:
+def render_svg(body: SupportBody) -> str:
     """Render the boundary as one closed path in a 512 x 512 viewBox, 5% margin."""
+    import numpy as np
+
+    from . import body2d
+    from .harmonic_core import make_grid
+
     curve = body2d.boundary(body, make_grid(2, SVG_SAMPLES))
     x, y = curve.x, curve.y
     xmin, xmax = float(np.min(x)), float(np.max(x))
@@ -64,13 +77,15 @@ def render_svg(body: body2d.SupportBody) -> str:
 
 
 def _width(text: str) -> float:
-    """argparse type of --width: a finite number > 0."""
+    """argparse type of --width: a finite number > 0 inside WIDTH_RANGE."""
     try:
         value = float(text)
     except ValueError:
-        value = np.nan
-    if not 0.0 < value < np.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+        value = math.nan
+    lo, hi = WIDTH_RANGE
+    if not lo <= value <= hi:
+        within = f", within {lo:g} to {hi:g}" if 0.0 < value < math.inf else ""
+        raise argparse.ArgumentTypeError(f"must be finite and > 0{within}, got {text!r}")
     return value
 
 
@@ -80,17 +95,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="constant-width bodies: Reuleaux polygons and functional minimization",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    width_help = "width B, {:g} to {:g} (the problem is scale-free)".format(*WIDTH_RANGE)
 
     p_r = sub.add_parser("reuleaux", help="closed-form Reuleaux polygon")
     p_r.add_argument("--sides", type=int, required=True, help="odd side count >= 3")
-    p_r.add_argument("--width", type=_width, default=1.0)
+    p_r.add_argument("--width", type=_width, default=1.0, help=width_help)
     p_r.add_argument("--modes", type=int, default=512, help="spectral band limit")
     p_r.add_argument("--out", type=str, default=None, help="shape JSON path")
     p_r.add_argument("--svg", type=str, default=None, help="SVG rendering path")
 
     p_o = sub.add_parser("optimize", help="minimize the area functional")
     p_o.add_argument("--dim", type=int, choices=(2, 3), default=2)
-    p_o.add_argument("--width", type=_width, default=1.0)
+    p_o.add_argument("--width", type=_width, default=1.0, help=width_help)
     p_o.add_argument("--grid", type=int, default=None, help="grid resolution")
     p_o.add_argument("--modes", type=int, default=None, help="spectral band limit")
     p_o.add_argument("--restarts", type=int, default=16)
@@ -110,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_t = sub.add_parser("table", help="closed-form area table as CSV")
     p_t.add_argument("--max", type=int, default=21, help="largest side count")
-    p_t.add_argument("--width", type=_width, default=1.0)
+    p_t.add_argument("--width", type=_width, default=1.0, help=width_help)
     p_t.add_argument("--out", type=str, default=None, help="CSV path")
     return parser
 
@@ -119,6 +135,9 @@ def _cmd_reuleaux(args) -> int:
     if args.sides < 3 or args.sides % 2 == 0:
         print(f"error: --sides must be odd and >= 3, got {args.sides}", file=sys.stderr)
         return EXIT_USAGE
+    from . import body2d, reuleaux, shapeio
+    from .harmonic_core import make_grid
+
     spec = reuleaux.make_spec(args.sides, args.width)
     try:
         body = reuleaux.to_body(spec, args.modes)
@@ -146,6 +165,11 @@ def _cmd_reuleaux(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    from datetime import datetime, timezone
+
+    from . import shapeio, variational
+    from .harmonic_core import default_max_degree, make_grid
+
     resolution = args.grid if args.grid is not None else (512 if args.dim == 2 else 32)
     modes = args.modes if args.modes is not None else default_max_degree(resolution)
     if args.restarts < 1:
@@ -195,6 +219,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from . import body2d, shapeio
+
     try:
         with open(args.file) as fh:
             text = fh.read()
@@ -212,6 +238,9 @@ def _cmd_validate(args) -> int:
         report = body2d.validate(body, convexity_tol=args.convexity_tol)
     else:
         # a dim-3 file holds a curvature-sum deviation: AdmissibleR's checks
+        from . import variational
+        from .harmonic_core import make_grid, synthesize
+
         grid = make_grid(3, max(16, 2 * coeffs.max_degree + 2))
         values = synthesize(coeffs, grid)
         checks = variational.admissibility_residuals(values, grid, width, coeffs)
@@ -224,9 +253,11 @@ def _cmd_table(args) -> int:
     if args.max < 3:
         print("error: --max must be >= 3", file=sys.stderr)
         return EXIT_USAGE
+    from . import reuleaux, shapeio
+
     rows = reuleaux.area_table(args.max, args.width)
     areas = [a for _, a in rows]
-    limit = np.pi * args.width**2 / 4.0
+    limit = math.pi * args.width**2 / 4.0
     if any(b <= a for a, b in zip(areas, areas[1:])) or any(a >= limit for a in areas):
         print("error: area table failed its monotonicity cross-check", file=sys.stderr)
         return EXIT_REGRESSION

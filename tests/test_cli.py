@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from orbiform import cli, variational
+from orbiform import cli, reuleaux, variational
 from orbiform.harmonic_core import make_grid, synthesize
 from orbiform.shapeio import loads_shape
 from orbiform.variational import MinimizeConfig, NumericalFailure
@@ -197,7 +197,7 @@ def test_optimize_maps_numerical_failure(monkeypatch, capsys):
     def boom(*a, **k):
         raise NumericalFailure("forced")
 
-    monkeypatch.setattr(cli.variational, "minimize_restarts", boom)
+    monkeypatch.setattr(variational, "minimize_restarts", boom)
     assert cli.main(OPT_FLAGS) == 3
     assert "numerical failure" in capsys.readouterr().err
 
@@ -336,9 +336,7 @@ def test_table_rejects_bad_max(capsys):
 
 
 def test_table_detects_regression(monkeypatch, capsys):
-    monkeypatch.setattr(
-        cli.reuleaux, "area_table", lambda m, w=1.0: [(3, 0.8), (5, 0.7)]
-    )
+    monkeypatch.setattr(reuleaux, "area_table", lambda m, w=1.0: [(3, 0.8), (5, 0.7)])
     assert cli.main(["table"]) == 4
     assert "cross-check" in capsys.readouterr().err
 
@@ -359,6 +357,27 @@ def test_width_must_be_finite_and_positive(command, value, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["1e155", "1e-200"])
+@pytest.mark.parametrize("command", sorted(WIDTH_COMMANDS))
+def test_width_outside_range_is_usage_error(command, value, capsys):
+    # past these B**2 overflows or the area and degree-1 checks fail
+    assert cli.main([*WIDTH_COMMANDS[command], f"--width={value}"]) == 2
+    err = capsys.readouterr().err
+    assert "argument --width: must be finite and > 0, within 1e-100 to 1e+100" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["1e-100", "1e100"])
+@pytest.mark.parametrize(
+    "argv",
+    [*WIDTH_COMMANDS.values(), ["optimize", "--dim", "3", "--grid", "16", "--modes", "7",
+                                "--restarts", "1"]],
+    ids=[*WIDTH_COMMANDS, "optimize3"],
+)
+def test_width_range_ends_succeed(argv, value, capsys):
+    assert cli.main([*argv, f"--width={value}"]) == 0
+
+
 # ---------------------------------------------------------------- parser
 
 
@@ -372,3 +391,120 @@ def test_help_exits_zero(capsys):
 
 def test_unknown_command(capsys):
     assert cli.main(["frobnicate"]) == 2
+
+
+# the parser's text, byte for byte at 80 columns: argv, exit code, stdout, stderr
+PINNED_TEXT = [
+    (
+        ["--help"],
+        0,
+        (
+            "usage: orbiform [-h] {reuleaux,optimize,validate,table} ...\n"
+            "\n"
+            "constant-width bodies: Reuleaux polygons and functional minimization\n"
+            "\n"
+            "positional arguments:\n"
+            "  {reuleaux,optimize,validate,table}\n"
+            "    reuleaux            closed-form Reuleaux polygon\n"
+            "    optimize            minimize the area functional\n"
+            "    validate            check invariants of a shape file\n"
+            "    table               closed-form area table as CSV\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+        ),
+        "",
+    ),
+    (
+        ["reuleaux", "--help"],
+        0,
+        (
+            "usage: orbiform reuleaux [-h] --sides SIDES [--width WIDTH] [--modes MODES]\n"
+            "                         [--out OUT] [--svg SVG]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help     show this help message and exit\n"
+            "  --sides SIDES  odd side count >= 3\n"
+            "  --width WIDTH  width B, 1e-100 to 1e+100 (the problem is scale-free)\n"
+            "  --modes MODES  spectral band limit\n"
+            "  --out OUT      shape JSON path\n"
+            "  --svg SVG      SVG rendering path\n"
+        ),
+        "",
+    ),
+    (
+        ["optimize", "--help"],
+        0,
+        (
+            "usage: orbiform optimize [-h] [--dim {2,3}] [--width WIDTH] [--grid GRID]\n"
+            "                         [--modes MODES] [--restarts RESTARTS] [--seed SEED]\n"
+            "                         [--max-iter MAX_ITER] [--out OUT] [--timestamp]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help           show this help message and exit\n"
+            "  --dim {2,3}\n"
+            "  --width WIDTH        width B, 1e-100 to 1e+100 (the problem is scale-free)\n"
+            "  --grid GRID          grid resolution\n"
+            "  --modes MODES        spectral band limit\n"
+            "  --restarts RESTARTS\n"
+            "  --seed SEED\n"
+            "  --max-iter MAX_ITER\n"
+            "  --out OUT            result JSON path\n"
+            "  --timestamp          stamp the result JSON\n"
+        ),
+        "",
+    ),
+    (
+        ["validate", "--help"],
+        0,
+        (
+            "usage: orbiform validate [-h] [--convexity-tol CONVEXITY_TOL] file\n"
+            "\n"
+            "positional arguments:\n"
+            "  file\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --convexity-tol CONVEXITY_TOL\n"
+            "                        absolute tolerance, in units of length, on R < 0 and R\n"
+            "                        > width (default 1e-9 * width); a truncated Reuleaux\n"
+            "                        polygon rings by up to about 0.12 * width, so pass\n"
+            "                        0.12 times its width, not 0.12\n"
+        ),
+        "",
+    ),
+    (
+        ["table", "--help"],
+        0,
+        (
+            "usage: orbiform table [-h] [--max MAX] [--width WIDTH] [--out OUT]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help     show this help message and exit\n"
+            "  --max MAX      largest side count\n"
+            "  --width WIDTH  width B, 1e-100 to 1e+100 (the problem is scale-free)\n"
+            "  --out OUT      CSV path\n"
+        ),
+        "",
+    ),
+    (
+        ["optimize", "--width", "-1"],
+        2,
+        "",
+        (
+            "usage: orbiform optimize [-h] [--dim {2,3}] [--width WIDTH] [--grid GRID]\n"
+            "                         [--modes MODES] [--restarts RESTARTS] [--seed SEED]\n"
+            "                         [--max-iter MAX_ITER] [--out OUT] [--timestamp]\n"
+            "orbiform optimize: error: argument --width: must be finite and > 0, got '-1'\n"
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,out,err", PINNED_TEXT, ids=[" ".join(p[0]) for p in PINNED_TEXT]
+)
+def test_parser_text_is_pinned(argv, code, out, err, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
+    assert cli.main(argv) == code
+    assert capsys.readouterr() == (out, err)

@@ -1,0 +1,78 @@
+"""Import contract: the package and the parser load numpy only when something computes.
+
+Each case runs in a fresh interpreter, because this one has numpy loaded.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import orbiform
+
+
+def loaded_after(code: str) -> set[str]:
+    """Module names loaded by a fresh interpreter after running code."""
+    src = os.path.dirname(os.path.dirname(orbiform.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(' '.join(sys.modules))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+    ).stdout
+    return set(out.split("\n")[-2].split())
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["optimize", "--help"], ["optimize", "--width", "-1"]]
+)
+def test_parsing_leaves_numpy_unloaded(argv):
+    loaded = loaded_after(f"from orbiform import cli\ncli.main({argv!r})")
+    assert "numpy" not in loaded
+    assert "orbiform.harmonic_core" not in loaded
+
+
+def test_import_orbiform_loads_no_submodule():
+    loaded = loaded_after("import orbiform")
+    assert "numpy" not in loaded
+    assert not {m for m in loaded if m.startswith("orbiform.")}
+
+
+REULEAUX = ["reuleaux", "--sides", "3", "--modes", "64", "--out", "{tmp}/r.json"]
+# the argument lists each case runs in one process; validate reads a dim-2 file
+CLOSED_FORM_RUNS = {
+    "reuleaux": [[*REULEAUX, "--svg", "{tmp}/r.svg"]],
+    "table": [["table"]],
+    "validate": [REULEAUX, ["validate", "{tmp}/r.json", "--convexity-tol", "0.12"]],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLOSED_FORM_RUNS))
+def test_closed_form_commands_skip_the_optimizer(command, tmp_path):
+    code = "from orbiform import cli"
+    for argv in CLOSED_FORM_RUNS[command]:
+        code += f"\nassert cli.main({[a.format(tmp=tmp_path) for a in argv]!r}) == 0"
+    loaded = loaded_after(code)
+    assert "orbiform.body2d" in loaded
+    assert "orbiform.variational" not in loaded
+    assert "orbiform.spheroform3d" not in loaded
+
+
+@pytest.mark.parametrize("name", orbiform.__all__)
+def test_lazy_names_resolve_to_their_module(name):
+    module = importlib.import_module(f"orbiform.{orbiform._MODULE_OF[name]}")
+    assert getattr(orbiform, name) is getattr(module, name)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        orbiform.no_such_name
+    assert not hasattr(orbiform, "no_such_name")
+
+
+def test_dir_and_star_import_list_every_lazy_name():
+    assert set(orbiform._MODULE_OF) <= set(dir(orbiform))
+    names = {}
+    exec("from orbiform import *", names)
+    assert set(names) - {"__builtins__"} == set(orbiform._MODULE_OF)
