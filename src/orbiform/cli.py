@@ -193,7 +193,7 @@ def _cmd_optimize(args) -> int:
             f"newton_steps={r.stats.newton_steps} max_newton_steps={r.stats.max_newton_steps} "
             f"line_searches={r.stats.line_searches}"
         )
-    result = variational.best_restart(results, cfg.rel_tol)
+    result = variational.best_restart(results)
     print(
         f"phi={result.phi_value!r} iterations={result.iterations} "
         f"restart={result.restart_index} converged={result.converged}"

@@ -5,7 +5,9 @@ modes on S^1, real spherical harmonics on S^2. Coefficients are plain L2 inner
 products against the orthonormal basis functions, so Parseval holds with no
 extra weights. Grids are antipodally closed quadrature rules; transforms are
 exact for band-limited functions whenever the grid resolution covers twice the
-band limit.
+band limit. Both dims transform by real FFTs along the azimuth; on the sphere
+each order then sums the Gauss-Legendre rings against a cached table of
+Legendre values (the separation of variables of Driscoll & Healy 1994).
 
 The Green operator implemented here is the reduced resolvent of the spherical
 Laplacian at its second eigenvalue d-1: diagonal in the harmonic basis, with
@@ -232,58 +234,43 @@ def zero_coeffs(dim: int, max_degree: int) -> SpectralCoeffs:
 
 
 def _normalized_legendre(max_degree: int, x: np.ndarray) -> np.ndarray:
-    """Orthonormal associated Legendre values P[l, m, :] at abscissae x.
+    """Orthonormal associated Legendre values P[m, i, l] at abscissae x[i].
 
-    Normalized so that the real spherical harmonics built as
-    P[l,0] (m = 0) and sqrt(2) * P[l,m] * cos/sin(m*phi) (m > 0) are an
-    orthonormal family on S^2. Standard stable recursion; no factorials.
+    Normalized so that the real spherical harmonics built as P[0, :, l]
+    (m = 0) and sqrt(2) * P[m, :, l] * cos/sin(m*phi) (m > 0) are an
+    orthonormal family on S^2; zero for l < m. Standard stable recursion, one
+    step per degree for all orders at once; no factorials.
     """
     L = max_degree
-    n = x.size
     s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    P = np.zeros((L + 1, L + 1, n))
-    P[0, 0] = np.full(n, np.sqrt(1.0 / SPHERE_AREA))
+    P = np.zeros((L + 1, x.size, L + 1))
+    P[0, :, 0] = np.sqrt(1.0 / SPHERE_AREA)
     for m in range(1, L + 1):
-        P[m, m] = np.sqrt((2 * m + 1) / (2.0 * m)) * s * P[m - 1, m - 1]
+        P[m, :, m] = np.sqrt((2 * m + 1) / (2.0 * m)) * s * P[m - 1, :, m - 1]
     for m in range(0, L):
-        P[m + 1, m] = np.sqrt(2 * m + 3.0) * x * P[m, m]
-    for m in range(0, L + 1):
-        for ell in range(m + 2, L + 1):
-            a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
-            b = np.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))
-            P[ell, m] = a * (x * P[ell - 1, m] - b * P[ell - 2, m])
+        P[m, :, m + 1] = np.sqrt(2 * m + 3.0) * x * P[m, :, m]
+    for ell in range(2, L + 1):
+        m = np.arange(ell - 1)[:, None]
+        a = np.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
+        b = np.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))
+        P[: ell - 1, :, ell] = a * (x * P[: ell - 1, :, ell - 1] - b * P[: ell - 1, :, ell - 2])
     return P
 
 
 @lru_cache(maxsize=8)
-def _basis_matrix(resolution: int, max_degree: int) -> np.ndarray:
-    """Real spherical harmonics evaluated on the dim-3 grid, shape (N, num_coeffs).
+def _legendre_table(grid: SphereGrid, max_degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """(table, gather) of the dim-3 transform, cached per grid object.
 
-    Cached by (resolution, max_degree); node layout matches make_grid. Dim 2
-    needs no matrix: its transforms are FFTs.
+    table[m, ring, l] is P at that ring's mu, times sqrt(2) for m > 0.
+    gather[k] is where flat coefficient k sits in the (L+1, L+1, 2) array of
+    [m, l, (cos, sin)] amplitudes that the transforms contract against it.
     """
     L = max_degree
-    n_az = resolution
-    n_pol = resolution // 2
-    mu, _ = np.polynomial.legendre.leggauss(n_pol)
-    phi = TWO_PI * np.arange(n_az) / n_az
-    P = _normalized_legendre(L, mu)  # (L+1, L+1, n_pol)
-    cos_m = np.cos(np.outer(np.arange(L + 1), phi))  # (L+1, n_az)
-    sin_m = np.sin(np.outer(np.arange(L + 1), phi))
-    N = n_pol * n_az
-    out = np.empty((N, (L + 1) ** 2))
-    sqrt2 = np.sqrt(2.0)
-    for ell in range(L + 1):
-        for m in range(-ell, ell + 1):
-            col = index3(ell, m)
-            if m == 0:
-                block = np.repeat(P[ell, 0], n_az)
-            elif m > 0:
-                block = np.outer(P[ell, m], sqrt2 * cos_m[m]).ravel()
-            else:
-                block = np.outer(P[ell, -m], sqrt2 * sin_m[-m]).ravel()
-            out[:, col] = block
-    return out
+    table = _normalized_legendre(L, grid.nodes[:: grid.resolution, 2])
+    table[1:] *= np.sqrt(2.0)
+    ell = coeff_degrees(3, L)
+    order = np.arange(ell.size) - ell * (ell + 1)
+    return table, 2 * (np.abs(order) * (L + 1) + ell) + (order < 0)
 
 
 def _analyze2(f: np.ndarray, max_degree: int) -> np.ndarray:
@@ -327,7 +314,7 @@ def _synthesize2(values: np.ndarray, n: int) -> np.ndarray:
 def _require_resolution(grid: SphereGrid, max_degree: int) -> None:
     if grid.resolution < 2 * max_degree + 2:
         raise ValueError(
-            f"grid resolution {grid.resolution} cannot analyze degree {max_degree}; "
+            f"grid resolution {grid.resolution} cannot transform degree {max_degree}; "
             f"need resolution >= {2 * max_degree + 2}"
         )
 
@@ -336,7 +323,8 @@ def analyze(grid: SphereGrid, f: GridFn, max_degree: int | None = None) -> Spect
     """Forward transform: quadrature inner products against the orthonormal basis.
 
     Exact for band-limited f when resolution >= 2 * max_degree + 2. Dim 2 is
-    one real FFT; dim 3 multiplies by the cached basis matrix.
+    one real FFT; dim 3 is a real FFT along each polar ring followed by a
+    per-order sum over the rings.
     """
     if max_degree is None:
         max_degree = default_max_degree(grid.resolution)
@@ -346,21 +334,34 @@ def analyze(grid: SphereGrid, f: GridFn, max_degree: int | None = None) -> Spect
         raise ValueError(f"grid function has shape {f.shape}, expected ({grid.size},)")
     if grid.dim == 2:
         return SpectralCoeffs(2, max_degree, _analyze2(f, max_degree))
-    basis = _basis_matrix(grid.resolution, max_degree)
-    return SpectralCoeffs(3, max_degree, basis.T @ (grid.weights * f))
+    table, gather = _legendre_table(grid, max_degree)
+    # unscaled ihfft: per ring, sum w f cos(m phi) + i sum w f sin(m phi)
+    rings = np.fft.ihfft((grid.weights * f).reshape(-1, grid.resolution), norm="forward")
+    parts = np.ascontiguousarray(rings[:, : max_degree + 1].T).view(float)
+    parts = parts.reshape(max_degree + 1, -1, 2)  # [m, ring, (cos, sin)]
+    return SpectralCoeffs(3, max_degree, (table.transpose(0, 2, 1) @ parts).ravel()[gather])
 
 
 def synthesize(coeffs: SpectralCoeffs, grid: SphereGrid) -> GridFn:
     """Evaluate the expansion at the grid nodes.
 
-    Any band limit is accepted; in dim 2 modes at or past resolution / 2
-    alias onto lower ones, which is exact at the nodes.
+    Dim 2 accepts any band limit: modes at or past resolution / 2 alias onto
+    lower ones, which is exact at the nodes. Dim 3 needs
+    resolution >= 2 * max_degree + 2, as analyze does.
     """
     if coeffs.dim != grid.dim:
         raise ValueError(f"dimension mismatch: coeffs dim {coeffs.dim}, grid dim {grid.dim}")
     if grid.dim == 2:
         return _synthesize2(coeffs.values, grid.size)
-    return _basis_matrix(grid.resolution, coeffs.max_degree) @ coeffs.values
+    L = coeffs.max_degree
+    _require_resolution(grid, L)
+    table, gather = _legendre_table(grid, L)
+    amps = np.zeros(2 * (L + 1) ** 2)
+    amps[gather] = coeffs.values
+    rings = (table @ amps.reshape(L + 1, L + 1, 2)).view(complex)[..., 0]  # [m, ring]
+    rings[1:] *= 0.5
+    # hfft of (a_m + i b_m) / 2, a_0 at m = 0, is sum a_m cos(m phi) + b_m sin(m phi)
+    return np.fft.hfft(rings.T, grid.resolution).ravel()
 
 
 def differentiate(coeffs: SpectralCoeffs) -> SpectralCoeffs:

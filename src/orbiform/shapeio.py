@@ -31,6 +31,11 @@ __all__ = [
 ]
 
 
+# largest degree a file may hold; dim-3 validate builds an (L+1)^3 Legendre
+# table, 128 MiB at degree 255 and growing as L^3
+MAX_DEGREE_2D, MAX_DEGREE_3D = 4096, 255
+
+
 class ShapeFormatError(ValueError):
     """Shape JSON that does not conform to the schema."""
 
@@ -100,8 +105,9 @@ def entries_to_coeffs(dim: int, entries) -> SpectralCoeffs:
         parsed.append((degree, key, value))
         max_degree = max(max_degree, degree)
 
-    if max_degree > 4096:
-        _fail(f"degree {max_degree} is unreasonably large")
+    limit = MAX_DEGREE_2D if dim == 2 else MAX_DEGREE_3D
+    if max_degree > limit:
+        _fail(f"degree {max_degree} is above the dim-{dim} limit of {limit}")
     values = np.zeros(num_coeffs(dim, max_degree))
     seen: set[tuple[int, object]] = set()
     for degree, key, value in parsed:

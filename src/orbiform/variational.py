@@ -74,6 +74,7 @@ __all__ = [
 ADMISSIBLE_ATOL = 1e-12  # absolute slack of the box and antisymmetry checks
 PROJECTION_RTOL = 1e-13  # degree-1 residual, as the box excess it can cause, over the bound
 PROJECTION_MAX_STEPS = 100  # Newton steps of the dual solve; a few suffice in practice
+DESCENT_RTOL = 1e-12  # the descent stops once a step moves phi by less than this share of it
 SINGULAR_RTOL = 1e-10  # |det| over Hadamard's bound below which a small solve is singular
 STEP_GROWTH_CAP = 2.0**10  # line-search eta never exceeds this multiple of eta0
 
@@ -262,10 +263,7 @@ def _solve_small(h: np.ndarray, g: np.ndarray) -> np.ndarray | None:
 
 
 def _project_exact(
-    ws: _Workspace,
-    values: GridFn,
-    bound: float,
-    max_iter: int = PROJECTION_MAX_STEPS,
+    ws: _Workspace, values: GridFn, bound: float
 ) -> tuple[GridFn, SpectralCoeffs, int, int]:
     """Exact metric projection onto the admissible set through its small dual.
 
@@ -287,7 +285,8 @@ def _project_exact(
     x - B1 (B1_w^T x) removes the residual degree-1 part; the stopping rule
     caps the box excess it can add at PROJECTION_RTOL * bound, and a last clip
     takes that excess back. Returns (values, their analysis, Newton steps taken,
-    steps that took the line search).
+    steps that took the line search); more than PROJECTION_MAX_STEPS Newton
+    steps raise NumericalFailure.
     """
     B1, B1_w = ws.basis_1, ws.basis_1_w
     u = 0.5 * (values[ws.half] - values[ws.pair])
@@ -297,7 +296,7 @@ def _project_exact(
     x = u.clip(-bound, bound)
     g = B1_w.T @ x
     line_searches = 0
-    for steps in range(max_iter + 1):
+    for steps in range(PROJECTION_MAX_STEPS + 1):
         gnorm = math.hypot(*g.tolist())
         if gnorm <= gtol:
             # the subspace step moves no node by more than PROJECTION_RTOL *
@@ -307,7 +306,7 @@ def _project_exact(
             full[ws.half] = x
             full[ws.pair] = -x
             return full, analyze(ws.grid, full, ws.max_degree), steps, line_searches
-        if steps == max_iter:
+        if steps == PROJECTION_MAX_STEPS:
             break
         hess = (B1_w.T * (np.abs(u) < bound)) @ B1
         d = _solve_small(hess, g)
@@ -330,27 +329,23 @@ def _project_exact(
         x = u.clip(-bound, bound)
         g = B1_w.T @ x
     raise NumericalFailure(
-        f"admissible projection did not converge in {max_iter} Newton steps "
+        f"admissible projection did not converge in {PROJECTION_MAX_STEPS} Newton steps "
         f"(degree-1 residual {gnorm:.3e}, tolerance {gtol:.3e})"
     )
 
 
 def project_admissible(
-    values: GridFn,
-    width: float,
-    grid: SphereGrid,
-    max_degree: int,
-    max_sweeps: int = PROJECTION_MAX_STEPS,
+    values: GridFn, width: float, grid: SphereGrid, max_degree: int
 ) -> AdmissibleR:
     """Nearest admissible point in the (weighted) L2 sense, solved exactly.
 
     The dual solve stops once its degree-1 residual can move no node by more
-    than PROJECTION_RTOL times the box bound; max_sweeps caps its Newton
-    steps, and running into it raises NumericalFailure.
+    than PROJECTION_RTOL times the box bound; PROJECTION_MAX_STEPS caps its
+    Newton steps, and running into it raises NumericalFailure.
     """
     ws = _workspace_for(grid, max_degree)
     projected, coeffs, _, _ = _project_exact(
-        ws, np.asarray(values, dtype=float), box_bound(grid.dim, width), max_sweeps
+        ws, np.asarray(values, dtype=float), box_bound(grid.dim, width)
     )
     return AdmissibleR(width, grid, max_degree, projected, coeffs)
 
@@ -442,7 +437,6 @@ class MinimizeConfig:
 
     restarts: int = 16
     max_iterations: int = 50000
-    rel_tol: float = 1e-12
 
 
 @dataclass(frozen=True)
@@ -505,8 +499,8 @@ def _descend(
 
     phi is concave and the projection exact, so every projected step lowers
     phi by at least |step|^2 / eta: no step is ever too long, and the descent
-    stops once a step moves phi by less than rel_tol of its value. The rule is
-    dimensionless, so the iteration count does not depend on the width.
+    stops once a step moves phi by less than DESCENT_RTOL of its value. The
+    rule is dimensionless, so the iteration count does not depend on the width.
     """
     bound = box_bound(ws.grid.dim, width)
     g3 = abs(ws.green[0])  # first kept degree is 3: the flattest multiplier
@@ -533,7 +527,7 @@ def _descend(
         scale = max(abs(phi_cur), np.finfo(float).tiny)
         if decrease > 0:
             x, coeffs, c, phi_cur = candidate, coeffs_new, c_new, phi_new
-        if abs(decrease) <= cfg.rel_tol * scale:
+        if abs(decrease) <= DESCENT_RTOL * scale:
             converged = True
             break
         if decrease < 0:
@@ -599,16 +593,16 @@ def minimize_restarts(
     return results
 
 
-def best_restart(results: list[OptimizationResult], rel_tol: float) -> OptimizationResult:
+def best_restart(results: list[OptimizationResult]) -> OptimizationResult:
     """Best restart by phi; ties break toward the smallest restart index.
 
-    Restarts whose phi lies within rel_tol * |phi_min| of the minimum tie:
+    Restarts whose phi lies within DESCENT_RTOL * |phi_min| of the minimum tie:
     the descent stops at that relative precision, so a smaller difference
     only reflects rounding, and which rotated copy of the same body wins
     must not hinge on the last bits.
     """
     phi_min = min(r.phi_value for r in results)
-    cutoff = phi_min + rel_tol * abs(phi_min)
+    cutoff = phi_min + DESCENT_RTOL * abs(phi_min)
     return next(r for r in results if r.phi_value <= cutoff)
 
 
@@ -619,9 +613,8 @@ def minimize(
     seed: int,
     config: MinimizeConfig | None = None,
 ) -> OptimizationResult:
-    """The best_restart of minimize_restarts, with the config's rel_tol."""
-    cfg = config or MinimizeConfig()
-    return best_restart(minimize_restarts(width, grid, max_degree, seed, cfg), cfg.rel_tol)
+    """The best_restart of minimize_restarts."""
+    return best_restart(minimize_restarts(width, grid, max_degree, seed, config))
 
 
 def result_to_json(result: OptimizationResult, timestamp: str | None = None) -> str:

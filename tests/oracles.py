@@ -4,7 +4,10 @@ Every constant frozen here was computed from the formulas in this file (or by
 direct arithmetic on them), never by running the code under test.
 """
 
+import math
+
 import numpy as np
+from numpy.polynomial import legendre
 
 TWO_PI = 2.0 * np.pi
 
@@ -77,3 +80,31 @@ def fourier_matrix(n: int, max_degree: int) -> np.ndarray:
         cols.append(np.cos(k * omega) / np.sqrt(np.pi))
         cols.append(np.sin(k * omega) / np.sqrt(np.pi))
     return np.stack(cols, axis=1)
+
+
+def real_sph_harm_matrix(max_degree: int, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Orthonormal real spherical harmonics at (theta, phi), one column per (l, m).
+
+    Columns follow the flat dim-3 layout: column l*l + l + m for m = -l..l.
+    P_l^m(x) = (1 - x^2)^(m/2) d^m/dx^m P_l(x) is the Rodrigues derivative
+    form with no Condon-Shortley phase, the derivative of the Legendre
+    polynomial P_l taken by numpy.polynomial.legendre, and
+    N_lm = sqrt((2l+1)/(4 pi) * (l-m)!/(l+m)!). Order 0 is N_l0 P_l(cos theta),
+    order m > 0 is sqrt(2) N_lm P_l^m(cos theta) cos(m phi), and order -m the
+    same with sin(m phi). Built column by column from these definitions.
+    """
+    x = np.cos(theta)
+    out = np.empty((x.size, (max_degree + 1) ** 2))
+    for ell in range(max_degree + 1):
+        p_ell = np.zeros(ell + 1)
+        p_ell[ell] = 1.0
+        for m in range(ell + 1):
+            plm = (1.0 - x * x) ** (m / 2) * legendre.legval(x, legendre.legder(p_ell, m))
+            ratio = math.factorial(ell - m) / math.factorial(ell + m)
+            norm = np.sqrt((2 * ell + 1) / (4.0 * np.pi) * ratio)
+            if m == 0:
+                out[:, ell * ell + ell] = norm * plm
+            else:
+                out[:, ell * ell + ell + m] = np.sqrt(2.0) * norm * plm * np.cos(m * phi)
+                out[:, ell * ell + ell - m] = np.sqrt(2.0) * norm * plm * np.sin(m * phi)
+    return out

@@ -235,6 +235,14 @@ def test_validate_truncated_json(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+def test_validate_refuses_dim3_degree_above_limit(tmp_path, capsys):
+    # refused while parsing, before any grid or table is built
+    entry = {"degree": 256, "order": 0, "value": 0.5}
+    f = write(tmp_path / "deep3.json", {"dim": 3, "width": 1.0, "coeffs": [entry]})
+    assert cli.main(["validate", f]) == 2
+    assert "dim-3 limit of 255" in capsys.readouterr().err
+
+
 def test_validate_missing_file(capsys):
     assert cli.main(["validate", "/no/such/file.json"]) == 2
 
@@ -291,11 +299,12 @@ def test_validate_dim3_agrees_with_admissible_r(case, tmp_path, capsys):
 
 def test_validate_dim3_stdout_is_pinned(tmp_path, capsys):
     # the files of test_validate_dim3; the text is the one printed before
-    # validate shared AdmissibleR's checks
+    # validate shared AdmissibleR's checks, except the antisymmetry residual,
+    # a rounding digit that read 3.123e-17 under the dense dim-3 basis
     assert cli.main(["validate", dim3_file(tmp_path, "admissible")]) == 0
     assert capsys.readouterr().out == (
         "PASS box-bound: residual=0.000e+00 tol=1.000e-12\n"
-        "PASS antipodal-antisymmetry: residual=3.123e-17 tol=1.000e-12\n"
+        "PASS antipodal-antisymmetry: residual=0.000e+00 tol=1.000e-12\n"
         "PASS translation-orthogonality: residual=0.000e+00 tol=1.000e-13\n"
     )
     assert cli.main(["validate", dim3_file(tmp_path, "translation")]) == 1

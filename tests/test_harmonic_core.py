@@ -1,5 +1,7 @@
 """Transform layer: grids, real harmonic bases, spectral operators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +30,7 @@ from orbiform.harmonic_core import (
     zero_coeffs,
 )
 
-from oracles import TWO_PI, fourier_matrix
+from oracles import TWO_PI, fourier_matrix, real_sph_harm_matrix
 
 
 # ---------------------------------------------------------------- grids
@@ -135,6 +137,40 @@ def test_synthesize_dim2_matches_explicit_sum(n, L, rng):
     want = fourier_matrix(n, L) @ c.values
     got = synthesize(c, make_grid(2, n))
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.sum(np.abs(c.values)))
+
+
+# the oracle pins the dim-3 layout: which column is cos- or sin-type, the
+# normalization and the sign convention of every (degree, order)
+@pytest.mark.parametrize("res", [16, 32])
+def test_dim3_transforms_match_real_spherical_harmonics(res, rng):
+    grid = make_grid(3, res)
+    L = default_max_degree(res)
+    Y = real_sph_harm_matrix(L, grid.angles[:, 0], grid.angles[:, 1])
+    c = rng.normal(size=num_coeffs(3, L))
+    assert np.max(np.abs(synthesize(SpectralCoeffs(3, L, c), grid) - Y @ c)) <= 1e-12
+    f = rng.normal(size=grid.size)
+    want = Y.T @ (grid.weights * f)
+    assert np.max(np.abs(analyze(grid, f, L).values - want)) <= 1e-12
+
+
+def test_synthesize_dim3_requires_enough_resolution(grid3_16):
+    with pytest.raises(ValueError, match="need resolution >= 18"):
+        synthesize(zero_coeffs(3, 8), grid3_16)
+
+
+def test_dim3_transform_memory_is_small_at_res_128(rng):
+    # an N x (L+1)^2 basis matrix would take 256 MB here; the per-order
+    # Legendre table takes 2 MB
+    grid = make_grid(3, 128)
+    L = default_max_degree(128)
+    c = SpectralCoeffs(3, L, rng.normal(size=num_coeffs(3, L)))
+    tracemalloc.start()
+    try:
+        analyze(grid, synthesize(c, grid), L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_analyze_known_coefficients(grid2_256):

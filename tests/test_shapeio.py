@@ -93,6 +93,17 @@ def test_duplicate_entries_rejected():
         loads_shape(text)
 
 
+@pytest.mark.parametrize("dim,key,limit", [(2, {"part": "cos"}, 4096), (3, {"order": 0}, 255)])
+def test_degree_limit_per_dim(dim, key, limit):
+    def text(degree):
+        entry = {"degree": degree, **key, "value": 0.5}
+        return json.dumps({"dim": dim, "width": 1.0, "coeffs": [entry]})
+
+    with pytest.raises(ShapeFormatError, match=f"dim-{dim} limit of {limit}"):
+        loads_shape(text(limit + 1))
+    assert loads_shape(text(limit))[2].max_degree == limit
+
+
 def test_nonfinite_value_rejected():
     with pytest.raises(ShapeFormatError):
         entries_to_coeffs(2, [{"degree": 2, "part": "cos", "value": float("nan")}])

@@ -166,10 +166,11 @@ def test_project_is_scale_covariant(width, grid2_256, grid3_16, rng):
         assert np.max(np.abs(scaled / width - unit)) <= 1e-12
 
 
-def test_project_reports_nonconvergence(grid2_256, rng):
+def test_project_reports_nonconvergence(grid2_256, rng, monkeypatch):
+    monkeypatch.setattr(variational, "PROJECTION_MAX_STEPS", 1)
     f = rng.normal(0.0, 2.0, grid2_256.size)
     with pytest.raises(NumericalFailure):
-        project_admissible(f, 1.0, grid2_256, 60, max_sweeps=1)
+        project_admissible(f, 1.0, grid2_256, 60)
 
 
 def test_project_satisfies_variational_inequality(rng):
@@ -472,7 +473,7 @@ def test_minimize_scale_covariance():
 @pytest.mark.parametrize(
     "phis,best",
     [
-        ([-1.0, -1.0 - 5e-13, -1.0 - 9e-13], 0),  # all within rel_tol of the minimum
+        ([-1.0, -1.0 - 5e-13, -1.0 - 9e-13], 0),  # all within DESCENT_RTOL of the minimum
         ([-1.0, -1.0 - 3e-12, -1.0 - 3.5e-12], 1),
         ([-0.5, -1.0, -2.0], 2),
         ([0.0, 0.0], 0),
@@ -481,7 +482,7 @@ def test_minimize_scale_covariance():
 def test_minimize_best_restart_is_lowest_index_within_rel_tol(monkeypatch, phis, best):
     fake = [SimpleNamespace(phi_value=p, restart_index=i) for i, p in enumerate(phis)]
     monkeypatch.setattr(variational, "minimize_restarts", lambda *args, **kwargs: fake)
-    result = minimize(1.0, make_grid(2, 64), 15, 0, MinimizeConfig(rel_tol=1e-12))
+    result = minimize(1.0, make_grid(2, 64), 15, 0, MinimizeConfig())
     assert result.restart_index == best
 
 
