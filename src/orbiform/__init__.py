@@ -19,16 +19,15 @@ __version__ = "0.1.0"
 # submodule -> the names the package exports from it
 _EXPORTS = {
     "harmonic_core": (
-        "ClosednessError", "GreenMultipliers", "GridFn", "SpectralCoeffs", "SphereGrid",
-        "analyze", "apply_green", "apply_laplacian", "default_max_degree",
-        "degree_one_residual", "differentiate", "green_multipliers", "laplace_eigenvalue",
-        "make_grid", "project_linear_H", "quadratic_form_green", "synthesize", "zero_coeffs",
+        "ClosednessError", "GridFn", "SpectralCoeffs", "SphereGrid", "analyze",
+        "apply_green", "apply_laplacian", "default_max_degree", "degree_one_residual",
+        "differentiate", "green_multipliers", "laplace_eigenvalue", "make_grid",
+        "project_linear_H", "quadratic_form_green", "synthesize", "zero_coeffs",
     ),
     "body2d": (
-        "BoundaryCurve", "SupportBody", "ValidationReport", "area_quadrature",
-        "area_spectral", "body_from_deviation", "boundary", "boundary_point",
-        "curvature_coeffs", "disk", "eval_curvature_radius", "eval_support", "perimeter",
-        "random_body", "validate",
+        "SupportBody", "ValidationReport", "area_quadrature", "area_spectral",
+        "body_from_deviation", "boundary", "boundary_point", "curvature_coeffs", "disk",
+        "eval_curvature_radius", "eval_support", "perimeter", "random_body", "validate",
     ),
     "reuleaux": (
         "ReuleauxSpec", "area_table", "closed_area", "curvature_square_wave",
@@ -41,8 +40,7 @@ _EXPORTS = {
         "project_admissible", "result_to_json", "support_deviation",
     ),
     "spheroform3d": (
-        "ball_curvature_sum", "blaschke_volume", "explore_minimize3d", "phi1",
-        "width_residual",
+        "ball_curvature_sum", "blaschke_volume", "phi1", "width_residual",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -35,7 +35,6 @@ from .harmonic_core import (
 
 __all__ = [
     "SupportBody",
-    "BoundaryCurve",
     "CheckResult",
     "ValidationReport",
     "disk",
@@ -127,44 +126,38 @@ def eval_curvature_radius(body: SupportBody, omega) -> np.ndarray | float:
     return _eval2(curvature_coeffs(body), omega)
 
 
-@dataclass(frozen=True)
-class BoundaryCurve:
-    """Boundary samples x(w) = p(w) (cos w, sin w) + p'(w) (-sin w, cos w)."""
-
-    angles: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.stack([self.x, self.y], axis=1)
+def _boundary_map(p: np.ndarray, dp: np.ndarray, om: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x(w) = p(w) (cos w, sin w) + p'(w) (-sin w, cos w), as (x, y)."""
+    c, s = np.cos(om), np.sin(om)
+    return p * c - dp * s, p * s + dp * c
 
 
 def boundary_point(body: SupportBody, omega) -> tuple[np.ndarray | float, np.ndarray | float]:
     """Boundary point with outward normal at angle omega."""
     om = np.asarray(omega, dtype=float)
-    p = _eval2(body.support_coeffs, om)
-    dp = _eval2(differentiate(body.support_coeffs), om)
-    x = p * np.cos(om) - dp * np.sin(om)
-    y = p * np.sin(om) + dp * np.cos(om)
-    return x, y
+    return _boundary_map(eval_support(body, om), eval_support_derivative(body, om), om)
 
 
-def boundary(body: SupportBody, grid: SphereGrid) -> BoundaryCurve:
+def boundary(body: SupportBody, grid: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary points (x, y) at the normal angles of any dim-2 grid.
+
+    p and p' are synthesized on the grid refined by the least power of two
+    that carries the band limit, and every step-th node is kept: 2 pi i / n
+    scales by powers of two without rounding, so those are the grid's angles.
+    """
     if grid.dim != 2:
         raise ValueError("boundary requires a dim-2 grid")
-    p = synthesize(body.support_coeffs, grid)
-    dp = synthesize(differentiate(body.support_coeffs), grid)
-    om = grid.angles
-    x = p * np.cos(om) - dp * np.sin(om)
-    y = p * np.sin(om) + dp * np.cos(om)
-    return BoundaryCurve(om.copy(), x, y)
+    step = 1
+    while grid.resolution * step < 2 * body.max_degree + 2:
+        step *= 2
+    fine = make_grid(2, grid.resolution * step)
+    p = synthesize(body.support_coeffs, fine)[::step]
+    dp = synthesize(differentiate(body.support_coeffs), fine)[::step]
+    return _boundary_map(p, dp, grid.angles)
 
 
 def area_quadrature(body: SupportBody, grid: SphereGrid) -> float:
     """Area as the quadrature of (1/2) p R over normal directions."""
-    if grid.dim != 2:
-        raise ValueError("area_quadrature requires a dim-2 grid")
     p = synthesize(body.support_coeffs, grid)
     r = synthesize(curvature_coeffs(body), grid)
     return 0.5 * grid.inner(p, r)
@@ -183,8 +176,6 @@ def area_spectral(body: SupportBody) -> float:
 
 def perimeter(body: SupportBody, grid: SphereGrid) -> float:
     """Perimeter as the quadrature of R; equals pi * width for constant width."""
-    if grid.dim != 2:
-        raise ValueError("perimeter requires a dim-2 grid")
     r = synthesize(curvature_coeffs(body), grid)
     return float(np.dot(grid.weights, r))
 
@@ -224,19 +215,14 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate(
-    body: SupportBody,
-    grid: SphereGrid | None = None,
-    convexity_tol: float | None = None,
-) -> ValidationReport:
+def validate(body: SupportBody, convexity_tol: float | None = None) -> ValidationReport:
     """Check the constant-width invariants and report per-check residuals.
 
-    The curvature checks sample R on grid, by default max(64, 4L + 4) nodes
-    for band limit L, two per half-period of the highest mode, so the
-    residual no longer hinges on where the nodes fall on a Gibbs peak:
-    Reuleaux 3-, 5- and 7-gons at L = 512 to 4096 all read 0.0895 * width
-    within 3e-5 * width. On 2L + 2 nodes the triangle reads 0.077 * width at
-    L = 1024 and 0.0895 * width at L = 1023.
+    The curvature checks sample R on max(64, 4L + 4) nodes for band limit L,
+    two per half-period of the highest mode, so the residual does not hinge on
+    where the nodes fall on a Gibbs peak: Reuleaux 3-, 5- and 7-gons at
+    L = 512 to 4096 all read 0.0895 * width within 3e-5 * width, where 2L + 2
+    nodes give the triangle 0.077 * width at L = 1024 and 0.0895 at L = 1023.
 
     convexity_tol bounds both curvature checks (R >= 0 and R <= width) and
     is absolute, in units of length; it defaults to 1e-9 * width.
@@ -250,8 +236,7 @@ def validate(
     B = body.width
     c = body.support_coeffs
     L = c.max_degree
-    if grid is None:
-        grid = make_grid(2, max(64, 4 * L + 4))
+    grid = make_grid(2, max(64, 4 * L + 4))
     if convexity_tol is None:
         convexity_tol = 1e-9 * B
 

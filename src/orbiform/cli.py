@@ -57,8 +57,7 @@ def render_svg(body: SupportBody) -> str:
     from . import body2d
     from .harmonic_core import make_grid
 
-    curve = body2d.boundary(body, make_grid(2, SVG_SAMPLES))
-    x, y = curve.x, curve.y
+    x, y = body2d.boundary(body, make_grid(2, SVG_SAMPLES))
     xmin, xmax = float(np.min(x)), float(np.max(x))
     ymin, ymax = float(np.min(y)), float(np.max(y))
     span = max(xmax - xmin, ymax - ymin, np.finfo(float).tiny)
@@ -89,6 +88,22 @@ def _width(text: str) -> float:
     return value
 
 
+def _count(low: int, odd: bool = False):
+    """argparse type of an integer flag that must be >= low, and odd if asked."""
+    want = f"an {'odd ' if odd else ''}integer >= {low}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low or (odd and value % 2 == 0):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbiform",
@@ -98,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     width_help = "width B, {:g} to {:g} (the problem is scale-free)".format(*WIDTH_RANGE)
 
     p_r = sub.add_parser("reuleaux", help="closed-form Reuleaux polygon")
-    p_r.add_argument("--sides", type=int, required=True, help="odd side count >= 3")
+    p_r.add_argument("--sides", type=_count(3, odd=True), required=True, help="odd side count >= 3")
     p_r.add_argument("--width", type=_width, default=1.0, help=width_help)
     p_r.add_argument("--modes", type=int, default=512, help="spectral band limit")
     p_r.add_argument("--out", type=str, default=None, help="shape JSON path")
@@ -109,9 +124,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_o.add_argument("--width", type=_width, default=1.0, help=width_help)
     p_o.add_argument("--grid", type=int, default=None, help="grid resolution")
     p_o.add_argument("--modes", type=int, default=None, help="spectral band limit")
-    p_o.add_argument("--restarts", type=int, default=16)
+    p_o.add_argument("--restarts", type=_count(1), default=16)
     p_o.add_argument("--seed", type=int, default=0)
-    p_o.add_argument("--max-iter", type=int, default=50000)
+    p_o.add_argument("--max-iter", type=_count(1), default=50000)
     p_o.add_argument("--out", type=str, default=None, help="result JSON path")
     p_o.add_argument("--timestamp", action="store_true", help="stamp the result JSON")
 
@@ -125,22 +140,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_t = sub.add_parser("table", help="closed-form area table as CSV")
-    p_t.add_argument("--max", type=int, default=21, help="largest side count")
+    p_t.add_argument("--max", type=_count(3), default=21, help="largest side count")
     p_t.add_argument("--width", type=_width, default=1.0, help=width_help)
     p_t.add_argument("--out", type=str, default=None, help="CSV path")
     return parser
 
 
 def _cmd_reuleaux(args) -> int:
-    if args.sides < 3 or args.sides % 2 == 0:
-        print(f"error: --sides must be odd and >= 3, got {args.sides}", file=sys.stderr)
-        return EXIT_USAGE
     from . import body2d, reuleaux, shapeio
     from .harmonic_core import make_grid
 
     spec = reuleaux.make_spec(args.sides, args.width)
     try:
         body = reuleaux.to_body(spec, args.modes)
+        # refused here, before any output, if validate would refuse the file
+        shape = shapeio.dumps_shape(2, body.width, body.support_coeffs) if args.out else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -154,9 +168,7 @@ def _cmd_reuleaux(args) -> int:
         print("error: quadrature area disagrees with the closed form", file=sys.stderr)
         return EXIT_REGRESSION
     if args.out:
-        shapeio.write_text_atomic(
-            args.out, shapeio.dumps_shape(2, body.width, body.support_coeffs)
-        )
+        shapeio.write_text_atomic(args.out, shape)
         print(f"wrote {args.out}")
     if args.svg:
         shapeio.write_text_atomic(args.svg, render_svg(body))
@@ -172,9 +184,6 @@ def _cmd_optimize(args) -> int:
 
     resolution = args.grid if args.grid is not None else (512 if args.dim == 2 else 32)
     modes = args.modes if args.modes is not None else default_max_degree(resolution)
-    if args.restarts < 1:
-        print("error: --restarts must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         grid = make_grid(args.dim, resolution)
         cfg = variational.MinimizeConfig(restarts=args.restarts, max_iterations=args.max_iter)
@@ -250,9 +259,6 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    if args.max < 3:
-        print("error: --max must be >= 3", file=sys.stderr)
-        return EXIT_USAGE
     from . import reuleaux, shapeio
 
     rows = reuleaux.area_table(args.max, args.width)

@@ -3,11 +3,12 @@
 Everything downstream works with real orthonormal harmonic expansions: Fourier
 modes on S^1, real spherical harmonics on S^2. Coefficients are plain L2 inner
 products against the orthonormal basis functions, so Parseval holds with no
-extra weights. Grids are antipodally closed quadrature rules; transforms are
-exact for band-limited functions whenever the grid resolution covers twice the
-band limit. Both dims transform by real FFTs along the azimuth; on the sphere
-each order then sums the Gauss-Legendre rings against a cached table of
-Legendre values (the separation of variables of Driscoll & Healy 1994).
+extra weights. Grids are antipodally closed quadrature rules. One band rule
+holds for analyze and synthesize in both dims: resolution >= 2L + 2 for band
+limit L, which makes the pair exact on band-limited functions. Both dims
+transform by real FFTs along the azimuth; on the sphere each order then sums
+the Gauss-Legendre rings against a cached table of Legendre values (the
+separation of variables of Driscoll & Healy 1994).
 
 The Green operator implemented here is the reduced resolvent of the spherical
 Laplacian at its second eigenvalue d-1: diagonal in the harmonic basis, with
@@ -28,7 +29,6 @@ __all__ = [
     "GridFn",
     "SphereGrid",
     "SpectralCoeffs",
-    "GreenMultipliers",
     "ClosednessError",
     "make_grid",
     "default_max_degree",
@@ -97,9 +97,6 @@ class SphereGrid:
     def inner(self, f: GridFn, g: GridFn) -> float:
         """Quadrature L2 inner product of two grid functions."""
         return float(np.dot(self.weights, np.asarray(f) * np.asarray(g)))
-
-    def norm(self, f: GridFn) -> float:
-        return float(np.sqrt(max(self.inner(f, f), 0.0)))
 
 
 def make_grid(dim: int, resolution: int) -> SphereGrid:
@@ -291,23 +288,12 @@ def _analyze2(f: np.ndarray, max_degree: int) -> np.ndarray:
 def _synthesize2(values: np.ndarray, n: int) -> np.ndarray:
     """The dim-2 expansion at the n uniform nodes, by one inverse rfft.
 
-    a cos(k w) + b sin(k w) is the real part of (a - i b) exp(i k w). At the
-    nodes mode k equals mode k mod n, and a mode past n/2 equals the negative
-    frequency n - (k mod n) with the conjugate amplitude; folding every mode
-    that way keeps band limits >= n/2 exact at the nodes. Modes landing on
-    bin 0 or n/2 have no partner there and contribute their real part twice.
+    a cos(k w) + b sin(k w) is the real part of (a - i b) exp(i k w); irfft
+    pads the bins past the band limit with zeros.
     """
-    k = np.arange(1, (values.size - 1) // 2 + 1)
-    amp = (values[1::2] - 1j * values[2::2]) * (0.5 * n / np.sqrt(np.pi))
-    m = k % n
-    past = m > n // 2
-    m[past] = n - m[past]
-    amp[past] = np.conj(amp[past])
-    edge = (m == 0) | (2 * m == n)
-    amp[edge] = 2.0 * amp[edge].real
-    spec = np.zeros(n // 2 + 1, dtype=complex)
+    spec = np.empty((values.size + 1) // 2, dtype=complex)
     spec[0] = values[0] * n / np.sqrt(TWO_PI)
-    np.add.at(spec, m, amp)
+    spec[1:] = (values[1::2] - 1j * values[2::2]) * (0.5 * n / np.sqrt(np.pi))
     return np.fft.irfft(spec, n)
 
 
@@ -345,16 +331,16 @@ def analyze(grid: SphereGrid, f: GridFn, max_degree: int | None = None) -> Spect
 def synthesize(coeffs: SpectralCoeffs, grid: SphereGrid) -> GridFn:
     """Evaluate the expansion at the grid nodes.
 
-    Dim 2 accepts any band limit: modes at or past resolution / 2 alias onto
-    lower ones, which is exact at the nodes. Dim 3 needs
-    resolution >= 2 * max_degree + 2, as analyze does.
+    Needs resolution >= 2 * max_degree + 2 in both dims, as analyze does. Dim
+    2 is one inverse real FFT; dim 3 is a per-order sum over the rings
+    followed by an inverse real FFT along each ring.
     """
     if coeffs.dim != grid.dim:
         raise ValueError(f"dimension mismatch: coeffs dim {coeffs.dim}, grid dim {grid.dim}")
-    if grid.dim == 2:
-        return _synthesize2(coeffs.values, grid.size)
     L = coeffs.max_degree
     _require_resolution(grid, L)
+    if grid.dim == 2:
+        return _synthesize2(coeffs.values, grid.size)
     table, gather = _legendre_table(grid, L)
     amps = np.zeros(2 * (L + 1) ** 2)
     amps[gather] = coeffs.values
@@ -391,37 +377,21 @@ def apply_laplacian(coeffs: SpectralCoeffs) -> SpectralCoeffs:
     return coeffs.with_values(-lam * coeffs.values)
 
 
-@dataclass(frozen=True)
-class GreenMultipliers:
-    """Diagonal multipliers of the reduced resolvent, one per degree.
+def green_multipliers(dim: int, max_degree: int) -> np.ndarray:
+    """Diagonal multipliers of the reduced resolvent, indexed by degree.
 
-    g_l = 1 / ((dim-1) - l*(l+dim-2)) for l != 1; degree 1 carries NaN because
-    dim-1 is exactly the degree-1 eigenvalue and the resolvent is undefined there.
+    g_l = 1 / ((dim-1) - l*(l+dim-2)) for l != 1. Degree 1 carries 0: dim-1
+    is exactly the degree-1 eigenvalue, and the reduced resolvent vanishes on
+    that eigenspace.
     """
-
-    dim: int
-    max_degree: int
-    values: np.ndarray
-
-    def g(self, degree: int) -> float:
-        return float(self.values[degree])
-
-    def per_coefficient(self) -> np.ndarray:
-        return self.values[coeff_degrees(self.dim, self.max_degree)]
-
-
-def green_multipliers(dim: int, max_degree: int) -> GreenMultipliers:
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     ell = np.arange(max_degree + 1, dtype=float)
     denom = (dim - 1) - ell * (ell + dim - 2)
-    vals = np.empty(max_degree + 1)
-    nonsingular = denom != 0.0
-    vals[nonsingular] = 1.0 / denom[nonsingular]
-    vals[~nonsingular] = np.nan
-    return GreenMultipliers(dim, max_degree, vals)
+    denom[ell == 1] = np.inf
+    return 1.0 / denom
 
 
 def degree_one_residual(coeffs: SpectralCoeffs) -> float:
@@ -461,18 +431,16 @@ def apply_green(coeffs: SpectralCoeffs) -> SpectralCoeffs:
     at degree 1.
     """
     require_translation_free(coeffs, "resolvent input")
-    mult = green_multipliers(coeffs.dim, coeffs.max_degree).per_coefficient()
-    out = coeffs.values * mult
-    out[np.isnan(mult)] = 0.0
-    return coeffs.with_values(out)
+    mult = green_multipliers(coeffs.dim, coeffs.max_degree)[coeffs.degrees()]
+    return coeffs.with_values(coeffs.values * mult)
 
 
 def quadratic_form_green(coeffs: SpectralCoeffs) -> float:
     """<G f, f> = sum over degrees != 1 of g_l * coeff^2 (degree 1 is ignored)."""
-    mult = green_multipliers(coeffs.dim, coeffs.max_degree).per_coefficient()
-    mask = ~np.isnan(mult)
+    degs = coeffs.degrees()
+    mask = degs != 1
     vals = coeffs.values[mask]
-    return float(np.dot(mult[mask] * vals, vals))
+    return float(np.dot(green_multipliers(coeffs.dim, coeffs.max_degree)[degs[mask]] * vals, vals))
 
 
 def project_linear_H(coeffs: SpectralCoeffs) -> SpectralCoeffs:

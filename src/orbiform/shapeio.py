@@ -75,6 +75,12 @@ def _check_degree(d) -> int:
     return d
 
 
+def _check_max_degree(dim: int, degree: int) -> None:
+    limit = MAX_DEGREE_2D if dim == 2 else MAX_DEGREE_3D
+    if degree > limit:
+        _fail(f"degree {degree} is above the dim-{dim} limit of {limit}")
+
+
 def entries_to_coeffs(dim: int, entries) -> SpectralCoeffs:
     if not isinstance(entries, list):
         _fail("coeffs must be a list")
@@ -105,9 +111,7 @@ def entries_to_coeffs(dim: int, entries) -> SpectralCoeffs:
         parsed.append((degree, key, value))
         max_degree = max(max_degree, degree)
 
-    limit = MAX_DEGREE_2D if dim == 2 else MAX_DEGREE_3D
-    if max_degree > limit:
-        _fail(f"degree {max_degree} is above the dim-{dim} limit of {limit}")
+    _check_max_degree(dim, max_degree)
     values = np.zeros(num_coeffs(dim, max_degree))
     seen: set[tuple[int, object]] = set()
     for degree, key, value in parsed:
@@ -120,7 +124,10 @@ def entries_to_coeffs(dim: int, entries) -> SpectralCoeffs:
 
 
 def dumps_shape(dim: int, width: float, coeffs: SpectralCoeffs) -> str:
-    payload = {"dim": dim, "width": float(width), "coeffs": coeffs_to_entries(coeffs)}
+    """The shape file's text; ShapeFormatError if loads_shape would refuse its degrees."""
+    entries = coeffs_to_entries(coeffs)
+    _check_max_degree(dim, max((e["degree"] for e in entries), default=0))
+    payload = {"dim": dim, "width": float(width), "coeffs": entries}
     return json.dumps(payload, indent=2) + "\n"
 
 

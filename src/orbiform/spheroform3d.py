@@ -1,4 +1,4 @@
-"""Exploratory tooling for constant-width bodies in three dimensions.
+"""Constant-width bodies in three dimensions: curvature sums and the Blaschke relation.
 
 The quadratic functional generalizes: with R the sum of principal curvature
 radii (mean B(d-1) for width B), Phi1[R] = (1/d) <G R, R> is proportional to the
@@ -9,9 +9,10 @@ minimization coincide for genuine constant-width bodies.
 
 The caveat, and it is structural: an admissible deviation on the sphere need
 not be realizable as the curvature sum of an actual convex body, so dim-3
-minimization results are candidates, not certified bodies. Every dim-3
-OptimizationResult carries equivalence_warning=True for that reason. phi1
-refuses a degree-1 part through harmonic_core.require_translation_free.
+minimization results are candidates, not certified bodies. variational.minimize
+runs on a dim-3 grid as on a dim-2 one, and every dim-3 OptimizationResult
+carries equivalence_warning=True for that reason. phi1 refuses a degree-1 part
+through harmonic_core.require_translation_free.
 """
 
 from __future__ import annotations
@@ -27,21 +28,17 @@ from .harmonic_core import (
     require_translation_free,
     zero_coeffs,
 )
-from .variational import MinimizeConfig, OptimizationResult, minimize
 
 __all__ = [
     "ball_curvature_sum",
     "phi1",
     "blaschke_volume",
     "width_residual",
-    "explore_minimize3d",
 ]
 
 
 def ball_curvature_sum(width: float, dim: int = 3, max_degree: int = 0) -> SpectralCoeffs:
     """Curvature-radius sum of the ball of the given width: constant (dim-1)*width/2."""
-    if dim not in (2, 3):
-        raise ValueError("dim must be 2 or 3")
     total = 2.0 * np.pi if dim == 2 else SPHERE_AREA
     c = zero_coeffs(dim, max_degree).values.copy()
     # constant mode has value 1/sqrt(total measure)
@@ -57,8 +54,6 @@ def phi1(coeffs: SpectralCoeffs) -> float:
     Degree-1 content means the expansion is not the curvature sum of a closed
     boundary, hence ClosednessError.
     """
-    if coeffs.dim not in (2, 3):
-        raise ValueError(f"phi1 supports dim 2 and 3 only, got {coeffs.dim}")
     require_translation_free(coeffs, "curvature sum")
     return quadratic_form_green(coeffs) / coeffs.dim
 
@@ -82,21 +77,3 @@ def width_residual(r_values: GridFn, grid: SphereGrid, width: float) -> float:
     target = (grid.dim - 1) * width
     return float(np.max(np.abs(vals + vals[grid.antipode_index] - target)))
 
-
-def explore_minimize3d(
-    width: float,
-    grid: SphereGrid,
-    max_degree: int,
-    seed: int,
-    config: MinimizeConfig | None = None,
-) -> OptimizationResult:
-    """Dim-3 functional minimization; results are exploratory candidates.
-
-    Identical engine to the planar minimizer. The returned result, like every
-    dim-3 result, has equivalence_warning=True: admissibility on the sphere
-    does not certify that a convex body realizes the candidate, so the
-    surface-area/volume equivalence is conditional.
-    """
-    if grid.dim != 3:
-        raise ValueError("explore_minimize3d expects a dim-3 grid")
-    return minimize(width, grid, max_degree, seed, config)

@@ -161,15 +161,11 @@ class _Workspace:
     def __init__(self, grid: SphereGrid, max_degree: int):
         if max_degree < 3:
             raise ValueError("the admissible subspace needs max_degree >= 3")
-        if grid.resolution < 2 * max_degree + 2:
-            raise ValueError(
-                f"grid resolution {grid.resolution} cannot carry degree {max_degree}"
-            )
         self.grid = grid
         self.max_degree = max_degree
         degs = coeff_degrees(grid.dim, max_degree)
         self.window = (degs % 2 == 1) & (degs >= 3)
-        self.green = green_multipliers(grid.dim, max_degree).values[degs[self.window]]
+        self.green = green_multipliers(grid.dim, max_degree)[degs[self.window]]
         # the projection works on odd vectors: one node per antipodal pair,
         # the one with the smaller index, carrying the weight of both
         self.half = np.flatnonzero(np.arange(grid.size) < grid.antipode_index)

@@ -108,12 +108,23 @@ def test_boundary_supports_body():
 
 
 def test_boundary_curve_matches_shoelace(grid2_512):
-    b = to_body(make_spec(3, 1.0), 256)
-    curve = boundary(b, grid2_512)
+    b = to_body(make_spec(3, 1.0), 255)
+    x, y = boundary(b, grid2_512)
     # vertices sit on the convex curve, so the polygon is inscribed: the
     # shoelace value sits just below the quadrature area by the chord deficit
-    deficit = area_quadrature(b, grid2_512) - shoelace(curve.points)
+    deficit = area_quadrature(b, grid2_512) - shoelace(np.stack([x, y], axis=1))
     assert 0.0 < deficit < 1e-4
+
+
+def test_boundary_above_the_band_matches_boundary_point():
+    # 1024 nodes cannot carry degree 4096: boundary refines the grid by a
+    # power of two and keeps the coarse nodes; boundary_point sums every mode
+    b = to_body(make_spec(3, 1.0), 4096)
+    grid = make_grid(2, 1024)
+    x, y = boundary(b, grid)
+    want_x, want_y = boundary_point(b, grid.angles)
+    assert np.max(np.abs(x - want_x)) <= 1e-12
+    assert np.max(np.abs(y - want_y)) <= 1e-12
 
 
 def test_width_across_boundary():

@@ -75,6 +75,17 @@ def test_reuleaux_shape_file_validates_roundtrip(tmp_path, capsys):
     assert rc == 0
 
 
+def test_reuleaux_refuses_a_file_validate_would_refuse(tmp_path, capsys):
+    # degree 4101 = 3 * 1367 is written; 4097 writes 4095 = 3 * 1365 at most
+    shape, svg = tmp_path / "hi.json", tmp_path / "hi.svg"
+    argv = ["reuleaux", "--sides", "3", "--out", str(shape), "--svg", str(svg)]
+    assert cli.main([*argv, "--modes", "4101"]) == 2
+    assert "degree 4101 is above the dim-2 limit of 4096" in capsys.readouterr().err
+    assert not shape.exists() and not svg.exists()
+    assert cli.main([*argv, "--modes", "4097"]) == 0
+    assert cli.main(["validate", str(shape), "--convexity-tol", "0.12"]) == 0
+
+
 # ---------------------------------------------------------------- optimize
 
 
@@ -190,6 +201,7 @@ def test_optimize_writes_what_minimize_returns(dim, resolution, modes, tmp_path,
 def test_optimize_rejects_bad_flags(capsys):
     assert cli.main(["optimize", "--dim", "4"]) == 2
     assert cli.main(["optimize", "--restarts", "0"]) == 2
+    assert cli.main(["optimize", "--max-iter", "-3"]) == 2
     assert cli.main(["optimize", "--grid", "7"]) == 2
 
 
@@ -505,6 +517,27 @@ PINNED_TEXT = [
             "                         [--modes MODES] [--restarts RESTARTS] [--seed SEED]\n"
             "                         [--max-iter MAX_ITER] [--out OUT] [--timestamp]\n"
             "orbiform optimize: error: argument --width: must be finite and > 0, got '-1'\n"
+        ),
+    ),
+    (
+        ["optimize", "--max-iter", "-3"],
+        2,
+        "",
+        (
+            "usage: orbiform optimize [-h] [--dim {2,3}] [--width WIDTH] [--grid GRID]\n"
+            "                         [--modes MODES] [--restarts RESTARTS] [--seed SEED]\n"
+            "                         [--max-iter MAX_ITER] [--out OUT] [--timestamp]\n"
+            "orbiform optimize: error: argument --max-iter: must be an integer >= 1, got '-3'\n"
+        ),
+    ),
+    (
+        ["reuleaux", "--sides", "x"],
+        2,
+        "",
+        (
+            "usage: orbiform reuleaux [-h] --sides SIDES [--width WIDTH] [--modes MODES]\n"
+            "                         [--out OUT] [--svg SVG]\n"
+            "orbiform reuleaux: error: argument --sides: must be an odd integer >= 3, got 'x'\n"
         ),
     ),
 ]

@@ -127,16 +127,21 @@ def test_analyze_dim2_matches_explicit_quadrature(n, L, rng):
     assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(f)))
 
 
-# L < n/2 is plain evaluation; L >= n/2 aliases modes onto k mod n (bins 0
-# and n/2 included), which must equal evaluating every mode at the nodes
-@pytest.mark.parametrize(
-    "n,L", [(8, 3), (64, 31), (62, 20), (8, 4), (8, 8), (8, 17), (16, 40), (10, 33)]
-)
+@pytest.mark.parametrize("n,L", [(8, 3), (64, 31), (62, 20)])
 def test_synthesize_dim2_matches_explicit_sum(n, L, rng):
     c = SpectralCoeffs(2, L, rng.normal(size=num_coeffs(2, L)))
     want = fourier_matrix(n, L) @ c.values
     got = synthesize(c, make_grid(2, n))
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.sum(np.abs(c.values)))
+
+
+def test_synthesize_above_the_band_raises():
+    # one band rule in both dims: resolution >= 2L + 2, as analyze needs
+    for n, L in [(8, 4), (8, 8), (8, 17), (16, 40), (10, 33)]:
+        with pytest.raises(ValueError, match=f"need resolution >= {2 * L + 2}"):
+            synthesize(zero_coeffs(2, L), make_grid(2, n))
+    with pytest.raises(ValueError, match="need resolution >= 18"):
+        synthesize(zero_coeffs(3, 8), make_grid(3, 16))
 
 
 # the oracle pins the dim-3 layout: which column is cos- or sin-type, the
@@ -263,12 +268,13 @@ def test_laplacian_eigenfunctions(dim):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_green_multiplier_table(dim):
     g = green_multipliers(dim, 8)
-    assert g.g(0) == pytest.approx(1.0 / (dim - 1))
-    assert np.isnan(g.g(1))
+    assert g.shape == (9,)
+    assert g[0] == pytest.approx(1.0 / (dim - 1))
+    assert g[1] == 0.0  # the reduced resolvent vanishes on the degree-1 eigenspace
     for ell in range(2, 9):
         expect = 1.0 / ((dim - 1) - ell * (ell + dim - 2))
-        assert g.g(ell) == pytest.approx(expect)
-        assert g.g(ell) < 0
+        assert g[ell] == pytest.approx(expect)
+        assert g[ell] < 0
 
 
 @pytest.mark.parametrize("dim,L", [(2, 12), (3, 8)])
@@ -279,6 +285,16 @@ def test_green_inverts_helmholtz(dim, L, rng):
     u = apply_green(f)
     back = apply_laplacian(u).values + (dim - 1) * u.values
     assert np.max(np.abs(back - f.values)) <= 1e-12 * max(1.0, np.max(np.abs(f.values)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_green_zeroes_a_tolerated_degree_one_residue(dim):
+    c = zero_coeffs(dim, 5).values.copy()
+    c[0], c[num_coeffs(dim, 3) - 1] = 1.0, 2.0
+    c[zero_coeffs(dim, 5).degree_slice(1)] = 1e-14  # under DEGREE_ONE_RTOL * norm
+    out = apply_green(SpectralCoeffs(dim, 5, c)).values
+    assert np.all(out[zero_coeffs(dim, 5).degree_slice(1)] == 0.0)
+    assert out[0] == c[0] / (dim - 1)
 
 
 def test_green_rejects_degree_one_input():

@@ -25,7 +25,15 @@ def loaded_after(code: str) -> set[str]:
 
 
 @pytest.mark.parametrize(
-    "argv", [["--help"], ["optimize", "--help"], ["optimize", "--width", "-1"]]
+    "argv",
+    [
+        ["--help"],
+        ["optimize", "--help"],
+        ["optimize", "--width", "-1"],
+        ["optimize", "--restarts", "0"],
+        ["reuleaux", "--sides", "4"],
+        ["table", "--max", "2"],
+    ],
 )
 def test_parsing_leaves_numpy_unloaded(argv):
     loaded = loaded_after(f"from orbiform import cli\ncli.main({argv!r})")

@@ -104,6 +104,17 @@ def test_degree_limit_per_dim(dim, key, limit):
     assert loads_shape(text(limit))[2].max_degree == limit
 
 
+@pytest.mark.parametrize("dim,limit", [(2, 4096), (3, 255)])
+def test_writer_refuses_what_the_reader_refuses(dim, limit):
+    # the cap applies to the highest nonzero degree actually written
+    coeffs = zero_coeffs(dim, limit + 1)
+    assert loads_shape(dumps_shape(dim, 1.0, coeffs))[2].max_degree == 0
+    values = coeffs.values.copy()
+    values[-1] = 0.5
+    with pytest.raises(ShapeFormatError, match=f"degree {limit + 1} is above the dim-{dim} limit"):
+        dumps_shape(dim, 1.0, coeffs.with_values(values))
+
+
 def test_nonfinite_value_rejected():
     with pytest.raises(ShapeFormatError):
         entries_to_coeffs(2, [{"degree": 2, "part": "cos", "value": float("nan")}])

@@ -1,4 +1,4 @@
-"""Dim-3 functional: curvature sums, Blaschke volume relation, exploration."""
+"""Dim-3 functional: curvature sums, Blaschke volume relation, minimization."""
 
 import numpy as np
 import pytest
@@ -15,11 +15,10 @@ from orbiform.harmonic_core import (
 from orbiform.spheroform3d import (
     ball_curvature_sum,
     blaschke_volume,
-    explore_minimize3d,
     phi1,
     width_residual,
 )
-from orbiform.variational import MinimizeConfig
+from orbiform.variational import MinimizeConfig, minimize
 
 from oracles import BALL3_PHI1, ball3_phi1
 
@@ -85,14 +84,9 @@ def test_width_residual_zero_for_odd_harmonics(grid3_16, rng):
     assert width_residual(base + pert2, grid3_16, 1.0) > 1e-3
 
 
-def test_explore_minimize3d_contract(grid3_16):
-    res = explore_minimize3d(1.0, grid3_16, 7, seed=5, config=MinimizeConfig(restarts=2))
+def test_minimize3d_contract(grid3_16):
+    res = minimize(1.0, grid3_16, 7, seed=5, config=MinimizeConfig(restarts=2))
     assert res.equivalence_warning
     assert res.area is None
     assert res.phi_value < 0
     assert res.minimizer.dim == 3
-
-
-def test_explore_minimize3d_rejects_dim2_grid(grid2_64):
-    with pytest.raises(ValueError):
-        explore_minimize3d(1.0, grid2_64, 7, seed=0)
