@@ -127,11 +127,20 @@ def test_analyze_dim2_matches_explicit_quadrature(n, L, rng):
     assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(f)))
 
 
-@pytest.mark.parametrize("n,L", [(8, 3), (64, 31), (62, 20)])
+# L < n/2 is plain evaluation. Above the band synthesize raises on the n-node
+# grid; evaluating every mode at those nodes is then synthesize on the least
+# power-of-two refinement that carries the band, at every step-th node (the
+# path body2d.boundary takes)
+@pytest.mark.parametrize(
+    "n,L", [(8, 3), (64, 31), (62, 20), (8, 4), (8, 8), (8, 17), (16, 40), (10, 33)]
+)
 def test_synthesize_dim2_matches_explicit_sum(n, L, rng):
     c = SpectralCoeffs(2, L, rng.normal(size=num_coeffs(2, L)))
     want = fourier_matrix(n, L) @ c.values
-    got = synthesize(c, make_grid(2, n))
+    step = 1
+    while n * step < 2 * L + 2:
+        step *= 2
+    got = synthesize(c, make_grid(2, n * step))[::step]
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.sum(np.abs(c.values)))
 
 
