@@ -4,10 +4,11 @@ Subcommands: reuleaux (closed-form polygons, optional shape JSON and SVG),
 optimize (multi-restart functional minimization), validate (invariant checks
 on a shape file), table (closed-form area table as CSV).
 
-Parsing, --help and usage errors use the standard library only: each
-subcommand imports the modules it runs when it runs, so numpy is loaded only
-by a subcommand that computes, and reuleaux, table and dim-2 validate never
-load variational or spheroform3d.
+Parsing, --help and usage errors use the standard library only: flag ranges
+are argparse types, a handler checks the rules that tie --modes to --grid or
+--sides before it imports anything, and each subcommand imports the modules it
+runs when it runs. So numpy is loaded only by a subcommand that computes, and
+reuleaux, table and dim-2 validate never load variational or spheroform3d.
 
 validate prints one report format in both dims: body2d.validate on a dim-2
 file, AdmissibleR's variational.admissibility_residuals on a dim-3 file.
@@ -88,16 +89,16 @@ def _width(text: str) -> float:
     return value
 
 
-def _count(low: int, odd: bool = False):
-    """argparse type of an integer flag that must be >= low, and odd if asked."""
-    want = f"an {'odd ' if odd else ''}integer >= {low}"
+def _count(low: int, parity: str = ""):
+    """argparse type of an integer flag that must be >= low, and "odd" or "even" if asked."""
+    want = f"an {parity + ' ' if parity else ''}integer >= {low}"
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = None
-        if value is None or value < low or (odd and value % 2 == 0):
+        if value is None or value < low or parity not in ("", ("even", "odd")[value % 2]):
             raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
         return value
 
@@ -113,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     width_help = "width B, {:g} to {:g} (the problem is scale-free)".format(*WIDTH_RANGE)
 
     p_r = sub.add_parser("reuleaux", help="closed-form Reuleaux polygon")
-    p_r.add_argument("--sides", type=_count(3, odd=True), required=True, help="odd side count >= 3")
+    p_r.add_argument("--sides", type=_count(3, "odd"), required=True, help="odd side count >= 3")
     p_r.add_argument("--width", type=_width, default=1.0, help=width_help)
     p_r.add_argument("--modes", type=int, default=512, help="spectral band limit")
     p_r.add_argument("--out", type=str, default=None, help="shape JSON path")
@@ -122,8 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_o = sub.add_parser("optimize", help="minimize the area functional")
     p_o.add_argument("--dim", type=int, choices=(2, 3), default=2)
     p_o.add_argument("--width", type=_width, default=1.0, help=width_help)
-    p_o.add_argument("--grid", type=int, default=None, help="grid resolution")
-    p_o.add_argument("--modes", type=int, default=None, help="spectral band limit")
+    p_o.add_argument("--grid", type=_count(8, "even"), default=None, help="grid resolution")
+    p_o.add_argument("--modes", type=_count(3), default=None, help="spectral band limit")
     p_o.add_argument("--restarts", type=_count(1), default=16)
     p_o.add_argument("--seed", type=int, default=0)
     p_o.add_argument("--max-iter", type=_count(1), default=50000)
@@ -147,6 +148,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_reuleaux(args) -> int:
+    if args.modes < 4 * args.sides:
+        print(f"error: --modes {args.modes} too small for {args.sides} sides; "
+              f"need >= {4 * args.sides}", file=sys.stderr)
+        return EXIT_USAGE
     from . import body2d, reuleaux, shapeio
     from .harmonic_core import make_grid
 
@@ -177,13 +182,18 @@ def _cmd_reuleaux(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    resolution = args.grid if args.grid is not None else (512 if args.dim == 2 else 32)
+    band = resolution // 2 - 1  # the band limit that resolution transforms exactly
+    modes = args.modes if args.modes is not None else band
+    if modes > band:
+        print(f"error: --modes {modes} needs --grid >= {2 * modes + 2}, got {resolution}",
+              file=sys.stderr)
+        return EXIT_USAGE
     from datetime import datetime, timezone
 
     from . import shapeio, variational
-    from .harmonic_core import default_max_degree, make_grid
+    from .harmonic_core import make_grid
 
-    resolution = args.grid if args.grid is not None else (512 if args.dim == 2 else 32)
-    modes = args.modes if args.modes is not None else default_max_degree(resolution)
     try:
         grid = make_grid(args.dim, resolution)
         cfg = variational.MinimizeConfig(restarts=args.restarts, max_iterations=args.max_iter)

@@ -7,8 +7,9 @@ extra weights. Grids are antipodally closed quadrature rules. One band rule
 holds for analyze and synthesize in both dims: resolution >= 2L + 2 for band
 limit L, which makes the pair exact on band-limited functions. Both dims
 transform by real FFTs along the azimuth; on the sphere each order then sums
-the Gauss-Legendre rings against a cached table of Legendre values (the
-separation of variables of Driscoll & Healy 1994).
+the Gauss-Legendre rings against a Legendre table (the separation of variables
+of Driscoll & Healy 1994). SphereGrid.derived holds it, like every table built
+from a grid, so a grid's tables are freed with the grid.
 
 The Green operator implemented here is the reduced resolvent of the spherical
 Laplacian at its second eigenvalue d-1: diagonal in the harmonic basis, with
@@ -20,8 +21,8 @@ variational.AdmissibleR call it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -64,7 +65,7 @@ class ClosednessError(ValueError):
     """A degree-1 harmonic component blocks an operation that needs a closed boundary."""
 
 
-@dataclass(frozen=True, eq=False)  # compares and hashes by identity: caches key on the grid
+@dataclass(frozen=True, eq=False)  # compares by identity: the fields are arrays
 class SphereGrid:
     """Antipodally closed quadrature grid on S^1 (dim 2) or S^2 (dim 3).
 
@@ -85,6 +86,13 @@ class SphereGrid:
     weights: np.ndarray
     antipode_index: np.ndarray
     angles: np.ndarray
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
+
+    def derived(self, key: tuple, build: Callable[[], object]):
+        """The table stored under key, made by build() on first use; freed with the grid."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
     @property
     def size(self) -> int:
@@ -254,20 +262,21 @@ def _normalized_legendre(max_degree: int, x: np.ndarray) -> np.ndarray:
     return P
 
 
-@lru_cache(maxsize=8)
 def _legendre_table(grid: SphereGrid, max_degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """(table, gather) of the dim-3 transform, cached per grid object.
+    """(table, gather) of the dim-3 transform, held by the grid per band limit.
 
     table[m, ring, l] is P at that ring's mu, times sqrt(2) for m > 0.
     gather[k] is where flat coefficient k sits in the (L+1, L+1, 2) array of
     [m, l, (cos, sin)] amplitudes that the transforms contract against it.
     """
-    L = max_degree
-    table = _normalized_legendre(L, grid.nodes[:: grid.resolution, 2])
-    table[1:] *= np.sqrt(2.0)
-    ell = coeff_degrees(3, L)
-    order = np.arange(ell.size) - ell * (ell + 1)
-    return table, 2 * (np.abs(order) * (L + 1) + ell) + (order < 0)
+    def build():
+        L = max_degree
+        table = _normalized_legendre(L, grid.nodes[:: grid.resolution, 2])
+        table[1:] *= np.sqrt(2.0)
+        ell = coeff_degrees(3, L)
+        order = np.arange(ell.size) - ell * (ell + 1)
+        return table, 2 * (np.abs(order) * (L + 1) + ell) + (order < 0)
+    return grid.derived(("legendre", max_degree), build)
 
 
 def _analyze2(f: np.ndarray, max_degree: int) -> np.ndarray:

@@ -32,7 +32,7 @@ __all__ = [
 
 
 # largest degree a file may hold; dim-3 validate builds an (L+1)^3 Legendre
-# table, 128 MiB at degree 255 and growing as L^3
+# table, 128 MiB at degree 255 and growing as L^3, held only while its grid lives
 MAX_DEGREE_2D, MAX_DEGREE_3D = 4096, 255
 
 

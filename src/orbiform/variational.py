@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -71,7 +70,7 @@ __all__ = [
     "result_to_json",
 ]
 
-ADMISSIBLE_ATOL = 1e-12  # absolute slack of the box and antisymmetry checks
+ADMISSIBLE_ATOL = 1e-12  # slack of the box and antisymmetry checks, per unit width
 PROJECTION_RTOL = 1e-13  # degree-1 residual, as the box excess it can cause, over the bound
 PROJECTION_MAX_STEPS = 100  # Newton steps of the dual solve; a few suffice in practice
 DESCENT_RTOL = 1e-12  # the descent stops once a step moves phi by less than this share of it
@@ -93,13 +92,14 @@ def admissibility_residuals(
 ) -> tuple[tuple[str, float, float], ...]:
     """(name, residual, tolerance) of the box-bound, antipodal-antisymmetry
     and translation-orthogonality checks; each passes when residual <= tolerance.
-    The first two use ADMISSIBLE_ATOL, the last harmonic_core.translation_residual.
+    The first two use ADMISSIBLE_ATOL * width, the last
+    harmonic_core.translation_residual, so every check is scale-free.
     """
     box = max(0.0, float(np.max(np.abs(values))) - box_bound(grid.dim, width))
     anti = float(np.max(np.abs(values + values[grid.antipode_index])))
     return (
-        ("box-bound", box, ADMISSIBLE_ATOL),
-        ("antipodal-antisymmetry", anti, ADMISSIBLE_ATOL),
+        ("box-bound", box, ADMISSIBLE_ATOL * width),
+        ("antipodal-antisymmetry", anti, ADMISSIBLE_ATOL * width),
         ("translation-orthogonality", *translation_residual(coeffs)),
     )
 
@@ -141,7 +141,7 @@ class AdmissibleR:
 def admissible_from_values(
     width: float, grid: SphereGrid, max_degree: int, values: GridFn
 ) -> AdmissibleR:
-    """Wrap grid samples as an AdmissibleR, computing the cached transform."""
+    """Wrap grid samples as an AdmissibleR, with their analysis at max_degree."""
     vals = np.asarray(values, dtype=float)
     return AdmissibleR(width, grid, max_degree, vals, analyze(grid, vals, max_degree))
 
@@ -346,10 +346,8 @@ def project_admissible(
     return AdmissibleR(width, grid, max_degree, projected, coeffs)
 
 
-@lru_cache(maxsize=8)
 def _workspace_for(grid: SphereGrid, max_degree: int) -> _Workspace:
-    # SphereGrid hashes by identity, so each grid object gets its own workspace
-    return _Workspace(grid, max_degree)
+    return grid.derived(("workspace", max_degree), lambda: _Workspace(grid, max_degree))
 
 
 def phi(r: AdmissibleR) -> float:
@@ -412,13 +410,13 @@ def canonical_align(r: AdmissibleR) -> AdmissibleR:
     Implemented as an exact circular node shift (a grid-aligned rotation): the
     box and antisymmetry invariants are preserved exactly and the operation is
     idempotent. Alignment accuracy is one grid step. Dim 2 only; a zero
-    deviation is returned unchanged. Ties break toward the smallest
-    nonnegative rotation.
+    deviation, one whose support deviation stays within 1e-14 * width, is
+    returned unchanged. Ties break toward the smallest nonnegative rotation.
     """
     if r.dim != 2:
         raise ValueError("canonical_align is defined for dim 2 only")
     pbar = support_deviation(r)
-    if float(np.max(np.abs(pbar))) <= 1e-14 * max(1.0, r.width):
+    if float(np.max(np.abs(pbar))) <= 1e-14 * r.width:
         return r
     shift = int(np.argmax(pbar))
     if shift == 0:

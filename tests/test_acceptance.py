@@ -281,3 +281,13 @@ def test_criterion_9_cli_determinism_and_validate_taxonomy(tmp_path, capsys):
     assert sum(1 for _, c in expected_codes if c == 0) == 4
     assert sum(1 for _, c in expected_codes if c != 0) == 8
     assert time.perf_counter() - start < 60.0
+
+
+@pytest.mark.parametrize("name", ["box3d.json", "candidate3d.json"])
+def test_validate_dim3_verdict_does_not_depend_on_the_width(name, tmp_path, capsys):
+    code, payload = CORPUS[name]
+    for width in (1e-13, 1.0, 1e13):
+        entries = [{**e, "value": e["value"] * width} for e in payload["coeffs"]]
+        path = tmp_path / name
+        path.write_text(json.dumps({"dim": 3, "width": width, "coeffs": entries}))
+        assert (width, cli.main(["validate", str(path)])) == (width, code)

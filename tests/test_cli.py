@@ -47,6 +47,8 @@ def test_reuleaux_rejects_bad_width(capsys):
 
 def test_reuleaux_rejects_small_mode_count(capsys):
     assert cli.main(["reuleaux", "--sides", "9", "--modes", "20"]) == 2
+    assert cli.main(["reuleaux", "--sides", "3", "--modes", "5"]) == 2
+    assert "need >= 12" in capsys.readouterr().err
 
 
 def test_reuleaux_writes_shape_and_svg(tmp_path, capsys):
@@ -203,6 +205,11 @@ def test_optimize_rejects_bad_flags(capsys):
     assert cli.main(["optimize", "--restarts", "0"]) == 2
     assert cli.main(["optimize", "--max-iter", "-3"]) == 2
     assert cli.main(["optimize", "--grid", "7"]) == 2
+    assert cli.main(["optimize", "--grid", "9"]) == 2
+    assert cli.main(["optimize", "--modes", "-1"]) == 2
+    assert cli.main(["optimize", "--modes", "2"]) == 2
+    assert cli.main(["optimize", "--grid", "64", "--modes", "40"]) == 2
+    assert "--modes 40 needs --grid >= 82, got 64" in capsys.readouterr().err
 
 
 def test_optimize_maps_numerical_failure(monkeypatch, capsys):

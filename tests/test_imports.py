@@ -33,6 +33,11 @@ def loaded_after(code: str) -> set[str]:
         ["optimize", "--restarts", "0"],
         ["reuleaux", "--sides", "4"],
         ["table", "--max", "2"],
+        ["optimize", "--grid", "7"],
+        ["optimize", "--modes", "-1"],
+        ["optimize", "--modes", "2"],
+        ["optimize", "--grid", "64", "--modes", "40"],
+        ["reuleaux", "--sides", "3", "--modes", "5"],
     ],
 )
 def test_parsing_leaves_numpy_unloaded(argv):

@@ -1,6 +1,8 @@
 """Admissible states, metric projection, functional, and the optimizer."""
 
+import gc
 import json
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -19,7 +21,7 @@ from orbiform.harmonic_core import (
     synthesize,
     zero_coeffs,
 )
-from orbiform import variational
+from orbiform import harmonic_core, variational
 from orbiform.reuleaux import deviation_coeffs, make_spec
 from orbiform.variational import (
     AdmissibleR,
@@ -421,6 +423,20 @@ def test_canonical_align_idempotent_and_rotation_invariant():
     assert np.array_equal(a.values, b.values)
 
 
+def test_canonical_align_shift_does_not_depend_on_the_width():
+    # the zero-deviation cutoff scales with the width, so a width-1e-20
+    # triangle is aligned like a width-1 one instead of coming back as is
+    grid = make_grid(2, 234)
+    aligned = []
+    for width in (1e-20, 1.0, 1e20):
+        rolled = admissible_from_values(width, grid, 60, np.roll(triangle_values(grid, width), 39))
+        a = canonical_align(rolled)
+        assert a is not rolled
+        aligned.append(np.sign(a.values))  # the same shift rolls the same signs
+    assert np.array_equal(aligned[0], aligned[1])
+    assert np.array_equal(aligned[2], aligned[1])
+
+
 # ---------------------------------------------------------------- optimizer
 
 
@@ -531,6 +547,16 @@ def test_workspace_is_cached_per_grid_object():
     ws_twin = variational._workspace_for(twin, 7)
     assert ws_twin is not ws
     assert ws_twin.grid is twin
+
+
+def test_grid_frees_its_tables_with_it():
+    grid = make_grid(3, 16)
+    synthesize(zero_coeffs(3, 7), grid)
+    table, _ = harmonic_core._legendre_table(grid, 7)
+    refs = [weakref.ref(o) for o in (grid, table, variational._workspace_for(grid, 7))]
+    del grid, table
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
 
 
 def test_minimize_reports_projection_stats_outside_the_json():
