@@ -195,7 +195,10 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Gating checks, plus residuals printed as information that decide nothing."""
+
     checks: tuple[CheckResult, ...]
+    info: tuple[CheckResult, ...] = ()
 
     @property
     def valid(self) -> bool:
@@ -212,6 +215,7 @@ class ValidationReport:
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"
             lines.append(f"{status} {c.name}: residual={c.residual:.3e} tol={c.tolerance:.3e}")
+        lines += [f"INFO {c.name}: residual={c.residual:.3e} (not gated)" for c in self.info]
         return "\n".join(lines)
 
 

@@ -10,8 +10,10 @@ are argparse types, a handler checks the rules that tie --modes to --grid or
 runs when it runs. So numpy is loaded only by a subcommand that computes, and
 reuleaux, table and dim-2 validate never load variational or spheroform3d.
 
-validate prints one report format in both dims: body2d.validate on a dim-2
-file, AdmissibleR's variational.admissibility_residuals on a dim-3 file.
+validate prints one report format for every file: body2d.validate on a dim-2
+shape file, AdmissibleR's checks (variational.deviation_report) on a dim-3
+one, and variational.validate_result on what optimize --out writes, which
+shapeio.loads_shape tells apart by its phi key.
 
 optimize prints one line per restart (phi, iterations, converged, projection
 work: projections, newton_steps, max_newton_steps, line_searches), in dim 2
@@ -247,23 +249,24 @@ def _cmd_validate(args) -> int:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        dim, width, coeffs = shapeio.loads_shape(text)
+        parsed = shapeio.loads_shape(text)
     except shapeio.ShapeFormatError as exc:
         print(f"malformed shape file: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if dim == 2:
+    dim, width, coeffs = parsed[:3]
+    if isinstance(parsed, shapeio.ResultFile):
+        from . import variational
+
+        report = variational.validate_result(parsed)
+    elif dim == 2:
         body = body2d.SupportBody(width, coeffs)
         report = body2d.validate(body, convexity_tol=args.convexity_tol)
     else:
-        # a dim-3 file holds a curvature-sum deviation: AdmissibleR's checks
+        # a dim-3 shape file holds a curvature-sum deviation: AdmissibleR's checks
         from . import variational
-        from .harmonic_core import make_grid, synthesize
 
-        grid = make_grid(3, max(16, 2 * coeffs.max_degree + 2))
-        values = synthesize(coeffs, grid)
-        checks = variational.admissibility_residuals(values, grid, width, coeffs)
-        report = body2d.ValidationReport(tuple(body2d.CheckResult(*c) for c in checks))
+        report = variational.deviation_report(width, coeffs)
     print(report.summary())
     return EXIT_OK if report.valid else EXIT_INVARIANT
 

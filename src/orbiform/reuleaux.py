@@ -38,26 +38,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ReuleauxSpec:
-    """Geometry of an odd Reuleaux polygon.
-
-    sides: odd side count >= 3; width: the constant width B;
-    amplitude: corner support amplitude m; switch_angle: alpha = pi/(2*sides).
-    """
+    """Geometry of an odd Reuleaux polygon: the side count (odd, >= 3) and the
+    width B, checked at construction. The switch angle alpha = pi/(2*sides) and
+    the corner support amplitude m, where cos(alpha) = B / (2m + B), derive from them."""
 
     sides: int
     width: float
-    amplitude: float
-    switch_angle: float
+
+    def __post_init__(self):
+        if self.sides < 3 or self.sides % 2 == 0:
+            raise ValueError(f"sides must be odd and >= 3, got {self.sides}")
+        if not np.isfinite(self.width) or self.width <= 0:
+            raise ValueError(f"width must be finite and > 0, got {self.width}")
+
+    @property
+    def switch_angle(self) -> float:
+        return np.pi / (2 * self.sides)
+
+    @property
+    def amplitude(self) -> float:
+        return 0.5 * self.width * (1.0 / np.cos(self.switch_angle) - 1.0)
 
 
 def make_spec(sides: int, width: float) -> ReuleauxSpec:
-    if sides < 3 or sides % 2 == 0:
-        raise ValueError(f"sides must be odd and >= 3, got {sides}")
-    if not np.isfinite(width) or width <= 0:
-        raise ValueError(f"width must be finite and > 0, got {width}")
-    alpha = np.pi / (2 * sides)
-    amplitude = 0.5 * width * (1.0 / np.cos(alpha) - 1.0)
-    return ReuleauxSpec(sides, width, amplitude, alpha)
+    return ReuleauxSpec(sides, width)
 
 
 def _window_decomposition(spec: ReuleauxSpec, omega) -> tuple[np.ndarray, np.ndarray, bool]:

@@ -1,6 +1,6 @@
-"""Shape-JSON files: strict readers, deterministic writers.
+"""Shape and result JSON files: strict readers, deterministic writers.
 
-Schema: { "dim": 2|3, "width": number, "coeffs": [entry, ...] } with entries
+Shape schema: { "dim": 2|3, "width": number, "coeffs": [entry, ...] } with entries
 { "degree": int, "part": "cos"|"sin", "value": number } for dim 2 and
 { "degree": int, "order": int, "value": number } for dim 3. Unknown fields are
 rejected at both levels. Entries may arrive in any order; writers emit them in
@@ -9,6 +9,13 @@ against the orthonormal harmonic basis.
 
 For dim 2 the coefficients describe the support function of a body; for dim 3
 they describe a curvature-sum deviation candidate.
+
+Result schema, what `orbiform optimize --out` writes (variational.result_to_json):
+the keys of RESULT_KEYS in that order, then "equivalence_warning": true in dim 3
+only and an optional "timestamp" string. Here "coeffs" is the minimizer's
+curvature-deviation window, "area" is null in dim 3, and "violation" and
+"sign_consistency" are measure fractions. loads_shape reads both kinds and
+tells them apart by the "phi" key.
 """
 
 from __future__ import annotations
@@ -16,12 +23,14 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from typing import NamedTuple
 
 import numpy as np
 
 from .harmonic_core import SpectralCoeffs, index2, index3, num_coeffs
 
 __all__ = [
+    "ResultFile",
     "ShapeFormatError",
     "coeffs_to_entries",
     "entries_to_coeffs",
@@ -34,6 +43,18 @@ __all__ = [
 # largest degree a file may hold; dim-3 validate builds an (L+1)^3 Legendre
 # table, 128 MiB at degree 255 and growing as L^3, held only while its grid lives
 MAX_DEGREE_2D, MAX_DEGREE_3D = 4096, 255
+RESULT_KEYS = ("dim", "width", "phi", "area", "iterations", "seed", "violation",
+               "sign_consistency", "coeffs")
+
+
+class ResultFile(NamedTuple):
+    """An optimize result file as read back: its shape part, phi and area."""
+
+    dim: int
+    width: float
+    coeffs: SpectralCoeffs
+    phi: float
+    area: float | None
 
 
 class ShapeFormatError(ValueError):
@@ -63,9 +84,9 @@ def _fail(msg: str) -> None:
     raise ShapeFormatError(msg)
 
 
-def _check_value(v) -> float:
+def _check_value(v, what: str = "coefficient value") -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
-        _fail(f"coefficient value must be a finite number, got {v!r}")
+        _fail(f"{what} must be a finite number, got {v!r}")
     return float(v)
 
 
@@ -131,22 +152,47 @@ def dumps_shape(dim: int, width: float, coeffs: SpectralCoeffs) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def loads_shape(text: str) -> tuple[int, float, SpectralCoeffs]:
+def loads_shape(text: str) -> tuple[int, float, SpectralCoeffs] | ResultFile:
+    """(dim, width, coeffs) of a shape file, or the ResultFile of a result file.
+
+    A top-level "phi" key makes the text a result file; either kind is refused
+    with ShapeFormatError unless it holds exactly the keys of its schema.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ShapeFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         _fail("top level must be an object")
-    if set(data.keys()) != {"dim", "width", "coeffs"}:
-        _fail(f"top-level keys must be dim/width/coeffs, got {sorted(data.keys())}")
+    result = "phi" in data
+    if result:
+        extra = {"equivalence_warning", "timestamp"} if data.get("dim") == 3 else {"timestamp"}
+        if not set(RESULT_KEYS) <= set(data) <= set(RESULT_KEYS) | extra:
+            _fail(f"result keys must be {'/'.join(RESULT_KEYS)}, then "
+                  f"{' and '.join(sorted(extra))} if any, got {sorted(data)}")
+    elif set(data) != {"dim", "width", "coeffs"}:
+        _fail(f"top-level keys must be dim/width/coeffs, got {sorted(data)}")
     dim = data["dim"]
     if dim not in (2, 3):
         _fail(f"dim must be 2 or 3, got {dim!r}")
     width = data["width"]
     if isinstance(width, bool) or not isinstance(width, (int, float)) or not np.isfinite(width) or width <= 0:
         _fail(f"width must be a finite number > 0, got {width!r}")
-    return dim, float(width), entries_to_coeffs(dim, data["coeffs"])
+    coeffs = entries_to_coeffs(dim, data["coeffs"])
+    if not result:
+        return dim, float(width), coeffs
+    for key in ("iterations", "seed"):
+        if isinstance(data[key], bool) or not isinstance(data[key], int):
+            _fail(f"{key} must be an integer, got {data[key]!r}")
+    for key in ("violation", "sign_consistency"):
+        if not 0.0 <= _check_value(data[key], key) <= 1.0:
+            _fail(f"{key} must be a fraction in [0, 1], got {data[key]!r}")
+    if dim == 3 and (data["area"] is not None or data.get("equivalence_warning") is not True):
+        _fail('a dim-3 result has "area": null and "equivalence_warning": true')
+    if not isinstance(data.get("timestamp", ""), str):
+        _fail(f"timestamp must be a string, got {data['timestamp']!r}")
+    area = _check_value(data["area"], "area") if dim == 2 else None
+    return ResultFile(dim, float(width), coeffs, _check_value(data["phi"], "phi"), area)
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -9,7 +9,8 @@ minimum over the box sits at extreme points: a.e. on the boundary of the box
 wherever the gradient (twice the mean-free support function) is nonzero.
 admissibility_residuals computes the three checks (box, antisymmetry,
 degree 1) once; AdmissibleR enforces them and `orbiform validate` reports
-them for dim-3 files.
+them for dim-3 shape files (deviation_report). validate_result checks the
+exact invariants of the result files that result_to_json writes.
 
 Projection onto the intersection is solved exactly: the box is odd and
 separable, so only the degree-1 constraints couple the nodes, and their 2
@@ -27,12 +28,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from . import shapeio
-from .body2d import area_spectral, body_from_deviation
+from . import body2d, shapeio
+from .body2d import CheckResult, ValidationReport, area_spectral, body_from_deviation
 from .harmonic_core import (
     GridFn,
     SpectralCoeffs,
@@ -41,7 +43,9 @@ from .harmonic_core import (
     analyze,
     apply_green,
     coeff_degrees,
+    degree_one_residual,
     green_multipliers,
+    make_grid,
     project_linear_H,
     quadratic_form_green,
     require_translation_free,
@@ -68,6 +72,8 @@ __all__ = [
     "bang_bang_report",
     "canonical_align",
     "result_to_json",
+    "deviation_report",
+    "validate_result",
 ]
 
 ADMISSIBLE_ATOL = 1e-12  # slack of the box and antisymmetry checks, per unit width
@@ -76,6 +82,8 @@ PROJECTION_MAX_STEPS = 100  # Newton steps of the dual solve; a few suffice in p
 DESCENT_RTOL = 1e-12  # the descent stops once a step moves phi by less than this share of it
 SINGULAR_RTOL = 1e-10  # |det| over Hadamard's bound below which a small solve is singular
 STEP_GROWTH_CAP = 2.0**10  # line-search eta never exceeds this multiple of eta0
+RESULT_RTOL = 1e-12  # validate_result: phi and area identities, relative to their size
+ALIGN_RTOL = 1e-12  # canonical_align: support maxima this close, over max |pbar|, tie
 
 
 class NumericalFailure(RuntimeError):
@@ -111,15 +119,16 @@ class AdmissibleR:
     Invariants, enforced at construction by admissibility_residuals: box,
     antipodal antisymmetry, and no degree-1 component; a degree-1 failure
     raises ClosednessError. The samples themselves are unrestricted beyond
-    that; clipped and other rough states are first-class members, and coeffs
-    is their analysis window at the stated band limit, not a reconstruction.
+    that; clipped and other rough states are first-class members. coeffs is
+    not an input: it is always analyze(grid, values, max_degree), the
+    samples' analysis window at the stated band limit, not a reconstruction.
     """
 
     width: float
     grid: SphereGrid
     max_degree: int
     values: np.ndarray
-    coeffs: SpectralCoeffs
+    coeffs: SpectralCoeffs = field(init=False)
 
     def __post_init__(self):
         if not np.isfinite(self.width) or self.width <= 0:
@@ -127,6 +136,8 @@ class AdmissibleR:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.grid.size,):
             raise ValueError("values shape does not match the grid")
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "coeffs", analyze(self.grid, vals, self.max_degree))
         for name, resid, tol in admissibility_residuals(vals, self.grid, self.width, self.coeffs):
             if not resid <= tol:
                 if name == "translation-orthogonality":
@@ -141,9 +152,8 @@ class AdmissibleR:
 def admissible_from_values(
     width: float, grid: SphereGrid, max_degree: int, values: GridFn
 ) -> AdmissibleR:
-    """Wrap grid samples as an AdmissibleR, with their analysis at max_degree."""
-    vals = np.asarray(values, dtype=float)
-    return AdmissibleR(width, grid, max_degree, vals, analyze(grid, vals, max_degree))
+    """Wrap grid samples as an AdmissibleR, which analyzes them at max_degree."""
+    return AdmissibleR(width, grid, max_degree, values)
 
 
 class _Workspace:
@@ -260,7 +270,7 @@ def _solve_small(h: np.ndarray, g: np.ndarray) -> np.ndarray | None:
 
 def _project_exact(
     ws: _Workspace, values: GridFn, bound: float
-) -> tuple[GridFn, SpectralCoeffs, int, int]:
+) -> tuple[GridFn, int, int]:
     """Exact metric projection onto the admissible set through its small dual.
 
     Antisymmetrizing is the projection onto the antisymmetric samples, and the
@@ -280,9 +290,9 @@ def _project_exact(
     search, so the dual rises monotonically. A final subspace step
     x - B1 (B1_w^T x) removes the residual degree-1 part; the stopping rule
     caps the box excess it can add at PROJECTION_RTOL * bound, and a last clip
-    takes that excess back. Returns (values, their analysis, Newton steps taken,
-    steps that took the line search); more than PROJECTION_MAX_STEPS Newton
-    steps raise NumericalFailure.
+    takes that excess back. Returns (values, Newton steps taken, steps that
+    took the line search); more than PROJECTION_MAX_STEPS Newton steps raise
+    NumericalFailure.
     """
     B1, B1_w = ws.basis_1, ws.basis_1_w
     u = 0.5 * (values[ws.half] - values[ws.pair])
@@ -301,7 +311,7 @@ def _project_exact(
             full = np.empty(ws.grid.size)
             full[ws.half] = x
             full[ws.pair] = -x
-            return full, analyze(ws.grid, full, ws.max_degree), steps, line_searches
+            return full, steps, line_searches
         if steps == PROJECTION_MAX_STEPS:
             break
         hess = (B1_w.T * (np.abs(u) < bound)) @ B1
@@ -340,10 +350,9 @@ def project_admissible(
     Newton steps, and running into it raises NumericalFailure.
     """
     ws = _workspace_for(grid, max_degree)
-    projected, coeffs, _, _ = _project_exact(
-        ws, np.asarray(values, dtype=float), box_bound(grid.dim, width)
-    )
-    return AdmissibleR(width, grid, max_degree, projected, coeffs)
+    bound = box_bound(grid.dim, width)
+    projected, _, _ = _project_exact(ws, np.asarray(values, dtype=float), bound)
+    return AdmissibleR(width, grid, max_degree, projected)
 
 
 def _workspace_for(grid: SphereGrid, max_degree: int) -> _Workspace:
@@ -411,14 +420,17 @@ def canonical_align(r: AdmissibleR) -> AdmissibleR:
     box and antisymmetry invariants are preserved exactly and the operation is
     idempotent. Alignment accuracy is one grid step. Dim 2 only; a zero
     deviation, one whose support deviation stays within 1e-14 * width, is
-    returned unchanged. Ties break toward the smallest nonnegative rotation.
+    returned unchanged. Nodes within ALIGN_RTOL * max|pbar| of the maximum
+    tie, and ties break toward the smallest nonnegative rotation: the maxima
+    of a symmetric body differ only by rounding.
     """
     if r.dim != 2:
         raise ValueError("canonical_align is defined for dim 2 only")
     pbar = support_deviation(r)
-    if float(np.max(np.abs(pbar))) <= 1e-14 * r.width:
+    scale = float(np.max(np.abs(pbar)))
+    if scale <= 1e-14 * r.width:
         return r
-    shift = int(np.argmax(pbar))
+    shift = int(np.argmax(pbar >= np.max(pbar) - ALIGN_RTOL * scale))
     if shift == 0:
         return r
     rolled = np.roll(r.values, -shift)
@@ -452,20 +464,39 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """One restart's record; area and the bang-bang fractions derive from the minimizer."""
+
     minimizer: AdmissibleR
     phi_value: float
-    area: float | None
     iterations: int
     seed: int
     restart_index: int
-    bangbang_violation: float
-    sign_consistency: float
     converged: bool
     stats: SolveStats = SolveStats()
 
     def __post_init__(self):
         if self.phi_value > 1e-12:
             raise ValueError(f"phi must be <= 0, got {self.phi_value}")
+
+    @cached_property
+    def area(self) -> float | None:
+        """Area of the dim-2 body the minimizer generates; None in dim 3."""
+        r = self.minimizer
+        if r.dim != 2:
+            return None
+        return area_spectral(body_from_deviation(r.width, apply_green(project_linear_H(r.coeffs))))
+
+    @cached_property
+    def _bang_bang(self) -> BangBangReport:
+        return bang_bang_report(self.minimizer)
+
+    @property
+    def bangbang_violation(self) -> float:
+        return self._bang_bang.violation
+
+    @property
+    def sign_consistency(self) -> float:
+        return self._bang_bang.sign_consistency
 
     @property
     def equivalence_warning(self) -> bool:
@@ -502,9 +533,9 @@ def _descend(
     eta = eta0
     eta_max = STEP_GROWTH_CAP * eta0
 
-    x, coeffs, steps, line_searches = _project_exact(ws, start_values, bound)
+    x, steps, line_searches = _project_exact(ws, start_values, bound)
     newton_steps = [steps]
-    c = coeffs.values[ws.window]
+    c = analyze(ws.grid, x, ws.max_degree).values[ws.window]
     phi_cur = ws.phi_of(c)
     iterations = 0
     converged = False
@@ -512,15 +543,15 @@ def _descend(
     while iterations < cfg.max_iterations:
         iterations += 1
         grad = ws.gradient_values(c)
-        candidate, coeffs_new, steps, searches = _project_exact(ws, x - eta * grad, bound)
+        candidate, steps, searches = _project_exact(ws, x - eta * grad, bound)
         newton_steps.append(steps)
         line_searches += searches
-        c_new = coeffs_new.values[ws.window]
+        c_new = analyze(ws.grid, candidate, ws.max_degree).values[ws.window]
         phi_new = ws.phi_of(c_new)
         decrease = phi_cur - phi_new
         scale = max(abs(phi_cur), np.finfo(float).tiny)
         if decrease > 0:
-            x, coeffs, c, phi_cur = candidate, coeffs_new, c_new, phi_new
+            x, c, phi_cur = candidate, c_new, phi_new
         if abs(decrease) <= DESCENT_RTOL * scale:
             converged = True
             break
@@ -530,36 +561,8 @@ def _descend(
             )
         eta = min(eta * 2.0, eta_max)
     stats = SolveStats(len(newton_steps), sum(newton_steps), max(newton_steps), line_searches)
-    r = AdmissibleR(width, ws.grid, ws.max_degree, x, coeffs)
+    r = AdmissibleR(width, ws.grid, ws.max_degree, x)
     return r, phi_cur, iterations, converged, stats
-
-
-def _finish_result(
-    r: AdmissibleR,
-    phi_value: float,
-    iterations: int,
-    converged: bool,
-    stats: SolveStats,
-    seed: int,
-    index: int,
-) -> OptimizationResult:
-    report = bang_bang_report(r)
-    area = None
-    if r.dim == 2:
-        body = body_from_deviation(r.width, apply_green(project_linear_H(r.coeffs)))
-        area = area_spectral(body)
-    return OptimizationResult(
-        minimizer=r,
-        phi_value=phi_value,
-        area=area,
-        iterations=iterations,
-        seed=seed,
-        restart_index=index,
-        bangbang_violation=report.violation,
-        sign_consistency=report.sign_consistency,
-        converged=converged,
-        stats=stats,
-    )
 
 
 def minimize_restarts(
@@ -583,7 +586,7 @@ def minimize_restarts(
     for i in range(cfg.restarts):
         start = _initial_values(ws, width, np.random.default_rng([seed, i]))
         r, ph, its, conv, stats = _descend(ws, width, start, cfg)
-        results.append(_finish_result(r, ph, its, conv, stats, seed, i))
+        results.append(OptimizationResult(r, ph, its, seed, i, conv, stats))
     return results
 
 
@@ -613,18 +616,62 @@ def minimize(
 
 def result_to_json(result: OptimizationResult, timestamp: str | None = None) -> str:
     """Serialize a result; key order and float reprs are deterministic."""
-    coeffs = project_linear_H(result.minimizer.coeffs)
+    r = result.minimizer
     payload: dict = {
+        "dim": r.dim,
+        "width": float(r.width),
         "phi": result.phi_value,
         "area": result.area,
         "iterations": result.iterations,
         "seed": result.seed,
         "violation": result.bangbang_violation,
         "sign_consistency": result.sign_consistency,
-        "coeffs": shapeio.coeffs_to_entries(coeffs),
+        "coeffs": shapeio.coeffs_to_entries(project_linear_H(r.coeffs)),
     }
     if result.equivalence_warning:
         payload["equivalence_warning"] = True
     if timestamp is not None:
         payload["timestamp"] = timestamp
     return json.dumps(payload, indent=2) + "\n"
+
+
+def deviation_report(width: float, coeffs: SpectralCoeffs) -> ValidationReport:
+    """admissibility_residuals of a dim-3 deviation, sampled on the least
+    grid of resolution >= 16 that carries its band limit."""
+    grid = make_grid(3, max(16, 2 * coeffs.max_degree + 2))
+    checks = admissibility_residuals(synthesize(coeffs, grid), grid, width, coeffs)
+    return ValidationReport(tuple(CheckResult(*c) for c in checks))
+
+
+def validate_result(f: shapeio.ResultFile) -> ValidationReport:
+    """Check the exact invariants of a result file, as `orbiform validate` does.
+
+    Gated: coeffs holds odd degrees >= 3 only (the even-degree and degree-1
+    residuals are zero), and phi is the Green form of coeffs to relative
+    RESULT_RTOL. In dim 2 also area = pi B^2 / 4 + phi / 2 to the same, and
+    the body that coeffs generates passes body2d.validate's constant-width
+    and closedness checks. coeffs is a truncated window of a bang-bang state,
+    so its samples overshoot the box wherever the state switches, by an
+    amount that depends on where the samples fall (0.137 * B in dim 2): the
+    box overshoot, and in dim 2 the convexity and curvature-bound residuals,
+    are reported as information, not gated.
+    """
+    B, c = f.width, f.coeffs
+    degs = c.degrees()
+    even = np.abs(c.values[degs % 2 == 0])
+    green = quadratic_form_green(c)
+    checks = [
+        CheckResult("odd-degrees", float(np.max(even, initial=0.0)), 0.0),
+        CheckResult("translation-orthogonality", degree_one_residual(c), 0.0),
+        CheckResult("phi", abs(f.phi - green), RESULT_RTOL * abs(green)),
+    ]
+    if f.dim == 3:
+        return ValidationReport(tuple(checks), info=(deviation_report(B, c).check("box-bound"),))
+    area = 0.25 * np.pi * B * B + 0.5 * f.phi
+    checks.append(CheckResult("area", abs(f.area - area), RESULT_RTOL * abs(area)))
+    # the degree-1 check above reports that part; the resolvent is undefined on it
+    window = c.with_values(np.where(degs == 1, 0.0, c.values))
+    body = body2d.validate(body_from_deviation(B, apply_green(window)))
+    checks += [body.check("constant-width"), body.check("closedness")]
+    info = (body.check("convexity"), body.check("curvature-bound"))
+    return ValidationReport(tuple(checks), info=info)

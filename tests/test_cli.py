@@ -101,6 +101,8 @@ def test_optimize_writes_result_json(tmp_path, capsys):
     assert "benchmark" in stdout
     payload = json.loads(out.read_text())
     assert list(payload.keys()) == [
+        "dim",
+        "width",
         "phi",
         "area",
         "iterations",
@@ -266,6 +268,46 @@ def test_validate_missing_file(capsys):
     assert cli.main(["validate", "/no/such/file.json"]) == 2
 
 
+@pytest.mark.parametrize(
+    "dim, resolution, modes", [(2, 64, 16), (3, 16, 7)], ids=["dim2", "dim3"]
+)
+def test_validate_accepts_what_optimize_writes(dim, resolution, modes, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    flags = ["--dim", str(dim), "--grid", str(resolution), "--modes", str(modes)]
+    assert cli.main(["optimize", *flags, "--restarts", "2", "--width", "1.3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["validate", str(out)]) == 0
+    report = capsys.readouterr().out
+    assert "PASS odd-degrees" in report and "PASS phi" in report and "FAIL" not in report
+    # the window's box overshoot is printed, not gated
+    assert ("INFO convexity" if dim == 2 else "INFO box-bound") in report
+
+    payload = json.loads(out.read_text())
+    tampered = write(tmp_path / "phi.json", dict(payload, phi=payload["phi"] * (1 + 1e-9)))
+    assert cli.main(["validate", tampered]) == 1
+    assert "FAIL phi" in capsys.readouterr().out
+    entry = {"degree": 4, "value": 1e-3, **({"part": "cos"} if dim == 2 else {"order": 0})}
+    even = write(tmp_path / "even.json", dict(payload, coeffs=payload["coeffs"] + [entry]))
+    assert cli.main(["validate", even]) == 1
+    assert "FAIL odd-degrees" in capsys.readouterr().out
+
+
+def test_validate_result_checks_area_and_degree_one(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert cli.main(OPT_FLAGS + ["--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    moved = write(tmp_path / "area.json", dict(payload, area=payload["area"] + 1e-9))
+    assert cli.main(["validate", moved]) == 1
+    assert "FAIL area" in capsys.readouterr().out
+    entry = {"degree": 1, "part": "sin", "value": 1e-3}
+    shifted = write(tmp_path / "deg1.json", dict(payload, coeffs=payload["coeffs"] + [entry]))
+    assert cli.main(["validate", shifted]) == 1
+    assert "FAIL translation-orthogonality" in capsys.readouterr().out
+    missing = write(tmp_path / "seed.json", {k: v for k, v in payload.items() if k != "seed"})
+    assert cli.main(["validate", missing]) == 2
+    assert "result keys must be" in capsys.readouterr().err
+
+
 def test_validate_dim3(tmp_path, capsys):
     good = write(
         tmp_path / "good3.json",
@@ -308,7 +350,7 @@ def test_validate_dim3_agrees_with_admissible_r(case, tmp_path, capsys):
     grid = make_grid(3, max(16, 2 * coeffs.max_degree + 2))
     values = synthesize(coeffs, grid)
     try:
-        variational.AdmissibleR(width, grid, coeffs.max_degree, values, coeffs)
+        variational.AdmissibleR(width, grid, coeffs.max_degree, values)
         refused = False
     except ValueError:
         refused = True

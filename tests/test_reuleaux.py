@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from orbiform.body2d import area_quadrature, eval_support, validate
 from orbiform.harmonic_core import index2, make_grid
 from orbiform.reuleaux import (
+    ReuleauxSpec,
     area_table,
     closed_area,
     curvature_square_wave,
@@ -41,6 +42,19 @@ def test_make_spec_rejects_bad_width():
         make_spec(3, 0.0)
     with pytest.raises(ValueError):
         make_spec(3, np.inf)
+
+
+def test_spec_checks_its_inputs_and_derives_the_rest():
+    with pytest.raises(ValueError, match="odd"):
+        ReuleauxSpec(4, 1.0)
+    with pytest.raises(ValueError, match="width"):
+        ReuleauxSpec(3, -1.0)
+    with pytest.raises(TypeError):
+        ReuleauxSpec(3, 1.0, 99.0, 0.1)  # amplitude and switch angle are not inputs
+    spec = ReuleauxSpec(5, 2.0)
+    assert spec == make_spec(5, 2.0)
+    assert spec.switch_angle == np.pi / 10
+    assert spec.amplitude == pytest.approx(2 * CORNER_AMPLITUDE_5, abs=1e-15)
 
 
 def test_corner_amplitude_frozen_values():

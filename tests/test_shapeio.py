@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbiform.harmonic_core import SpectralCoeffs, index2, index3, num_coeffs, zero_coeffs
 from orbiform.shapeio import (
+    ResultFile,
     ShapeFormatError,
     coeffs_to_entries,
     dumps_shape,
@@ -76,6 +77,54 @@ def test_entry_schema_keys():
 def test_malformed_inputs_rejected(text):
     with pytest.raises(ShapeFormatError):
         loads_shape(text)
+
+
+RESULT = {
+    "dim": 2, "width": 2.0, "phi": -0.5, "area": 2.8915926535897933, "iterations": 3,
+    "seed": 7, "violation": 0.0, "sign_consistency": 1.0,
+    "coeffs": [{"degree": 3, "part": "cos", "value": 0.25}],
+}
+RESULT_3 = {**RESULT, "dim": 3, "area": None, "coeffs": [], "equivalence_warning": True}
+
+
+def test_result_file_is_told_apart_by_phi():
+    got = loads_shape(json.dumps(RESULT))
+    assert isinstance(got, ResultFile)
+    assert (got.dim, got.width, got.phi, got.area) == (2, 2.0, -0.5, RESULT["area"])
+    assert got.coeffs.coeff(3, part="cos") == 0.25
+    got = loads_shape(json.dumps({**RESULT_3, "timestamp": "2024-01-01T00:00:00+00:00"}))
+    assert (got.dim, got.area) == (3, None)
+    # a shape file stays a plain (dim, width, coeffs) triple
+    assert not isinstance(loads_shape(dumps_shape(2, 1.0, zero_coeffs(2, 3))), ResultFile)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"seed": None},  # a missing key
+        {"extra": 1},
+        {"equivalence_warning": True},  # dim 2 has none
+        {"area": None},
+        {"phi": "x"},
+        {"iterations": 2.0},
+        {"seed": True},
+        {"violation": 1.5},
+        {"sign_consistency": -0.1},
+        {"timestamp": 5},
+        {"dim": 4},
+    ],
+)
+def test_result_file_schema_is_strict(change):
+    payload = {k: v for k, v in {**RESULT, **change}.items() if v is not None or k == "area"}
+    with pytest.raises(ShapeFormatError):
+        loads_shape(json.dumps(payload))
+
+
+@pytest.mark.parametrize("change", [{"area": 1.0}, {"equivalence_warning": False}])
+def test_dim3_result_file_has_no_area_and_a_warning(change):
+    loads_shape(json.dumps(RESULT_3))
+    with pytest.raises(ShapeFormatError, match="dim-3"):
+        loads_shape(json.dumps({**RESULT_3, **change}))
 
 
 def test_duplicate_entries_rejected():

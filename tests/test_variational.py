@@ -1,9 +1,10 @@
 """Admissible states, metric projection, functional, and the optimizer."""
 
 import gc
+import inspect
 import json
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,22 +15,27 @@ from orbiform.harmonic_core import (
     ClosednessError,
     SpectralCoeffs,
     analyze,
+    apply_green,
     index2,
     make_grid,
     num_coeffs,
+    project_linear_H,
     quadratic_form_green,
     synthesize,
     zero_coeffs,
 )
 from orbiform import harmonic_core, variational
+from orbiform.body2d import area_spectral, body_from_deviation
 from orbiform.reuleaux import deviation_coeffs, make_spec
 from orbiform.variational import (
     AdmissibleR,
     MinimizeConfig,
     NumericalFailure,
+    OptimizationResult,
     SolveStats,
     admissible_from_values,
     bang_bang_report,
+    best_restart,
     box_bound,
     canonical_align,
     minimize,
@@ -100,6 +106,20 @@ def test_admissible_rejects_translation_component(grid240):
     vals = 0.2 * np.sin(grid240.angles)
     with pytest.raises(ClosednessError, match=r"degree-1.*\(degree=1, part=sin\)"):
         admissible_from_values(1.0, grid240, 60, vals)
+
+
+def test_admissible_r_analyzes_its_own_values(grid240):
+    # coeffs is not an input, so it cannot disagree with the values
+    vals = triangle_values(grid240)
+    assert "coeffs" not in inspect.signature(AdmissibleR).parameters
+    with pytest.raises(TypeError):
+        AdmissibleR(1.0, grid240, 60, vals, analyze(grid240, 0.5 * vals, 60))
+    r = AdmissibleR(1.0, grid240, 60, vals)
+    assert np.array_equal(r.coeffs.values, analyze(grid240, vals, 60).values)
+    p = project_admissible(vals + 0.3 * np.cos(3.0 * grid240.angles), 1.0, grid240, 60)
+    assert np.array_equal(p.coeffs.values, analyze(grid240, p.values, 60).values)
+    with pytest.raises(ValueError, match="coeffs"):
+        replace(r, coeffs=r.coeffs)
 
 
 def test_admissibility_residuals_names_and_order(grid240):
@@ -271,7 +291,7 @@ def test_project_converges_in_few_newton_steps(dim, res, L, rng):
     ws = variational._workspace_for(grid, L)
     for _ in range(100):
         f = rng.normal(0.0, 10.0 ** rng.uniform(-2, 2), grid.size)
-        assert variational._project_exact(ws, f, 1.0)[2] <= 8
+        assert variational._project_exact(ws, f, 1.0)[1] <= 8
 
 
 def test_project_newton_steps_on_dim3_ladder(grid3_16):
@@ -282,7 +302,7 @@ def test_project_newton_steps_on_dim3_ladder(grid3_16):
     grad = phi_gradient(r)
     ws = variational._workspace_for(grid3_16, 7)
     steps = [
-        variational._project_exact(ws, r.values - 5.0 * 2.0**k * grad, 1.0)[2]
+        variational._project_exact(ws, r.values - 5.0 * 2.0**k * grad, 1.0)[1]
         for k in range(11)
     ]
     assert sum(steps) < 63
@@ -298,7 +318,7 @@ def test_project_line_searches_on_dim3_ladder(grid3_32):
     grad = phi_gradient(r)
     ws = variational._workspace_for(grid3_32, 15)
     searches = [
-        variational._project_exact(ws, r.values - 5.0 * 2.0**k * grad, 1.0)[3]
+        variational._project_exact(ws, r.values - 5.0 * 2.0**k * grad, 1.0)[2]
         for k in range(11)
     ]
     assert sum(searches) < 46
@@ -423,6 +443,25 @@ def test_canonical_align_idempotent_and_rotation_invariant():
     assert np.array_equal(a.values, b.values)
 
 
+def test_canonical_align_ties_go_to_the_smallest_rotation():
+    # the rolled triangle's three support maxima, at nodes 39, 117 and 195,
+    # differ by rounding (2.8e-17 with numpy 2.4); np.argmax took node 195,
+    # and the aligned state then had its first maximum at node 156, not 0
+    grid = make_grid(2, 234)
+    rolled = admissible_from_values(1.0, grid, 60, np.roll(triangle_values(grid), 39))
+    a = canonical_align(rolled)
+    pbar = support_deviation(a)
+    tie = variational.ALIGN_RTOL * np.max(np.abs(pbar))
+    assert pbar[0] >= np.max(pbar) - tie
+    assert canonical_align(a) is a
+
+
+def test_canonical_align_is_idempotent_on_minimizers():
+    for res in minimize_restarts(1.0, make_grid(2, 128), 32, 4, MinimizeConfig(restarts=3)):
+        a = canonical_align(res.minimizer)
+        assert canonical_align(a) is a
+
+
 def test_canonical_align_shift_does_not_depend_on_the_width():
     # the zero-deviation cutoff scales with the width, so a width-1e-20
     # triangle is aligned like a width-1 one instead of coming back as is
@@ -502,6 +541,29 @@ def test_minimize_best_restart_is_lowest_index_within_rel_tol(monkeypatch, phis,
     assert result.restart_index == best
 
 
+def test_result_derives_area_and_bang_bang_from_its_minimizer(grid240, monkeypatch):
+    init = {f.name for f in fields(OptimizationResult) if f.init}
+    assert not init & {"area", "bangbang_violation", "sign_consistency"}
+    reports = []
+
+    def counting(r, *args):
+        reports.append(r)
+        return bang_bang_report(r, *args)
+
+    monkeypatch.setattr(variational, "bang_bang_report", counting)
+    results = minimize_restarts(1.0, make_grid(2, 128), 32, seed=4, config=SMALL)
+    assert reports == []  # nothing is computed for the restarts that lose
+    best = best_restart(results)
+    assert best.bangbang_violation < 0.05 and best.sign_consistency > 0.95
+    assert reports == [best.minimizer]  # one report gives both fractions
+
+    half = admissible_from_values(1.0, grid240, 60, 0.5 * triangle_values(grid240))
+    other = replace(best, minimizer=half)
+    body = body_from_deviation(1.0, apply_green(project_linear_H(half.coeffs)))
+    assert other.area == area_spectral(body) != best.area
+    assert other.bangbang_violation == bang_bang_report(half).violation > 0.5
+
+
 def test_minimize_restarts_provenance():
     grid = make_grid(2, 128)
     results = minimize_restarts(1.0, grid, 32, seed=9, config=SMALL)
@@ -516,6 +578,8 @@ def test_result_json_schema():
     res = minimize(1.0, grid, 32, seed=1, config=SMALL)
     payload = json.loads(result_to_json(res))
     assert list(payload.keys()) == [
+        "dim",
+        "width",
         "phi",
         "area",
         "iterations",
@@ -583,12 +647,9 @@ def test_result_rejects_positive_phi(grid240):
         OptimizationResult(
             minimizer=r,
             phi_value=0.5,
-            area=1.0,
             iterations=1,
             seed=0,
             restart_index=0,
-            bangbang_violation=0.0,
-            sign_consistency=1.0,
             converged=True,
         )
 
