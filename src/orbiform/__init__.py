@@ -27,7 +27,8 @@ _EXPORTS = {
     "body2d": (
         "SupportBody", "ValidationReport", "area_quadrature", "area_spectral",
         "body_from_deviation", "boundary", "boundary_point", "curvature_coeffs", "disk",
-        "eval_curvature_radius", "eval_support", "perimeter", "random_body", "validate",
+        "eval_curvature_radius", "eval_support", "perimeter", "random_body", "switch_window",
+        "validate",
     ),
     "reuleaux": (
         "ReuleauxSpec", "area_table", "closed_area", "curvature_square_wave",
@@ -35,9 +36,9 @@ _EXPORTS = {
     ),
     "variational": (
         "AdmissibleR", "BangBangReport", "MinimizeConfig", "NumericalFailure",
-        "OptimizationResult", "SolveStats", "bang_bang_report", "best_restart", "box_bound",
-        "canonical_align", "minimize", "minimize_restarts", "phi", "phi_gradient",
-        "project_admissible", "result_to_json", "support_deviation",
+        "OptimizationResult", "SolveStats", "SwitchPolish", "bang_bang_report", "best_restart",
+        "box_bound", "canonical_align", "minimize", "minimize_restarts", "phi", "phi_gradient",
+        "polish_switches", "project_admissible", "result_to_json", "support_deviation",
     ),
     "spheroform3d": (
         "ball_curvature_sum", "blaschke_volume", "phi1", "width_residual",

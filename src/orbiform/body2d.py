@@ -8,6 +8,8 @@ coefficient space: degree k scales by (1 - k^2). Convexity is R >= 0 and the
 constant-width relation forces 0 <= R <= B. validate reports these
 invariants as CheckResults with width-scaled tolerances; area_spectral refuses
 a curvature radius with a degree-1 part (harmonic_core.require_translation_free).
+switch_window is the closed form of a bang-bang curvature, R in {0, B} with
+finitely many switches, which is what the minimizers of the area are.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from .harmonic_core import (
     GridFn,
+    SQRT_PI,
     SpectralCoeffs,
     SphereGrid,
     TWO_PI,
@@ -27,6 +30,7 @@ from .harmonic_core import (
     differentiate,
     index2,
     make_grid,
+    num_coeffs,
     quadratic_form_green,
     require_translation_free,
     synthesize,
@@ -48,6 +52,8 @@ __all__ = [
     "area_quadrature",
     "area_spectral",
     "perimeter",
+    "switch_jumps",
+    "switch_window",
     "validate",
     "random_body",
 ]
@@ -95,6 +101,48 @@ def curvature_coeffs(body: SupportBody) -> SpectralCoeffs:
     c = body.support_coeffs
     degs = coeff_degrees(2, c.max_degree)
     return c.with_values((1.0 - degs.astype(float) ** 2) * c.values)
+
+
+def switch_jumps(count: int, width: float) -> np.ndarray:
+    """The jumps of R at listed switch angles: +B, -B, +B, ..., count of them."""
+    return width * (-1.0) ** np.arange(count)
+
+
+def switch_window(
+    switches, width: float, max_degree: int
+) -> tuple[SpectralCoeffs, np.ndarray, np.ndarray]:
+    """Closed form of a bang-bang curvature deviation, from its switch angles.
+
+    The deviation R - B/2 is -B/2 on [0, theta_1) and jumps by J_j = +B, -B,
+    +B, ... at the switch angles 0 <= theta_1 < ... < theta_n < pi, n odd;
+    antipodal antisymmetry gives the jumps -J_j at theta_j + pi, so R takes
+    only the values 0 and B. Integrating by parts, its (cos, sin) coefficient
+    pair at odd degree k is (2 / (k sqrt(pi))) sum_j J_j (-sin k theta_j,
+    cos k theta_j), and zero at even k. Returns (coeffs, d_coeffs, closure):
+
+    - coeffs: that window at odd degrees 3..max_degree, exact zeros elsewhere;
+    - d_coeffs: shape (coefficients, n), the derivative of coeffs in theta_j
+      in column j;
+    - closure: sum_j J_j (sin theta_j, cos theta_j), which is sqrt(pi) / 2
+      times the degree-1 pair up to sign: zero exactly when the boundary closes.
+
+    The sums are taken for any count and order of the angles; validate_result
+    in variational checks both.
+    """
+    theta = np.asarray(switches, dtype=float)
+    jumps = switch_jumps(theta.size, width)
+    k = np.arange(3, max_degree + 1, 2)
+    kt = np.multiply.outer(k, theta)
+    cos, sin = np.cos(kt), np.sin(kt)
+    scale = 2.0 / SQRT_PI
+    values = np.zeros(num_coeffs(2, max_degree))
+    values[2 * k - 1] = -scale * (sin @ jumps) / k
+    values[2 * k] = scale * (cos @ jumps) / k
+    d_values = np.zeros((values.size, theta.size))
+    d_values[2 * k - 1] = -scale * cos * jumps
+    d_values[2 * k] = -scale * sin * jumps
+    closure = np.array([jumps @ np.sin(theta), jumps @ np.cos(theta)])
+    return SpectralCoeffs(2, max_degree, values), d_values, closure
 
 
 def _eval2(coeffs: SpectralCoeffs, omega) -> np.ndarray | float:
@@ -236,6 +284,9 @@ def validate(body: SupportBody, convexity_tol: float | None = None) -> Validatio
     angle, at every band limit (the Gibbs overshoot of a jump of size B),
     which is a property of the truncation, not a defect of the body. A bare
     0.12 therefore only fits width 1.
+
+    Closedness is not checked: R = p'' + p scales degree 1 by 1 - 1^2 = 0, so
+    every support expansion gives a closed boundary.
     """
     B = body.width
     c = body.support_coeffs
@@ -248,11 +299,9 @@ def validate(body: SupportBody, convexity_tol: float | None = None) -> Validatio
     even_mask = (degs % 2 == 0) & (degs >= 2)
     even_resid = float(np.max(np.abs(c.values[even_mask]))) if even_mask.any() else 0.0
     mean_resid = abs(c.values[0] * MEAN_BASIS - 0.5 * B)
-    r = curvature_coeffs(body)
-    r_vals = synthesize(r, grid)
+    r_vals = synthesize(curvature_coeffs(body), grid)
     checks = [
         CheckResult("constant-width", max(even_resid, mean_resid), 1e-10 * B),
-        CheckResult("closedness", degree_one_residual(r), 1e-12 * B),
         CheckResult("convexity", max(0.0, -float(np.min(r_vals))), convexity_tol),
         CheckResult("curvature-bound", max(0.0, float(np.max(r_vals)) - B), convexity_tol),
     ]

@@ -8,7 +8,9 @@ Parsing, --help and usage errors use the standard library only: flag ranges
 are argparse types, a handler checks the rules that tie --modes to --grid or
 --sides before it imports anything, and each subcommand imports the modules it
 runs when it runs. So numpy is loaded only by a subcommand that computes, and
-reuleaux, table and dim-2 validate never load variational or spheroform3d.
+reuleaux and dim-2 shape-file validate never load variational or
+spheroform3d. table computes its closed form with math and loads no numpy
+unless it writes --out.
 
 validate prints one report format for every file: body2d.validate on a dim-2
 shape file, AdmissibleR's checks (variational.deviation_report) on a dim-3
@@ -18,7 +20,11 @@ shapeio.loads_shape tells apart by its phi key.
 optimize prints one line per restart (phi, iterations, converged, projection
 work: projections, newton_steps, max_newton_steps, line_searches), in dim 2
 or 3, then reports the restart that variational.best_restart picks, as
-minimize does; --out writes that restart as result JSON.
+minimize does. In dim 2 it then prints the certificate of that restart's
+switch polish (variational.polish_switches): the switch count, its Newton
+steps, the closure residual over B and max |pbar_L + l| over B at the
+switches, and the polished area, or the reason the polish declined. --out
+writes the restart as result JSON, with the polished body when there is one.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage or malformed input,
 3 numerical failure, 4 regression (an internal cross-check went wrong).
@@ -228,6 +234,14 @@ def _cmd_optimize(args) -> int:
         excess = (result.area - bench) / bench
         print(f"area={result.area!r}")
         print(f"benchmark (odd 3-gon, same width): {bench!r}  excess={100 * excess:.4f}%")
+        polish = result.polish
+        if polish.declined is None:
+            print(f"switch polish: switches={len(polish.switches)} newton_steps={polish.steps} "
+                  f"closure/B={polish.closure:.3e} max|pbar+l|/B={polish.stationarity:.3e}")
+            excess = (polish.area - bench) / bench
+            print(f"polished area={polish.area!r}  excess={100 * excess:.4e}%")
+        else:
+            print(f"switch polish declined after {polish.steps} Newton steps: {polish.declined}")
     else:
         print("note: dim-3 result is a candidate; surface-area/volume equivalence "
               "assumes the deviation is realizable by a convex body")
@@ -272,7 +286,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    from . import reuleaux, shapeio
+    from . import reuleaux
 
     rows = reuleaux.area_table(args.max, args.width)
     areas = [a for _, a in rows]
@@ -282,6 +296,8 @@ def _cmd_table(args) -> int:
         return EXIT_REGRESSION
     csv = reuleaux.format_area_table_csv(rows)
     if args.out:
+        from . import shapeio
+
         shapeio.write_text_atomic(args.out, csv)
         print(f"wrote {args.out}")
     else:

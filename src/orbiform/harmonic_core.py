@@ -21,6 +21,7 @@ variational.AdmissibleR call it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -57,6 +58,9 @@ GridFn = np.ndarray
 
 TWO_PI = 2.0 * np.pi
 SPHERE_AREA = 4.0 * np.pi
+SQRT_PI = math.sqrt(math.pi)
+SQRT_TWO_PI = math.sqrt(TWO_PI)
+TINY = 2.2250738585072014e-308  # np.finfo(float).tiny, the least normal float
 
 DEGREE_ONE_RTOL = 1e-12  # degree-1 residual over the norm that still counts as translation-free
 
@@ -209,7 +213,7 @@ class SpectralCoeffs:
             raise ValueError(
                 f"coefficient vector has shape {vals.shape}, expected ({expected},)"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "values", vals)
 
@@ -231,7 +235,8 @@ class SpectralCoeffs:
         return SpectralCoeffs(self.dim, self.max_degree, values)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+        v = self.values
+        return math.sqrt(v @ v)
 
 
 def zero_coeffs(dim: int, max_degree: int) -> SpectralCoeffs:
@@ -287,10 +292,11 @@ def _analyze2(f: np.ndarray, max_degree: int) -> np.ndarray:
     max_degree <= N / 2 - 1.
     """
     spec = np.fft.rfft(f)[: max_degree + 1] * (TWO_PI / f.size)
-    out = np.empty(2 * max_degree + 1)
-    out[0] = spec[0].real / np.sqrt(TWO_PI)
-    out[1::2] = spec[1:].real / np.sqrt(np.pi)
-    out[2::2] = -spec[1:].imag / np.sqrt(np.pi)
+    # spec as floats is re_0, im_0, re_1, im_1, ...: drop im_0, then scale
+    # and turn the sign of each im_k, which is exact
+    out = spec.view(float)[1:] / SQRT_PI
+    out[0] = spec[0].real / SQRT_TWO_PI
+    out[2::2] *= -1.0
     return out
 
 
@@ -301,8 +307,8 @@ def _synthesize2(values: np.ndarray, n: int) -> np.ndarray:
     pads the bins past the band limit with zeros.
     """
     spec = np.empty((values.size + 1) // 2, dtype=complex)
-    spec[0] = values[0] * n / np.sqrt(TWO_PI)
-    spec[1:] = (values[1::2] - 1j * values[2::2]) * (0.5 * n / np.sqrt(np.pi))
+    spec[0] = values[0] * n / SQRT_TWO_PI
+    spec[1:] = (values[1::2] - 1j * values[2::2]) * (0.5 * n / SQRT_PI)
     return np.fft.irfft(spec, n)
 
 
@@ -409,13 +415,13 @@ def degree_one_residual(coeffs: SpectralCoeffs) -> float:
     The degree-1 harmonics are the translations.
     """
     block = coeffs.values[coeffs.degree_slice(1)]
-    return float(np.max(np.abs(block))) if block.size else 0.0
+    return float(np.abs(block).max()) if block.size else 0.0
 
 
 def translation_residual(coeffs: SpectralCoeffs) -> tuple[float, float]:
     """(degree_one_residual, DEGREE_ONE_RTOL * norm): the expansion counts as
     translation-free when the first does not exceed the second."""
-    tol = DEGREE_ONE_RTOL * max(coeffs.norm(), np.finfo(float).tiny)
+    tol = DEGREE_ONE_RTOL * max(coeffs.norm(), TINY)
     return degree_one_residual(coeffs), tol
 
 

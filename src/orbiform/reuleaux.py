@@ -13,16 +13,23 @@ The curvature radius is therefore an exact square wave taking {0, B}, whose
 Fourier series is known in closed form; the support coefficients follow by the
 resolvent multipliers 1/(1 - k^2). That makes spectral truncation here exact
 truncation of the square wave, with no smoothing filter.
+
+Importing this module loads no numpy: the spec, closed_area and the area
+table use math only, so `orbiform table` is a standard-library path, and the
+functions that compute on arrays import numpy when they run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .body2d import SupportBody, body_from_deviation
-from .harmonic_core import SpectralCoeffs, apply_green, index2, zero_coeffs
+    from .body2d import SupportBody
+    from .harmonic_core import SpectralCoeffs
 
 __all__ = [
     "ReuleauxSpec",
@@ -48,16 +55,16 @@ class ReuleauxSpec:
     def __post_init__(self):
         if self.sides < 3 or self.sides % 2 == 0:
             raise ValueError(f"sides must be odd and >= 3, got {self.sides}")
-        if not np.isfinite(self.width) or self.width <= 0:
+        if not math.isfinite(self.width) or self.width <= 0:
             raise ValueError(f"width must be finite and > 0, got {self.width}")
 
     @property
     def switch_angle(self) -> float:
-        return np.pi / (2 * self.sides)
+        return math.pi / (2 * self.sides)
 
     @property
     def amplitude(self) -> float:
-        return 0.5 * self.width * (1.0 / np.cos(self.switch_angle) - 1.0)
+        return 0.5 * self.width * (1.0 / math.cos(self.switch_angle) - 1.0)
 
 
 def make_spec(sides: int, width: float) -> ReuleauxSpec:
@@ -66,6 +73,8 @@ def make_spec(sides: int, width: float) -> ReuleauxSpec:
 
 def _window_decomposition(spec: ReuleauxSpec, omega) -> tuple[np.ndarray, np.ndarray, bool]:
     """Split angles into (local offset from window center, odd-window mask)."""
+    import numpy as np
+
     om = np.asarray(omega, dtype=float)
     scalar = om.ndim == 0
     om = np.atleast_1d(om)
@@ -79,6 +88,8 @@ def _window_decomposition(spec: ReuleauxSpec, omega) -> tuple[np.ndarray, np.nda
 
 def support_piecewise(spec: ReuleauxSpec, omega) -> np.ndarray | float:
     """Mean-free support value(s): the full support function is width/2 + this."""
+    import numpy as np
+
     local, odd, scalar = _window_decomposition(spec, omega)
     amp = spec.amplitude + 0.5 * spec.width
     vals = amp * np.cos(local) - 0.5 * spec.width
@@ -88,6 +99,8 @@ def support_piecewise(spec: ReuleauxSpec, omega) -> np.ndarray | float:
 
 def curvature_square_wave(spec: ReuleauxSpec, omega) -> np.ndarray | float:
     """Curvature radius: exactly 0 on corner windows, exactly width on arc windows."""
+    import numpy as np
+
     _, odd, scalar = _window_decomposition(spec, omega)
     vals = np.where(odd, spec.width, 0.0)
     return float(vals[0]) if scalar else vals
@@ -100,13 +113,15 @@ def deviation_coeffs(spec: ReuleauxSpec, max_degree: int) -> SpectralCoeffs:
     count, with amplitude -(2 B / pi) (-1)^((j-1)/2) / j; all are odd degrees,
     so the wave is antipodally antisymmetric.
     """
+    from .harmonic_core import SpectralCoeffs, index2, zero_coeffs
+
     n, B = spec.sides, spec.width
     out = zero_coeffs(2, max_degree).values.copy()
-    sqrt_pi = np.sqrt(np.pi)
+    sqrt_pi = math.sqrt(math.pi)
     j = 1
     while j * n <= max_degree:
         sign = -1.0 if (j - 1) // 2 % 2 else 1.0
-        amp = -(2.0 * B / np.pi) * sign / j
+        amp = -(2.0 * B / math.pi) * sign / j
         out[index2(j * n, "cos")] = amp * sqrt_pi
         j += 2
     return SpectralCoeffs(2, max_degree, out)
@@ -114,6 +129,9 @@ def deviation_coeffs(spec: ReuleauxSpec, max_degree: int) -> SpectralCoeffs:
 
 def to_body(spec: ReuleauxSpec, max_degree: int) -> SupportBody:
     """Spectrally truncated body: plain Fourier truncation of the square wave."""
+    from .body2d import body_from_deviation
+    from .harmonic_core import apply_green
+
     if max_degree < 4 * spec.sides:
         raise ValueError(
             f"max_degree {max_degree} too small for {spec.sides} sides; need >= {4 * spec.sides}"
@@ -123,9 +141,9 @@ def to_body(spec: ReuleauxSpec, max_degree: int) -> SupportBody:
 
 
 def closed_area(spec: ReuleauxSpec) -> float:
-    """Exact area: (B^2 / 2) (pi - n tan(pi / (2n)))."""
+    """Exact area: (B^2 / 2) (pi - n tan(pi / (2n))), with libm's tan."""
     n, B = spec.sides, spec.width
-    return float(0.5 * B * B * (np.pi - n * np.tan(np.pi / (2 * n))))
+    return 0.5 * B * B * (math.pi - n * math.tan(math.pi / (2 * n)))
 
 
 def area_table(max_sides: int, width: float = 1.0) -> list[tuple[int, float]]:

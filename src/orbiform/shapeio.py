@@ -11,11 +11,13 @@ For dim 2 the coefficients describe the support function of a body; for dim 3
 they describe a curvature-sum deviation candidate.
 
 Result schema, what `orbiform optimize --out` writes (variational.result_to_json):
-the keys of RESULT_KEYS in that order, then "equivalence_warning": true in dim 3
-only and an optional "timestamp" string. Here "coeffs" is the minimizer's
-curvature-deviation window, "area" is null in dim 3, and "violation" and
-"sign_consistency" are measure fractions. loads_shape reads both kinds and
-tells them apart by the "phi" key.
+the keys of RESULT_KEYS, plus "equivalence_warning": true in dim 3 only, an
+optional "switches" list of angles in dim 2 only (written before "coeffs") and
+an optional "timestamp" string. Here "coeffs" is a curvature-deviation window:
+the closed form of the switches when there are any, else the minimizer's
+analysis. "area" is null in dim 3, and "violation" and "sign_consistency" are
+measure fractions. loads_shape reads both kinds and tells them apart by the
+"phi" key.
 """
 
 from __future__ import annotations
@@ -43,18 +45,23 @@ __all__ = [
 # largest degree a file may hold; dim-3 validate builds an (L+1)^3 Legendre
 # table, 128 MiB at degree 255 and growing as L^3, held only while its grid lives
 MAX_DEGREE_2D, MAX_DEGREE_3D = 4096, 255
+# most switch angles a result file may hold; validate's closed form of them
+# peaks at 36 MiB with degree 4096, growing as the count times the degree
+MAX_SWITCHES = 255
 RESULT_KEYS = ("dim", "width", "phi", "area", "iterations", "seed", "violation",
                "sign_consistency", "coeffs")
 
 
 class ResultFile(NamedTuple):
-    """An optimize result file as read back: its shape part, phi and area."""
+    """An optimize result file as read back: its shape part, phi, area and
+    switch angles (None when the file has none)."""
 
     dim: int
     width: float
     coeffs: SpectralCoeffs
     phi: float
     area: float | None
+    switches: tuple[float, ...] | None = None
 
 
 class ShapeFormatError(ValueError):
@@ -166,9 +173,9 @@ def loads_shape(text: str) -> tuple[int, float, SpectralCoeffs] | ResultFile:
         _fail("top level must be an object")
     result = "phi" in data
     if result:
-        extra = {"equivalence_warning", "timestamp"} if data.get("dim") == 3 else {"timestamp"}
+        extra = {"equivalence_warning" if data.get("dim") == 3 else "switches", "timestamp"}
         if not set(RESULT_KEYS) <= set(data) <= set(RESULT_KEYS) | extra:
-            _fail(f"result keys must be {'/'.join(RESULT_KEYS)}, then "
+            _fail(f"result keys must be {'/'.join(RESULT_KEYS)}, plus "
                   f"{' and '.join(sorted(extra))} if any, got {sorted(data)}")
     elif set(data) != {"dim", "width", "coeffs"}:
         _fail(f"top-level keys must be dim/width/coeffs, got {sorted(data)}")
@@ -192,7 +199,11 @@ def loads_shape(text: str) -> tuple[int, float, SpectralCoeffs] | ResultFile:
     if not isinstance(data.get("timestamp", ""), str):
         _fail(f"timestamp must be a string, got {data['timestamp']!r}")
     area = _check_value(data["area"], "area") if dim == 2 else None
-    return ResultFile(dim, float(width), coeffs, _check_value(data["phi"], "phi"), area)
+    switches = data.get("switches", [])
+    if not isinstance(switches, list) or len(switches) > MAX_SWITCHES:
+        _fail(f"switches must be a list of at most {MAX_SWITCHES} angles, got {switches!r:.80}")
+    switches = tuple(_check_value(t, "switch angle") for t in switches) if "switches" in data else None
+    return ResultFile(dim, float(width), coeffs, _check_value(data["phi"], "phi"), area, switches)
 
 
 def write_text_atomic(path: str, text: str) -> None:

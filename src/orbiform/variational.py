@@ -22,6 +22,14 @@ step while the dual still rises at it; otherwise it moves to the exact
 maximizer along the same direction by a breakpoint line search.
 Minimization is projected gradient descent with a doubling step; each
 restart reports its projection work in OptimizationResult.stats.
+
+On a grid a switch of the bang-bang minimizer can sit only at a node, so in
+dim 2 the descent's answer approaches the truth only as N^-2.
+polish_switches takes the winning restart's switch angles off the grid: it
+solves the first-order conditions of phi over the angles of
+body2d.switch_window, with the closure of the boundary as a constraint, by
+Newton's method (switching-time optimization in bang-bang control). The
+result then carries the exact body it certifies, OptimizationResult.polish.
 """
 
 from __future__ import annotations
@@ -34,12 +42,21 @@ from functools import cached_property
 import numpy as np
 
 from . import body2d, shapeio
-from .body2d import CheckResult, ValidationReport, area_spectral, body_from_deviation
+from .body2d import (
+    CheckResult,
+    ValidationReport,
+    area_spectral,
+    body_from_deviation,
+    switch_jumps,
+    switch_window,
+)
 from .harmonic_core import (
     GridFn,
+    SQRT_PI,
     SpectralCoeffs,
     SPHERE_AREA,
     SphereGrid,
+    TWO_PI,
     analyze,
     apply_green,
     coeff_degrees,
@@ -60,6 +77,7 @@ __all__ = [
     "NumericalFailure",
     "OptimizationResult",
     "SolveStats",
+    "SwitchPolish",
     "admissibility_residuals",
     "box_bound",
     "project_admissible",
@@ -68,6 +86,7 @@ __all__ = [
     "support_deviation",
     "minimize",
     "minimize_restarts",
+    "polish_switches",
     "best_restart",
     "bang_bang_report",
     "canonical_align",
@@ -83,6 +102,10 @@ DESCENT_RTOL = 1e-12  # the descent stops once a step moves phi by less than thi
 SINGULAR_RTOL = 1e-10  # |det| over Hadamard's bound below which a small solve is singular
 STEP_GROWTH_CAP = 2.0**10  # line-search eta never exceeds this multiple of eta0
 RESULT_RTOL = 1e-12  # validate_result: phi and area identities, relative to their size
+CLOSURE_RTOL = 1e-12  # validate_result: closure of a switch file, over the width
+BANG_RTOL = 1e-9  # a node within this share of the box bound sits on the box face
+POLISH_RTOL = 1e-14  # polish_switches stops here: residuals over B; rounding leaves ~1e-16
+POLISH_MAX_STEPS = 20  # Newton steps of polish_switches; 3 or 4 suffice from a grid minimizer
 ALIGN_RTOL = 1e-12  # canonical_align: support maxima this close, over max |pbar|, tie
 
 
@@ -103,8 +126,10 @@ def admissibility_residuals(
     The first two use ADMISSIBLE_ATOL * width, the last
     harmonic_core.translation_residual, so every check is scale-free.
     """
-    box = max(0.0, float(np.max(np.abs(values))) - box_bound(grid.dim, width))
-    anti = float(np.max(np.abs(values + values[grid.antipode_index])))
+    box = max(0.0, float(np.abs(values).max()) - box_bound(grid.dim, width))
+    # the first half of the nodes holds one node of each antipodal pair
+    h = grid.size // 2
+    anti = float(np.abs(values[:h] + values[grid.antipode_index[:h]]).max())
     return (
         ("box-bound", box, ADMISSIBLE_ATOL * width),
         ("antipodal-antisymmetry", anti, ADMISSIBLE_ATOL * width),
@@ -131,7 +156,7 @@ class AdmissibleR:
     coeffs: SpectralCoeffs = field(init=False)
 
     def __post_init__(self):
-        if not np.isfinite(self.width) or self.width <= 0:
+        if not math.isfinite(self.width) or self.width <= 0:
             raise ValueError(f"width must be finite and > 0, got {self.width}")
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.grid.size,):
@@ -177,13 +202,14 @@ class _Workspace:
         self.window = (degs % 2 == 1) & (degs >= 3)
         self.green = green_multipliers(grid.dim, max_degree)[degs[self.window]]
         # the projection works on odd vectors: one node per antipodal pair,
-        # the one with the smaller index, carrying the weight of both
-        self.half = np.flatnonzero(np.arange(grid.size) < grid.antipode_index)
-        self.pair = grid.antipode_index[self.half]
-        self.weights = 2.0 * grid.weights[self.half]
+        # the one with the smaller index, carrying the weight of both; in
+        # both dims (make_grid's layout) those are the first half of the nodes
+        self.half = grid.size // 2
+        self.pair = grid.antipode_index[: self.half]
+        self.weights = 2.0 * grid.weights[: self.half]
         # the degree-1 harmonics are the coordinates, in flat-index order:
         # (cos, sin) in dim 2, orders -1, 0, 1 = (y, z, x) in dim 3
-        nodes = grid.nodes[self.half]
+        nodes = grid.nodes[: self.half]
         if grid.dim == 2:
             self.basis_1 = nodes / np.sqrt(np.pi)
         else:
@@ -217,26 +243,31 @@ def _line_max(
     Sorting the interval ends gives the slope at each of them by cumulative
     sums, and the root is exact inside the linear piece where the sign flips.
     """
-    moving = s != 0.0
-    u, s, w = u[moving], s[moving], w[moving]
+    if not s.all():
+        moving = s != 0.0
+        u, s, w = u[moving], s[moving], w[moving]
     t_a, t_b = (u - bound) / s, (u + bound) / s
     enter = np.maximum(np.minimum(t_a, t_b), 0.0)
     leave = np.maximum(t_a, t_b)
     keep = leave > enter
-    curv = w[keep] * s[keep] ** 2
+    curv = (w * s**2)[keep]
     times = np.concatenate((enter[keep], leave[keep]))
-    order = np.argsort(times)
+    # ndarray methods and ufunc.accumulate: the same sort and sums as the
+    # np.argsort and np.cumsum wrappers, without their dispatch cost
+    order = times.argsort()
     times = times[order]
-    rate = np.cumsum(np.concatenate((curv, -curv))[order])  # on [times[j], times[j+1])
-    slopes = slope0 - np.concatenate(([0.0], np.cumsum(rate[:-1] * (times[1:] - times[:-1]))))
-    j = int(np.searchsorted(-slopes, 0.0))  # first breakpoint with slope <= 0
-    # slopes[0] = slope0 > 0 and the last slope is negative: only rounding
+    rate = np.add.accumulate(np.concatenate((curv, -curv))[order])  # on [times[j], times[j+1])
+    # the slope at breakpoint j is slope0 - drop[j]
+    drop = np.zeros(times.size)
+    np.add.accumulate(rate[:-1] * (times[1:] - times[:-1]), out=drop[1:])
+    j = int(drop.searchsorted(slope0))  # first breakpoint with slope <= 0
+    # the slope at 0 is slope0 > 0 and the last one is negative: only rounding
     # reaches either guard
     if j == 0:
         return 0.0
-    if j == slopes.size:
+    if j == drop.size:
         return float(times[-1])
-    return float(times[j - 1] + slopes[j - 1] / rate[j - 1])
+    return float(times[j - 1] + (slope0 - drop[j - 1]) / rate[j - 1])
 
 
 def _solve_small(h: np.ndarray, g: np.ndarray) -> np.ndarray | None:
@@ -253,7 +284,7 @@ def _solve_small(h: np.ndarray, g: np.ndarray) -> np.ndarray | None:
         if not abs(det) > SINGULAR_RTOL * scale:
             return None
         g0, g1 = g.tolist()
-        return np.array([d * g0 - b * g1, a * g1 - c * g0]) / det
+        return np.array([(d * g0 - b * g1) / det, (a * g1 - c * g0) / det])
     (a, b, c), (d, e, f), (p, q, r) = h.tolist()
     c0, c1, c2 = e * r - f * q, f * p - d * r, d * q - e * p  # cofactors of row 0
     det = a * c0 + b * c1 + c * c2
@@ -262,10 +293,10 @@ def _solve_small(h: np.ndarray, g: np.ndarray) -> np.ndarray | None:
         return None
     g0, g1, g2 = g.tolist()
     return np.array([
-        c0 * g0 + (c * q - b * r) * g1 + (b * f - c * e) * g2,
-        c1 * g0 + (a * r - c * p) * g1 + (c * d - a * f) * g2,
-        c2 * g0 + (b * p - a * q) * g1 + (a * e - b * d) * g2,
-    ]) / det
+        (c0 * g0 + (c * q - b * r) * g1 + (b * f - c * e) * g2) / det,
+        (c1 * g0 + (a * r - c * p) * g1 + (c * d - a * f) * g2) / det,
+        (c2 * g0 + (b * p - a * q) * g1 + (a * e - b * d) * g2) / det,
+    ])
 
 
 def _project_exact(
@@ -295,11 +326,12 @@ def _project_exact(
     NumericalFailure.
     """
     B1, B1_w = ws.basis_1, ws.basis_1_w
-    u = 0.5 * (values[ws.half] - values[ws.pair])
+    h = ws.half
+    u = 0.5 * (values[:h] - values[ws.pair])
     u = u - B1 @ (B1_w.T @ u)  # exact when nothing clips
     gtol = PROJECTION_RTOL * bound / ws.basis_1_sup
-    dual_scale = bound * np.sqrt(ws.grid.total_measure)  # bounds |B1_w^T x|
-    x = u.clip(-bound, bound)
+    dual_scale = bound * math.sqrt(ws.grid.total_measure)  # bounds |B1_w^T x|
+    x = np.minimum(np.maximum(u, -bound), bound)
     g = B1_w.T @ x
     line_searches = 0
     for steps in range(PROJECTION_MAX_STEPS + 1):
@@ -307,9 +339,9 @@ def _project_exact(
         if gnorm <= gtol:
             # the subspace step moves no node by more than PROJECTION_RTOL *
             # bound; the clip takes that back, keeping the box exact at any width
-            x = (x - B1 @ g).clip(-bound, bound)
+            x = np.minimum(np.maximum(x - B1 @ g, -bound), bound)
             full = np.empty(ws.grid.size)
-            full[ws.half] = x
+            full[:h] = x
             full[ws.pair] = -x
             return full, steps, line_searches
         if steps == PROJECTION_MAX_STEPS:
@@ -323,7 +355,7 @@ def _project_exact(
                 d = np.linalg.solve(hess, g)
         s = B1 @ d
         u_new = u - s
-        x_new = u_new.clip(-bound, bound)
+        x_new = np.minimum(np.maximum(u_new, -bound), bound)
         g_new = B1_w.T @ x_new
         if g_new @ d >= 0.0 or math.hypot(*g_new.tolist()) <= gtol:
             # the dual still rises at the full step, or the step already
@@ -332,7 +364,7 @@ def _project_exact(
             continue
         line_searches += 1
         u = u - _line_max(u, s, ws.weights, bound, float(g @ d)) * s
-        x = u.clip(-bound, bound)
+        x = np.minimum(np.maximum(u, -bound), bound)
         g = B1_w.T @ x
     raise NumericalFailure(
         f"admissible projection did not converge in {PROJECTION_MAX_STEPS} Newton steps "
@@ -438,6 +470,152 @@ def canonical_align(r: AdmissibleR) -> AdmissibleR:
 
 
 @dataclass(frozen=True)
+class SwitchPolish:
+    """A dim-2 minimizer's switch angles solved off the grid, or why not.
+
+    declined is None when the solve converged. Then switches are the angles
+    in body2d.switch_window's convention (of the minimizer's body or of that
+    body turned by pi, whichever has R = 0 just after angle 0), coeffs their
+    closed-form window at the minimizer's band limit, phi its Green form and
+    area pi B^2 / 4 + phi / 2. closure and stationarity are the certificate,
+    both over B: the largest closure component, and max_j |pbar_L(theta_j) +
+    l(theta_j)| with l the degree-1 multiplier of the closure. Otherwise
+    declined says why, and the fields after steps are None: no declined
+    polish reports switches.
+    """
+
+    steps: int
+    declined: str | None = None
+    switches: tuple[float, ...] | None = None
+    coeffs: SpectralCoeffs | None = None
+    phi: float | None = None
+    area: float | None = None
+    closure: float | None = None
+    stationarity: float | None = None
+
+
+def _switch_residuals(theta: np.ndarray, lam: np.ndarray, width: float, max_degree: int):
+    """(residuals, Jacobian, window) of the polish's first-order system.
+
+    Residuals over the width: pbar_L(theta_j) + l(theta_j) for each switch,
+    with l = lam[0] cos + lam[1] sin, then the two closure components. The
+    Jacobian's columns are theta_1..theta_n, lam[0], lam[1].
+    """
+    n = theta.size
+    window, d_window, closure = switch_window(theta, width, max_degree)
+    k = np.arange(3, max_degree + 1, 2)
+    g = green_multipliers(2, max_degree)[k]
+    a, b = window.values[2 * k - 1], window.values[2 * k]
+    da, db = d_window[2 * k - 1], d_window[2 * k]
+    kt = np.multiply.outer(k, theta)
+    cos, sin = np.cos(kt), np.sin(kt)
+    c1, s1 = np.cos(theta), np.sin(theta)
+    # pbar_L = sum_k g_k (a_k cos k w + b_k sin k w) / sqrt(pi), at the switches
+    pbar = ((g * a) @ cos + (g * b) @ sin) / SQRT_PI
+    dpbar = ((g * k * b) @ cos - (g * k * a) @ sin) / SQRT_PI
+    jac = np.zeros((n + 2, n + 2))
+    jac[:n, :n] = (cos.T @ (g[:, None] * da) + sin.T @ (g[:, None] * db)) / SQRT_PI
+    jac[:n, :n] += np.diag(dpbar - lam[0] * s1 + lam[1] * c1)
+    jac[:n, n], jac[:n, n + 1] = c1, s1
+    jumps = switch_jumps(n, width)
+    jac[n, :n], jac[n + 1, :n] = jumps * c1, -jumps * s1
+    resid = np.concatenate((pbar + lam[0] * c1 + lam[1] * s1, closure)) / width
+    return resid, jac / width, window
+
+
+def _half_turn_list(theta: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(angles, turned): an end angle past 0 or pi replaced by its antipode
+    at the other end of the list.
+
+    Ordered angles a little outside [0, pi) arise when a fit moves an end
+    angle over the edge. The antipode carries the opposite jump, so in
+    switch_window's convention the new list is the body turned by pi (its
+    window negated); turned says whether that happened.
+    """
+    if theta[0] < 0.0:
+        return np.append(theta[1:], theta[0] + np.pi), True
+    if theta[-1] >= np.pi:
+        return np.insert(theta[:-1], 0, theta[-1] - np.pi), True
+    return theta, False
+
+
+def polish_switches(r: AdmissibleR) -> SwitchPolish:
+    """Solve a dim-2 bang-bang minimizer's switch angles off the grid.
+
+    The start is read off the sign changes of the samples over [0, pi], each
+    placed by linear interpolation between its two nodes; samples that are
+    positive at angle 0 are turned by pi first (an exact symmetry that keeps
+    the switch angles), so that R = 0 just after 0 as switch_window wants.
+    Every sample off the box faces (BANG_RTOL) must sit next to a switch.
+
+    Moving switch j moves phi by -4 J_j pbar_L(theta_j) (the L2 gradient of
+    phi is 2 pbar, and each switch has an antipodal twin). So a minimum of
+    phi_L over the angles with a closed boundary solves pbar_L(theta_j) +
+    l(theta_j) = 0 at every switch, l a degree-1 harmonic whose two
+    coefficients are the closure's multipliers, together with the closure.
+    A rotation moves neither phi_L nor the closure (the n + 2 equations have
+    rank n + 1), so one more equation holds the mean of the angles at that of
+    the reading: the least-squares rotation onto the angles read off the
+    grid, which spreads the reading error of each angle (up to half a node)
+    over all of them. Newton's method solves the n + 3 equations by least
+    squares and stops once every residual over B is at most POLISH_RTOL. It
+    declines, saying why, on an even switch count, on samples that are not
+    bang-bang, at POLISH_MAX_STEPS steps, when the angles leave their order,
+    or when phi_L is not below the minimizer's.
+    """
+    if r.dim != 2:
+        raise ValueError("polish_switches is defined for dim 2 only")
+    B, L, n_nodes = r.width, r.max_degree, r.grid.size
+    x = r.values if r.values[0] <= 0.0 else -r.values
+    half = x[: n_nodes // 2 + 1]
+    above = half > 0.0
+    change = np.flatnonzero(above[1:] != above[:-1])
+    n = change.size
+    if n % 2 == 0:
+        return SwitchPolish(0, f"an even count of switches ({n}) in [0, pi)")
+    near = np.zeros(half.size, dtype=bool)
+    near[change] = near[change + 1] = True
+    near[0] = near[-1] = near[0] | near[-1]  # nodes 0 and N/2 are antipodes
+    stray = int(np.sum((np.abs(half) < box_bound(2, B) * (1.0 - BANG_RTOL)) & ~near))
+    if stray:
+        return SwitchPolish(0, f"not bang-bang: {stray} samples off the box faces away from a switch")
+    read = (change + half[change] / (half[change] - half[change + 1])) * (TWO_PI / n_nodes)
+    theta, lam = read.copy(), np.zeros(2)
+    gauge = np.concatenate((np.full(n, 1.0 / n), (0.0, 0.0)))
+    for steps in range(POLISH_MAX_STEPS + 1):
+        resid, jac, window = _switch_residuals(theta, lam, B, L)
+        resid = np.append(resid, theta.mean() - read.mean())
+        worst = float(np.abs(resid).max())
+        if worst <= POLISH_RTOL or not math.isfinite(worst) or steps == POLISH_MAX_STEPS:
+            break
+        step = np.linalg.lstsq(np.vstack((jac, gauge)), resid, rcond=None)[0]
+        theta -= step[:n]
+        lam -= step[n:]
+    if not worst <= POLISH_RTOL:
+        return SwitchPolish(
+            steps, f"no convergence in {steps} Newton steps (largest residual {worst:.3e} of B)")
+    theta, turned = _half_turn_list(theta)
+    if turned:
+        resid, _, window = _switch_residuals(theta, -lam, B, L)
+    if not (theta[0] >= 0.0 and np.all(np.diff(theta) > 0.0) and theta[-1] < np.pi):
+        return SwitchPolish(steps, "the switch angles left their order in [0, pi)")
+    phi_polished = quadratic_form_green(window)
+    phi_grid = phi(r)
+    if not phi_polished < phi_grid:
+        return SwitchPolish(
+            steps, f"phi_L {phi_polished!r} is not below the grid minimizer's {phi_grid!r}")
+    return SwitchPolish(
+        steps,
+        switches=tuple(float(t) for t in theta),
+        coeffs=window,
+        phi=phi_polished,
+        area=0.25 * np.pi * B * B + 0.5 * phi_polished,
+        closure=float(np.abs(resid[n : n + 2]).max()),
+        stationarity=float(np.abs(resid[:n]).max()),
+    )
+
+
+@dataclass(frozen=True)
 class MinimizeConfig:
     """Knobs for the multi-restart projected descent."""
 
@@ -464,19 +642,25 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """One restart's record; area and the bang-bang fractions derive from the minimizer."""
+    """One restart's record; phi, area, the bang-bang fractions and the switch
+    polish derive from the minimizer, each when first read."""
 
     minimizer: AdmissibleR
-    phi_value: float
     iterations: int
     seed: int
     restart_index: int
     converged: bool
     stats: SolveStats = SolveStats()
 
-    def __post_init__(self):
-        if self.phi_value > 1e-12:
-            raise ValueError(f"phi must be <= 0, got {self.phi_value}")
+    @cached_property
+    def phi_value(self) -> float:
+        """phi of the minimizer: the Green form of its window, so <= 0."""
+        return phi(self.minimizer)
+
+    @cached_property
+    def polish(self) -> SwitchPolish | None:
+        """polish_switches of the minimizer in dim 2; None in dim 3."""
+        return polish_switches(self.minimizer) if self.minimizer.dim == 2 else None
 
     @cached_property
     def area(self) -> float | None:
@@ -519,7 +703,7 @@ def _descend(
     width: float,
     start_values: GridFn,
     cfg: MinimizeConfig,
-) -> tuple[AdmissibleR, float, int, bool, SolveStats]:
+) -> tuple[AdmissibleR, int, bool, SolveStats]:
     """Projected gradient descent with a doubling step.
 
     phi is concave and the projection exact, so every projected step lowers
@@ -562,7 +746,7 @@ def _descend(
         eta = min(eta * 2.0, eta_max)
     stats = SolveStats(len(newton_steps), sum(newton_steps), max(newton_steps), line_searches)
     r = AdmissibleR(width, ws.grid, ws.max_degree, x)
-    return r, phi_cur, iterations, converged, stats
+    return r, iterations, converged, stats
 
 
 def minimize_restarts(
@@ -585,8 +769,8 @@ def minimize_restarts(
     results = []
     for i in range(cfg.restarts):
         start = _initial_values(ws, width, np.random.default_rng([seed, i]))
-        r, ph, its, conv, stats = _descend(ws, width, start, cfg)
-        results.append(OptimizationResult(r, ph, its, seed, i, conv, stats))
+        r, its, conv, stats = _descend(ws, width, start, cfg)
+        results.append(OptimizationResult(r, its, seed, i, conv, stats))
     return results
 
 
@@ -615,19 +799,29 @@ def minimize(
 
 
 def result_to_json(result: OptimizationResult, timestamp: str | None = None) -> str:
-    """Serialize a result; key order and float reprs are deterministic."""
+    """Serialize a result; key order and float reprs are deterministic.
+
+    When the switch polish converged, the file holds the polished body:
+    "switches", its closed-form window as "coeffs", and that window's phi and
+    area. Otherwise "coeffs" is the minimizer's own window.
+    """
     r = result.minimizer
+    polish = result.polish
+    exact = polish is not None and polish.declined is None
     payload: dict = {
         "dim": r.dim,
         "width": float(r.width),
-        "phi": result.phi_value,
-        "area": result.area,
+        "phi": polish.phi if exact else result.phi_value,
+        "area": polish.area if exact else result.area,
         "iterations": result.iterations,
         "seed": result.seed,
         "violation": result.bangbang_violation,
         "sign_consistency": result.sign_consistency,
-        "coeffs": shapeio.coeffs_to_entries(project_linear_H(r.coeffs)),
     }
+    if exact:
+        payload["switches"] = list(polish.switches)
+    window = polish.coeffs if exact else project_linear_H(r.coeffs)
+    payload["coeffs"] = shapeio.coeffs_to_entries(window)
     if result.equivalence_warning:
         payload["equivalence_warning"] = True
     if timestamp is not None:
@@ -650,11 +844,22 @@ def validate_result(f: shapeio.ResultFile) -> ValidationReport:
     residuals are zero), and phi is the Green form of coeffs to relative
     RESULT_RTOL. In dim 2 also area = pi B^2 / 4 + phi / 2 to the same, and
     the body that coeffs generates passes body2d.validate's constant-width
-    and closedness checks. coeffs is a truncated window of a bang-bang state,
-    so its samples overshoot the box wherever the state switches, by an
-    amount that depends on where the samples fall (0.137 * B in dim 2): the
-    box overshoot, and in dim 2 the convexity and curvature-bound residuals,
-    are reported as information, not gated.
+    check.
+
+    A dim-2 file with "switches" holds an exact bang-bang body, and these are
+    gated too, with no tolerance beyond rounding:
+    - switches: an odd count of angles in [0, pi) (residual: faults found);
+    - closure: the closure of body2d.switch_window, to CLOSURE_RTOL * B;
+    - closed-form: coeffs equal switch_window's window to relative RESULT_RTOL;
+    - convexity and curvature-bound: R read off the switches in their listed
+      order, from R = 0 on [0, theta_1) by jumps of +B, -B, ..., stays in
+      {0, B}; angles out of order push a piece to -B or 2B.
+
+    Otherwise coeffs is a truncated window of a grid state, whose samples
+    overshoot the box wherever the state switches, by an amount that depends
+    on where the samples fall (0.137 * B in dim 2): the box overshoot, and in
+    dim 2 the convexity and curvature-bound residuals, are reported as
+    information, not gated.
     """
     B, c = f.width, f.coeffs
     degs = c.degrees()
@@ -672,6 +877,21 @@ def validate_result(f: shapeio.ResultFile) -> ValidationReport:
     # the degree-1 check above reports that part; the resolvent is undefined on it
     window = c.with_values(np.where(degs == 1, 0.0, c.values))
     body = body2d.validate(body_from_deviation(B, apply_green(window)))
-    checks += [body.check("constant-width"), body.check("closedness")]
-    info = (body.check("convexity"), body.check("curvature-bound"))
-    return ValidationReport(tuple(checks), info=info)
+    checks.append(body.check("constant-width"))
+    if f.switches is None:
+        info = (body.check("convexity"), body.check("curvature-bound"))
+        return ValidationReport(tuple(checks), info=info)
+    theta = np.asarray(f.switches)
+    faults = (theta.size % 2 == 0) + int(np.sum((theta < 0.0) | (theta >= np.pi)))
+    exact, _, closure = switch_window(theta, B, c.max_degree)
+    jumps = switch_jumps(theta.size, B)
+    levels = np.concatenate(([0.0], np.cumsum(jumps[np.argsort(theta, kind="stable")])))
+    checks += [
+        CheckResult("switches", float(faults), 0.0),
+        CheckResult("closure", float(np.abs(closure).max()), CLOSURE_RTOL * B),
+        CheckResult("closed-form", float(np.abs(c.values - exact.values).max()),
+                    RESULT_RTOL * float(np.abs(exact.values).max())),
+        CheckResult("convexity", max(0.0, -float(levels.min())), 0.0),
+        CheckResult("curvature-bound", max(0.0, float(levels.max()) - B), 0.0),
+    ]
+    return ValidationReport(tuple(checks))

@@ -109,10 +109,12 @@ def test_optimize_writes_result_json(tmp_path, capsys):
         "seed",
         "violation",
         "sign_consistency",
+        "switches",
         "coeffs",
     ]
     assert payload["phi"] < 0
     assert payload["seed"] == 3
+    assert len(payload["switches"]) == 3
 
 
 def test_optimize_prints_plain_floats(capsys):
@@ -279,8 +281,9 @@ def test_validate_accepts_what_optimize_writes(dim, resolution, modes, tmp_path,
     assert cli.main(["validate", str(out)]) == 0
     report = capsys.readouterr().out
     assert "PASS odd-degrees" in report and "PASS phi" in report and "FAIL" not in report
-    # the window's box overshoot is printed, not gated
-    assert ("INFO convexity" if dim == 2 else "INFO box-bound") in report
+    # dim 2 writes the polished bang-bang body, whose convexity is exact and
+    # gated; the dim-3 window's box overshoot is printed, not gated
+    assert ("PASS convexity" if dim == 2 else "INFO box-bound") in report
 
     payload = json.loads(out.read_text())
     tampered = write(tmp_path / "phi.json", dict(payload, phi=payload["phi"] * (1 + 1e-9)))
@@ -305,6 +308,48 @@ def test_validate_result_checks_area_and_degree_one(tmp_path, capsys):
     assert "FAIL translation-orthogonality" in capsys.readouterr().out
     missing = write(tmp_path / "seed.json", {k: v for k, v in payload.items() if k != "seed"})
     assert cli.main(["validate", missing]) == 2
+    assert "result keys must be" in capsys.readouterr().err
+
+
+def test_validate_gates_the_switches_of_a_result(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert cli.main(OPT_FLAGS + ["--out", str(out)]) == 0
+    assert "switch polish: switches=3" in capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    t1, t2, t3 = payload["switches"]
+    tampered = {
+        "closure": [t1, t2 + 1e-6, t3],  # the coeffs no longer match either
+        "switches": [t1, t2],
+        "convexity": [t2, t1, t3],  # out of order: R dips to -B
+        "curvature-bound": [t1, t3, t2],  # and rises to 2B
+    }
+    for check, angles in tampered.items():
+        assert cli.main(["validate", write(tmp_path / "t.json", dict(payload, switches=angles))]) == 1
+        report = capsys.readouterr().out
+        assert f"FAIL {check}:" in report
+    moved = [dict(e, value=e["value"] * (1 + 1e-9)) if e["degree"] == 3 else e
+             for e in payload["coeffs"]]
+    assert cli.main(["validate", write(tmp_path / "c.json", dict(payload, coeffs=moved))]) == 1
+    assert "FAIL closed-form" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "switches", ["0.5", [0.5, "1.0", 2.0], [0.5, None], [0.1] * 256],
+    ids=["not-a-list", "text-angle", "null-angle", "too-many"])
+def test_reader_refuses_malformed_switches(switches, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert cli.main(OPT_FLAGS + ["--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert cli.main(["validate", write(tmp_path / "m.json", dict(payload, switches=switches))]) == 2
+    assert "switch" in capsys.readouterr().err
+
+
+def test_reader_refuses_switches_in_dim3(tmp_path, capsys):
+    out = tmp_path / "r3.json"
+    assert cli.main(["optimize", "--dim", "3", "--grid", "16", "--modes", "7", "--restarts", "1",
+                     "--out", str(out)]) == 0
+    payload = dict(json.loads(out.read_text()), switches=[0.5])
+    assert cli.main(["validate", write(tmp_path / "s3.json", payload)]) == 2
     assert "result keys must be" in capsys.readouterr().err
 
 

@@ -42,12 +42,15 @@ from orbiform.variational import (
     minimize_restarts,
     phi,
     phi_gradient,
+    polish_switches,
     project_admissible,
     result_to_json,
     support_deviation,
+    validate_result,
 )
+from orbiform.shapeio import loads_shape
 
-from oracles import TRIANGLE_PHI, square_wave_cos_coeff
+from oracles import TRIANGLE_AREA, TRIANGLE_PHI, square_wave_cos_coeff
 
 
 @pytest.fixture(scope="module")
@@ -250,15 +253,21 @@ def test_project_output_is_exactly_antisymmetric(grid2_256, grid3_16, rng):
 
 def test_project_pairs_cover_odd_polar_grid(rng):
     # 5 polar rows of 10 nodes: the middle row is the equator, and its
-    # antipodal pairs lie within the row
+    # antipodal pairs lie within the row. The projection keeps the first half
+    # of the nodes, a slice; each must be the smaller index of its pair
+    for other in (make_grid(2, 64), make_grid(3, 16)):
+        ws = variational._workspace_for(other, 3)
+        assert np.array_equal(ws.pair, other.antipode_index[: ws.half])
+        assert np.all(np.arange(ws.half) < ws.pair)
     grid = make_grid(3, 10)
     ws = variational._workspace_for(grid, 3)
-    assert ws.half.size == grid.size // 2
-    assert np.array_equal(ws.pair, grid.antipode_index[ws.half])
-    assert np.array_equal(np.sort(np.concatenate((ws.half, ws.pair))), np.arange(grid.size))
-    assert np.all(ws.half < ws.pair)
+    half = np.arange(ws.half)
+    assert ws.half == grid.size // 2
+    assert np.array_equal(ws.pair, grid.antipode_index[half])
+    assert np.array_equal(np.sort(np.concatenate((half, ws.pair))), np.arange(grid.size))
+    assert np.all(half < ws.pair)
     equator = 20 + np.arange(10)
-    assert np.array_equal(np.intersect1d(ws.half, equator), equator[:5])
+    assert np.array_equal(np.intersect1d(half, equator), equator[:5])
     r = project_admissible(rng.normal(0.0, 2.0, grid.size), 1.0, grid, 3)
     assert isinstance(r, AdmissibleR)
     assert np.max(np.abs(r.values)) == pytest.approx(1.0, abs=1e-12)
@@ -551,11 +560,15 @@ def test_result_derives_area_and_bang_bang_from_its_minimizer(grid240, monkeypat
         return bang_bang_report(r, *args)
 
     monkeypatch.setattr(variational, "bang_bang_report", counting)
+    polished = []
+    monkeypatch.setattr(variational, "polish_switches",
+                        lambda r, real=polish_switches: polished.append(r) or real(r))
     results = minimize_restarts(1.0, make_grid(2, 128), 32, seed=4, config=SMALL)
-    assert reports == []  # nothing is computed for the restarts that lose
+    assert reports == [] and polished == []  # nothing is computed for the restarts that lose
     best = best_restart(results)
     assert best.bangbang_violation < 0.05 and best.sign_consistency > 0.95
     assert reports == [best.minimizer]  # one report gives both fractions
+    assert best.polish is best.polish and polished == [best.minimizer]
 
     half = admissible_from_values(1.0, grid240, 60, 0.5 * triangle_values(grid240))
     other = replace(best, minimizer=half)
@@ -586,6 +599,7 @@ def test_result_json_schema():
         "seed",
         "violation",
         "sign_consistency",
+        "switches",
         "coeffs",
     ]
     assert payload["seed"] == 1
@@ -639,19 +653,102 @@ def test_minimize_reports_projection_stats_outside_the_json():
     assert sum(r.stats.newton_steps for r in results) > 0
 
 
-def test_result_rejects_positive_phi(grid240):
-    from orbiform.variational import OptimizationResult
+def test_result_derives_phi_from_its_minimizer(grid240):
+    init = {f.name for f in fields(OptimizationResult) if f.init}
+    assert not init & {"phi_value", "polish"}
+    best = minimize(1.0, make_grid(2, 128), 32, seed=4, config=SMALL)
+    assert best.phi_value == phi(best.minimizer) < 0.0
+    half = admissible_from_values(1.0, grid240, 60, 0.5 * triangle_values(grid240))
+    other = replace(best, minimizer=half)
+    assert other.phi_value == phi(half) > best.phi_value  # no stale phi
 
+
+# ---------------------------------------------------------------- switch polish
+
+
+def test_polish_reaches_the_truncated_triangle(grid2_512):
+    # the exact triangle truncated at L = 255, from the oracle's square-wave
+    # integrals: the floor that no grid size reaches
+    ks = np.arange(3, 256, 2)
+    floor_phi = sum(square_wave_cos_coeff(3, 1.0, int(k)) ** 2 / (1.0 - k * k) for k in ks)
+    floor = (np.pi / 4 + 0.5 * floor_phi - TRIANGLE_AREA) / TRIANGLE_AREA
+    assert floor == pytest.approx(2.629e-8, rel=1e-3)
+    res = minimize(1.0, grid2_512, 255, seed=7, config=MinimizeConfig(restarts=16))
+    p = res.polish
+    assert p.declined is None and len(p.switches) == 3 and p.steps <= 5
+    excess = (p.area - TRIANGLE_AREA) / TRIANGLE_AREA
+    assert excess == pytest.approx(floor, rel=0.01)
+    assert 0.0 < excess < (res.area - TRIANGLE_AREA) / TRIANGLE_AREA / 400
+    assert np.allclose(np.diff(p.switches), np.pi / 3, rtol=0.0, atol=1e-12)
+    assert p.closure <= 1e-14 and p.stationarity <= 1e-14
+    assert p.phi == quadratic_form_green(p.coeffs) < res.phi_value
+    # oriented by the mean of the angles read off the samples' sign changes
+    x = res.minimizer.values[:257]
+    assert x[0] < 0.0  # no turn by pi
+    c = np.flatnonzero((x[1:] > 0.0) != (x[:-1] > 0.0))
+    read = (c + x[c] / (x[c] - x[c + 1])) * (2.0 * np.pi / 512)
+    assert np.mean(p.switches) == pytest.approx(np.mean(read), rel=0.0, abs=1e-13)
+
+
+def test_polish_declines_a_state_that_is_not_bang_bang(grid240):
+    half = admissible_from_values(1.0, grid240, 60, 0.5 * triangle_values(grid240))
+    p = polish_switches(half)
+    assert p.declined.startswith("not bang-bang")
+    assert p.switches is None and p.coeffs is None
+    res = minimize(1.0, make_grid(2, 128), 32, seed=4, config=SMALL)
+    other = replace(res, minimizer=half)
+    assert other.polish.declined == p.declined
+    # no switches without a converged polish: the file holds the window, and
+    # its sampled convexity is information
+    assert "switches" not in json.loads(result_to_json(other))
+    report = validate_result(loads_shape(result_to_json(other)))
+    assert report.valid and "INFO convexity" in report.summary()
+
+
+def test_polish_turns_a_state_positive_at_zero_by_pi():
+    r = minimize(1.0, make_grid(2, 128), 32, seed=4, config=SMALL).minimizer
+    polished = []
+    for values in (r.values, -r.values):
+        flipped = admissible_from_values(1.0, r.grid, 32, values)
+        p = polish_switches(flipped)
+        assert p.declined is None and 0.0 <= p.switches[0] < p.switches[-1] < np.pi
+        text = result_to_json(OptimizationResult(flipped, 1, 0, 0, True))
+        assert validate_result(loads_shape(text)).valid
+        polished.append(p)
+    # the turn by pi keeps the switch angles and the body
+    assert polished[0].switches == polished[1].switches
+    assert np.array_equal(polished[0].coeffs.values, polished[1].coeffs.values)
+
+
+def test_polish_declines_above_an_aliased_grid_minimum(grid240):
+    # samples of the exact triangle with a node on every switch: their
+    # trapezoid window reads a phi below that of any exact body at L = 60
     r = admissible_from_values(1.0, grid240, 60, triangle_values(grid240))
-    with pytest.raises(ValueError):
-        OptimizationResult(
-            minimizer=r,
-            phi_value=0.5,
-            iterations=1,
-            seed=0,
-            restart_index=0,
-            converged=True,
-        )
+    p = polish_switches(r)
+    assert p.declined.startswith("phi_L") and "not below the grid minimizer's" in p.declined
+    assert p.switches is None
+
+
+def test_half_turn_list_gives_the_point_reflection():
+    from orbiform.body2d import switch_window
+
+    for theta in ([-0.05, 1.0, 2.2], [0.4, 1.5, np.pi + 0.02], [0.1, 0.5, 1.2, 2.0, 3.0]):
+        theta = np.array(theta)
+        listed, turned = variational._half_turn_list(theta)
+        assert turned == (theta[0] < 0.0 or theta[-1] >= np.pi)
+        assert 0.0 <= listed[0] and np.all(np.diff(listed) > 0.0) and listed[-1] < np.pi
+        window, _, closure = switch_window(theta, 1.3, 31)
+        again, _, closure_again = switch_window(listed, 1.3, 31)
+        sign = -1.0 if turned else 1.0
+        assert np.allclose(again.values, sign * window.values, rtol=0.0, atol=1e-14)
+        assert np.allclose(closure_again, sign * closure, rtol=0.0, atol=1e-14)
+
+
+def test_polish_is_dim2_only(grid3_16):
+    res = minimize(1.0, grid3_16, 7, seed=2, config=MinimizeConfig(restarts=1))
+    assert res.polish is None
+    with pytest.raises(ValueError, match="dim 2"):
+        polish_switches(res.minimizer)
 
 
 @settings(deadline=None, max_examples=10)
