@@ -26,7 +26,6 @@ from .harmonic_core import (
     TWO_PI,
     apply_green,
     coeff_degrees,
-    degree_one_residual,
     differentiate,
     index2,
     make_grid,
@@ -67,7 +66,6 @@ class SupportBody:
 
     width: float
     support_coeffs: SpectralCoeffs
-    canonical: bool = False  # when set, validate() also checks zero degree-1
 
     def __post_init__(self):
         if not np.isfinite(self.width) or self.width <= 0:
@@ -84,16 +82,16 @@ def disk(width: float) -> SupportBody:
     """The disk of the given width (radius width/2)."""
     c = zero_coeffs(2, 0).values.copy()
     c[0] = 0.5 * width / MEAN_BASIS
-    return SupportBody(width, SpectralCoeffs(2, 0, c), canonical=True)
+    return SupportBody(width, SpectralCoeffs(2, 0, c))
 
 
-def body_from_deviation(width: float, deviation: SpectralCoeffs, canonical: bool = False) -> SupportBody:
+def body_from_deviation(width: float, deviation: SpectralCoeffs) -> SupportBody:
     """Assemble p = width/2 + deviation from a mean-free deviation expansion."""
     if deviation.dim != 2:
         raise ValueError("deviation must be dim-2 coefficients")
     vals = deviation.values.copy()
     vals[0] += 0.5 * width / MEAN_BASIS
-    return SupportBody(width, deviation.with_values(vals), canonical=canonical)
+    return SupportBody(width, deviation.with_values(vals))
 
 
 def curvature_coeffs(body: SupportBody) -> SpectralCoeffs:
@@ -108,9 +106,7 @@ def switch_jumps(count: int, width: float) -> np.ndarray:
     return width * (-1.0) ** np.arange(count)
 
 
-def switch_window(
-    switches, width: float, max_degree: int
-) -> tuple[SpectralCoeffs, np.ndarray, np.ndarray]:
+def switch_window(switches, width: float, max_degree: int) -> tuple[SpectralCoeffs, np.ndarray]:
     """Closed form of a bang-bang curvature deviation, from its switch angles.
 
     The deviation R - B/2 is -B/2 on [0, theta_1) and jumps by J_j = +B, -B,
@@ -118,11 +114,9 @@ def switch_window(
     antipodal antisymmetry gives the jumps -J_j at theta_j + pi, so R takes
     only the values 0 and B. Integrating by parts, its (cos, sin) coefficient
     pair at odd degree k is (2 / (k sqrt(pi))) sum_j J_j (-sin k theta_j,
-    cos k theta_j), and zero at even k. Returns (coeffs, d_coeffs, closure):
+    cos k theta_j), and zero at even k. Returns (coeffs, closure):
 
     - coeffs: that window at odd degrees 3..max_degree, exact zeros elsewhere;
-    - d_coeffs: shape (coefficients, n), the derivative of coeffs in theta_j
-      in column j;
     - closure: sum_j J_j (sin theta_j, cos theta_j), which is sqrt(pi) / 2
       times the degree-1 pair up to sign: zero exactly when the boundary closes.
 
@@ -133,16 +127,12 @@ def switch_window(
     jumps = switch_jumps(theta.size, width)
     k = np.arange(3, max_degree + 1, 2)
     kt = np.multiply.outer(k, theta)
-    cos, sin = np.cos(kt), np.sin(kt)
     scale = 2.0 / SQRT_PI
     values = np.zeros(num_coeffs(2, max_degree))
-    values[2 * k - 1] = -scale * (sin @ jumps) / k
-    values[2 * k] = scale * (cos @ jumps) / k
-    d_values = np.zeros((values.size, theta.size))
-    d_values[2 * k - 1] = -scale * cos * jumps
-    d_values[2 * k] = -scale * sin * jumps
+    values[2 * k - 1] = -scale * (np.sin(kt) @ jumps) / k
+    values[2 * k] = scale * (np.cos(kt) @ jumps) / k
     closure = np.array([jumps @ np.sin(theta), jumps @ np.cos(theta)])
-    return SpectralCoeffs(2, max_degree, values), d_values, closure
+    return SpectralCoeffs(2, max_degree, values), closure
 
 
 def _eval2(coeffs: SpectralCoeffs, omega) -> np.ndarray | float:
@@ -305,8 +295,6 @@ def validate(body: SupportBody, convexity_tol: float | None = None) -> Validatio
         CheckResult("convexity", max(0.0, -float(np.min(r_vals))), convexity_tol),
         CheckResult("curvature-bound", max(0.0, float(np.max(r_vals)) - B), convexity_tol),
     ]
-    if body.canonical:
-        checks.append(CheckResult("canonical", degree_one_residual(c), 1e-12 * B))
     return ValidationReport(tuple(checks))
 
 
@@ -336,4 +324,4 @@ def random_body(
     peak = float(np.max(np.abs(vals)))
     if peak > 0:
         rc = rc.with_values(rc.values * ((0.5 - margin) * width / peak))
-    return body_from_deviation(width, apply_green(rc), canonical=True)
+    return body_from_deviation(width, apply_green(rc))

@@ -137,7 +137,7 @@ def to_body(spec: ReuleauxSpec, max_degree: int) -> SupportBody:
             f"max_degree {max_degree} too small for {spec.sides} sides; need >= {4 * spec.sides}"
         )
     p_dev = apply_green(deviation_coeffs(spec, max_degree))
-    return body_from_deviation(spec.width, p_dev, canonical=True)
+    return body_from_deviation(spec.width, p_dev)
 
 
 def closed_area(spec: ReuleauxSpec) -> float:

@@ -46,7 +46,7 @@ __all__ = [
 # table, 128 MiB at degree 255 and growing as L^3, held only while its grid lives
 MAX_DEGREE_2D, MAX_DEGREE_3D = 4096, 255
 # most switch angles a result file may hold; validate's closed form of them
-# peaks at 36 MiB with degree 4096, growing as the count times the degree
+# peaks at 8.4 MiB with degree 4096, growing as the count times the degree
 MAX_SWITCHES = 255
 RESULT_KEYS = ("dim", "width", "phi", "area", "iterations", "seed", "violation",
                "sign_consistency", "coeffs")

@@ -311,6 +311,19 @@ def test_validate_result_checks_area_and_degree_one(tmp_path, capsys):
     assert "result keys must be" in capsys.readouterr().err
 
 
+def test_optimize_on_a_grid_with_nodes_on_the_switches_writes_the_polished_body(tmp_path, capsys):
+    # grid 96 puts nodes on the triangle's switches, where the grid's window
+    # reads an area below (pi - sqrt(3)) / 2; the file holds the exact body
+    out = tmp_path / "f.json"
+    flags = ["--grid", "96", "--modes", "20", "--restarts", "4", "--seed", "7"]
+    assert cli.main(["optimize", *flags, "--out", str(out)]) == 0
+    assert "switch polish: switches=3" in capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    assert len(payload["switches"]) == 3
+    assert payload["area"] > (np.pi - np.sqrt(3.0)) / 2
+    assert cli.main(["validate", str(out)]) == 0
+
+
 def test_validate_gates_the_switches_of_a_result(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert cli.main(OPT_FLAGS + ["--out", str(out)]) == 0

@@ -3,6 +3,7 @@
 import gc
 import inspect
 import json
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -25,7 +26,7 @@ from orbiform.harmonic_core import (
     zero_coeffs,
 )
 from orbiform import harmonic_core, variational
-from orbiform.body2d import area_spectral, body_from_deviation
+from orbiform.body2d import area_spectral, body_from_deviation, switch_window
 from orbiform.reuleaux import deviation_coeffs, make_spec
 from orbiform.variational import (
     AdmissibleR,
@@ -48,7 +49,7 @@ from orbiform.variational import (
     support_deviation,
     validate_result,
 )
-from orbiform.shapeio import loads_shape
+from orbiform.shapeio import ResultFile, loads_shape
 
 from oracles import TRIANGLE_AREA, TRIANGLE_PHI, square_wave_cos_coeff
 
@@ -720,25 +721,67 @@ def test_polish_turns_a_state_positive_at_zero_by_pi():
     assert np.array_equal(polished[0].coeffs.values, polished[1].coeffs.values)
 
 
-def test_polish_declines_above_an_aliased_grid_minimum(grid240):
+def test_polish_of_an_aliased_grid_minimum_is_the_truncated_triangle(grid240):
     # samples of the exact triangle with a node on every switch: their
-    # trapezoid window reads a phi below that of any exact body at L = 60
+    # trapezoid window reads a phi below that of any exact body at L = 60,
+    # and the polish still gives the exact triangle truncated at L = 60
     r = admissible_from_values(1.0, grid240, 60, triangle_values(grid240))
+    assert phi(r) < TRIANGLE_PHI
     p = polish_switches(r)
-    assert p.declined.startswith("phi_L") and "not below the grid minimizer's" in p.declined
-    assert p.switches is None
+    assert p.declined is None and len(p.switches) == 3
+    ks = np.arange(3, 61, 2)
+    floor_phi = sum(square_wave_cos_coeff(3, 1.0, int(k)) ** 2 / (1.0 - k * k) for k in ks)
+    assert p.area > TRIANGLE_AREA
+    assert p.area == pytest.approx(np.pi / 4 + 0.5 * floor_phi, rel=1e-13)
+    text = result_to_json(OptimizationResult(r, 1, 0, 0, True))
+    assert json.loads(text)["switches"] == list(p.switches)
+    assert validate_result(loads_shape(text)).valid
+
+
+def test_switch_residuals_jacobian_matches_finite_differences(rng):
+    theta = np.sort(rng.uniform(0.0, np.pi, 5))
+    lam = rng.normal(0.0, 0.1, 2)
+    resid, jac, window = variational._switch_residuals(theta, lam, 1.3, 40)
+    h = 1e-6
+    x = np.concatenate((theta, lam))
+    for j in range(x.size):
+        up, down = x.copy(), x.copy()
+        up[j] += h
+        down[j] -= h
+        r_up = variational._switch_residuals(up[:5], up[5:], 1.3, 40)[0]
+        r_down = variational._switch_residuals(down[:5], down[5:], 1.3, 40)[0]
+        assert np.allclose(jac[:, j], (r_up - r_down) / (2 * h), rtol=0.0, atol=1e-8)
+    # even degrees and degree 1 are exact zeros; the degree-1 part of the
+    # full wave is what the closure residuals measure
+    assert np.all(window.values[[0, 1, 2]] == 0.0) and np.all(window.values[3::4] == 0.0)
+    assert np.all(window.values[4::4] == 0.0) and np.abs(resid[5:]).max() > 0.01
+
+
+def test_validate_result_of_a_switch_file_at_the_reader_caps_stays_small():
+    # 255 regular switches at degree 4096; a (2L + 1) x n matrix of the
+    # window's derivatives in the angles alone would take 16 MiB
+    theta = (2 * np.arange(1, 256) - 1) * np.pi / 510
+    window = switch_window(theta, 1.0, 4096)[0]
+    green = quadratic_form_green(window)
+    f = ResultFile(2, 1.0, window, green, np.pi / 4 + 0.5 * green, tuple(theta.tolist()))
+    tracemalloc.start()
+    try:
+        report = validate_result(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.valid
+    assert peak < 16 * 2**20
 
 
 def test_half_turn_list_gives_the_point_reflection():
-    from orbiform.body2d import switch_window
-
     for theta in ([-0.05, 1.0, 2.2], [0.4, 1.5, np.pi + 0.02], [0.1, 0.5, 1.2, 2.0, 3.0]):
         theta = np.array(theta)
         listed, turned = variational._half_turn_list(theta)
         assert turned == (theta[0] < 0.0 or theta[-1] >= np.pi)
         assert 0.0 <= listed[0] and np.all(np.diff(listed) > 0.0) and listed[-1] < np.pi
-        window, _, closure = switch_window(theta, 1.3, 31)
-        again, _, closure_again = switch_window(listed, 1.3, 31)
+        window, closure = switch_window(theta, 1.3, 31)
+        again, closure_again = switch_window(listed, 1.3, 31)
         sign = -1.0 if turned else 1.0
         assert np.allclose(again.values, sign * window.values, rtol=0.0, atol=1e-14)
         assert np.allclose(closure_again, sign * closure, rtol=0.0, atol=1e-14)
