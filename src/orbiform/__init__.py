@@ -27,12 +27,12 @@ _EXPORTS = {
     "body2d": (
         "SupportBody", "ValidationReport", "area_quadrature", "area_spectral",
         "body_from_deviation", "boundary", "boundary_point", "curvature_coeffs", "disk",
-        "eval_curvature_radius", "eval_support", "perimeter", "random_body", "switch_window",
-        "validate",
+        "eval_curvature_radius", "eval_support", "perimeter", "random_body", "switch_support",
+        "switch_window", "validate",
     ),
     "reuleaux": (
         "ReuleauxSpec", "area_table", "closed_area", "curvature_square_wave",
-        "format_area_table_csv", "make_spec", "support_piecewise", "to_body",
+        "format_area_table_csv", "make_spec", "to_body",
     ),
     "variational": (
         "AdmissibleR", "BangBangReport", "MinimizeConfig", "NumericalFailure",

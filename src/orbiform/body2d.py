@@ -9,7 +9,8 @@ constant-width relation forces 0 <= R <= B. validate reports these
 invariants as CheckResults with width-scaled tolerances; area_spectral refuses
 a curvature radius with a degree-1 part (harmonic_core.require_translation_free).
 switch_window is the closed form of a bang-bang curvature, R in {0, B} with
-finitely many switches, which is what the minimizers of the area are.
+finitely many switches, which is what the minimizers of the area are;
+switch_support is that body's support with no band limit (switch_kernel).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harmonic_core import (
-    GridFn,
     SQRT_PI,
     SpectralCoeffs,
     SphereGrid,
@@ -53,6 +53,8 @@ __all__ = [
     "perimeter",
     "switch_jumps",
     "switch_window",
+    "switch_kernel",
+    "switch_support",
     "validate",
     "random_body",
 ]
@@ -133,6 +135,30 @@ def switch_window(switches, width: float, max_degree: int) -> tuple[SpectralCoef
     values[2 * k] = scale * (np.cos(kt) @ jumps) / k
     closure = np.array([jumps @ np.sin(theta), jumps @ np.cos(theta)])
     return SpectralCoeffs(2, max_degree, values), closure
+
+
+def switch_kernel(x):
+    """(S'(x), S''(x)) for |x| <= pi. S(x) = sum over odd k >= 3 of cos(k x) /
+    (k^2 (1 - k^2)) = (pi/8)(pi - 2|x|) - cos x - (cos x + (2|x| - pi) sin|x|)/4,
+    by 1/(k^2 (1 - k^2)) = 1/k^2 - 1/(k^2 - 1) and the two odd-k cosine series.
+    The Green form of a switch list is (4/pi) sum_ij J_i J_j S(theta_i - theta_j)."""
+    a = np.abs(x)
+    cos, sin = np.cos(a), np.sin(a)
+    u = 2.0 * a - np.pi
+    return np.sign(x) * (0.75 * sin - 0.25 * u * cos - 0.25 * np.pi), 0.25 * (cos + u * sin)
+
+
+def switch_support(switches, width: float, omega) -> np.ndarray | float:
+    """Band-free mean-free support of a closed switch body at any real angles:
+    pbar(w) = -(2/pi) sum_k J_k S'(w - theta_k) for w mod 2 pi in [0, pi), and
+    pbar(w + pi) = -pbar(w). S has no degree 1, so a list that does not close
+    gives the support of its window's degrees >= 3."""
+    theta = np.asarray(switches, dtype=float)
+    om = np.mod(omega, TWO_PI)
+    upper = om >= np.pi
+    ds, _ = switch_kernel(np.subtract.outer(np.where(upper, om - np.pi, om), theta))
+    p = np.where(upper, 2.0, -2.0) / np.pi * (ds @ switch_jumps(theta.size, width))
+    return float(p) if p.ndim == 0 else p
 
 
 def _eval2(coeffs: SpectralCoeffs, omega) -> np.ndarray | float:

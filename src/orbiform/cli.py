@@ -20,14 +20,16 @@ shapeio.loads_shape tells apart by its phi key.
 optimize prints one line per restart (phi, iterations, converged, projection
 work: projections, newton_steps, max_newton_steps, line_searches), in dim 2
 or 3, then reports the restart that variational.best_restart picks, as
-minimize does. In dim 2 it then prints the certificate of that restart's
-switch polish (variational.polish_switches): the switch count, its Newton
-steps, the closure residual over B and max |pbar_L + l| over B at the
-switches, and the polished area, or the reason the polish declined. --out
-writes the restart as result JSON, with the polished body when there is one.
+minimize does. In dim 2 it prints that restart's grid area (before the
+polish), then the certificate of its switch polish (polish_switches): the
+switch count, Newton steps, closure over B and max |pbar + l| over B at the
+switches, and the polished area, or why it declined. --out writes the
+restart as result JSON, with the polished body when there is one.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage or malformed input,
-3 numerical failure, 4 regression (an internal cross-check went wrong).
+3 numerical failure, 4 regression (an internal cross-check went wrong),
+141 stdout closed before the output was written (a reader such as head
+exited; no traceback).
 All file output is written to a temp file and renamed into place, so failures
 leave no partial files. Identical flags and seed produce identical bytes;
 --timestamp opts into a nondeterministic field.
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -50,6 +53,7 @@ EXIT_INVARIANT = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_REGRESSION = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process that a closed pipe ended
 
 TRIANGLE_AREA = 0.5 * (math.pi - math.sqrt(3.0))  # width-1 benchmark
 # accepted --width range: the problem is scale-free (B only scales the answer);
@@ -232,8 +236,8 @@ def _cmd_optimize(args) -> int:
     if args.dim == 2:
         bench = TRIANGLE_AREA * args.width**2
         excess = (result.area - bench) / bench
-        print(f"area={result.area!r}")
-        print(f"benchmark (odd 3-gon, same width): {bench!r}  excess={100 * excess:.4f}%")
+        print(f"grid area={result.area!r}")
+        print(f"benchmark (odd 3-gon, same width): {bench!r}  grid excess={100 * excess:.4f}%")
         polish = result.polish
         if polish.declined is None:
             print(f"switch polish: switches={len(polish.switches)} newton_steps={polish.steps} "
@@ -321,4 +325,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe raises here at the latest, not at exit
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so that Python's own
+        # flush at exit finds nothing to write (recipe of the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)

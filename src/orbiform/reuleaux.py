@@ -3,10 +3,10 @@
 An n-sided Reuleaux polygon of width B (n odd) alternates, as the normal angle
 sweeps the circle, between corner windows where the curvature radius vanishes
 and arc windows where it equals B. Each window spans pi/n; with the support
-maximum placed at angle 0 the switch angles sit at odd multiples of
-alpha = pi/(2n). On the corner windows the mean-free support is
-(m + B/2) cos(w - c) - B/2 about the window center c, reflected with flipped
-sign on the arc windows, where the corner amplitude m solves
+maximum placed at angle 0 the switch angles (ReuleauxSpec.switches) sit at
+odd multiples of alpha = pi/(2n), so the polygon is the regular case of
+body2d's bang-bang bodies and body2d.switch_support gives its support at any
+angle. That support peaks at the corner amplitude m, where
 cos(alpha) = B / (2m + B).
 
 The curvature radius is therefore an exact square wave taking {0, B}, whose
@@ -34,7 +34,6 @@ if TYPE_CHECKING:
 __all__ = [
     "ReuleauxSpec",
     "make_spec",
-    "support_piecewise",
     "curvature_square_wave",
     "to_body",
     "closed_area",
@@ -66,44 +65,24 @@ class ReuleauxSpec:
     def amplitude(self) -> float:
         return 0.5 * self.width * (1.0 / math.cos(self.switch_angle) - 1.0)
 
+    @property
+    def switches(self) -> tuple[float, ...]:
+        """(2j - 1) alpha for j = 1..sides, in body2d's switch convention."""
+        return tuple((2 * j - 1) * self.switch_angle for j in range(1, self.sides + 1))
+
 
 def make_spec(sides: int, width: float) -> ReuleauxSpec:
     return ReuleauxSpec(sides, width)
 
 
-def _window_decomposition(spec: ReuleauxSpec, omega) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Split angles into (local offset from window center, odd-window mask)."""
-    import numpy as np
-
-    om = np.asarray(omega, dtype=float)
-    scalar = om.ndim == 0
-    om = np.atleast_1d(om)
-    two_alpha = 2.0 * spec.switch_angle
-    # windows are [(2k-1) alpha, (2k+1) alpha), half-open at the upper switch
-    k = np.floor((om + spec.switch_angle) / two_alpha)
-    local = om - k * two_alpha
-    odd = (k.astype(np.int64) % 2) != 0
-    return local, odd, scalar
-
-
-def support_piecewise(spec: ReuleauxSpec, omega) -> np.ndarray | float:
-    """Mean-free support value(s): the full support function is width/2 + this."""
-    import numpy as np
-
-    local, odd, scalar = _window_decomposition(spec, omega)
-    amp = spec.amplitude + 0.5 * spec.width
-    vals = amp * np.cos(local) - 0.5 * spec.width
-    vals[odd] = -vals[odd]
-    return float(vals[0]) if scalar else vals
-
-
 def curvature_square_wave(spec: ReuleauxSpec, omega) -> np.ndarray | float:
-    """Curvature radius: exactly 0 on corner windows, exactly width on arc windows."""
+    """Curvature radius: exactly 0 on the corner windows [(2k-1) alpha,
+    (2k+1) alpha) of even k, exactly width on the arc windows of odd k."""
     import numpy as np
 
-    _, odd, scalar = _window_decomposition(spec, omega)
-    vals = np.where(odd, spec.width, 0.0)
-    return float(vals[0]) if scalar else vals
+    k = np.floor((np.asarray(omega, dtype=float) + spec.switch_angle) / (2.0 * spec.switch_angle))
+    vals = np.where(k % 2 != 0, spec.width, 0.0)
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def deviation_coeffs(spec: ReuleauxSpec, max_degree: int) -> SpectralCoeffs:

@@ -26,8 +26,8 @@ restart reports its projection work in OptimizationResult.stats.
 On a grid a switch of the bang-bang minimizer can sit only at a node, so in
 dim 2 the descent's answer approaches the truth only as N^-2.
 polish_switches takes the winning restart's switch angles off the grid: it
-solves the first-order conditions of phi over the angles of
-body2d.switch_window, with the closure of the boundary as a constraint, by
+solves the band-free first-order conditions of phi over the switch angles
+(body2d.switch_kernel), with the closure of the boundary as a constraint, by
 Newton's method (switching-time optimization in bang-bang control). The
 result then carries the exact body it certifies, OptimizationResult.polish.
 """
@@ -48,11 +48,11 @@ from .body2d import (
     area_spectral,
     body_from_deviation,
     switch_jumps,
+    switch_kernel,
     switch_window,
 )
 from .harmonic_core import (
     GridFn,
-    SQRT_PI,
     SpectralCoeffs,
     SPHERE_AREA,
     SphereGrid,
@@ -478,7 +478,7 @@ class SwitchPolish:
     body turned by pi, whichever has R = 0 just after angle 0), coeffs their
     closed-form window at the minimizer's band limit, phi its Green form and
     area pi B^2 / 4 + phi / 2. closure and stationarity are the certificate,
-    both over B: the largest closure component, and max_j |pbar_L(theta_j) +
+    both over B: the largest closure component, and max_j |pbar(theta_j) +
     l(theta_j)| with l the degree-1 multiplier of the closure. Otherwise
     declined says why, and the fields after steps are None: no declined
     polish reports switches.
@@ -494,36 +494,30 @@ class SwitchPolish:
     stationarity: float | None = None
 
 
-def _switch_residuals(theta: np.ndarray, lam: np.ndarray, width: float, max_degree: int):
-    """(residuals, Jacobian, window) of the polish's first-order system.
+def _switch_residuals(theta: np.ndarray, lam: np.ndarray, width: float):
+    """(residuals, Jacobian) of the polish's first-order system, band-free.
 
-    Residuals over the width: pbar_L(theta_j) + l(theta_j) for each switch,
-    with l = lam[0] cos + lam[1] sin, then the two closure components. The
-    Jacobian's columns are theta_1..theta_n, lam[0], lam[1]. Moving theta_j
-    moves the window's (cos, sin) pair at degree k by -(2 / sqrt(pi)) J_j
-    (cos k theta_j, sin k theta_j).
+    Residuals over the width: pbar(theta_j) + l(theta_j) (pbar of
+    body2d.switch_support, l = lam[0] cos + lam[1] sin), then the closure;
+    columns theta_1..theta_n, lam[0], lam[1]. For k != j, d pbar(theta_j) /
+    d theta_k = (2/pi) J_k S''(theta_j - theta_k); a rotation moves no
+    pbar(theta_j), so the diagonal is minus the rest of its row, plus l'.
+    S is in closed form for |theta_j - theta_k| <= pi: angles in circular order.
     """
     n = theta.size
-    window, closure = switch_window(theta, width, max_degree)
     jumps = switch_jumps(n, width)
-    k = np.arange(3, max_degree + 1, 2)
-    g = green_multipliers(2, max_degree)[k]
-    a, b = window.values[2 * k - 1], window.values[2 * k]
-    kt = np.multiply.outer(k, theta)
-    cos, sin = np.cos(kt), np.sin(kt)
-    scale = 2.0 / SQRT_PI
-    da, db = -scale * cos * jumps, -scale * sin * jumps
+    ds, dds = switch_kernel(np.subtract.outer(theta, theta))
     c1, s1 = np.cos(theta), np.sin(theta)
-    # pbar_L = sum_k g_k (a_k cos k w + b_k sin k w) / sqrt(pi), at the switches
-    pbar = ((g * a) @ cos + (g * b) @ sin) / SQRT_PI
-    dpbar = ((g * k * b) @ cos - (g * k * a) @ sin) / SQRT_PI
+    off = (2.0 / np.pi) * dds * jumps
+    np.fill_diagonal(off, 0.0)
     jac = np.zeros((n + 2, n + 2))
-    jac[:n, :n] = (cos.T @ (g[:, None] * da) + sin.T @ (g[:, None] * db)) / SQRT_PI
-    jac[:n, :n] += np.diag(dpbar - lam[0] * s1 + lam[1] * c1)
+    jac[:n, :n] = off + np.diag(-off.sum(axis=1) - lam[0] * s1 + lam[1] * c1)
     jac[:n, n], jac[:n, n + 1] = c1, s1
     jac[n, :n], jac[n + 1, :n] = jumps * c1, -jumps * s1
+    pbar = (-2.0 / np.pi) * (ds @ jumps)
+    closure = np.array([jumps @ s1, jumps @ c1])
     resid = np.concatenate((pbar + lam[0] * c1 + lam[1] * s1, closure)) / width
-    return resid, jac / width, window
+    return resid, jac / width
 
 
 def _half_turn_list(theta: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -551,22 +545,21 @@ def polish_switches(r: AdmissibleR) -> SwitchPolish:
     the switch angles), so that R = 0 just after 0 as switch_window wants.
     Every sample off the box faces (BANG_RTOL) must sit next to a switch.
 
-    Moving switch j moves phi by -4 J_j pbar_L(theta_j) (the L2 gradient of
+    Moving switch j moves phi by -4 J_j pbar(theta_j) (the L2 gradient of
     phi is 2 pbar, and each switch has an antipodal twin). So a minimum of
-    phi_L over the angles with a closed boundary solves pbar_L(theta_j) +
+    phi over the angles with a closed boundary solves pbar(theta_j) +
     l(theta_j) = 0 at every switch, l a degree-1 harmonic whose two
     coefficients are the closure's multipliers, together with the closure.
-    A rotation moves neither phi_L nor the closure (the n + 2 equations have
-    rank n + 1), so one more equation holds the mean of the angles at that of
-    the reading: the least-squares rotation onto the angles read off the
-    grid, which spreads the reading error of each angle (up to half a node)
-    over all of them. Newton's method solves the n + 3 equations by least
-    squares and stops once every residual over B is at most POLISH_RTOL. It
-    declines, saying why, on an even switch count, on samples that are not
-    bang-bang, at POLISH_MAX_STEPS steps, or when the angles leave their
-    order. Otherwise the solve is the answer, even where the minimizer's phi
-    reads lower: with nodes on the switches, the grid's window can read below
-    every exact body.
+    These are band-free (_switch_residuals): the band limit enters only the
+    window built after the solve. A rotation moves neither phi nor the
+    closure (rank n + 1), so one more equation holds the mean of the angles
+    at that of the reading, which spreads the reading error of each angle
+    (up to half a node) over all of them. Newton's method solves the n + 3
+    equations by least squares and stops once every residual over B is at
+    most POLISH_RTOL. It declines, saying why, on an even switch count, on
+    samples that are not bang-bang, at POLISH_MAX_STEPS steps, or when the
+    angles leave their order. Otherwise the solve is the answer, even where
+    the grid's window reads a lower phi, as it can with nodes on the switches.
     """
     if r.dim != 2:
         raise ValueError("polish_switches is defined for dim 2 only")
@@ -588,7 +581,7 @@ def polish_switches(r: AdmissibleR) -> SwitchPolish:
     theta, lam = read.copy(), np.zeros(2)
     gauge = np.concatenate((np.full(n, 1.0 / n), (0.0, 0.0)))
     for steps in range(POLISH_MAX_STEPS + 1):
-        resid, jac, window = _switch_residuals(theta, lam, B, L)
+        resid, jac = _switch_residuals(theta, lam, B)
         resid = np.append(resid, theta.mean() - read.mean())
         worst = float(np.abs(resid).max())
         if worst <= POLISH_RTOL or not math.isfinite(worst) or steps == POLISH_MAX_STEPS:
@@ -601,9 +594,10 @@ def polish_switches(r: AdmissibleR) -> SwitchPolish:
             steps, f"no convergence in {steps} Newton steps (largest residual {worst:.3e} of B)")
     theta, turned = _half_turn_list(theta)
     if turned:
-        resid, _, window = _switch_residuals(theta, -lam, B, L)
+        resid = _switch_residuals(theta, -lam, B)[0]
     if not (theta[0] >= 0.0 and np.all(np.diff(theta) > 0.0) and theta[-1] < np.pi):
         return SwitchPolish(steps, "the switch angles left their order in [0, pi)")
+    window = switch_window(theta, B, L)[0]
     phi_polished = quadratic_form_green(window)
     return SwitchPolish(
         steps,

@@ -51,6 +51,37 @@ def square_wave_cos_coeff(n: int, width: float, k: int) -> float:
     return total / np.sqrt(np.pi)
 
 
+def switch_kernel_s(x):
+    """S(x) = sum over odd k >= 3 of cos(k x) / (k^2 (1 - k^2)), for |x| <= pi.
+
+    Partial fractions give 1 / (k^2 (1 - k^2)) = 1 / k^2 - 1 / (k^2 - 1), and
+    the two odd-k cosine series have closed forms on |x| <= pi:
+    sum_{k odd >= 1} cos(k x) / k^2 = (pi / 8)(pi - 2|x|) (the triangle wave),
+    from which the k = 1 term cos x is taken out, and
+    sum_{k odd >= 3} cos(k x) / (k^2 - 1) = (cos x + (2|x| - pi) sin|x|) / 4
+    (integrating the right side against cos(k x) over [-pi, pi] by parts gives
+    pi / (k^2 - 1) at odd k >= 3 and 0 at k = 1 and at even k).
+    """
+    a = np.abs(x)
+    triangle = 0.125 * np.pi * (np.pi - 2.0 * a) - np.cos(x)
+    resolvent = 0.25 * (np.cos(a) + (2.0 * a - np.pi) * np.sin(a))
+    return triangle - resolvent
+
+
+def switch_phi(theta, width: float) -> float:
+    """Green form of the bang-bang curvature with switch angles theta in [0, pi).
+
+    The curvature deviation is -B/2 on [0, theta_1) and jumps by +B, -B, ...
+    at the listed angles (and by the opposite jumps at theta_j + pi). Its
+    orthonormal (cos, sin) pair at odd k is (2 / (k sqrt(pi))) sum_j J_j
+    (-sin k theta_j, cos k theta_j), so sum_k |c_k|^2 / (1 - k^2) over odd
+    k >= 3 is (4 / pi) sum_ij J_i J_j S(theta_i - theta_j).
+    """
+    theta = np.asarray(theta, dtype=float)
+    jumps = width * (-1.0) ** np.arange(theta.size)
+    return float(4.0 / np.pi * jumps @ switch_kernel_s(theta[:, None] - theta[None, :]) @ jumps)
+
+
 def shoelace(points: np.ndarray) -> float:
     """Polygon area from an (N, 2) vertex loop."""
     x, y = points[:, 0], points[:, 1]

@@ -21,6 +21,9 @@ from orbiform.body2d import (
     eval_support_derivative,
     perimeter,
     random_body,
+    switch_jumps,
+    switch_kernel,
+    switch_support,
     switch_window,
     validate,
 )
@@ -29,13 +32,16 @@ from orbiform.harmonic_core import (
     SpectralCoeffs,
     index2,
     make_grid,
+    apply_green,
     num_coeffs,
+    quadratic_form_green,
     require_translation_free,
+    synthesize,
     zero_coeffs,
 )
 from orbiform.reuleaux import deviation_coeffs, make_spec, to_body
 
-from oracles import shoelace
+from oracles import shoelace, switch_kernel_s, switch_phi
 
 
 def small_cos3_body(width=1.0, amp=None):
@@ -259,6 +265,50 @@ def test_switch_window_is_the_reuleaux_square_wave_at_regular_angles(n, width):
     want[index2(1, "cos")] = 0.0  # the window starts at degree 3; here degree 1 is 0 anyway
     assert np.allclose(window.values, want, rtol=0.0, atol=1e-14 * width)
     assert np.abs(closure).max() <= 1e-15 * width
+
+
+def test_switch_window_is_zero_at_degrees_0_and_1_and_at_even_degrees(rng):
+    theta = np.sort(rng.uniform(0.0, np.pi, 5))
+    window, closure = switch_window(theta, 1.3, 40)
+    # even degrees and degree 1 are exact zeros; the degree-1 part of the
+    # full wave is what the closure measures
+    assert np.all(window.values[[0, 1, 2]] == 0.0) and np.all(window.values[3::4] == 0.0)
+    assert np.all(window.values[4::4] == 0.0) and np.abs(closure).max() > 0.01
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_switch_window_green_form_is_the_kernel_sum(n, rng):
+    # the window's Green form at L = 65535 against the band-free oracle
+    theta = np.sort(rng.uniform(0.0, np.pi, n))
+    got = quadratic_form_green(switch_window(theta, 1.3, 65535)[0])
+    assert got == pytest.approx(switch_phi(theta, 1.3), rel=1e-12, abs=0.0)
+
+
+def test_switch_kernel_is_the_derivative_of_the_oracle_kernel(rng):
+    x = rng.uniform(0.01, np.pi - 0.01, 64) * rng.choice([-1.0, 1.0], 64)
+    h = 1e-4
+    up, mid, down = switch_kernel_s(x + h), switch_kernel_s(x), switch_kernel_s(x - h)
+    ds, dds = switch_kernel(x)
+    assert np.allclose(ds, (up - down) / (2 * h), rtol=0.0, atol=1e-8)
+    assert np.allclose(dds, (up - 2 * mid + down) / (h * h), rtol=0.0, atol=1e-7)
+    assert switch_kernel(0.0)[0] == 0.0
+
+
+def test_switch_support_of_a_closed_irregular_body_is_its_window(rng):
+    B = 1.3
+    theta = (2 * np.arange(1, 6) - 1) * np.pi / 10
+    theta[:3] += (0.05, -0.08, 0.03)
+    # theta_4, theta_5 close the boundary: B (e^{i theta_5} - e^{i theta_4}) = w
+    jumps = switch_jumps(5, B)
+    w = -(jumps[:3] @ np.exp(1j * theta[:3])) / B
+    half, mid = np.arcsin(abs(w) / 2), np.mod(np.angle(w) - np.pi / 2, 2 * np.pi)
+    theta[3:] = mid - half, mid + half
+    assert np.all(np.diff(theta) > 0.1) and theta[-1] < np.pi
+    window, closure = switch_window(theta, B, 8191)
+    assert np.abs(closure).max() <= 1e-15 * B
+    grid = make_grid(2, 16384)
+    want = synthesize(apply_green(window), grid)
+    assert np.abs(switch_support(theta, B, grid.angles) - want).max() <= 1e-8 * B
 
 
 # ---------------------------------------------------------------- random bodies

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbiform.body2d import area_quadrature, eval_support, validate
+from orbiform.body2d import area_quadrature, eval_support, switch_support, validate
 from orbiform.harmonic_core import index2, make_grid
 from orbiform.reuleaux import (
     ReuleauxSpec,
@@ -14,7 +14,6 @@ from orbiform.reuleaux import (
     deviation_coeffs,
     format_area_table_csv,
     make_spec,
-    support_piecewise,
     to_body,
 )
 
@@ -85,12 +84,12 @@ def test_square_wave_window_layout():
     assert curvature_square_wave(spec, -a) == 0.0
 
 
-def test_support_piecewise_peaks_and_antisymmetry():
+def test_switch_support_peaks_and_antisymmetry():
     spec = make_spec(3, 1.0)
-    assert support_piecewise(spec, 0.0) == pytest.approx(spec.amplitude, abs=1e-15)
+    assert switch_support(spec.switches, 1.0, 0.0) == pytest.approx(spec.amplitude, abs=1e-15)
     om = np.linspace(0, 2 * np.pi, 144, endpoint=False)
-    p = support_piecewise(spec, om)
-    assert np.max(np.abs(p + support_piecewise(spec, om + np.pi))) <= 1e-15
+    p = switch_support(spec.switches, 1.0, om)
+    assert np.max(np.abs(p + switch_support(spec.switches, 1.0, om + np.pi))) <= 1e-15
     assert np.max(p) == pytest.approx(spec.amplitude, abs=1e-15)
 
 
