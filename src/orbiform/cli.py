@@ -10,11 +10,13 @@ are argparse types, a handler checks the rules that tie --modes to --grid or
 runs when it runs. So numpy is loaded only by a subcommand that computes, and
 reuleaux and dim-2 shape-file validate never load variational or
 spheroform3d. table computes its closed form with math and loads no numpy
-unless it writes --out.
+unless it writes --out, and validate of a dim-2 shape file with switches (what
+reuleaux --out writes) loads none either.
 
 validate prints one report format for every file: body2d.validate on a dim-2
-shape file, AdmissibleR's checks (variational.deviation_report) on a dim-3
-one, and variational.validate_result on what optimize --out writes, which
+shape file (in closed form when it lists switches), AdmissibleR's checks
+(variational.deviation_report) on a dim-3 one, and
+variational.validate_result on what optimize --out writes, which
 shapeio.loads_shape tells apart by its phi key.
 
 optimize prints one line per restart (phi, iterations, converged, projection
@@ -147,9 +149,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_v.add_argument("file", type=str)
     p_v.add_argument(
         "--convexity-tol", type=float, default=None,
-        help="absolute tolerance, in units of length, on R < 0 and R > width "
-        "(default 1e-9 * width); a truncated Reuleaux polygon rings by up to "
-        "about 0.12 * width, so pass 0.12 times its width, not 0.12",
+        help="absolute tolerance, in units of length, on the sampled R < 0 and "
+        "R > width of a dim-2 shape file without switches (default 1e-9 * width); "
+        "files with switches, as reuleaux --out writes, are checked in closed form",
     )
 
     p_t = sub.add_parser("table", help="closed-form area table as CSV")
@@ -171,7 +173,8 @@ def _cmd_reuleaux(args) -> int:
     try:
         body = reuleaux.to_body(spec, args.modes)
         # refused here, before any output, if validate would refuse the file
-        shape = shapeio.dumps_shape(2, body.width, body.support_coeffs) if args.out else None
+        shape = (shapeio.dumps_shape(2, body.width, body.support_coeffs, spec.switches)
+                 if args.out else None)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -272,19 +275,17 @@ def _cmd_validate(args) -> int:
         print(f"malformed shape file: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    dim, width, coeffs = parsed[:3]
     if isinstance(parsed, shapeio.ResultFile):
         from . import variational
 
         report = variational.validate_result(parsed)
-    elif dim == 2:
-        body = body2d.SupportBody(width, coeffs)
-        report = body2d.validate(body, convexity_tol=args.convexity_tol)
+    elif parsed.dim == 2:
+        report = body2d.validate(parsed, convexity_tol=args.convexity_tol)
     else:
         # a dim-3 shape file holds a curvature-sum deviation: AdmissibleR's checks
         from . import variational
 
-        report = variational.deviation_report(width, coeffs)
+        report = variational.deviation_report(parsed.width, parsed.coeffs)
     print(report.summary())
     return EXIT_OK if report.valid else EXIT_INVARIANT
 

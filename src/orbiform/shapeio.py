@@ -8,7 +8,10 @@ increasing degree and skip exact zeros. Coefficient values are inner products
 against the orthonormal harmonic basis.
 
 For dim 2 the coefficients describe the support function of a body; for dim 3
-they describe a curvature-sum deviation candidate.
+they describe a curvature-sum deviation candidate. A dim-2 shape file may also
+list "switches" (written before "coeffs"): the switch angles of a bang-bang
+body, as `orbiform reuleaux --out` writes them, in body2d.switch_window's
+convention. body2d.validate then certifies the file in closed form.
 
 Result schema, what `orbiform optimize --out` writes (variational.result_to_json):
 the keys of RESULT_KEYS, plus "equivalence_warning": true in dim 3 only, an
@@ -18,21 +21,26 @@ the closed form of the switches when there are any, else the minimizer's
 analysis. "area" is null in dim 3, and "violation" and "sign_consistency" are
 measure fractions. loads_shape reads both kinds and tells them apart by the
 "phi" key.
+
+Importing this module loads no numpy: the reader checks the schema with the
+standard library, and a SpectralCoeffs is built only for a caller that asks
+for one (ShapeFile.coeffs, entries_to_coeffs, and every result file).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from .harmonic_core import SpectralCoeffs, index2, index3, num_coeffs
+if TYPE_CHECKING:
+    from .harmonic_core import SpectralCoeffs
 
 __all__ = [
     "ResultFile",
+    "ShapeFile",
     "ShapeFormatError",
     "coeffs_to_entries",
     "entries_to_coeffs",
@@ -45,11 +53,31 @@ __all__ = [
 # largest degree a file may hold; dim-3 validate builds an (L+1)^3 Legendre
 # table, 128 MiB at degree 255 and growing as L^3, held only while its grid lives
 MAX_DEGREE_2D, MAX_DEGREE_3D = 4096, 255
-# most switch angles a result file may hold; validate's closed form of them
-# peaks at 8.4 MiB with degree 4096, growing as the count times the degree
+# most switch angles a file may hold; validate's closed form of them costs
+# the count times the degree in math calls (body2d.switch_checks)
 MAX_SWITCHES = 255
 RESULT_KEYS = ("dim", "width", "phi", "area", "iterations", "seed", "violation",
                "sign_consistency", "coeffs")
+SHAPE_KEYS = ("dim", "width", "coeffs")
+
+
+class ShapeFile(NamedTuple):
+    """A shape file as read back: values are its coefficients in
+    harmonic_core's flat layout up to max_degree, and switches its switch
+    angles (None when the file has none)."""
+
+    dim: int
+    width: float
+    max_degree: int
+    values: list[float]
+    switches: tuple[float, ...] | None = None
+
+    @property
+    def coeffs(self) -> SpectralCoeffs:
+        """The values as SpectralCoeffs (this imports numpy)."""
+        from .harmonic_core import SpectralCoeffs
+
+        return SpectralCoeffs(self.dim, self.max_degree, self.values)
 
 
 class ResultFile(NamedTuple):
@@ -68,7 +96,17 @@ class ShapeFormatError(ValueError):
     """Shape JSON that does not conform to the schema."""
 
 
+def _index(dim: int, degree: int, key) -> int:
+    """Flat index of (degree, part) in dim 2 or (degree, order) in dim 3, as
+    harmonic_core.index2 and index3 give it."""
+    if dim == 3:
+        return degree * degree + degree + key
+    return 0 if degree == 0 else 2 * degree - 1 + (key == "sin")
+
+
 def coeffs_to_entries(coeffs: SpectralCoeffs) -> list[dict]:
+    from .harmonic_core import index2, index3
+
     entries: list[dict] = []
     if coeffs.dim == 2:
         for degree in range(coeffs.max_degree + 1):
@@ -92,8 +130,13 @@ def _fail(msg: str) -> None:
 
 
 def _check_value(v, what: str = "coefficient value") -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
-        _fail(f"{what} must be a finite number, got {v!r}")
+    """v as a finite float; an integer too large for a float is refused too."""
+    try:
+        ok = not isinstance(v, bool) and isinstance(v, (int, float)) and math.isfinite(v)
+    except OverflowError:
+        ok = False
+    if not ok:
+        _fail(f"{what} must be a finite number, got {v!r:.80}")
     return float(v)
 
 
@@ -109,7 +152,14 @@ def _check_max_degree(dim: int, degree: int) -> None:
         _fail(f"degree {degree} is above the dim-{dim} limit of {limit}")
 
 
-def entries_to_coeffs(dim: int, entries) -> SpectralCoeffs:
+def _check_switches(switches) -> tuple[float, ...]:
+    if not isinstance(switches, list) or len(switches) > MAX_SWITCHES:
+        _fail(f"switches must be a list of at most {MAX_SWITCHES} angles, got {switches!r:.80}")
+    return tuple(_check_value(t, "switch angle") for t in switches)
+
+
+def _parse_entries(dim: int, entries) -> tuple[int, list[float]]:
+    """(max_degree, values in the flat layout) of a coeffs list, checked."""
     if not isinstance(entries, list):
         _fail("coeffs must be a list")
     max_degree = 0
@@ -140,54 +190,68 @@ def entries_to_coeffs(dim: int, entries) -> SpectralCoeffs:
         max_degree = max(max_degree, degree)
 
     _check_max_degree(dim, max_degree)
-    values = np.zeros(num_coeffs(dim, max_degree))
+    values = [0.0] * (2 * max_degree + 1 if dim == 2 else (max_degree + 1) ** 2)
     seen: set[tuple[int, object]] = set()
     for degree, key, value in parsed:
         if (degree, key) in seen:
             _fail(f"duplicate coefficient entry (degree={degree}, {key!r})")
         seen.add((degree, key))
-        idx = index2(degree, key) if dim == 2 else index3(degree, key)
-        values[idx] = value
-    return SpectralCoeffs(dim, max_degree, values)
+        values[_index(dim, degree, key)] = value
+    return max_degree, values
 
 
-def dumps_shape(dim: int, width: float, coeffs: SpectralCoeffs) -> str:
-    """The shape file's text; ShapeFormatError if loads_shape would refuse its degrees."""
+def entries_to_coeffs(dim: int, entries) -> SpectralCoeffs:
+    from .harmonic_core import SpectralCoeffs
+
+    return SpectralCoeffs(dim, *_parse_entries(dim, entries))
+
+
+def dumps_shape(dim: int, width: float, coeffs: SpectralCoeffs, switches=None) -> str:
+    """The shape file's text, with "switches" (dim 2 only) when given;
+    ShapeFormatError if loads_shape would refuse its degrees or switches."""
     entries = coeffs_to_entries(coeffs)
     _check_max_degree(dim, max((e["degree"] for e in entries), default=0))
-    payload = {"dim": dim, "width": float(width), "coeffs": entries}
+    payload: dict = {"dim": dim, "width": float(width)}
+    if switches is not None:
+        if dim != 2:
+            _fail("switches belong to dim-2 shape files only")
+        payload["switches"] = list(_check_switches(list(switches)))
+    payload["coeffs"] = entries
     return json.dumps(payload, indent=2) + "\n"
 
 
-def loads_shape(text: str) -> tuple[int, float, SpectralCoeffs] | ResultFile:
-    """(dim, width, coeffs) of a shape file, or the ResultFile of a result file.
+def loads_shape(text: str) -> ShapeFile | ResultFile:
+    """The ShapeFile of a shape file, or the ResultFile of a result file.
 
     A top-level "phi" key makes the text a result file; either kind is refused
     with ShapeFormatError unless it holds exactly the keys of its schema.
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits or too deep a nesting
         raise ShapeFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         _fail("top level must be an object")
     result = "phi" in data
-    if result:
-        extra = {"equivalence_warning" if data.get("dim") == 3 else "switches", "timestamp"}
-        if not set(RESULT_KEYS) <= set(data) <= set(RESULT_KEYS) | extra:
-            _fail(f"result keys must be {'/'.join(RESULT_KEYS)}, plus "
-                  f"{' and '.join(sorted(extra))} if any, got {sorted(data)}")
-    elif set(data) != {"dim", "width", "coeffs"}:
-        _fail(f"top-level keys must be dim/width/coeffs, got {sorted(data)}")
+    keys = RESULT_KEYS if result else SHAPE_KEYS
+    if data.get("dim") == 2:
+        extra = {"switches", "timestamp"} if result else {"switches"}
+    else:
+        extra = {"equivalence_warning", "timestamp"} if result else set()
+    if not set(keys) <= set(data) <= set(keys) | extra:
+        plus = f", plus {' and '.join(sorted(extra))} if any" if extra else ""
+        _fail(f"{'result' if result else 'top-level'} keys must be {'/'.join(keys)}{plus}, "
+              f"got {sorted(data)}")
     dim = data["dim"]
     if dim not in (2, 3):
         _fail(f"dim must be 2 or 3, got {dim!r}")
     width = data["width"]
-    if isinstance(width, bool) or not isinstance(width, (int, float)) or not np.isfinite(width) or width <= 0:
-        _fail(f"width must be a finite number > 0, got {width!r}")
-    coeffs = entries_to_coeffs(dim, data["coeffs"])
+    if _check_value(width, "width") <= 0:
+        _fail(f"width must be a finite number > 0, got {width!r:.80}")
+    switches = _check_switches(data["switches"]) if "switches" in data else None
     if not result:
-        return dim, float(width), coeffs
+        return ShapeFile(dim, float(width), *_parse_entries(dim, data["coeffs"]), switches)
+    coeffs = entries_to_coeffs(dim, data["coeffs"])
     for key in ("iterations", "seed"):
         if isinstance(data[key], bool) or not isinstance(data[key], int):
             _fail(f"{key} must be an integer, got {data[key]!r}")
@@ -199,10 +263,6 @@ def loads_shape(text: str) -> tuple[int, float, SpectralCoeffs] | ResultFile:
     if not isinstance(data.get("timestamp", ""), str):
         _fail(f"timestamp must be a string, got {data['timestamp']!r}")
     area = _check_value(data["area"], "area") if dim == 2 else None
-    switches = data.get("switches", [])
-    if not isinstance(switches, list) or len(switches) > MAX_SWITCHES:
-        _fail(f"switches must be a list of at most {MAX_SWITCHES} angles, got {switches!r:.80}")
-    switches = tuple(_check_value(t, "switch angle") for t in switches) if "switches" in data else None
     return ResultFile(dim, float(width), coeffs, _check_value(data["phi"], "phi"), area, switches)
 
 

@@ -43,10 +43,12 @@ import numpy as np
 
 from . import body2d, shapeio
 from .body2d import (
+    RESULT_RTOL,
     CheckResult,
     ValidationReport,
     area_spectral,
     body_from_deviation,
+    switch_checks,
     switch_jumps,
     switch_kernel,
     switch_window,
@@ -101,8 +103,6 @@ PROJECTION_MAX_STEPS = 100  # Newton steps of the dual solve; a few suffice in p
 DESCENT_RTOL = 1e-12  # the descent stops once a step moves phi by less than this share of it
 SINGULAR_RTOL = 1e-10  # |det| over Hadamard's bound below which a small solve is singular
 STEP_GROWTH_CAP = 2.0**10  # line-search eta never exceeds this multiple of eta0
-RESULT_RTOL = 1e-12  # validate_result: phi and area identities, relative to their size
-CLOSURE_RTOL = 1e-12  # validate_result: closure of a switch file, over the width
 BANG_RTOL = 1e-9  # a node within this share of the box bound sits on the box face
 POLISH_RTOL = 1e-14  # polish_switches stops here: residuals over B; rounding leaves ~1e-16
 POLISH_MAX_STEPS = 20  # Newton steps of polish_switches; 3 or 4 suffice from a grid minimizer
@@ -841,14 +841,10 @@ def validate_result(f: shapeio.ResultFile) -> ValidationReport:
     the body that coeffs generates passes body2d.validate's constant-width
     check.
 
-    A dim-2 file with "switches" holds an exact bang-bang body, and these are
-    gated too, with no tolerance beyond rounding:
-    - switches: an odd count of angles in [0, pi) (residual: faults found);
-    - closure: the closure of body2d.switch_window, to CLOSURE_RTOL * B;
-    - closed-form: coeffs equal switch_window's window to relative RESULT_RTOL;
-    - convexity and curvature-bound: R read off the switches in their listed
-      order, from R = 0 on [0, theta_1) by jumps of +B, -B, ..., stays in
-      {0, B}; angles out of order push a piece to -B or 2B.
+    A dim-2 file with "switches" holds an exact bang-bang body, and
+    body2d.switch_checks gates it too, with no tolerance beyond rounding:
+    switches, closure, closed-form (coeffs against the window,
+    RESULT_RTOL), convexity and curvature-bound.
 
     Otherwise coeffs is a truncated window of a grid state, whose samples
     overshoot the box wherever the state switches, by an amount that depends
@@ -876,17 +872,5 @@ def validate_result(f: shapeio.ResultFile) -> ValidationReport:
     if f.switches is None:
         info = (body.check("convexity"), body.check("curvature-bound"))
         return ValidationReport(tuple(checks), info=info)
-    theta = np.asarray(f.switches)
-    faults = (theta.size % 2 == 0) + int(np.sum((theta < 0.0) | (theta >= np.pi)))
-    exact, closure = switch_window(theta, B, c.max_degree)
-    jumps = switch_jumps(theta.size, B)
-    levels = np.concatenate(([0.0], np.cumsum(jumps[np.argsort(theta, kind="stable")])))
-    checks += [
-        CheckResult("switches", float(faults), 0.0),
-        CheckResult("closure", float(np.abs(closure).max()), CLOSURE_RTOL * B),
-        CheckResult("closed-form", float(np.abs(c.values - exact.values).max()),
-                    RESULT_RTOL * float(np.abs(exact.values).max())),
-        CheckResult("convexity", max(0.0, -float(levels.min())), 0.0),
-        CheckResult("curvature-bound", max(0.0, float(levels.max()) - B), 0.0),
-    ]
+    checks += switch_checks(f.switches, B, c.values.tolist())
     return ValidationReport(tuple(checks))

@@ -61,9 +61,9 @@ def test_reuleaux_writes_shape_and_svg(tmp_path, capsys):
         ["reuleaux", "--sides", "3", "--out", str(shape), "--svg", str(svg)]
     )
     assert rc == 0
-    dim, width, coeffs = loads_shape(shape.read_text())
-    assert (dim, width) == (2, 1.0)
-    assert coeffs.coeff(0) == pytest.approx(MEAN)
+    f = loads_shape(shape.read_text())
+    assert (f.dim, f.width, f.switches) == (2, 1.0, reuleaux.make_spec(3, 1.0).switches)
+    assert f.coeffs.coeff(0) == pytest.approx(MEAN)
 
     root = ET.fromstring(svg.read_text())
     assert root.attrib["viewBox"] == "0 0 512 512"
@@ -73,11 +73,70 @@ def test_reuleaux_writes_shape_and_svg(tmp_path, capsys):
     assert d.startswith("M ") and d.endswith(" Z")
 
 
+CERTIFICATE = ("constant-width", "switches", "closure", "closed-form", "convexity",
+               "curvature-bound")
+
+
+def reuleaux_file(tmp_path, sides, width=1.0, modes=512):
+    shape = tmp_path / f"r{sides}.json"
+    argv = ["reuleaux", "--sides", str(sides), "--width", repr(width), "--modes", str(modes)]
+    assert cli.main([*argv, "--out", str(shape)]) == 0
+    return shape
+
+
 def test_reuleaux_shape_file_validates_roundtrip(tmp_path, capsys):
-    shape = tmp_path / "penta.json"
-    assert cli.main(["reuleaux", "--sides", "5", "--out", str(shape)]) == 0
-    rc = cli.main(["validate", str(shape), "--convexity-tol", "0.12"])
-    assert rc == 0
+    # at default flags: the file lists its switches, and validate certifies them
+    for sides in (3, 5, 7):
+        for width in (1.0, 2.0, 2.0 ** (-1.0 / 3.0)):
+            shape = reuleaux_file(tmp_path, sides, width)
+            switches = json.loads(shape.read_text())["switches"]
+            assert switches == list(reuleaux.make_spec(sides, width).switches)
+            capsys.readouterr()
+            assert cli.main(["validate", str(shape)]) == 0
+            report = capsys.readouterr().out.splitlines()
+            assert [line.split(":")[0] for line in report] == [f"PASS {c}" for c in CERTIFICATE]
+
+
+def test_reuleaux_shape_file_at_the_reader_caps_validates(tmp_path, capsys):
+    shape = reuleaux_file(tmp_path, 255, modes=4096)
+    assert cli.main(["validate", str(shape)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("sides", [3, 5, 7])
+def test_each_tampering_of_a_reuleaux_file_fails_its_gate(sides, tmp_path, capsys):
+    width = 2.0 ** (-1.0 / 3.0)
+    payload = json.loads(reuleaux_file(tmp_path, sides, width).read_text())
+    t = payload["switches"]
+    tampered = [
+        (("closed-form", "closure"), [t[0] + 1e-6, *t[1:]]),
+        (("switches",), [*t[:-1], np.pi]),
+        (("switches",), t[:-1]),
+        (("convexity",), [t[1], t[0], *t[2:]]),  # out of order: R dips to -B
+        (("curvature-bound",), [t[0], t[2], t[1], *t[3:]]),  # and rises to 2B
+    ]
+    for checks, angles in tampered:
+        assert cli.main(["validate", write(tmp_path / "t.json", dict(payload, switches=angles))]) == 1
+        report = capsys.readouterr().out
+        assert all(f"FAIL {check}:" in report for check in checks), (checks, report)
+    moved = [dict(e, value=e["value"] + 1e-9 * width) if e["degree"] == sides else e
+             for e in payload["coeffs"]]
+    assert cli.main(["validate", write(tmp_path / "c.json", dict(payload, coeffs=moved))]) == 1
+    assert "FAIL closed-form" in capsys.readouterr().out
+
+
+def test_validate_without_switches_keeps_the_sampled_check(tmp_path, capsys):
+    payload = json.loads(reuleaux_file(tmp_path, 5).read_text())
+    del payload["switches"]
+    shape = write(tmp_path / "bare.json", payload)
+    assert cli.main(["validate", shape]) == 1
+    assert "FAIL convexity" in capsys.readouterr().out
+    assert cli.main(["validate", shape, "--convexity-tol", "0.12"]) == 0
+
+
+def test_validate_refuses_a_width_too_large_for_a_float(tmp_path, capsys):
+    assert cli.main(["validate", write(tmp_path / "w.json", dict(disk_payload(), width=10**400))]) == 2
+    assert "malformed shape file: width must be a finite number" in capsys.readouterr().err
 
 
 def test_reuleaux_refuses_a_file_validate_would_refuse(tmp_path, capsys):
@@ -88,7 +147,7 @@ def test_reuleaux_refuses_a_file_validate_would_refuse(tmp_path, capsys):
     assert "degree 4101 is above the dim-2 limit of 4096" in capsys.readouterr().err
     assert not shape.exists() and not svg.exists()
     assert cli.main([*argv, "--modes", "4097"]) == 0
-    assert cli.main(["validate", str(shape), "--convexity-tol", "0.12"]) == 0
+    assert cli.main(["validate", str(shape)]) == 0
 
 
 # ---------------------------------------------------------------- optimize
@@ -428,7 +487,8 @@ def dim3_file(tmp_path, case):
 def test_validate_dim3_agrees_with_admissible_r(case, tmp_path, capsys):
     path = dim3_file(tmp_path, case)
     rc = cli.main(["validate", path])
-    _, width, coeffs = loads_shape(open(path).read())
+    f = loads_shape(open(path).read())
+    width, coeffs = f.width, f.coeffs
     grid = make_grid(3, max(16, 2 * coeffs.max_degree + 2))
     values = synthesize(coeffs, grid)
     try:
@@ -618,10 +678,10 @@ PINNED_TEXT = [
             "options:\n"
             "  -h, --help            show this help message and exit\n"
             "  --convexity-tol CONVEXITY_TOL\n"
-            "                        absolute tolerance, in units of length, on R < 0 and R\n"
-            "                        > width (default 1e-9 * width); a truncated Reuleaux\n"
-            "                        polygon rings by up to about 0.12 * width, so pass\n"
-            "                        0.12 times its width, not 0.12\n"
+            "                        absolute tolerance, in units of length, on the sampled\n"
+            "                        R < 0 and R > width of a dim-2 shape file without\n"
+            "                        switches (default 1e-9 * width); files with switches,\n"
+            "                        as reuleaux --out writes, are checked in closed form\n"
         ),
         "",
     ),

@@ -57,7 +57,7 @@ REULEAUX = ["reuleaux", "--sides", "3", "--modes", "64", "--out", "{tmp}/r.json"
 # the argument lists each case runs in one process; validate reads a dim-2 file
 CLOSED_FORM_RUNS = {
     "reuleaux": [[*REULEAUX, "--svg", "{tmp}/r.svg"]],
-    "validate": [REULEAUX, ["validate", "{tmp}/r.json", "--convexity-tol", "0.12"]],
+    "validate": [REULEAUX, ["validate", "{tmp}/r.json"]],
 }
 
 
@@ -70,6 +70,26 @@ def test_closed_form_commands_skip_the_optimizer(command, tmp_path):
     assert "orbiform.body2d" in loaded
     assert "orbiform.variational" not in loaded
     assert "orbiform.spheroform3d" not in loaded
+
+
+def test_validate_of_a_switch_file_loads_no_numpy(tmp_path):
+    # the file is written in this process; validate runs alone in a fresh one
+    from orbiform import cli
+
+    assert cli.main([a.format(tmp=tmp_path) for a in REULEAUX]) == 0
+    loaded = loaded_after(f"from orbiform import cli\nassert cli.main(['validate', '{tmp_path}/r.json']) == 0")
+    assert "orbiform.body2d" in loaded
+    assert "numpy" not in loaded
+    assert "orbiform.harmonic_core" not in loaded
+
+
+def test_validate_of_a_dim2_file_without_switches_samples_with_numpy(tmp_path):
+    path = tmp_path / "disk.json"
+    path.write_text('{"dim": 2, "width": 1.0, "coeffs": [{"degree": 0, "part": "cos", '
+                    '"value": 1.2533141373155001}]}')
+    loaded = loaded_after(f"from orbiform import cli\nassert cli.main(['validate', '{path}']) == 0")
+    assert "numpy" in loaded
+    assert "orbiform.variational" not in loaded
 
 
 @pytest.mark.parametrize("name", orbiform.__all__)

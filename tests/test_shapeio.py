@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from orbiform.harmonic_core import SpectralCoeffs, index2, index3, num_coeffs, zero_coeffs
 from orbiform.shapeio import (
     ResultFile,
+    ShapeFile,
     ShapeFormatError,
     coeffs_to_entries,
     dumps_shape,
@@ -25,9 +26,9 @@ def test_roundtrip_dim2():
     c[index2(3, "cos")] = -0.5
     c[index2(5, "sin")] = 0.125
     coeffs = SpectralCoeffs(2, 5, c)
-    dim, width, back = loads_shape(dumps_shape(2, 1.0, coeffs))
-    assert (dim, width) == (2, 1.0)
-    assert np.array_equal(back.values, coeffs.values)
+    f = loads_shape(dumps_shape(2, 1.0, coeffs))
+    assert (f.dim, f.width, f.max_degree, f.switches) == (2, 1.0, 5, None)
+    assert np.array_equal(f.coeffs.values, coeffs.values)
 
 
 def test_roundtrip_dim3():
@@ -35,9 +36,9 @@ def test_roundtrip_dim3():
     c[index3(3, -2)] = 0.75
     c[index3(4, 0)] = -1.5
     coeffs = SpectralCoeffs(3, 4, c)
-    dim, width, back = loads_shape(dumps_shape(3, 2.0, coeffs))
-    assert (dim, width) == (3, 2.0)
-    assert np.array_equal(back.values, coeffs.values)
+    f = loads_shape(dumps_shape(3, 2.0, coeffs))
+    assert (f.dim, f.width, f.max_degree) == (3, 2.0, 4)
+    assert np.array_equal(f.coeffs.values, coeffs.values)
 
 
 def test_entries_skip_zeros():
@@ -94,8 +95,8 @@ def test_result_file_is_told_apart_by_phi():
     assert got.coeffs.coeff(3, part="cos") == 0.25
     got = loads_shape(json.dumps({**RESULT_3, "timestamp": "2024-01-01T00:00:00+00:00"}))
     assert (got.dim, got.area) == (3, None)
-    # a shape file stays a plain (dim, width, coeffs) triple
-    assert not isinstance(loads_shape(dumps_shape(2, 1.0, zero_coeffs(2, 3))), ResultFile)
+    # a shape file is a ShapeFile
+    assert isinstance(loads_shape(dumps_shape(2, 1.0, zero_coeffs(2, 3))), ShapeFile)
 
 
 @pytest.mark.parametrize(
@@ -150,14 +151,14 @@ def test_degree_limit_per_dim(dim, key, limit):
 
     with pytest.raises(ShapeFormatError, match=f"dim-{dim} limit of {limit}"):
         loads_shape(text(limit + 1))
-    assert loads_shape(text(limit))[2].max_degree == limit
+    assert loads_shape(text(limit)).coeffs.max_degree == limit
 
 
 @pytest.mark.parametrize("dim,limit", [(2, 4096), (3, 255)])
 def test_writer_refuses_what_the_reader_refuses(dim, limit):
     # the cap applies to the highest nonzero degree actually written
     coeffs = zero_coeffs(dim, limit + 1)
-    assert loads_shape(dumps_shape(dim, 1.0, coeffs))[2].max_degree == 0
+    assert loads_shape(dumps_shape(dim, 1.0, coeffs)).coeffs.max_degree == 0
     values = coeffs.values.copy()
     values[-1] = 0.5
     with pytest.raises(ShapeFormatError, match=f"degree {limit + 1} is above the dim-{dim} limit"):
@@ -185,7 +186,7 @@ def test_roundtrip_random_sparse(entries):
             continue
         c[index2(deg, part)] = val
     coeffs = SpectralCoeffs(2, L, c)
-    _, _, back = loads_shape(dumps_shape(2, 1.0, coeffs))
+    back = loads_shape(dumps_shape(2, 1.0, coeffs)).coeffs
     # degrees above the highest nonzero entry are trimmed, values survive
     assert np.array_equal(back.values, coeffs.values[: back.values.size])
     assert np.all(coeffs.values[back.values.size :] == 0.0)
@@ -205,3 +206,66 @@ def test_write_text_atomic_failure_leaves_no_partial(tmp_path):
     with pytest.raises(OSError):
         write_text_atomic(str(missing), "data")
     assert os.listdir(tmp_path) == []
+
+
+HUGE = 10**400  # a JSON integer that no float holds
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"dim": 2, "width": HUGE, "coeffs": []},
+        {"dim": 2, "width": 1.0, "coeffs": [{"degree": 3, "part": "cos", "value": HUGE}]},
+        {"dim": 3, "width": 1.0, "coeffs": [{"degree": 3, "order": 1, "value": -HUGE}]},
+        {"dim": 2, "width": 1.0, "switches": [0.5, HUGE, 2.0], "coeffs": []},
+        {**RESULT, "width": HUGE},
+        {**RESULT, "phi": HUGE},
+        {**RESULT, "area": HUGE},
+        {**RESULT, "violation": HUGE},
+        {**RESULT, "switches": [0.5, 1.0, HUGE]},
+        {**RESULT, "coeffs": [{"degree": 3, "part": "cos", "value": HUGE}]},
+    ],
+    ids=["width", "value-2", "value-3", "shape-switch", "result-width", "phi", "area",
+         "violation", "result-switch", "result-value"],
+)
+def test_integers_too_large_for_a_float_are_refused(payload):
+    with pytest.raises(ShapeFormatError, match="must be a finite number"):
+        loads_shape(json.dumps(payload))
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "[" * 100_000], ids=["digits", "nesting"])
+def test_text_the_json_parser_cannot_take_is_malformed(text):
+    # past the interpreter's integer digit limit, or nested past its recursion limit
+    with pytest.raises(ShapeFormatError, match="not valid JSON"):
+        loads_shape(text)
+
+
+SWITCHED = {"dim": 2, "width": 2.0, "switches": [0.5, 1.5, 2.5],
+            "coeffs": [{"degree": 0, "part": "cos", "value": 2.5}]}
+
+
+def test_shape_file_switches_round_trip():
+    coeffs = entries_to_coeffs(2, SWITCHED["coeffs"])
+    text = dumps_shape(2, 2.0, coeffs, (0.5, 1.5, 2.5))
+    assert list(json.loads(text)) == ["dim", "width", "switches", "coeffs"]
+    f = loads_shape(text)
+    assert (f.dim, f.width, f.max_degree, f.values, f.switches) == (2, 2.0, 0, [2.5], (0.5, 1.5, 2.5))
+    assert loads_shape(json.dumps(SWITCHED)) == f
+
+
+@pytest.mark.parametrize(
+    "switches", ["0.5", [0.5, "1.0", 2.0], [0.5, None], [0.1] * 256, [0.5, float("nan")]],
+    ids=["not-a-list", "text-angle", "null-angle", "too-many", "nan-angle"])
+def test_shape_file_switches_follow_the_result_file_rules(switches):
+    with pytest.raises(ShapeFormatError, match="switch"):
+        loads_shape(json.dumps({**SWITCHED, "switches": switches}))
+
+
+def test_switches_belong_to_dim2_shape_files_only():
+    payload = {"dim": 3, "width": 1.0, "switches": [0.5], "coeffs": []}
+    with pytest.raises(ShapeFormatError, match="top-level keys must be dim/width/coeffs, got"):
+        loads_shape(json.dumps(payload))
+    with pytest.raises(ShapeFormatError, match="dim-2"):
+        dumps_shape(3, 1.0, zero_coeffs(3, 1), [0.5])
+    with pytest.raises(ShapeFormatError, match="at most 255"):
+        dumps_shape(2, 1.0, zero_coeffs(2, 1), [0.1] * 256)
