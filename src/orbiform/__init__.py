@@ -32,10 +32,10 @@ _EXPORTS = {
     ),
     "reuleaux": (
         "ReuleauxSpec", "area_table", "closed_area", "curvature_square_wave",
-        "format_area_table_csv", "make_spec", "to_body",
+        "format_area_table_csv", "to_body",
     ),
     "variational": (
-        "AdmissibleR", "BangBangReport", "MinimizeConfig", "NumericalFailure",
+        "AdmissibleR", "BangBangReport", "NumericalFailure",
         "OptimizationResult", "SolveStats", "SwitchPolish", "bang_bang_report", "best_restart",
         "box_bound", "canonical_align", "minimize", "minimize_restarts", "phi", "phi_gradient",
         "polish_switches", "project_admissible", "result_to_json", "support_deviation",

@@ -141,7 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_o.add_argument("--modes", type=_count(3), default=None, help="spectral band limit")
     p_o.add_argument("--restarts", type=_count(1), default=16)
     p_o.add_argument("--seed", type=int, default=0)
-    p_o.add_argument("--max-iter", type=_count(1), default=50000)
     p_o.add_argument("--out", type=str, default=None, help="result JSON path")
     p_o.add_argument("--timestamp", action="store_true", help="stamp the result JSON")
 
@@ -169,7 +168,7 @@ def _cmd_reuleaux(args) -> int:
     from . import body2d, reuleaux, shapeio
     from .harmonic_core import make_grid
 
-    spec = reuleaux.make_spec(args.sides, args.width)
+    spec = reuleaux.ReuleauxSpec(args.sides, args.width)
     try:
         body = reuleaux.to_body(spec, args.modes)
         # refused here, before any output, if validate would refuse the file
@@ -211,8 +210,7 @@ def _cmd_optimize(args) -> int:
 
     try:
         grid = make_grid(args.dim, resolution)
-        cfg = variational.MinimizeConfig(restarts=args.restarts, max_iterations=args.max_iter)
-        results = variational.minimize_restarts(args.width, grid, modes, args.seed, cfg)
+        results = variational.minimize_restarts(args.width, grid, modes, args.seed, args.restarts)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -33,7 +33,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ReuleauxSpec",
-    "make_spec",
     "curvature_square_wave",
     "to_body",
     "closed_area",
@@ -69,10 +68,6 @@ class ReuleauxSpec:
     def switches(self) -> tuple[float, ...]:
         """(2j - 1) alpha for j = 1..sides, in body2d's switch convention."""
         return tuple((2 * j - 1) * self.switch_angle for j in range(1, self.sides + 1))
-
-
-def make_spec(sides: int, width: float) -> ReuleauxSpec:
-    return ReuleauxSpec(sides, width)
 
 
 def curvature_square_wave(spec: ReuleauxSpec, omega) -> np.ndarray | float:
@@ -129,7 +124,7 @@ def area_table(max_sides: int, width: float = 1.0) -> list[tuple[int, float]]:
     """Closed-form areas for odd side counts 3..max_sides, ascending."""
     if max_sides < 3:
         raise ValueError("max_sides must be >= 3")
-    return [(n, closed_area(make_spec(n, width))) for n in range(3, max_sides + 1, 2)]
+    return [(n, closed_area(ReuleauxSpec(n, width))) for n in range(3, max_sides + 1, 2)]
 
 
 def format_area_table_csv(rows: list[tuple[int, float]]) -> str:

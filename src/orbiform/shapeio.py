@@ -105,23 +105,19 @@ def _index(dim: int, degree: int, key) -> int:
 
 
 def coeffs_to_entries(coeffs: SpectralCoeffs) -> list[dict]:
-    from .harmonic_core import index2, index3
-
+    """The nonzero coefficients as file entries, in the flat layout's order."""
+    dim, values = coeffs.dim, coeffs.values.tolist()
+    name = "part" if dim == 2 else "order"
     entries: list[dict] = []
-    if coeffs.dim == 2:
-        for degree in range(coeffs.max_degree + 1):
-            for part in ("cos", "sin"):
-                if degree == 0 and part == "sin":
-                    continue
-                v = coeffs.values[index2(degree, part)]
-                if v != 0.0:
-                    entries.append({"degree": degree, "part": part, "value": float(v)})
-    else:
-        for degree in range(coeffs.max_degree + 1):
-            for order in range(-degree, degree + 1):
-                v = coeffs.values[index3(degree, order)]
-                if v != 0.0:
-                    entries.append({"degree": degree, "order": order, "value": float(v)})
+    for degree in range(coeffs.max_degree + 1):
+        if dim == 3:
+            keys = range(-degree, degree + 1)
+        else:
+            keys = ("cos", "sin") if degree else ("cos",)
+        for key in keys:
+            v = values[_index(dim, degree, key)]
+            if v != 0.0:
+                entries.append({"degree": degree, name: key, "value": v})
     return entries
 
 
@@ -243,7 +239,7 @@ def loads_shape(text: str) -> ShapeFile | ResultFile:
         _fail(f"{'result' if result else 'top-level'} keys must be {'/'.join(keys)}{plus}, "
               f"got {sorted(data)}")
     dim = data["dim"]
-    if dim not in (2, 3):
+    if not isinstance(dim, int) or dim not in (2, 3):  # True and False are neither
         _fail(f"dim must be 2 or 3, got {dim!r}")
     width = data["width"]
     if _check_value(width, "width") <= 0:

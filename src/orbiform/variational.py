@@ -20,8 +20,9 @@ node per antipodal pair. Each step solves the Newton system once (with a
 Levenberg shift only where the dual Hessian is singular) and keeps the full
 step while the dual still rises at it; otherwise it moves to the exact
 maximizer along the same direction by a breakpoint line search.
-Minimization is projected gradient descent with a doubling step; each
-restart reports its projection work in OptimizationResult.stats.
+Minimization is projected gradient descent with a doubling step, stopped
+by DESCENT_RTOL or, unconverged, at DESCENT_MAX_ITERATIONS; each restart
+reports its projection work in OptimizationResult.stats.
 
 On a grid a switch of the bang-bang minimizer can sit only at a node, so in
 dim 2 the descent's answer approaches the truth only as N^-2.
@@ -75,7 +76,6 @@ from .harmonic_core import (
 __all__ = [
     "AdmissibleR",
     "BangBangReport",
-    "MinimizeConfig",
     "NumericalFailure",
     "OptimizationResult",
     "SolveStats",
@@ -101,9 +101,11 @@ ADMISSIBLE_ATOL = 1e-12  # slack of the box and antisymmetry checks, per unit wi
 PROJECTION_RTOL = 1e-13  # degree-1 residual, as the box excess it can cause, over the bound
 PROJECTION_MAX_STEPS = 100  # Newton steps of the dual solve; a few suffice in practice
 DESCENT_RTOL = 1e-12  # the descent stops once a step moves phi by less than this share of it
+DESCENT_MAX_ITERATIONS = 50000  # caps a descent that never stops; a few dozen suffice
 SINGULAR_RTOL = 1e-10  # |det| over Hadamard's bound below which a small solve is singular
 STEP_GROWTH_CAP = 2.0**10  # line-search eta never exceeds this multiple of eta0
 BANG_RTOL = 1e-9  # a node within this share of the box bound sits on the box face
+BANG_EPSILON = 1e-3  # bang_bang_report's threshold on both fields, per unit width
 POLISH_RTOL = 1e-14  # polish_switches stops here: residuals over B; rounding leaves ~1e-16
 POLISH_MAX_STEPS = 20  # Newton steps of polish_switches; 3 or 4 suffice from a grid minimizer
 ALIGN_RTOL = 1e-12  # canonical_align: support maxima this close, over max |pbar|, tie
@@ -172,13 +174,6 @@ class AdmissibleR:
     @property
     def dim(self) -> int:
         return self.grid.dim
-
-
-def admissible_from_values(
-    width: float, grid: SphereGrid, max_degree: int, values: GridFn
-) -> AdmissibleR:
-    """Wrap grid samples as an AdmissibleR, which analyzes them at max_degree."""
-    return AdmissibleR(width, grid, max_degree, values)
 
 
 class _Workspace:
@@ -416,17 +411,14 @@ class BangBangReport:
     counting the undecided band as consistent.
     """
 
-    epsilon: float
     violation: float
     sign_consistency: float
 
 
-def bang_bang_report(r: AdmissibleR, epsilon: float = 1e-3) -> BangBangReport:
-    """Classify nodes with thresholds epsilon * width on both fields."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+def bang_bang_report(r: AdmissibleR) -> BangBangReport:
+    """Classify nodes with thresholds BANG_EPSILON * width on both fields."""
     B = r.width
-    eps = epsilon * B
+    eps = BANG_EPSILON * B
     bound = box_bound(r.dim, B)
     pbar = support_deviation(r)
     w = r.grid.weights
@@ -442,7 +434,7 @@ def bang_bang_report(r: AdmissibleR, epsilon: float = 1e-3) -> BangBangReport:
     ok_neg = decided_neg & (np.abs(r.values - bound) <= eps)
     consistent = (~decided_pos & ~decided_neg) | ok_pos | ok_neg
     sign_consistency = float(np.sum(w[consistent])) / total
-    return BangBangReport(epsilon, violation, sign_consistency)
+    return BangBangReport(violation, sign_consistency)
 
 
 def canonical_align(r: AdmissibleR) -> AdmissibleR:
@@ -466,7 +458,7 @@ def canonical_align(r: AdmissibleR) -> AdmissibleR:
     if shift == 0:
         return r
     rolled = np.roll(r.values, -shift)
-    return admissible_from_values(r.width, r.grid, r.max_degree, rolled)
+    return AdmissibleR(r.width, r.grid, r.max_degree, rolled)
 
 
 @dataclass(frozen=True)
@@ -611,14 +603,6 @@ def polish_switches(r: AdmissibleR) -> SwitchPolish:
 
 
 @dataclass(frozen=True)
-class MinimizeConfig:
-    """Knobs for the multi-restart projected descent."""
-
-    restarts: int = 16
-    max_iterations: int = 50000
-
-
-@dataclass(frozen=True)
 class SolveStats:
     """Work counters of one restart; result_to_json leaves them out.
 
@@ -697,7 +681,6 @@ def _descend(
     ws: _Workspace,
     width: float,
     start_values: GridFn,
-    cfg: MinimizeConfig,
 ) -> tuple[AdmissibleR, int, bool, SolveStats]:
     """Projected gradient descent with a doubling step.
 
@@ -705,6 +688,7 @@ def _descend(
     phi by at least |step|^2 / eta: no step is ever too long, and the descent
     stops once a step moves phi by less than DESCENT_RTOL of its value. The
     rule is dimensionless, so the iteration count does not depend on the width.
+    At DESCENT_MAX_ITERATIONS iterations it stops unconverged.
     """
     bound = box_bound(ws.grid.dim, width)
     g3 = abs(ws.green[0])  # first kept degree is 3: the flattest multiplier
@@ -719,7 +703,7 @@ def _descend(
     iterations = 0
     converged = False
 
-    while iterations < cfg.max_iterations:
+    while iterations < DESCENT_MAX_ITERATIONS:
         iterations += 1
         grad = ws.gradient_values(c)
         candidate, steps, searches = _project_exact(ws, x - eta * grad, bound)
@@ -749,22 +733,21 @@ def minimize_restarts(
     grid: SphereGrid,
     max_degree: int,
     seed: int,
-    config: MinimizeConfig | None = None,
+    restarts: int = 16,
 ) -> list[OptimizationResult]:
     """Run every restart and return the per-restart results, index order.
 
     Restart i draws from default_rng([seed, i]), so a restart's result does
     not depend on how many restarts run.
     """
-    cfg = config or MinimizeConfig()
-    if cfg.restarts < 1:
+    if restarts < 1:
         raise ValueError("restarts must be >= 1")
     ws = _workspace_for(grid, max_degree)
 
     results = []
-    for i in range(cfg.restarts):
+    for i in range(restarts):
         start = _initial_values(ws, width, np.random.default_rng([seed, i]))
-        r, its, conv, stats = _descend(ws, width, start, cfg)
+        r, its, conv, stats = _descend(ws, width, start)
         results.append(OptimizationResult(r, its, seed, i, conv, stats))
     return results
 
@@ -787,10 +770,10 @@ def minimize(
     grid: SphereGrid,
     max_degree: int,
     seed: int,
-    config: MinimizeConfig | None = None,
+    restarts: int = 16,
 ) -> OptimizationResult:
     """The best_restart of minimize_restarts."""
-    return best_restart(minimize_restarts(width, grid, max_degree, seed, config))
+    return best_restart(minimize_restarts(width, grid, max_degree, seed, restarts))
 
 
 def result_to_json(result: OptimizationResult, timestamp: str | None = None) -> str:

@@ -33,7 +33,7 @@ from orbiform.harmonic_core import (
     synthesize,
     zero_coeffs,
 )
-from orbiform.reuleaux import area_table, closed_area, make_spec, to_body
+from orbiform.reuleaux import ReuleauxSpec, area_table, closed_area, to_body
 from orbiform.spheroform3d import (
     ball_curvature_sum,
     blaschke_volume,
@@ -41,8 +41,7 @@ from orbiform.spheroform3d import (
     width_residual,
 )
 from orbiform.variational import (
-    MinimizeConfig,
-    admissible_from_values,
+    AdmissibleR,
     bang_bang_report,
     box_bound,
     canonical_align,
@@ -74,7 +73,7 @@ def random_admissible(width, grid, max_degree, rng):
     vals = synthesize(random_odd_coeffs(grid.dim, max_degree, rng), grid)
     peak = float(np.max(np.abs(vals)))
     scale = rng.uniform(0.2, 0.9) * box_bound(grid.dim, width) / peak
-    return admissible_from_values(width, grid, max_degree, scale * vals)
+    return AdmissibleR(width, grid, max_degree, scale * vals)
 
 
 # ------------------------------------------------------------------ criteria
@@ -82,7 +81,7 @@ def random_admissible(width, grid, max_degree, rng):
 
 def test_criterion_1_reuleaux_triangle_minimality():
     start = time.perf_counter()
-    spec3 = make_spec(3, 1.0)
+    spec3 = ReuleauxSpec(3, 1.0)
 
     body = to_body(spec3, 1024)
     grid = make_grid(2, 4096)
@@ -110,7 +109,7 @@ def test_criterion_3_width_and_perimeter_identities(rng):
     half = grid.size // 2
 
     bodies = [disk(1.0)]
-    bodies += [to_body(make_spec(n, 1.0), 128) for n in (3, 5, 7, 9)]
+    bodies += [to_body(ReuleauxSpec(n, 1.0), 128) for n in (3, 5, 7, 9)]
     for _ in range(50):
         bodies.append(random_body(rng, width=rng.uniform(0.5, 2.0)))
 
@@ -165,14 +164,14 @@ def test_criterion_5_gradient_matches_finite_differences(rng):
 def test_criterion_6_optimizer_recovers_reuleaux_triangle():
     start = time.perf_counter()
     grid = make_grid(2, 512)
-    results = minimize_restarts(1.0, grid, 128, seed=7, config=MinimizeConfig())
+    results = minimize_restarts(1.0, grid, 128, seed=7)
     assert len(results) == 16
 
     ranked = sorted(results, key=lambda r: r.phi_value)
     best = ranked[0]
     assert abs(best.area - TRIANGLE_AREA) < 0.005 * TRIANGLE_AREA
 
-    report = bang_bang_report(best.minimizer, epsilon=1e-3)
+    report = bang_bang_report(best.minimizer)
     assert report.violation < 0.01
     assert report.sign_consistency > 0.99
 
@@ -188,7 +187,7 @@ def test_criterion_7_ball_maximality(rng):
         grid = make_grid(dim, res)
         for _ in range(1000):
             assert phi(random_admissible(1.0, grid, L, rng)) < 0.0
-        zero = admissible_from_values(1.0, grid, L, np.zeros(grid.size))
+        zero = AdmissibleR(1.0, grid, L, np.zeros(grid.size))
         assert phi(zero) == 0.0
 
     grid = make_grid(2, 512)
@@ -196,7 +195,7 @@ def test_criterion_7_ball_maximality(rng):
         B = rng.uniform(0.5, 2.0)
         body = random_body(rng, width=B)
         rbar = eval_curvature_radius(body, grid.angles) - 0.5 * B
-        r = admissible_from_values(B, grid, body.support_coeffs.max_degree, rbar)
+        r = AdmissibleR(B, grid, body.support_coeffs.max_degree, rbar)
         lhs = area_quadrature(body, grid)
         rhs = np.pi * B**2 / 4.0 + 0.5 * phi(r)
         assert abs(lhs - rhs) < 1e-10 * B**2

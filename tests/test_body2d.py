@@ -39,7 +39,7 @@ from orbiform.harmonic_core import (
     synthesize,
     zero_coeffs,
 )
-from orbiform.reuleaux import deviation_coeffs, make_spec, to_body
+from orbiform.reuleaux import ReuleauxSpec, deviation_coeffs, to_body
 
 from oracles import shoelace, switch_kernel_s, switch_phi
 
@@ -115,7 +115,7 @@ def test_boundary_supports_body():
 
 
 def test_boundary_curve_matches_shoelace(grid2_512):
-    b = to_body(make_spec(3, 1.0), 255)
+    b = to_body(ReuleauxSpec(3, 1.0), 255)
     x, y = boundary(b, grid2_512)
     # vertices sit on the convex curve, so the polygon is inscribed: the
     # shoelace value sits just below the quadrature area by the chord deficit
@@ -126,7 +126,7 @@ def test_boundary_curve_matches_shoelace(grid2_512):
 def test_boundary_above_the_band_matches_boundary_point():
     # 1024 nodes cannot carry degree 4096: boundary refines the grid by a
     # power of two and keeps the coarse nodes; boundary_point sums every mode
-    b = to_body(make_spec(3, 1.0), 4096)
+    b = to_body(ReuleauxSpec(3, 1.0), 4096)
     grid = make_grid(2, 1024)
     x, y = boundary(b, grid)
     want_x, want_y = boundary_point(b, grid.angles)
@@ -136,7 +136,7 @@ def test_boundary_above_the_band_matches_boundary_point():
 
 def test_width_across_boundary():
     # support in opposite directions always sums to the width
-    b = to_body(make_spec(5, 2.0), 128)
+    b = to_body(ReuleauxSpec(5, 2.0), 128)
     om = np.linspace(0, 2 * np.pi, 101)
     total = eval_support(b, om) + eval_support(b, om + np.pi)
     assert np.max(np.abs(total - 2.0)) <= 1e-12
@@ -214,7 +214,7 @@ def test_validate_flags_nonconvex():
 
 
 def test_validate_truncated_polygon_needs_relaxed_tolerance():
-    b = to_body(make_spec(3, 1.0), 128)
+    b = to_body(ReuleauxSpec(3, 1.0), 128)
     assert not validate(b).check("convexity").passed  # Gibbs dip below zero
     assert validate(b, convexity_tol=0.12).valid
 
@@ -223,7 +223,7 @@ def test_validate_convexity_tol_is_absolute():
     # the ringing scales with the width, the tolerance does not; band limit
     # 1023 is what a `reuleaux --modes 1024` file reads back as (residual
     # 0.0895 * width)
-    b = to_body(make_spec(3, 1.4), 1023)
+    b = to_body(ReuleauxSpec(3, 1.4), 1023)
     assert not validate(b, convexity_tol=0.12).check("convexity").passed
     assert validate(b, convexity_tol=0.12 * 1.4).valid
 
@@ -233,7 +233,7 @@ def test_validate_convexity_residual_does_not_depend_on_band_parity():
     # 2L + 2 nodes read 0.077 * width at L = 1024 and 0.0895 * width at 1023
     B = 1.4
     dips = [
-        validate(to_body(make_spec(3, B), L)).check("convexity").residual for L in (1023, 1024)
+        validate(to_body(ReuleauxSpec(3, B), L)).check("convexity").residual for L in (1023, 1024)
     ]
     assert abs(dips[0] - dips[1]) <= 1e-4 * B
     assert dips[0] == pytest.approx(0.0895 * B, abs=1e-4 * B)
@@ -241,7 +241,7 @@ def test_validate_convexity_residual_does_not_depend_on_band_parity():
 
 def test_high_band_area_and_validate_stay_small():
     # a dense N x (2L+1) basis at L = 2048 alone would take 128 MB
-    body = to_body(make_spec(3, 1.0), 2048)
+    body = to_body(ReuleauxSpec(3, 1.0), 2048)
     tracemalloc.start()
     try:
         area_quadrature(body, make_grid(2, 2 * 2048 + 2))
@@ -261,7 +261,7 @@ def test_switch_window_is_the_reuleaux_square_wave_at_regular_angles(n, width):
     # R = 0 on [0, pi/(2n)): the Reuleaux convention, support maximum at 0
     theta = (2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n)
     window, closure = switch_window(theta, width, 8 * n)
-    want = deviation_coeffs(make_spec(n, width), 8 * n).values.copy()
+    want = deviation_coeffs(ReuleauxSpec(n, width), 8 * n).values.copy()
     want[index2(1, "cos")] = 0.0  # the window starts at degree 3; here degree 1 is 0 anyway
     assert np.allclose(window.values, want, rtol=0.0, atol=1e-14 * width)
     assert np.abs(closure).max() <= 1e-15 * width

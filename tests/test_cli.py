@@ -13,7 +13,7 @@ import pytest
 from orbiform import cli, reuleaux, variational
 from orbiform.harmonic_core import make_grid, synthesize
 from orbiform.shapeio import loads_shape
-from orbiform.variational import MinimizeConfig, NumericalFailure
+from orbiform.variational import NumericalFailure
 
 MEAN = 0.5 * np.sqrt(2 * np.pi)  # degree-0 coefficient of the width-1 disk
 
@@ -62,7 +62,7 @@ def test_reuleaux_writes_shape_and_svg(tmp_path, capsys):
     )
     assert rc == 0
     f = loads_shape(shape.read_text())
-    assert (f.dim, f.width, f.switches) == (2, 1.0, reuleaux.make_spec(3, 1.0).switches)
+    assert (f.dim, f.width, f.switches) == (2, 1.0, reuleaux.ReuleauxSpec(3, 1.0).switches)
     assert f.coeffs.coeff(0) == pytest.approx(MEAN)
 
     root = ET.fromstring(svg.read_text())
@@ -90,7 +90,7 @@ def test_reuleaux_shape_file_validates_roundtrip(tmp_path, capsys):
         for width in (1.0, 2.0, 2.0 ** (-1.0 / 3.0)):
             shape = reuleaux_file(tmp_path, sides, width)
             switches = json.loads(shape.read_text())["switches"]
-            assert switches == list(reuleaux.make_spec(sides, width).switches)
+            assert switches == list(reuleaux.ReuleauxSpec(sides, width).switches)
             capsys.readouterr()
             assert cli.main(["validate", str(shape)]) == 0
             report = capsys.readouterr().out.splitlines()
@@ -259,9 +259,7 @@ def test_optimize_writes_what_minimize_returns(dim, resolution, modes, tmp_path,
     rc = cli.main(["optimize", *flags, "--restarts", "3", "--seed", "5", "--out", str(out)])
     assert rc == 0
     stdout = capsys.readouterr().out
-    best = variational.minimize(
-        1.0, make_grid(dim, resolution), modes, 5, MinimizeConfig(restarts=3)
-    )
+    best = variational.minimize(1.0, make_grid(dim, resolution), modes, 5, restarts=3)
     assert f"restart={best.restart_index} " in stdout
     assert out.read_text() == variational.result_to_json(best)
 
@@ -269,7 +267,7 @@ def test_optimize_writes_what_minimize_returns(dim, resolution, modes, tmp_path,
 def test_optimize_rejects_bad_flags(capsys):
     assert cli.main(["optimize", "--dim", "4"]) == 2
     assert cli.main(["optimize", "--restarts", "0"]) == 2
-    assert cli.main(["optimize", "--max-iter", "-3"]) == 2
+    assert cli.main(["optimize", "--max-iter", "5"]) == 2  # the cap is a constant
     assert cli.main(["optimize", "--grid", "7"]) == 2
     assert cli.main(["optimize", "--grid", "9"]) == 2
     assert cli.main(["optimize", "--modes", "-1"]) == 2
@@ -285,6 +283,23 @@ def test_optimize_maps_numerical_failure(monkeypatch, capsys):
     monkeypatch.setattr(variational, "minimize_restarts", boom)
     assert cli.main(OPT_FLAGS) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "dim, resolution, modes", [(2, 64, 16), (3, 16, 7)], ids=["dim2", "dim3"]
+)
+def test_optimize_reports_a_capped_descent(dim, resolution, modes, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(variational, "DESCENT_MAX_ITERATIONS", 1)
+    out = tmp_path / "r.json"
+    flags = ["--dim", str(dim), "--grid", str(resolution), "--modes", str(modes)]
+    assert cli.main(["optimize", *flags, "--restarts", "2", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    restarts = [line for line in lines if line.startswith("restart ")]
+    assert len(restarts) == 2 and all("converged=False" in line for line in restarts)
+    if dim == 2:
+        assert any(line.startswith("switch polish declined") and "not bang-bang" in line
+                   for line in lines)
+    assert cli.main(["validate", str(out)]) == 0
 
 
 # ---------------------------------------------------------------- validate
@@ -326,6 +341,25 @@ def test_validate_refuses_dim3_degree_above_limit(tmp_path, capsys):
     f = write(tmp_path / "deep3.json", {"dim": 3, "width": 1.0, "coeffs": [entry]})
     assert cli.main(["validate", f]) == 2
     assert "dim-3 limit of 255" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        disk_payload(),
+        {"dim": 3, "width": 1.0, "coeffs": []},
+        {"dim": 2, "width": 1.0, "phi": 0.0, "area": np.pi / 4, "iterations": 1, "seed": 0,
+         "violation": 0.0, "sign_consistency": 1.0, "coeffs": []},
+        {"dim": 3, "width": 1.0, "phi": 0.0, "area": None, "iterations": 1, "seed": 0,
+         "violation": 0.0, "sign_consistency": 1.0, "coeffs": [], "equivalence_warning": True},
+    ],
+    ids=["shape-2", "shape-3", "result-2", "result-3"],
+)
+def test_validate_refuses_a_float_dim(payload, tmp_path, capsys):
+    assert cli.main(["validate", write(tmp_path / "int.json", payload)]) == 0
+    as_float = {**payload, "dim": float(payload["dim"])}
+    assert cli.main(["validate", write(tmp_path / "float.json", as_float)]) == 2
+    assert f"dim must be 2 or 3, got {as_float['dim']!r}" in capsys.readouterr().err
 
 
 def test_validate_missing_file(capsys):
@@ -650,7 +684,7 @@ PINNED_TEXT = [
         (
             "usage: orbiform optimize [-h] [--dim {2,3}] [--width WIDTH] [--grid GRID]\n"
             "                         [--modes MODES] [--restarts RESTARTS] [--seed SEED]\n"
-            "                         [--max-iter MAX_ITER] [--out OUT] [--timestamp]\n"
+            "                         [--out OUT] [--timestamp]\n"
             "\n"
             "options:\n"
             "  -h, --help           show this help message and exit\n"
@@ -660,7 +694,6 @@ PINNED_TEXT = [
             "  --modes MODES        spectral band limit\n"
             "  --restarts RESTARTS\n"
             "  --seed SEED\n"
-            "  --max-iter MAX_ITER\n"
             "  --out OUT            result JSON path\n"
             "  --timestamp          stamp the result JSON\n"
         ),
@@ -706,19 +739,19 @@ PINNED_TEXT = [
         (
             "usage: orbiform optimize [-h] [--dim {2,3}] [--width WIDTH] [--grid GRID]\n"
             "                         [--modes MODES] [--restarts RESTARTS] [--seed SEED]\n"
-            "                         [--max-iter MAX_ITER] [--out OUT] [--timestamp]\n"
+            "                         [--out OUT] [--timestamp]\n"
             "orbiform optimize: error: argument --width: must be finite and > 0, got '-1'\n"
         ),
     ),
     (
-        ["optimize", "--max-iter", "-3"],
+        ["optimize", "--restarts", "0"],
         2,
         "",
         (
             "usage: orbiform optimize [-h] [--dim {2,3}] [--width WIDTH] [--grid GRID]\n"
             "                         [--modes MODES] [--restarts RESTARTS] [--seed SEED]\n"
-            "                         [--max-iter MAX_ITER] [--out OUT] [--timestamp]\n"
-            "orbiform optimize: error: argument --max-iter: must be an integer >= 1, got '-3'\n"
+            "                         [--out OUT] [--timestamp]\n"
+            "orbiform optimize: error: argument --restarts: must be an integer >= 1, got '0'\n"
         ),
     ),
     (

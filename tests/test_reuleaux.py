@@ -13,7 +13,6 @@ from orbiform.reuleaux import (
     curvature_square_wave,
     deviation_coeffs,
     format_area_table_csv,
-    make_spec,
     to_body,
 )
 
@@ -33,14 +32,14 @@ from oracles import (
 @pytest.mark.parametrize("n", [2, 4, 1, -3, 10])
 def test_make_spec_rejects_even_or_small(n):
     with pytest.raises(ValueError):
-        make_spec(n, 1.0)
+        ReuleauxSpec(n, 1.0)
 
 
 def test_make_spec_rejects_bad_width():
     with pytest.raises(ValueError):
-        make_spec(3, 0.0)
+        ReuleauxSpec(3, 0.0)
     with pytest.raises(ValueError):
-        make_spec(3, np.inf)
+        ReuleauxSpec(3, np.inf)
 
 
 def test_spec_checks_its_inputs_and_derives_the_rest():
@@ -51,22 +50,22 @@ def test_spec_checks_its_inputs_and_derives_the_rest():
     with pytest.raises(TypeError):
         ReuleauxSpec(3, 1.0, 99.0, 0.1)  # amplitude and switch angle are not inputs
     spec = ReuleauxSpec(5, 2.0)
-    assert spec == make_spec(5, 2.0)
+    assert spec == ReuleauxSpec(5, 2.0)
     assert spec.switch_angle == np.pi / 10
     assert spec.amplitude == pytest.approx(2 * CORNER_AMPLITUDE_5, abs=1e-15)
 
 
 def test_corner_amplitude_frozen_values():
-    assert make_spec(3, 1.0).amplitude == pytest.approx(CORNER_AMPLITUDE_3, abs=1e-15)
-    assert make_spec(5, 1.0).amplitude == pytest.approx(CORNER_AMPLITUDE_5, abs=1e-15)
-    assert make_spec(3, 2.0).amplitude == pytest.approx(2 * CORNER_AMPLITUDE_3, abs=1e-15)
+    assert ReuleauxSpec(3, 1.0).amplitude == pytest.approx(CORNER_AMPLITUDE_3, abs=1e-15)
+    assert ReuleauxSpec(5, 1.0).amplitude == pytest.approx(CORNER_AMPLITUDE_5, abs=1e-15)
+    assert ReuleauxSpec(3, 2.0).amplitude == pytest.approx(2 * CORNER_AMPLITUDE_3, abs=1e-15)
 
 
 # ---------------------------------------------------------------- piecewise
 
 
 def test_square_wave_values_and_width_sum():
-    spec = make_spec(3, 1.0)
+    spec = ReuleauxSpec(3, 1.0)
     om = np.linspace(0, 2 * np.pi, 240, endpoint=False)
     r = curvature_square_wave(spec, om)
     assert set(np.unique(r)) <= {0.0, 1.0}
@@ -74,7 +73,7 @@ def test_square_wave_values_and_width_sum():
 
 
 def test_square_wave_window_layout():
-    spec = make_spec(5, 1.0)
+    spec = ReuleauxSpec(5, 1.0)
     a = spec.switch_angle
     # corner window centered at 0, arc window next door
     assert curvature_square_wave(spec, 0.0) == 0.0
@@ -85,7 +84,7 @@ def test_square_wave_window_layout():
 
 
 def test_switch_support_peaks_and_antisymmetry():
-    spec = make_spec(3, 1.0)
+    spec = ReuleauxSpec(3, 1.0)
     assert switch_support(spec.switches, 1.0, 0.0) == pytest.approx(spec.amplitude, abs=1e-15)
     om = np.linspace(0, 2 * np.pi, 144, endpoint=False)
     p = switch_support(spec.switches, 1.0, om)
@@ -98,7 +97,7 @@ def test_switch_support_peaks_and_antisymmetry():
 
 def test_deviation_coeffs_match_window_integration_oracle():
     for n in (3, 5, 7):
-        spec = make_spec(n, 1.0)
+        spec = ReuleauxSpec(n, 1.0)
         c = deviation_coeffs(spec, 6 * n)
         for k in range(1, 6 * n + 1):
             want = square_wave_cos_coeff(n, 1.0, k)
@@ -107,14 +106,14 @@ def test_deviation_coeffs_match_window_integration_oracle():
 
 
 def test_deviation_coeffs_sparsity():
-    spec = make_spec(3, 1.0)
+    spec = ReuleauxSpec(3, 1.0)
     c = deviation_coeffs(spec, 20)
     nz = np.nonzero(c.values)[0]
     assert set(nz) == {index2(3, "cos"), index2(9, "cos"), index2(15, "cos")}
 
 
 def test_series_converges_to_square_wave_away_from_switches():
-    spec = make_spec(3, 1.0)
+    spec = ReuleauxSpec(3, 1.0)
     grid = make_grid(2, 4096)
     from orbiform.harmonic_core import synthesize
 
@@ -137,19 +136,19 @@ def test_series_converges_to_square_wave_away_from_switches():
 
 def test_to_body_needs_enough_modes():
     with pytest.raises(ValueError):
-        to_body(make_spec(3, 1.0), 11)
-    to_body(make_spec(3, 1.0), 12)
+        to_body(ReuleauxSpec(3, 1.0), 11)
+    to_body(ReuleauxSpec(3, 1.0), 12)
 
 
 def test_to_body_support_at_corner():
-    spec = make_spec(3, 1.0)
+    spec = ReuleauxSpec(3, 1.0)
     b = to_body(spec, 512)
     assert eval_support(b, 0.0) == pytest.approx(0.5 + spec.amplitude, abs=1e-7)
     assert validate(b, convexity_tol=0.12).valid
 
 
 def test_to_body_area_converges(grid2_512):
-    spec = make_spec(3, 1.0)
+    spec = ReuleauxSpec(3, 1.0)
     areas = [area_quadrature(to_body(spec, L), make_grid(2, 2 * L + 2)) for L in (64, 256)]
     errs = [abs(a - TRIANGLE_AREA) for a in areas]
     assert errs[1] < errs[0] < 1e-3
@@ -159,13 +158,13 @@ def test_to_body_area_converges(grid2_512):
 
 
 def test_closed_area_frozen_values():
-    assert closed_area(make_spec(3, 1.0)) == pytest.approx(TRIANGLE_AREA, abs=1e-15)
-    assert closed_area(make_spec(5, 1.0)) == pytest.approx(PENTAGON_AREA, abs=1e-15)
+    assert closed_area(ReuleauxSpec(3, 1.0)) == pytest.approx(TRIANGLE_AREA, abs=1e-15)
+    assert closed_area(ReuleauxSpec(5, 1.0)) == pytest.approx(PENTAGON_AREA, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 21, 99])
 def test_closed_area_matches_segment_decomposition(n):
-    assert closed_area(make_spec(n, 1.0)) == pytest.approx(
+    assert closed_area(ReuleauxSpec(n, 1.0)) == pytest.approx(
         reuleaux_area_segments(n, 1.0), abs=1e-14
     )
 
@@ -174,9 +173,9 @@ def test_closed_area_matches_segment_decomposition(n):
 @given(st.integers(1, 48), st.floats(0.25, 4.0))
 def test_closed_area_scales_and_grows(half, width):
     n = 2 * half + 1
-    a = closed_area(make_spec(n, width))
-    assert a == pytest.approx(width * width * closed_area(make_spec(n, 1.0)), rel=1e-13)
-    assert a < closed_area(make_spec(n + 2, width))
+    a = closed_area(ReuleauxSpec(n, width))
+    assert a == pytest.approx(width * width * closed_area(ReuleauxSpec(n, 1.0)), rel=1e-13)
+    assert a < closed_area(ReuleauxSpec(n + 2, width))
     assert a < np.pi * width * width / 4.0
 
 

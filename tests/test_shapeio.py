@@ -121,6 +121,19 @@ def test_result_file_schema_is_strict(change):
         loads_shape(json.dumps(payload))
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [{"dim": 2, "width": 1.0, "coeffs": []}, {"dim": 3, "width": 1.0, "coeffs": []}, RESULT,
+     RESULT_3],
+    ids=["shape-2", "shape-3", "result-2", "result-3"],
+)
+def test_dim_must_be_an_integer(payload):
+    assert loads_shape(json.dumps(payload)).dim == payload["dim"]
+    as_float = {**payload, "dim": float(payload["dim"])}
+    with pytest.raises(ShapeFormatError, match=f"dim must be 2 or 3, got {as_float['dim']!r}"):
+        loads_shape(json.dumps(as_float))
+
+
 @pytest.mark.parametrize("change", [{"area": 1.0}, {"equivalence_warning": False}])
 def test_dim3_result_file_has_no_area_and_a_warning(change):
     loads_shape(json.dumps(RESULT_3))

@@ -18,7 +18,7 @@ from orbiform.spheroform3d import (
     phi1,
     width_residual,
 )
-from orbiform.variational import MinimizeConfig, minimize
+from orbiform.variational import minimize
 
 from oracles import BALL3_PHI1, ball3_phi1
 
@@ -85,7 +85,7 @@ def test_width_residual_zero_for_odd_harmonics(grid3_16, rng):
 
 
 def test_minimize3d_contract(grid3_16):
-    res = minimize(1.0, grid3_16, 7, seed=5, config=MinimizeConfig(restarts=2))
+    res = minimize(1.0, grid3_16, 7, seed=5, restarts=2)
     assert res.equivalence_warning
     assert res.area is None
     assert res.phi_value < 0

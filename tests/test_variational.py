@@ -27,14 +27,12 @@ from orbiform.harmonic_core import (
 )
 from orbiform import harmonic_core, variational
 from orbiform.body2d import area_spectral, body_from_deviation, switch_window
-from orbiform.reuleaux import deviation_coeffs, make_spec
+from orbiform.reuleaux import ReuleauxSpec, deviation_coeffs
 from orbiform.variational import (
     AdmissibleR,
-    MinimizeConfig,
     NumericalFailure,
     OptimizationResult,
     SolveStats,
-    admissible_from_values,
     bang_bang_report,
     best_restart,
     box_bound,
@@ -74,7 +72,7 @@ def triangle_values(grid, scale=1.0):
     """
     from orbiform.reuleaux import curvature_square_wave
 
-    spec = make_spec(3, scale)
+    spec = ReuleauxSpec(3, scale)
     return curvature_square_wave(spec, grid.angles) - 0.5 * scale
 
 
@@ -88,7 +86,7 @@ def test_box_bound_values():
 
 
 def test_admissible_accepts_square_wave(grid240):
-    r = admissible_from_values(1.0, grid240, 60, triangle_values(grid240))
+    r = AdmissibleR(1.0, grid240, 60, triangle_values(grid240))
     assert isinstance(r, AdmissibleR)
     assert r.dim == 2
 
@@ -96,20 +94,20 @@ def test_admissible_accepts_square_wave(grid240):
 def test_admissible_rejects_box_violation(grid240):
     vals = triangle_values(grid240) * 1.01
     with pytest.raises(ValueError, match="box"):
-        admissible_from_values(1.0, grid240, 60, vals)
+        AdmissibleR(1.0, grid240, 60, vals)
 
 
 def test_admissible_rejects_asymmetry(grid240):
     vals = triangle_values(grid240).copy()
     vals[3] -= np.sign(vals[3]) * 1e-6  # move inward so only antisymmetry breaks
     with pytest.raises(ValueError, match="antisym"):
-        admissible_from_values(1.0, grid240, 60, vals)
+        AdmissibleR(1.0, grid240, 60, vals)
 
 
 def test_admissible_rejects_translation_component(grid240):
     vals = 0.2 * np.sin(grid240.angles)
     with pytest.raises(ClosednessError, match=r"degree-1.*\(degree=1, part=sin\)"):
-        admissible_from_values(1.0, grid240, 60, vals)
+        AdmissibleR(1.0, grid240, 60, vals)
 
 
 def test_admissible_r_analyzes_its_own_values(grid240):
@@ -128,7 +126,7 @@ def test_admissible_r_analyzes_its_own_values(grid240):
 
 def test_admissibility_residuals_names_and_order(grid240):
     vals = triangle_values(grid240)
-    r = admissible_from_values(1.0, grid240, 60, vals)
+    r = AdmissibleR(1.0, grid240, 60, vals)
     checks = variational.admissibility_residuals(vals, grid240, 1.0, r.coeffs)
     assert [name for name, _, _ in checks] == [
         "box-bound", "antipodal-antisymmetry", "translation-orthogonality",
@@ -234,7 +232,7 @@ def test_project_one_free_antipodal_pair_converges(grid240):
 def test_project_large_dim3_steps_stay_admissible(grid3_16):
     # the descent's step-size ladder eta0 * 2**k from a converged dim-3 state;
     # the longest steps once ran an alternating-projection solver into its cap
-    r = minimize(1.0, grid3_16, 7, seed=7, config=MinimizeConfig(restarts=1)).minimizer
+    r = minimize(1.0, grid3_16, 7, seed=7, restarts=1).minimizer
     grad = phi_gradient(r)
     phi0 = phi(r)
     for k in range(11):
@@ -308,7 +306,7 @@ def test_project_newton_steps_on_dim3_ladder(grid3_16):
     # the ladder of test_project_large_dim3_steps_stay_admissible: a solver
     # taking only Levenberg steps with a line search needed 63 Newton steps
     # on it; full Newton steps kept while the dual still rises take 46
-    r = minimize(1.0, grid3_16, 7, seed=7, config=MinimizeConfig(restarts=1)).minimizer
+    r = minimize(1.0, grid3_16, 7, seed=7, restarts=1).minimizer
     grad = phi_gradient(r)
     ws = variational._workspace_for(grid3_16, 7)
     steps = [
@@ -324,7 +322,7 @@ def test_project_line_searches_on_dim3_ladder(grid3_32):
     # took the breakpoint line search on 46 of the ladder's Newton steps;
     # keeping the full step while the dual still rises at it, or once it
     # meets the stopping rule, takes it on 24
-    r = minimize(1.0, grid3_32, 15, seed=7, config=MinimizeConfig(restarts=4)).minimizer
+    r = minimize(1.0, grid3_32, 15, seed=7, restarts=4).minimizer
     grad = phi_gradient(r)
     ws = variational._workspace_for(grid3_32, 15)
     searches = [
@@ -339,7 +337,7 @@ def test_project_satisfies_variational_inequality_on_dim3_ladder(grid3_16, rng):
     # and the dual Hessian is singular, then random inputs with many free
     # nodes. Zero, -P(v), the minimizer the ladder starts from and every
     # other projection are admissible points y
-    r = minimize(1.0, grid3_16, 7, seed=7, config=MinimizeConfig(restarts=1)).minimizer
+    r = minimize(1.0, grid3_16, 7, seed=7, restarts=1).minimizer
     grad = phi_gradient(r)
     inputs = [r.values - 5.0 * 2.0**k * grad for k in range(6, 11)]
     inputs += [rng.normal(0.0, scale, grid3_16.size) for scale in (0.5, 2.0, 20.0)]
@@ -376,28 +374,28 @@ def test_phi_of_triangle_partial_sums(grid480):
 
     # grid-sampled route: analysis of the raw wave aliases the tail above the
     # Nyquist band, an O(1/N^2) effect, well separated from the window value
-    r = admissible_from_values(1.0, grid480, 128, triangle_values(grid480))
+    r = AdmissibleR(1.0, grid480, 128, triangle_values(grid480))
     assert phi(r) == pytest.approx(window_phi, abs=5e-5)
     assert phi(r) == pytest.approx(TRIANGLE_PHI, abs=5e-5)
 
 
 def test_phi_nonpositive_and_zero_at_ball(grid240):
-    z = admissible_from_values(1.0, grid240, 60, np.zeros(grid240.size))
+    z = AdmissibleR(1.0, grid240, 60, np.zeros(grid240.size))
     assert phi(z) == 0.0
-    r = admissible_from_values(1.0, grid240, 60, triangle_values(grid240))
+    r = AdmissibleR(1.0, grid240, 60, triangle_values(grid240))
     assert phi(r) < 0
 
 
 def test_phi_scale_covariance(grid240):
-    r1 = admissible_from_values(1.0, grid240, 60, triangle_values(grid240))
-    r2 = admissible_from_values(2.0, grid240, 60, triangle_values(grid240, 2.0))
+    r1 = AdmissibleR(1.0, grid240, 60, triangle_values(grid240))
+    r2 = AdmissibleR(2.0, grid240, 60, triangle_values(grid240, 2.0))
     assert phi(r2) == pytest.approx(4.0 * phi(r1), rel=1e-12)
 
 
 def test_gradient_matches_finite_differences(grid240, rng):
     L = 40
     vals = 0.8 * triangle_values(grid240)
-    r = admissible_from_values(1.0, grid240, L, vals)
+    r = AdmissibleR(1.0, grid240, L, vals)
     grad = phi_gradient(r)
 
     c0 = analyze(grid240, vals, L)
@@ -420,23 +418,17 @@ def test_gradient_matches_finite_differences(grid240, rng):
 
 
 def test_bang_bang_report_on_exact_wave(grid240):
-    r = admissible_from_values(1.0, grid240, 60, triangle_values(grid240))
+    r = AdmissibleR(1.0, grid240, 60, triangle_values(grid240))
     rep = bang_bang_report(r)
-    assert rep.epsilon == 1e-3
+    assert variational.BANG_EPSILON == 1e-3
     assert rep.violation <= 1e-12
     assert rep.sign_consistency == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bang_bang_report_flags_interior_mass(grid240):
-    r = admissible_from_values(1.0, grid240, 60, 0.5 * triangle_values(grid240))
+    r = AdmissibleR(1.0, grid240, 60, 0.5 * triangle_values(grid240))
     rep = bang_bang_report(r)
     assert rep.violation > 0.5
-
-
-def test_bang_bang_report_rejects_bad_epsilon(grid240):
-    r = admissible_from_values(1.0, grid240, 60, triangle_values(grid240))
-    with pytest.raises(ValueError):
-        bang_bang_report(r, epsilon=0.0)
 
 
 def test_canonical_align_idempotent_and_rotation_invariant():
@@ -445,10 +437,10 @@ def test_canonical_align_idempotent_and_rotation_invariant():
     # would park nodes on the switches and break bitwise roll equality
     grid = make_grid(2, 234)
     vals = triangle_values(grid)
-    r = admissible_from_values(1.0, grid, 60, vals)
+    r = AdmissibleR(1.0, grid, 60, vals)
     a = canonical_align(r)
     assert np.array_equal(canonical_align(a).values, a.values)
-    rolled = admissible_from_values(1.0, grid, 60, np.roll(vals, 39))
+    rolled = AdmissibleR(1.0, grid, 60, np.roll(vals, 39))
     b = canonical_align(rolled)
     assert np.array_equal(a.values, b.values)
 
@@ -458,7 +450,7 @@ def test_canonical_align_ties_go_to_the_smallest_rotation():
     # differ by rounding (2.8e-17 with numpy 2.4); np.argmax took node 195,
     # and the aligned state then had its first maximum at node 156, not 0
     grid = make_grid(2, 234)
-    rolled = admissible_from_values(1.0, grid, 60, np.roll(triangle_values(grid), 39))
+    rolled = AdmissibleR(1.0, grid, 60, np.roll(triangle_values(grid), 39))
     a = canonical_align(rolled)
     pbar = support_deviation(a)
     tie = variational.ALIGN_RTOL * np.max(np.abs(pbar))
@@ -467,7 +459,7 @@ def test_canonical_align_ties_go_to_the_smallest_rotation():
 
 
 def test_canonical_align_is_idempotent_on_minimizers():
-    for res in minimize_restarts(1.0, make_grid(2, 128), 32, 4, MinimizeConfig(restarts=3)):
+    for res in minimize_restarts(1.0, make_grid(2, 128), 32, 4, restarts=3):
         a = canonical_align(res.minimizer)
         assert canonical_align(a) is a
 
@@ -478,7 +470,7 @@ def test_canonical_align_shift_does_not_depend_on_the_width():
     grid = make_grid(2, 234)
     aligned = []
     for width in (1e-20, 1.0, 1e20):
-        rolled = admissible_from_values(width, grid, 60, np.roll(triangle_values(grid, width), 39))
+        rolled = AdmissibleR(width, grid, 60, np.roll(triangle_values(grid, width), 39))
         a = canonical_align(rolled)
         assert a is not rolled
         aligned.append(np.sign(a.values))  # the same shift rolls the same signs
@@ -489,12 +481,12 @@ def test_canonical_align_shift_does_not_depend_on_the_width():
 # ---------------------------------------------------------------- optimizer
 
 
-SMALL = MinimizeConfig(restarts=3)
+SMALL = 3
 
 
 def test_minimize_small_run_finds_triangle():
     grid = make_grid(2, 128)
-    res = minimize(1.0, grid, 32, seed=11, config=SMALL)
+    res = minimize(1.0, grid, 32, seed=11, restarts=SMALL)
     assert res.converged
     assert res.phi_value < 0
     assert res.area == pytest.approx(0.70477, abs=5e-3)
@@ -504,8 +496,8 @@ def test_minimize_small_run_finds_triangle():
 
 def test_minimize_is_deterministic():
     grid = make_grid(2, 128)
-    a = minimize(1.0, grid, 32, seed=4, config=SMALL)
-    b = minimize(1.0, grid, 32, seed=4, config=SMALL)
+    a = minimize(1.0, grid, 32, seed=4, restarts=SMALL)
+    b = minimize(1.0, grid, 32, seed=4, restarts=SMALL)
     assert result_to_json(a) == result_to_json(b)
     assert np.array_equal(a.minimizer.values, b.minimizer.values)
 
@@ -513,15 +505,15 @@ def test_minimize_is_deterministic():
 def test_minimize_restart_count_does_not_change_result():
     # restart i draws from default_rng([seed, i]) whatever the restart count
     grid = make_grid(2, 128)
-    one = minimize_restarts(1.0, grid, 32, seed=4, config=MinimizeConfig(restarts=1))
-    three = minimize_restarts(1.0, grid, 32, seed=4, config=MinimizeConfig(restarts=3))
+    one = minimize_restarts(1.0, grid, 32, seed=4, restarts=1)
+    three = minimize_restarts(1.0, grid, 32, seed=4, restarts=3)
     assert result_to_json(one[0]) == result_to_json(three[0])
 
 
 def test_minimize_iterations_do_not_depend_on_width(grid2_512):
     # the problem is scale-invariant, and so is every stopping rule
     counts = [
-        [r.iterations for r in minimize_restarts(B, grid2_512, 255, 7, MinimizeConfig(restarts=4))]
+        [r.iterations for r in minimize_restarts(B, grid2_512, 255, 7, restarts=4)]
         for B in (0.75, 1.0, 1.36)
     ]
     assert counts[0] == counts[1] == counts[2]
@@ -529,8 +521,8 @@ def test_minimize_iterations_do_not_depend_on_width(grid2_512):
 
 def test_minimize_scale_covariance():
     grid = make_grid(2, 128)
-    a = minimize(1.0, grid, 32, seed=2, config=SMALL)
-    b = minimize(2.0, grid, 32, seed=2, config=SMALL)
+    a = minimize(1.0, grid, 32, seed=2, restarts=SMALL)
+    b = minimize(2.0, grid, 32, seed=2, restarts=SMALL)
     assert b.phi_value == pytest.approx(4.0 * a.phi_value, rel=1e-12)
     assert b.area == pytest.approx(4.0 * a.area, rel=1e-12)
 
@@ -547,7 +539,7 @@ def test_minimize_scale_covariance():
 def test_minimize_best_restart_is_lowest_index_within_rel_tol(monkeypatch, phis, best):
     fake = [SimpleNamespace(phi_value=p, restart_index=i) for i, p in enumerate(phis)]
     monkeypatch.setattr(variational, "minimize_restarts", lambda *args, **kwargs: fake)
-    result = minimize(1.0, make_grid(2, 64), 15, 0, MinimizeConfig())
+    result = minimize(1.0, make_grid(2, 64), 15, 0)
     assert result.restart_index == best
 
 
@@ -564,14 +556,14 @@ def test_result_derives_area_and_bang_bang_from_its_minimizer(grid240, monkeypat
     polished = []
     monkeypatch.setattr(variational, "polish_switches",
                         lambda r, real=polish_switches: polished.append(r) or real(r))
-    results = minimize_restarts(1.0, make_grid(2, 128), 32, seed=4, config=SMALL)
+    results = minimize_restarts(1.0, make_grid(2, 128), 32, seed=4, restarts=SMALL)
     assert reports == [] and polished == []  # nothing is computed for the restarts that lose
     best = best_restart(results)
     assert best.bangbang_violation < 0.05 and best.sign_consistency > 0.95
     assert reports == [best.minimizer]  # one report gives both fractions
     assert best.polish is best.polish and polished == [best.minimizer]
 
-    half = admissible_from_values(1.0, grid240, 60, 0.5 * triangle_values(grid240))
+    half = AdmissibleR(1.0, grid240, 60, 0.5 * triangle_values(grid240))
     other = replace(best, minimizer=half)
     body = body_from_deviation(1.0, apply_green(project_linear_H(half.coeffs)))
     assert other.area == area_spectral(body) != best.area
@@ -580,16 +572,16 @@ def test_result_derives_area_and_bang_bang_from_its_minimizer(grid240, monkeypat
 
 def test_minimize_restarts_provenance():
     grid = make_grid(2, 128)
-    results = minimize_restarts(1.0, grid, 32, seed=9, config=SMALL)
+    results = minimize_restarts(1.0, grid, 32, seed=9, restarts=SMALL)
     assert [r.restart_index for r in results] == [0, 1, 2]
     assert all(r.seed == 9 for r in results)
-    best = minimize(1.0, grid, 32, seed=9, config=SMALL)
+    best = minimize(1.0, grid, 32, seed=9, restarts=SMALL)
     assert best.phi_value == min(r.phi_value for r in results)
 
 
 def test_result_json_schema():
     grid = make_grid(2, 128)
-    res = minimize(1.0, grid, 32, seed=1, config=SMALL)
+    res = minimize(1.0, grid, 32, seed=1, restarts=SMALL)
     payload = json.loads(result_to_json(res))
     assert list(payload.keys()) == [
         "dim",
@@ -610,10 +602,10 @@ def test_result_json_schema():
 
 
 def test_minimize_labels_dim3_results_as_candidates(grid3_16):
-    res = minimize(1.0, grid3_16, 7, seed=2, config=MinimizeConfig(restarts=1))
+    res = minimize(1.0, grid3_16, 7, seed=2, restarts=1)
     assert res.equivalence_warning is True
     assert '"equivalence_warning": true' in result_to_json(res)
-    planar = minimize(1.0, make_grid(2, 64), 15, seed=2, config=MinimizeConfig(restarts=1))
+    planar = minimize(1.0, make_grid(2, 64), 15, seed=2, restarts=1)
     assert planar.equivalence_warning is False
     assert "equivalence_warning" not in result_to_json(planar)
 
@@ -640,7 +632,7 @@ def test_grid_frees_its_tables_with_it():
 
 def test_minimize_reports_projection_stats_outside_the_json():
     grid = make_grid(2, 128)
-    results = minimize_restarts(1.0, grid, 32, seed=4, config=SMALL)
+    results = minimize_restarts(1.0, grid, 32, seed=4, restarts=SMALL)
     for res in results:
         stats = res.stats
         # one projection of the start point, then one per descent iteration
@@ -657,9 +649,9 @@ def test_minimize_reports_projection_stats_outside_the_json():
 def test_result_derives_phi_from_its_minimizer(grid240):
     init = {f.name for f in fields(OptimizationResult) if f.init}
     assert not init & {"phi_value", "polish"}
-    best = minimize(1.0, make_grid(2, 128), 32, seed=4, config=SMALL)
+    best = minimize(1.0, make_grid(2, 128), 32, seed=4, restarts=SMALL)
     assert best.phi_value == phi(best.minimizer) < 0.0
-    half = admissible_from_values(1.0, grid240, 60, 0.5 * triangle_values(grid240))
+    half = AdmissibleR(1.0, grid240, 60, 0.5 * triangle_values(grid240))
     other = replace(best, minimizer=half)
     assert other.phi_value == phi(half) > best.phi_value  # no stale phi
 
@@ -674,7 +666,7 @@ def test_polish_reaches_the_truncated_triangle(grid2_512):
     floor_phi = sum(square_wave_cos_coeff(3, 1.0, int(k)) ** 2 / (1.0 - k * k) for k in ks)
     floor = (np.pi / 4 + 0.5 * floor_phi - TRIANGLE_AREA) / TRIANGLE_AREA
     assert floor == pytest.approx(2.629e-8, rel=1e-3)
-    res = minimize(1.0, grid2_512, 255, seed=7, config=MinimizeConfig(restarts=16))
+    res = minimize(1.0, grid2_512, 255, seed=7, restarts=16)
     p = res.polish
     assert p.declined is None and len(p.switches) == 3 and p.steps <= 5
     excess = (p.area - TRIANGLE_AREA) / TRIANGLE_AREA
@@ -692,11 +684,11 @@ def test_polish_reaches_the_truncated_triangle(grid2_512):
 
 
 def test_polish_declines_a_state_that_is_not_bang_bang(grid240):
-    half = admissible_from_values(1.0, grid240, 60, 0.5 * triangle_values(grid240))
+    half = AdmissibleR(1.0, grid240, 60, 0.5 * triangle_values(grid240))
     p = polish_switches(half)
     assert p.declined.startswith("not bang-bang")
     assert p.switches is None and p.coeffs is None
-    res = minimize(1.0, make_grid(2, 128), 32, seed=4, config=SMALL)
+    res = minimize(1.0, make_grid(2, 128), 32, seed=4, restarts=SMALL)
     other = replace(res, minimizer=half)
     assert other.polish.declined == p.declined
     # no switches without a converged polish: the file holds the window, and
@@ -707,10 +699,10 @@ def test_polish_declines_a_state_that_is_not_bang_bang(grid240):
 
 
 def test_polish_turns_a_state_positive_at_zero_by_pi():
-    r = minimize(1.0, make_grid(2, 128), 32, seed=4, config=SMALL).minimizer
+    r = minimize(1.0, make_grid(2, 128), 32, seed=4, restarts=SMALL).minimizer
     polished = []
     for values in (r.values, -r.values):
-        flipped = admissible_from_values(1.0, r.grid, 32, values)
+        flipped = AdmissibleR(1.0, r.grid, 32, values)
         p = polish_switches(flipped)
         assert p.declined is None and 0.0 <= p.switches[0] < p.switches[-1] < np.pi
         text = result_to_json(OptimizationResult(flipped, 1, 0, 0, True))
@@ -725,7 +717,7 @@ def test_polish_of_an_aliased_grid_minimum_is_the_truncated_triangle(grid240):
     # samples of the exact triangle with a node on every switch: their
     # trapezoid window reads a phi below that of any exact body at L = 60,
     # and the polish still gives the exact triangle truncated at L = 60
-    r = admissible_from_values(1.0, grid240, 60, triangle_values(grid240))
+    r = AdmissibleR(1.0, grid240, 60, triangle_values(grid240))
     assert phi(r) < TRIANGLE_PHI
     p = polish_switches(r)
     assert p.declined is None and len(p.switches) == 3
@@ -785,7 +777,7 @@ def test_half_turn_list_gives_the_point_reflection():
 
 
 def test_polish_is_dim2_only(grid3_16):
-    res = minimize(1.0, grid3_16, 7, seed=2, config=MinimizeConfig(restarts=1))
+    res = minimize(1.0, grid3_16, 7, seed=2, restarts=1)
     assert res.polish is None
     with pytest.raises(ValueError, match="dim 2"):
         polish_switches(res.minimizer)
@@ -796,5 +788,5 @@ def test_polish_is_dim2_only(grid3_16):
 def test_descent_never_beats_global_bound(seed):
     # phi of any admissible state is bounded below by the full box mass
     grid = make_grid(2, 64)
-    res = minimize(1.0, grid, 16, seed=seed, config=MinimizeConfig(restarts=1))
+    res = minimize(1.0, grid, 16, seed=seed, restarts=1)
     assert -1.0 < res.phi_value <= 0.0
