@@ -10,13 +10,17 @@ invariants as CheckResults with width-scaled tolerances; area_spectral refuses
 a curvature radius with a degree-1 part (harmonic_core.require_translation_free).
 switch_window is the closed form of a bang-bang curvature, R in {0, B} with
 finitely many switches, which is what the minimizers of the area are;
-switch_checks gates a file that holds such a body, and switch_support is that
-body's support with no band limit (switch_kernel).
+switch_checks gates a file that holds such a body, switch_support is that
+body's support with no band limit (switch_kernel), and switch_phi its Green
+form, whose area pi B^2 / 4 + phi / 2 `orbiform reuleaux` checks.
 
-Importing this module loads no numpy: the window sums, switch_checks and the
-certificate of a shape file with switches use math only, so `orbiform
-validate` of such a file is a standard-library path, and the functions that
-compute on arrays import numpy when they run.
+Importing this module loads no numpy: the window sums, switch_checks,
+switch_phi, the certificate of a shape file with switches, and the boundary
+points and Parseval area of flat support values (_boundary_points,
+_area_parseval) use math only. So `orbiform validate` of such a file and
+`orbiform reuleaux` are standard-library paths, and the functions that compute
+on arrays import numpy when they run; boundary and area_quadrature are the
+references of the two math helpers.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ __all__ = [
     "switch_window",
     "switch_checks",
     "switch_kernel",
+    "switch_phi",
     "switch_support",
     "validate",
     "random_body",
@@ -211,6 +216,27 @@ def switch_kernel(x):
     return np.sign(x) * (0.75 * sin - 0.25 * u * cos - 0.25 * np.pi), 0.25 * (cos + u * sin)
 
 
+def switch_phi(switches, width: float) -> float:
+    """Band-free Green form of a switch list: phi = (4/pi) sum_ij J_i J_j
+    S(theta_i - theta_j), with S as in switch_kernel and the jumps J of
+    switch_jumps. The body of a closed list has area pi B^2 / 4 + phi / 2.
+    S is even, so each pair i < j is taken once, doubled; math only, O(n^2)
+    elementary functions: n = 255 takes about 25 ms on a shared 2-core VM
+    (Python 3.11)."""
+    theta = [float(t) for t in switches]
+
+    def kernel(x: float) -> float:
+        a = abs(x)
+        c, u = math.cos(a), 2.0 * a - math.pi
+        return 0.125 * math.pi * (math.pi - 2.0 * a) - c - 0.25 * (c + u * math.sin(a))
+
+    terms = [len(theta) * kernel(0.0)]
+    for i, t in enumerate(theta):
+        # J_i J_j = B^2 when i and j have the same parity, -B^2 otherwise
+        terms += [(-2.0 if (i + j) % 2 else 2.0) * kernel(t - u) for j, u in enumerate(theta[:i])]
+    return 4.0 / math.pi * width * width * math.fsum(terms)
+
+
 def switch_support(switches, width: float, omega) -> np.ndarray | float:
     """Band-free mean-free support of a closed switch body at any real angles:
     pbar(w) = -(2/pi) sum_k J_k S'(w - theta_k) for w mod 2 pi in [0, pi), and
@@ -297,6 +323,38 @@ def boundary(body: SupportBody, grid: SphereGrid) -> tuple[np.ndarray, np.ndarra
     return _boundary_map(p, dp, grid.angles)
 
 
+def _fft(a: list[complex]) -> list[complex]:
+    """sum_m a[m] exp(2 pi i m j / n) for j = 0..n-1, n a power of two (radix 2)."""
+    n = len(a)
+    if n == 1:
+        return a
+    even, odd = _fft(a[0::2]), _fft(a[1::2])
+    turns = [2.0 * math.pi * m / n for m in range(n // 2)]
+    odd = [complex(math.cos(t), math.sin(t)) * v for t, v in zip(turns, odd)]
+    return [e + o for e, o in zip(even, odd)] + [e - o for e, o in zip(even, odd)]
+
+
+def _boundary_points(values: list[float], n: int) -> list[complex]:
+    """Boundary points x + i y at the normal angles 2 pi j / n, j = 0..n-1, of
+    the support in the flat dim-2 layout, with math; n a power of two, >= 2.
+
+    x + i y = (p + i p') exp(i w), and degree k of p + i p' is
+    ((1 - k)(a - i b) exp(i k w) + (1 + k)(a + i b) exp(-i k w)) / (2 sqrt pi)
+    for the pair (a, b). At the n nodes exp(i m w) depends on m mod n only, so
+    each term is added to bin (m + 1) mod n, as boundary's refined grid does,
+    and one FFT sums the bins. The cost is the band limit plus n log n.
+    """
+    bins = [0j] * n
+    bins[1] = values[0] * MEAN_BASIS
+    scale = 0.5 / SQRT_PI
+    for k in range(1, (len(values) - 1) // 2 + 1):
+        a, b = values[2 * k - 1], values[2 * k]
+        if a or b:
+            bins[(k + 1) % n] += (1 - k) * scale * complex(a, -b)
+            bins[(1 - k) % n] += (1 + k) * scale * complex(a, b)
+    return _fft(bins)
+
+
 def area_quadrature(body: SupportBody, grid: SphereGrid) -> float:
     """Area as the quadrature of (1/2) p R over normal directions."""
     from .harmonic_core import synthesize
@@ -304,6 +362,14 @@ def area_quadrature(body: SupportBody, grid: SphereGrid) -> float:
     p = synthesize(body.support_coeffs, grid)
     r = synthesize(curvature_coeffs(body), grid)
     return 0.5 * grid.inner(p, r)
+
+
+def _area_parseval(values: list[float]) -> float:
+    """area_quadrature of the support in the flat dim-2 layout, with math: by
+    Parseval, (1/2) sum_k (1 - k^2) c_k^2 over its coefficients c_k, summed
+    with fsum. The trapezoid rule on 2L + 2 nodes integrates p R, of degree
+    2L, exactly, so that quadrature gives this sum up to rounding."""
+    return 0.5 * math.fsum((1 - ((i + 1) // 2) ** 2) * c * c for i, c in enumerate(values))
 
 
 def area_spectral(body: SupportBody) -> float:

@@ -7,11 +7,18 @@ on a shape file), table (closed-form area table as CSV).
 Parsing, --help and usage errors use the standard library only: flag ranges
 are argparse types, a handler checks the rules that tie --modes to --grid or
 --sides before it imports anything, and each subcommand imports the modules it
-runs when it runs. So numpy is loaded only by a subcommand that computes, and
-reuleaux and dim-2 shape-file validate never load variational or
-spheroform3d. table computes its closed form with math and loads no numpy
-unless it writes --out, and validate of a dim-2 shape file with switches (what
-reuleaux --out writes) loads none either.
+runs when it runs. reuleaux, table and validate of a dim-2 shape file with
+switches (what reuleaux --out writes) compute with math alone and load no
+numpy; optimize and the other validate paths do.
+
+reuleaux holds its highest degree, the largest odd multiple of --sides up to
+--modes, to the writer's limit (shapeio.MAX_DEGREE_2D) whether or not it
+writes --out. It prints the closed-form area and the "quadrature area", the
+trapezoid rule on 2L + 2 nodes for band limit L, which integrates p R exactly
+and so is the Parseval sum (1/2) sum (1 - k^2) c_k^2 of the support
+coefficients (body2d._area_parseval). Two gates exit 4: that area against the
+closed form at 2e-4 B^2, and the band-free area of the switch angles, pi B^2 /
+4 + phi / 2 (body2d.switch_phi), at n^2 eps B^2 for n sides.
 
 validate prints one report format for every file: body2d.validate on a dim-2
 shape file (in closed form when it lists switches), AdmissibleR's checks
@@ -43,10 +50,6 @@ import argparse
 import math
 import os
 import sys
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .body2d import SupportBody
 
 __all__ = ["main", "entrypoint", "render_svg"]
 
@@ -62,26 +65,27 @@ TRIANGLE_AREA = 0.5 * (math.pi - math.sqrt(3.0))  # width-1 benchmark
 # every subcommand succeeds across it, while B**2 overflows past about 1e154
 # and the area and degree-1 checks fail from about 1e153 and 1e-160 on
 WIDTH_RANGE = (1e-100, 1e100)
-SVG_SAMPLES = 1024  # uniformly spaced normal angles on the rendered boundary
+SVG_SAMPLES = 1024  # uniformly spaced normal angles on the rendered boundary; a power of two
 
 
-def render_svg(body: SupportBody) -> str:
-    """Render the boundary as one closed path in a 512 x 512 viewBox, 5% margin."""
-    import numpy as np
-
+def render_svg(values: list[float]) -> str:
+    """Render the boundary of the support whose flat dim-2 coefficients are
+    values as one closed path in a 512 x 512 viewBox, 5% margin. The path
+    visits SVG_SAMPLES normal angles, which must be a power of two: the points
+    come from one radix-2 FFT (body2d._boundary_points), with math only. The
+    area line reuleaux prints beside it is the trapezoid sum of p R, exact at
+    2L + 2 nodes, taken in coefficient space."""
     from . import body2d
-    from .harmonic_core import make_grid
 
-    x, y = body2d.boundary(body, make_grid(2, SVG_SAMPLES))
-    xmin, xmax = float(np.min(x)), float(np.max(x))
-    ymin, ymax = float(np.min(y)), float(np.max(y))
-    span = max(xmax - xmin, ymax - ymin, np.finfo(float).tiny)
+    points = body2d._boundary_points(values, SVG_SAMPLES)
+    x, y = [z.real for z in points], [z.imag for z in points]
+    xmin, ymin = min(x), min(y)
+    span = max(max(x) - xmin, max(y) - ymin, sys.float_info.min)
     margin = 0.05 * 512
     scale = (512 - 2 * margin) / span
     # svg y axis points down; flip so the figure is not mirrored
-    px = margin + (x - xmin) * scale
-    py = 512 - margin - (y - ymin) * scale
-    steps = " L ".join(f"{a:.3f} {b:.3f}" for a, b in zip(px, py))
+    steps = " L ".join(f"{margin + (a - xmin) * scale:.3f} {512 - margin - (b - ymin) * scale:.3f}"
+                       for a, b in zip(x, y))
     path = f"M {steps} Z"
     return (
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 512 512">\n'
@@ -166,31 +170,39 @@ def _cmd_reuleaux(args) -> int:
               f"need >= {4 * args.sides}", file=sys.stderr)
         return EXIT_USAGE
     from . import body2d, reuleaux, shapeio
-    from .harmonic_core import make_grid
 
     spec = reuleaux.ReuleauxSpec(args.sides, args.width)
     try:
-        body = reuleaux.to_body(spec, args.modes)
+        # the highest degree the body has, its largest odd multiple of --sides,
+        # is held to the writer's limit with or without --out
+        shapeio._check_max_degree(2, args.sides * (2 * ((args.modes // args.sides + 1) // 2) - 1))
+        values = reuleaux.support_values(spec, args.modes)
         # refused here, before any output, if validate would refuse the file
-        shape = (shapeio.dumps_shape(2, body.width, body.support_coeffs, spec.switches)
-                 if args.out else None)
+        shape = shapeio.dumps_shape(2, args.width, values, spec.switches) if args.out else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    B2 = args.width**2
     exact = reuleaux.closed_area(spec)
-    grid = make_grid(2, 2 * args.modes + 2)
-    quad = body2d.area_quadrature(body, grid)
+    quad = body2d._area_parseval(values)  # the trapezoid sum on 2L + 2 nodes
     print(f"sides={args.sides} width={args.width!r}")
     print(f"closed-form area: {exact:.12f}")
     print(f"quadrature area:  {quad:.12f}")
-    if abs(quad - exact) > 2e-4 * args.width**2:
+    if abs(quad - exact) > 2e-4 * B2:
         print("error: quadrature area disagrees with the closed form", file=sys.stderr)
+        return EXIT_REGRESSION
+    # the band-free area of the switches, pi B^2 / 4 + phi / 2: each of the
+    # n^2 kernel terms of phi may carry a rounding error of B^2 eps
+    switch_area = 0.25 * math.pi * B2 + 0.5 * body2d.switch_phi(spec.switches, args.width)
+    if abs(switch_area - exact) > args.sides**2 * sys.float_info.epsilon * B2:
+        print("error: the area of the switch angles disagrees with the closed form",
+              file=sys.stderr)
         return EXIT_REGRESSION
     if args.out:
         shapeio.write_text_atomic(args.out, shape)
         print(f"wrote {args.out}")
     if args.svg:
-        shapeio.write_text_atomic(args.svg, render_svg(body))
+        shapeio.write_text_atomic(args.svg, render_svg(values))
         print(f"wrote {args.svg}")
     return EXIT_OK
 

@@ -14,15 +14,18 @@ Fourier series is known in closed form; the support coefficients follow by the
 resolvent multipliers 1/(1 - k^2). That makes spectral truncation here exact
 truncation of the square wave, with no smoothing filter.
 
-Importing this module loads no numpy: the spec, closed_area and the area
-table use math only, so `orbiform table` is a standard-library path, and the
-functions that compute on arrays import numpy when they run.
+Importing this module loads no numpy: the spec, support_values, closed_area
+and the area table use math only, so `orbiform reuleaux` and `orbiform table`
+are standard-library paths, and the functions that compute on arrays
+(curvature_square_wave, deviation_coeffs, to_body) import numpy when they run.
+support_values gives the same doubles as deviation_coeffs through the Green
+operator, which stays as the library route and its reference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -34,6 +37,7 @@ if TYPE_CHECKING:
 __all__ = [
     "ReuleauxSpec",
     "curvature_square_wave",
+    "support_values",
     "to_body",
     "closed_area",
     "area_table",
@@ -41,20 +45,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ReuleauxSpec:
+class ReuleauxSpec(namedtuple("ReuleauxSpec", ("sides", "width"))):
     """Geometry of an odd Reuleaux polygon: the side count (odd, >= 3) and the
     width B, checked at construction. The switch angle alpha = pi/(2*sides) and
-    the corner support amplitude m, where cos(alpha) = B / (2m + B), derive from them."""
+    the corner support amplitude m, where cos(alpha) = B / (2m + B), derive
+    from them. A named tuple, as body2d.SupportBody is, so that `orbiform
+    reuleaux` does not import dataclasses."""
 
-    sides: int
-    width: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sides < 3 or self.sides % 2 == 0:
-            raise ValueError(f"sides must be odd and >= 3, got {self.sides}")
-        if not math.isfinite(self.width) or self.width <= 0:
-            raise ValueError(f"width must be finite and > 0, got {self.width}")
+    def __new__(cls, sides: int, width: float):
+        if sides < 3 or sides % 2 == 0:
+            raise ValueError(f"sides must be odd and >= 3, got {sides}")
+        if not math.isfinite(width) or width <= 0:
+            raise ValueError(f"width must be finite and > 0, got {width}")
+        return super().__new__(cls, sides, width)
 
     @property
     def switch_angle(self) -> float:
@@ -101,17 +106,39 @@ def deviation_coeffs(spec: ReuleauxSpec, max_degree: int) -> SpectralCoeffs:
     return SpectralCoeffs(2, max_degree, out)
 
 
-def to_body(spec: ReuleauxSpec, max_degree: int) -> SupportBody:
-    """Spectrally truncated body: plain Fourier truncation of the square wave."""
-    from .body2d import body_from_deviation
-    from .harmonic_core import apply_green
+def support_values(spec: ReuleauxSpec, max_degree: int) -> list[float]:
+    """Support coefficients of the truncated body in the flat dim-2 layout, as
+    floats: p = B/2 + G (R - B/2), plain Fourier truncation of the square wave.
 
+    Each value comes from the IEEE operations, in the order, of
+    body_from_deviation(B, apply_green(deviation_coeffs(spec, max_degree))):
+    the square-wave amplitude times sqrt(pi), times the resolvent multiplier
+    1 / (1 - k^2); the mean is B/2 over the constant mode's value. So the
+    values are those doubles, with +0.0 where that path leaves -0.0.
+    """
     if max_degree < 4 * spec.sides:
         raise ValueError(
             f"max_degree {max_degree} too small for {spec.sides} sides; need >= {4 * spec.sides}"
         )
-    p_dev = apply_green(deviation_coeffs(spec, max_degree))
-    return body_from_deviation(spec.width, p_dev)
+    from .body2d import MEAN_BASIS, SQRT_PI
+
+    n, B = spec.sides, spec.width
+    values = [0.0] * (2 * max_degree + 1)
+    values[0] = 0.5 * B / MEAN_BASIS
+    for j in range(1, max_degree // n + 1, 2):
+        sign = -1.0 if (j - 1) // 2 % 2 else 1.0
+        amp = -(2.0 * B / math.pi) * sign / j
+        k = float(j * n)
+        values[2 * j * n - 1] = amp * SQRT_PI * (1.0 / (1.0 - k * k))
+    return values
+
+
+def to_body(spec: ReuleauxSpec, max_degree: int) -> SupportBody:
+    """Spectrally truncated body: support_values as a SupportBody."""
+    from .body2d import SupportBody
+    from .harmonic_core import SpectralCoeffs
+
+    return SupportBody(spec.width, SpectralCoeffs(2, max_degree, support_values(spec, max_degree)))
 
 
 def closed_area(spec: ReuleauxSpec) -> float:

@@ -24,7 +24,8 @@ measure fractions. loads_shape reads both kinds and tells them apart by the
 
 Importing this module loads no numpy: the reader checks the schema with the
 standard library, and a SpectralCoeffs is built only for a caller that asks
-for one (ShapeFile.coeffs, entries_to_coeffs, and every result file).
+for one (ShapeFile.coeffs, entries_to_coeffs, and every result file); the
+writer dumps_shape takes the values as a list of floats.
 """
 
 from __future__ import annotations
@@ -106,10 +107,15 @@ def _index(dim: int, degree: int, key) -> int:
 
 def coeffs_to_entries(coeffs: SpectralCoeffs) -> list[dict]:
     """The nonzero coefficients as file entries, in the flat layout's order."""
-    dim, values = coeffs.dim, coeffs.values.tolist()
+    return _entries(coeffs.dim, coeffs.values.tolist())
+
+
+def _entries(dim: int, values: list[float]) -> list[dict]:
+    """coeffs_to_entries of values in the flat layout of dim 2 or 3."""
+    max_degree = (len(values) - 1) // 2 if dim == 2 else math.isqrt(len(values)) - 1
     name = "part" if dim == 2 else "order"
     entries: list[dict] = []
-    for degree in range(coeffs.max_degree + 1):
+    for degree in range(max_degree + 1):
         if dim == 3:
             keys = range(-degree, degree + 1)
         else:
@@ -202,10 +208,11 @@ def entries_to_coeffs(dim: int, entries) -> SpectralCoeffs:
     return SpectralCoeffs(dim, *_parse_entries(dim, entries))
 
 
-def dumps_shape(dim: int, width: float, coeffs: SpectralCoeffs, switches=None) -> str:
-    """The shape file's text, with "switches" (dim 2 only) when given;
-    ShapeFormatError if loads_shape would refuse its degrees or switches."""
-    entries = coeffs_to_entries(coeffs)
+def dumps_shape(dim: int, width: float, values: list[float], switches=None) -> str:
+    """The shape file's text for coefficient values in the flat layout of dim
+    2 or 3, with "switches" (dim 2 only) when given; ShapeFormatError if
+    loads_shape would refuse its degrees or switches."""
+    entries = _entries(dim, values)
     _check_max_degree(dim, max((e["degree"] for e in entries), default=0))
     payload: dict = {"dim": dim, "width": float(width)}
     if switches is not None:

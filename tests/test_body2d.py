@@ -39,7 +39,7 @@ from orbiform.harmonic_core import (
     synthesize,
     zero_coeffs,
 )
-from orbiform.reuleaux import ReuleauxSpec, deviation_coeffs, to_body
+from orbiform.reuleaux import ReuleauxSpec, closed_area, deviation_coeffs, support_values, to_body
 
 from oracles import shoelace, switch_kernel_s, switch_phi
 
@@ -282,6 +282,8 @@ def test_switch_window_green_form_is_the_kernel_sum(n, rng):
     theta = np.sort(rng.uniform(0.0, np.pi, n))
     got = quadratic_form_green(switch_window(theta, 1.3, 65535)[0])
     assert got == pytest.approx(switch_phi(theta, 1.3), rel=1e-12, abs=0.0)
+    # the math sum in body2d against the numpy oracle
+    assert body2d.switch_phi(theta, 1.3) == pytest.approx(switch_phi(theta, 1.3), rel=1e-13, abs=0.0)
 
 
 def test_switch_kernel_is_the_derivative_of_the_oracle_kernel(rng):
@@ -309,6 +311,56 @@ def test_switch_support_of_a_closed_irregular_body_is_its_window(rng):
     grid = make_grid(2, 16384)
     want = synthesize(apply_green(window), grid)
     assert np.abs(switch_support(theta, B, grid.angles) - want).max() <= 1e-8 * B
+
+
+WIDTHS = (1.0, 2.0 ** (-1.0 / 3.0), 1.3)
+# Reuleaux (sides, band limit) pairs below the 1024-node SVG grid's band (L <
+# 512) and above it; a body needs L >= 4 * sides
+REULEAUX_BANDS = [(n, L) for n in (3, 5, 7, 255) for L in (64, 511, 1023, 4096) if L >= 4 * n]
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 255])
+def test_switch_phi_of_the_regular_angles_is_the_closed_area(n):
+    # the bound `orbiform reuleaux` gates on: an ulp of B^2 per kernel term;
+    # n = 3, 5 and 7 read within 2 ulps of the area (n = 255: 1311 ulps)
+    for width in WIDTHS:
+        spec = ReuleauxSpec(n, width)
+        area = 0.25 * np.pi * width**2 + 0.5 * body2d.switch_phi(spec.switches, width)
+        exact = closed_area(spec)
+        assert abs(area - exact) <= n * n * np.finfo(float).eps * width**2
+        if n < 9:
+            assert abs(area - exact) <= 2 * np.spacing(exact)
+
+
+@pytest.mark.parametrize("n, L", REULEAUX_BANDS)
+def test_boundary_points_fold_onto_the_svg_grid(n, L):
+    grid = make_grid(2, 1024)
+    for width in WIDTHS:
+        spec = ReuleauxSpec(n, width)
+        x, y = boundary(to_body(spec, L), grid)
+        z = np.array(body2d._boundary_points(support_values(spec, L), 1024))
+        assert np.abs(z.real - x).max() <= 1e-12 * width
+        assert np.abs(z.imag - y).max() <= 1e-12 * width
+
+
+@pytest.mark.parametrize("L", [3, 600, 2500])
+def test_boundary_points_of_any_support(L, rng):
+    # every degree, cos and sin, translation and even degrees included
+    k = np.concatenate(([1], np.repeat(np.arange(1, L + 1), 2)))
+    values = rng.normal(size=2 * L + 1) / k**2
+    values[0] = 3.0
+    x, y = boundary(SupportBody(1.0, SpectralCoeffs(2, L, values)), make_grid(2, 256))
+    z = np.array(body2d._boundary_points(values.tolist(), 256))
+    assert np.abs(z.real - x).max() <= 1e-13 and np.abs(z.imag - y).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n, L", REULEAUX_BANDS)
+def test_parseval_area_is_the_trapezoid_area(n, L):
+    for width in WIDTHS:
+        spec = ReuleauxSpec(n, width)
+        want = area_quadrature(to_body(spec, L), make_grid(2, 2 * L + 2))
+        got = body2d._area_parseval(support_values(spec, L))
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------- random bodies

@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from orbiform import cli, reuleaux, variational
+from orbiform import body2d, cli, reuleaux, variational
 from orbiform.harmonic_core import make_grid, synthesize
 from orbiform.shapeio import loads_shape
 from orbiform.variational import NumericalFailure
@@ -146,8 +146,30 @@ def test_reuleaux_refuses_a_file_validate_would_refuse(tmp_path, capsys):
     assert cli.main([*argv, "--modes", "4101"]) == 2
     assert "degree 4101 is above the dim-2 limit of 4096" in capsys.readouterr().err
     assert not shape.exists() and not svg.exists()
+    # the writer's rule holds without --out too, before anything is computed
+    assert cli.main(["reuleaux", "--sides", "3", "--modes", "4101"]) == 2
+    captured = capsys.readouterr()
+    assert "degree 4101 is above the dim-2 limit of 4096" in captured.err and not captured.out
     assert cli.main([*argv, "--modes", "4097"]) == 0
     assert cli.main(["validate", str(shape)]) == 0
+
+
+@pytest.mark.parametrize("name, message", [
+    ("_area_parseval", "quadrature area disagrees"),
+    ("switch_phi", "area of the switch angles disagrees"),
+])
+def test_reuleaux_area_gates_exit_4(name, message, monkeypatch, tmp_path, capsys):
+    argv = ["reuleaux", "--sides", "5", "--width", "1.3", "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4  # the gates add no line
+    original = getattr(body2d, name)
+    # the area is off by 1e-3 B^2 in the quadrature, by 1e-12 B^2 through phi / 2
+    shift = 1e-3 if name == "_area_parseval" else 2e-12
+    monkeypatch.setattr(body2d, name, lambda *a: original(*a) + shift * 1.3**2)
+    (tmp_path / "r.json").unlink()
+    assert cli.main(argv) == 4
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 # ---------------------------------------------------------------- optimize

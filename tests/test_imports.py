@@ -72,6 +72,19 @@ def test_closed_form_commands_skip_the_optimizer(command, tmp_path):
     assert "orbiform.spheroform3d" not in loaded
 
 
+STANDARD_LIBRARY_RUNS = {
+    "reuleaux": [*REULEAUX, "--svg", "{tmp}/r.svg"],
+    "table": ["table", "--max", "99", "--out", "{tmp}/t.csv"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(STANDARD_LIBRARY_RUNS))
+def test_reuleaux_and_table_compute_with_the_standard_library(command, tmp_path):
+    argv = [a.format(tmp=tmp_path) for a in STANDARD_LIBRARY_RUNS[command]]
+    loaded = loaded_after(f"from orbiform import cli\nassert cli.main({argv!r}) == 0")
+    assert not {"numpy", "orbiform.harmonic_core", "dataclasses"} & loaded
+
+
 def test_validate_of_a_switch_file_loads_no_numpy(tmp_path):
     # the file is written in this process; validate runs alone in a fresh one
     from orbiform import cli

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbiform.body2d import area_quadrature, eval_support, switch_support, validate
-from orbiform.harmonic_core import index2, make_grid
+from orbiform.body2d import (
+    area_quadrature,
+    body_from_deviation,
+    eval_support,
+    switch_support,
+    validate,
+)
+from orbiform.harmonic_core import apply_green, index2, make_grid
 from orbiform.reuleaux import (
     ReuleauxSpec,
     area_table,
@@ -13,6 +19,7 @@ from orbiform.reuleaux import (
     curvature_square_wave,
     deviation_coeffs,
     format_area_table_csv,
+    support_values,
     to_body,
 )
 
@@ -138,6 +145,19 @@ def test_to_body_needs_enough_modes():
     with pytest.raises(ValueError):
         to_body(ReuleauxSpec(3, 1.0), 11)
     to_body(ReuleauxSpec(3, 1.0), 12)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 255])
+def test_support_values_are_the_green_composition(n):
+    for width in (1.0, 2.0 ** (-1.0 / 3.0), 1.3, 1e-100, 1e100):
+        for L in (4 * n, 1023, 4096):
+            spec = ReuleauxSpec(n, width)
+            want = body_from_deviation(width, apply_green(deviation_coeffs(spec, L)))
+            got = support_values(spec, L)
+            assert all(type(v) is float for v in got)
+            # equal floats: the same doubles, bit for bit, but for the sign of zero
+            assert got == want.support_coeffs.values.tolist()
+            assert np.array_equal(to_body(spec, L).support_coeffs.values, np.array(got))
 
 
 def test_to_body_support_at_corner():

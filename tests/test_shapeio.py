@@ -26,7 +26,7 @@ def test_roundtrip_dim2():
     c[index2(3, "cos")] = -0.5
     c[index2(5, "sin")] = 0.125
     coeffs = SpectralCoeffs(2, 5, c)
-    f = loads_shape(dumps_shape(2, 1.0, coeffs))
+    f = loads_shape(dumps_shape(2, 1.0, coeffs.values.tolist()))
     assert (f.dim, f.width, f.max_degree, f.switches) == (2, 1.0, 5, None)
     assert np.array_equal(f.coeffs.values, coeffs.values)
 
@@ -36,7 +36,7 @@ def test_roundtrip_dim3():
     c[index3(3, -2)] = 0.75
     c[index3(4, 0)] = -1.5
     coeffs = SpectralCoeffs(3, 4, c)
-    f = loads_shape(dumps_shape(3, 2.0, coeffs))
+    f = loads_shape(dumps_shape(3, 2.0, coeffs.values.tolist()))
     assert (f.dim, f.width, f.max_degree) == (3, 2.0, 4)
     assert np.array_equal(f.coeffs.values, coeffs.values)
 
@@ -96,7 +96,7 @@ def test_result_file_is_told_apart_by_phi():
     got = loads_shape(json.dumps({**RESULT_3, "timestamp": "2024-01-01T00:00:00+00:00"}))
     assert (got.dim, got.area) == (3, None)
     # a shape file is a ShapeFile
-    assert isinstance(loads_shape(dumps_shape(2, 1.0, zero_coeffs(2, 3))), ShapeFile)
+    assert isinstance(loads_shape(dumps_shape(2, 1.0, [0.0] * 7)), ShapeFile)
 
 
 @pytest.mark.parametrize(
@@ -171,11 +171,11 @@ def test_degree_limit_per_dim(dim, key, limit):
 def test_writer_refuses_what_the_reader_refuses(dim, limit):
     # the cap applies to the highest nonzero degree actually written
     coeffs = zero_coeffs(dim, limit + 1)
-    assert loads_shape(dumps_shape(dim, 1.0, coeffs)).coeffs.max_degree == 0
+    assert loads_shape(dumps_shape(dim, 1.0, coeffs.values.tolist())).coeffs.max_degree == 0
     values = coeffs.values.copy()
     values[-1] = 0.5
     with pytest.raises(ShapeFormatError, match=f"degree {limit + 1} is above the dim-{dim} limit"):
-        dumps_shape(dim, 1.0, coeffs.with_values(values))
+        dumps_shape(dim, 1.0, values.tolist())
 
 
 def test_nonfinite_value_rejected():
@@ -199,7 +199,7 @@ def test_roundtrip_random_sparse(entries):
             continue
         c[index2(deg, part)] = val
     coeffs = SpectralCoeffs(2, L, c)
-    back = loads_shape(dumps_shape(2, 1.0, coeffs)).coeffs
+    back = loads_shape(dumps_shape(2, 1.0, coeffs.values.tolist())).coeffs
     # degrees above the highest nonzero entry are trimmed, values survive
     assert np.array_equal(back.values, coeffs.values[: back.values.size])
     assert np.all(coeffs.values[back.values.size :] == 0.0)
@@ -259,7 +259,7 @@ SWITCHED = {"dim": 2, "width": 2.0, "switches": [0.5, 1.5, 2.5],
 
 def test_shape_file_switches_round_trip():
     coeffs = entries_to_coeffs(2, SWITCHED["coeffs"])
-    text = dumps_shape(2, 2.0, coeffs, (0.5, 1.5, 2.5))
+    text = dumps_shape(2, 2.0, coeffs.values.tolist(), (0.5, 1.5, 2.5))
     assert list(json.loads(text)) == ["dim", "width", "switches", "coeffs"]
     f = loads_shape(text)
     assert (f.dim, f.width, f.max_degree, f.values, f.switches) == (2, 2.0, 0, [2.5], (0.5, 1.5, 2.5))
@@ -279,6 +279,6 @@ def test_switches_belong_to_dim2_shape_files_only():
     with pytest.raises(ShapeFormatError, match="top-level keys must be dim/width/coeffs, got"):
         loads_shape(json.dumps(payload))
     with pytest.raises(ShapeFormatError, match="dim-2"):
-        dumps_shape(3, 1.0, zero_coeffs(3, 1), [0.5])
+        dumps_shape(3, 1.0, [0.0] * 4, [0.5])
     with pytest.raises(ShapeFormatError, match="at most 255"):
-        dumps_shape(2, 1.0, zero_coeffs(2, 1), [0.1] * 256)
+        dumps_shape(2, 1.0, [0.0] * 3, [0.1] * 256)
