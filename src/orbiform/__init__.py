@@ -20,19 +20,16 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "harmonic_core": (
         "ClosednessError", "GridFn", "SpectralCoeffs", "SphereGrid", "analyze",
-        "apply_green", "apply_laplacian", "default_max_degree", "degree_one_residual",
-        "differentiate", "green_multipliers", "laplace_eigenvalue", "make_grid",
-        "project_linear_H", "quadratic_form_green", "synthesize", "zero_coeffs",
+        "apply_green", "apply_laplacian", "degree_one_residual", "green_multipliers",
+        "make_grid", "project_linear_H", "quadratic_form_green", "synthesize", "zero_coeffs",
     ),
     "body2d": (
         "SupportBody", "ValidationReport", "area_quadrature", "area_spectral",
-        "body_from_deviation", "boundary", "boundary_point", "curvature_coeffs", "disk",
-        "eval_curvature_radius", "eval_support", "perimeter", "random_body", "switch_support",
-        "switch_window", "validate",
+        "body_from_deviation", "curvature_coeffs", "disk", "eval_curvature_radius",
+        "eval_support", "perimeter", "random_body", "switch_support", "switch_window", "validate",
     ),
     "reuleaux": (
-        "ReuleauxSpec", "area_table", "closed_area", "curvature_square_wave",
-        "format_area_table_csv", "to_body",
+        "ReuleauxSpec", "area_table", "closed_area", "format_area_table_csv", "to_body",
     ),
     "variational": (
         "AdmissibleR", "BangBangReport", "NumericalFailure",

@@ -19,8 +19,7 @@ switch_phi, the certificate of a shape file with switches, and the boundary
 points and Parseval area of flat support values (_boundary_points,
 _area_parseval) use math only. So `orbiform validate` of such a file and
 `orbiform reuleaux` are standard-library paths, and the functions that compute
-on arrays import numpy when they run; boundary and area_quadrature are the
-references of the two math helpers.
+on arrays import numpy when they run.
 """
 
 from __future__ import annotations
@@ -43,10 +42,7 @@ __all__ = [
     "body_from_deviation",
     "curvature_coeffs",
     "eval_support",
-    "eval_support_derivative",
     "eval_curvature_radius",
-    "boundary_point",
-    "boundary",
     "area_quadrature",
     "area_spectral",
     "perimeter",
@@ -276,51 +272,9 @@ def eval_support(body: SupportBody, omega) -> np.ndarray | float:
     return _eval2(body.support_coeffs, omega)
 
 
-def eval_support_derivative(body: SupportBody, omega) -> np.ndarray | float:
-    from .harmonic_core import differentiate
-
-    return _eval2(differentiate(body.support_coeffs), omega)
-
-
 def eval_curvature_radius(body: SupportBody, omega) -> np.ndarray | float:
     """Curvature radius R = p'' + p at the given angles."""
     return _eval2(curvature_coeffs(body), omega)
-
-
-def _boundary_map(p: np.ndarray, dp: np.ndarray, om: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x(w) = p(w) (cos w, sin w) + p'(w) (-sin w, cos w), as (x, y)."""
-    import numpy as np
-
-    c, s = np.cos(om), np.sin(om)
-    return p * c - dp * s, p * s + dp * c
-
-
-def boundary_point(body: SupportBody, omega) -> tuple[np.ndarray | float, np.ndarray | float]:
-    """Boundary point with outward normal at angle omega."""
-    import numpy as np
-
-    om = np.asarray(omega, dtype=float)
-    return _boundary_map(eval_support(body, om), eval_support_derivative(body, om), om)
-
-
-def boundary(body: SupportBody, grid: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary points (x, y) at the normal angles of any dim-2 grid.
-
-    p and p' are synthesized on the grid refined by the least power of two
-    that carries the band limit, and every step-th node is kept: 2 pi i / n
-    scales by powers of two without rounding, so those are the grid's angles.
-    """
-    from .harmonic_core import differentiate, make_grid, synthesize
-
-    if grid.dim != 2:
-        raise ValueError("boundary requires a dim-2 grid")
-    step = 1
-    while grid.resolution * step < 2 * body.max_degree + 2:
-        step *= 2
-    fine = make_grid(2, grid.resolution * step)
-    p = synthesize(body.support_coeffs, fine)[::step]
-    dp = synthesize(differentiate(body.support_coeffs), fine)[::step]
-    return _boundary_map(p, dp, grid.angles)
 
 
 def _fft(a: list[complex]) -> list[complex]:
@@ -341,8 +295,8 @@ def _boundary_points(values: list[float], n: int) -> list[complex]:
     x + i y = (p + i p') exp(i w), and degree k of p + i p' is
     ((1 - k)(a - i b) exp(i k w) + (1 + k)(a + i b) exp(-i k w)) / (2 sqrt pi)
     for the pair (a, b). At the n nodes exp(i m w) depends on m mod n only, so
-    each term is added to bin (m + 1) mod n, as boundary's refined grid does,
-    and one FFT sums the bins. The cost is the band limit plus n log n.
+    each term is added to bin (m + 1) mod n, and one FFT sums the bins. The
+    cost is the band limit plus n log n.
     """
     bins = [0j] * n
     bins[1] = values[0] * MEAN_BASIS

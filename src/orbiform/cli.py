@@ -107,6 +107,17 @@ def _width(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --convexity-tol: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
 def _count(low: int, parity: str = ""):
     """argparse type of an integer flag that must be >= low, and "odd" or "even" if asked."""
     want = f"an {parity + ' ' if parity else ''}integer >= {low}"
@@ -151,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_v = sub.add_parser("validate", help="check invariants of a shape file")
     p_v.add_argument("file", type=str)
     p_v.add_argument(
-        "--convexity-tol", type=float, default=None,
+        "--convexity-tol", type=_tolerance, default=None,
         help="absolute tolerance, in units of length, on the sampled R < 0 and "
         "R > width of a dim-2 shape file without switches (default 1e-9 * width); "
         "files with switches, as reuleaux --out writes, are checked in closed form",

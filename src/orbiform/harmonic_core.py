@@ -33,7 +33,6 @@ __all__ = [
     "SpectralCoeffs",
     "ClosednessError",
     "make_grid",
-    "default_max_degree",
     "num_coeffs",
     "coeff_degrees",
     "index2",
@@ -41,8 +40,6 @@ __all__ = [
     "zero_coeffs",
     "analyze",
     "synthesize",
-    "differentiate",
-    "laplace_eigenvalue",
     "apply_laplacian",
     "green_multipliers",
     "apply_green",
@@ -150,11 +147,6 @@ def make_grid(dim: int, resolution: int) -> SphereGrid:
     antipode = (n_pol - 1 - j) * n_az + (i + n_az // 2) % n_az
     angles = np.stack([tt, pp], axis=1)
     return SphereGrid(3, resolution, nodes, weights, antipode, angles)
-
-
-def default_max_degree(resolution: int) -> int:
-    """Largest band limit the resolution transforms exactly: resolution // 2 - 1."""
-    return resolution // 2 - 1
 
 
 def num_coeffs(dim: int, max_degree: int) -> int:
@@ -320,15 +312,14 @@ def _require_resolution(grid: SphereGrid, max_degree: int) -> None:
         )
 
 
-def analyze(grid: SphereGrid, f: GridFn, max_degree: int | None = None) -> SpectralCoeffs:
-    """Forward transform: quadrature inner products against the orthonormal basis.
+def analyze(grid: SphereGrid, f: GridFn, max_degree: int) -> SpectralCoeffs:
+    """Forward transform: quadrature inner products against the orthonormal basis,
+    up to band limit max_degree.
 
-    Exact for band-limited f when resolution >= 2 * max_degree + 2. Dim 2 is
-    one real FFT; dim 3 is a real FFT along each polar ring followed by a
-    per-order sum over the rings.
+    Exact for band-limited f when resolution >= 2 * max_degree + 2, and raises
+    ValueError below it. Dim 2 is one real FFT; dim 3 is a real FFT along each
+    polar ring followed by a per-order sum over the rings.
     """
-    if max_degree is None:
-        max_degree = default_max_degree(grid.resolution)
     _require_resolution(grid, max_degree)
     f = np.asarray(f, dtype=float)
     if f.shape != (grid.size,):
@@ -365,28 +356,9 @@ def synthesize(coeffs: SpectralCoeffs, grid: SphereGrid) -> GridFn:
     return np.fft.hfft(rings.T, grid.resolution).ravel()
 
 
-def differentiate(coeffs: SpectralCoeffs) -> SpectralCoeffs:
-    """d/d(omega) in coefficient space (dim 2 only)."""
-    if coeffs.dim != 2:
-        raise ValueError("differentiate is defined for dim 2 only")
-    k = np.arange(1, coeffs.max_degree + 1)
-    out = np.zeros_like(coeffs.values)
-    out[1::2] = k * coeffs.values[2::2]
-    out[2::2] = -k * coeffs.values[1::2]
-    return coeffs.with_values(out)
-
-
-def laplace_eigenvalue(dim: int, degree: int) -> float:
-    """Eigenvalue of -Laplace-Beltrami on S^(dim-1) harmonics: degree*(degree+dim-2)."""
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    return float(degree * (degree + dim - 2))
-
-
 def apply_laplacian(coeffs: SpectralCoeffs) -> SpectralCoeffs:
-    """Spectral Laplace-Beltrami: multiply each coefficient by -eigenvalue."""
+    """Spectral Laplace-Beltrami on S^(dim-1): multiply each degree-l
+    coefficient by -l (l + dim - 2), the eigenvalue of the Laplacian there."""
     degs = coeffs.degrees()
     lam = degs * (degs + coeffs.dim - 2)
     return coeffs.with_values(-lam * coeffs.values)

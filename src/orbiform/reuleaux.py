@@ -16,27 +16,22 @@ truncation of the square wave, with no smoothing filter.
 
 Importing this module loads no numpy: the spec, support_values, closed_area
 and the area table use math only, so `orbiform reuleaux` and `orbiform table`
-are standard-library paths, and the functions that compute on arrays
-(curvature_square_wave, deviation_coeffs, to_body) import numpy when they run.
-support_values gives the same doubles as deviation_coeffs through the Green
-operator, which stays as the library route and its reference.
+are standard-library paths; to_body, which wraps support_values in a
+SupportBody, imports numpy when it runs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .body2d import SupportBody
-    from .harmonic_core import SpectralCoeffs
 
 __all__ = [
     "ReuleauxSpec",
-    "curvature_square_wave",
     "support_values",
     "to_body",
     "closed_area",
@@ -46,15 +41,19 @@ __all__ = [
 
 
 class ReuleauxSpec(namedtuple("ReuleauxSpec", ("sides", "width"))):
-    """Geometry of an odd Reuleaux polygon: the side count (odd, >= 3) and the
-    width B, checked at construction. The switch angle alpha = pi/(2*sides) and
-    the corner support amplitude m, where cos(alpha) = B / (2m + B), derive
-    from them. A named tuple, as body2d.SupportBody is, so that `orbiform
+    """Geometry of an odd Reuleaux polygon: the side count (an odd integer >= 3)
+    and the width B, checked at construction. The switch angle alpha =
+    pi/(2*sides) and the corner support amplitude m, where cos(alpha) = B /
+    (2m + B), derive from them. A named tuple, as body2d.SupportBody is, so that `orbiform
     reuleaux` does not import dataclasses."""
 
     __slots__ = ()
 
     def __new__(cls, sides: int, width: float):
+        try:
+            sides = operator.index(sides)
+        except TypeError:
+            raise ValueError(f"sides must be an integer, got {sides!r}") from None
         if sides < 3 or sides % 2 == 0:
             raise ValueError(f"sides must be odd and >= 3, got {sides}")
         if not math.isfinite(width) or width <= 0:
@@ -75,46 +74,17 @@ class ReuleauxSpec(namedtuple("ReuleauxSpec", ("sides", "width"))):
         return tuple((2 * j - 1) * self.switch_angle for j in range(1, self.sides + 1))
 
 
-def curvature_square_wave(spec: ReuleauxSpec, omega) -> np.ndarray | float:
-    """Curvature radius: exactly 0 on the corner windows [(2k-1) alpha,
-    (2k+1) alpha) of even k, exactly width on the arc windows of odd k."""
-    import numpy as np
-
-    k = np.floor((np.asarray(omega, dtype=float) + spec.switch_angle) / (2.0 * spec.switch_angle))
-    vals = np.where(k % 2 != 0, spec.width, 0.0)
-    return float(vals) if vals.ndim == 0 else vals
-
-
-def deviation_coeffs(spec: ReuleauxSpec, max_degree: int) -> SpectralCoeffs:
-    """Exact harmonic coefficients of R - width/2 up to max_degree.
-
-    The square wave has cosine harmonics only at odd multiples j of the side
-    count, with amplitude -(2 B / pi) (-1)^((j-1)/2) / j; all are odd degrees,
-    so the wave is antipodally antisymmetric.
-    """
-    from .harmonic_core import SpectralCoeffs, index2, zero_coeffs
-
-    n, B = spec.sides, spec.width
-    out = zero_coeffs(2, max_degree).values.copy()
-    sqrt_pi = math.sqrt(math.pi)
-    j = 1
-    while j * n <= max_degree:
-        sign = -1.0 if (j - 1) // 2 % 2 else 1.0
-        amp = -(2.0 * B / math.pi) * sign / j
-        out[index2(j * n, "cos")] = amp * sqrt_pi
-        j += 2
-    return SpectralCoeffs(2, max_degree, out)
-
-
 def support_values(spec: ReuleauxSpec, max_degree: int) -> list[float]:
     """Support coefficients of the truncated body in the flat dim-2 layout, as
     floats: p = B/2 + G (R - B/2), plain Fourier truncation of the square wave.
 
-    Each value comes from the IEEE operations, in the order, of
-    body_from_deviation(B, apply_green(deviation_coeffs(spec, max_degree))):
-    the square-wave amplitude times sqrt(pi), times the resolvent multiplier
-    1 / (1 - k^2); the mean is B/2 over the constant mode's value. So the
-    values are those doubles, with +0.0 where that path leaves -0.0.
+    R - B/2 has cosine harmonics only at the odd multiples k = j n of the side
+    count, with amplitude -(2 B / pi) (-1)^((j-1)/2) / j; all are odd degrees,
+    so the wave is antipodally antisymmetric. Each value is that amplitude
+    times sqrt(pi) (the orthonormal cos-k coefficient), times the resolvent
+    multiplier 1 / (1 - k^2), in that order: the doubles that apply_green and
+    body_from_deviation give for the wave's coefficients, with +0.0 where
+    they leave -0.0. The mean is B/2 over the constant mode's value.
     """
     if max_degree < 4 * spec.sides:
         raise ValueError(

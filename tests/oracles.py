@@ -51,6 +51,52 @@ def square_wave_cos_coeff(n: int, width: float, k: int) -> float:
     return total / np.sqrt(np.pi)
 
 
+def reuleaux_curvature(n: int, width: float, omega: np.ndarray) -> np.ndarray:
+    """Curvature radius of the Reuleaux n-gon at the angles omega: 0 on the
+    corner windows [(2k - 1) alpha, (2k + 1) alpha) of even k, width on the
+    arc windows of odd k, alpha = pi / (2n); the first corner window is
+    centered at angle 0."""
+    alpha = math.pi / (2 * n)
+    k = np.floor((omega + alpha) / (2.0 * alpha))
+    return np.where(k % 2 != 0, width, 0.0)
+
+
+def reuleaux_deviation_coeffs(n: int, width: float, max_degree: int) -> np.ndarray:
+    """Flat dim-2 coefficients of the Reuleaux n-gon's R - width/2 up to max_degree.
+
+    R - width/2 is -(width/2) sgn(cos(n w)), and sgn(cos x) = (4/pi) sum over
+    odd j of (-1)^((j-1)/2) cos(j x) / j, so the wave has cosine harmonics only
+    at k = j n, with amplitude -(2 width / pi) (-1)^((j-1)/2) / j; the
+    orthonormal cos-k coefficient is that amplitude times sqrt(pi).
+    """
+    out = np.zeros(2 * max_degree + 1)
+    for j in range(1, max_degree // n + 1, 2):
+        sign = -1.0 if (j - 1) // 2 % 2 else 1.0
+        out[2 * j * n - 1] = -(2.0 * width / math.pi) * sign / j * math.sqrt(math.pi)
+    return out
+
+
+def boundary_points(values, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary points (x, y) at the normal angles w_j = 2 pi j / n of the
+    support with flat dim-2 coefficients values: x(w) = p(w) (cos w, sin w) +
+    p'(w) (-sin w, cos w), with p and p' summed mode by mode from the basis
+    1/sqrt(2 pi), cos(k w)/sqrt(pi), sin(k w)/sqrt(pi). The angle k w_j is
+    taken as 2 pi ((k j) mod n) / n, so no mode loses digits to its size.
+    """
+    j = np.arange(n)
+    p = np.full(n, values[0] / np.sqrt(TWO_PI))
+    dp = np.zeros(n)
+    for k in range(1, (len(values) - 1) // 2 + 1):
+        a, b = values[2 * k - 1], values[2 * k]
+        if a or b:
+            kw = TWO_PI * (k * j % n) / n
+            c, s = np.cos(kw), np.sin(kw)
+            p += (a * c + b * s) / np.sqrt(np.pi)
+            dp += k * (b * c - a * s) / np.sqrt(np.pi)
+    w = TWO_PI * j / n
+    return p * np.cos(w) - dp * np.sin(w), p * np.sin(w) + dp * np.cos(w)
+
+
 def switch_kernel_s(x):
     """S(x) = sum over odd k >= 3 of cos(k x) / (k^2 (1 - k^2)), for |x| <= pi.
 

@@ -12,13 +12,10 @@ from orbiform.body2d import (
     area_quadrature,
     area_spectral,
     body_from_deviation,
-    boundary,
-    boundary_point,
     curvature_coeffs,
     disk,
     eval_curvature_radius,
     eval_support,
-    eval_support_derivative,
     perimeter,
     random_body,
     switch_jumps,
@@ -39,9 +36,11 @@ from orbiform.harmonic_core import (
     synthesize,
     zero_coeffs,
 )
-from orbiform.reuleaux import ReuleauxSpec, closed_area, deviation_coeffs, support_values, to_body
+from orbiform.reuleaux import ReuleauxSpec, closed_area, support_values, to_body
 
-from oracles import shoelace, switch_kernel_s, switch_phi
+from oracles import (
+    boundary_points, reuleaux_deviation_coeffs, shoelace, switch_kernel_s, switch_phi,
+)
 
 
 def small_cos3_body(width=1.0, amp=None):
@@ -87,51 +86,30 @@ def test_curvature_coeffs_scaling():
     assert eval_curvature_radius(b, 0.0) == pytest.approx(0.5 - 8 * 0.01, abs=1e-13)
 
 
-def test_eval_support_derivative_finite_difference():
-    b = small_cos3_body()
-    h = 1e-6
-    om = np.linspace(0, 2 * np.pi, 17)
-    fd = (eval_support(b, om + h) - eval_support(b, om - h)) / (2 * h)
-    assert np.max(np.abs(eval_support_derivative(b, om) - fd)) <= 1e-8
-
-
 # ---------------------------------------------------------------- boundary
 
 
 def test_boundary_point_on_disk():
-    d = disk(1.0)
-    om = np.linspace(0, 2 * np.pi, 32, endpoint=False)
-    x, y = boundary_point(d, om)
-    assert np.allclose(np.hypot(x, y), 0.5, atol=1e-14)
+    z = np.array(body2d._boundary_points(disk(1.0).support_coeffs.values.tolist(), 32))
+    assert np.allclose(np.abs(z), 0.5, atol=1e-14)
 
 
 def test_boundary_supports_body():
     # x(w) . normal(w) must reproduce p(w); the tangential part is p'(w)
     b = small_cos3_body()
-    om = np.linspace(0, 2 * np.pi, 33)
-    x, y = boundary_point(b, om)
-    proj = x * np.cos(om) + y * np.sin(om)
+    om = 2 * np.pi * np.arange(32) / 32
+    z = np.array(body2d._boundary_points(b.support_coeffs.values.tolist(), 32))
+    proj = z.real * np.cos(om) + z.imag * np.sin(om)
     assert np.max(np.abs(proj - eval_support(b, om))) <= 1e-13
 
 
 def test_boundary_curve_matches_shoelace(grid2_512):
     b = to_body(ReuleauxSpec(3, 1.0), 255)
-    x, y = boundary(b, grid2_512)
+    z = np.array(body2d._boundary_points(b.support_coeffs.values.tolist(), 512))
     # vertices sit on the convex curve, so the polygon is inscribed: the
     # shoelace value sits just below the quadrature area by the chord deficit
-    deficit = area_quadrature(b, grid2_512) - shoelace(np.stack([x, y], axis=1))
+    deficit = area_quadrature(b, grid2_512) - shoelace(np.stack([z.real, z.imag], axis=1))
     assert 0.0 < deficit < 1e-4
-
-
-def test_boundary_above_the_band_matches_boundary_point():
-    # 1024 nodes cannot carry degree 4096: boundary refines the grid by a
-    # power of two and keeps the coarse nodes; boundary_point sums every mode
-    b = to_body(ReuleauxSpec(3, 1.0), 4096)
-    grid = make_grid(2, 1024)
-    x, y = boundary(b, grid)
-    want_x, want_y = boundary_point(b, grid.angles)
-    assert np.max(np.abs(x - want_x)) <= 1e-12
-    assert np.max(np.abs(y - want_y)) <= 1e-12
 
 
 def test_width_across_boundary():
@@ -261,7 +239,7 @@ def test_switch_window_is_the_reuleaux_square_wave_at_regular_angles(n, width):
     # R = 0 on [0, pi/(2n)): the Reuleaux convention, support maximum at 0
     theta = (2 * np.arange(1, n + 1) - 1) * np.pi / (2 * n)
     window, closure = switch_window(theta, width, 8 * n)
-    want = deviation_coeffs(ReuleauxSpec(n, width), 8 * n).values.copy()
+    want = reuleaux_deviation_coeffs(n, width, 8 * n)
     want[index2(1, "cos")] = 0.0  # the window starts at degree 3; here degree 1 is 0 anyway
     assert np.allclose(window.values, want, rtol=0.0, atol=1e-14 * width)
     assert np.abs(closure).max() <= 1e-15 * width
@@ -334,11 +312,10 @@ def test_switch_phi_of_the_regular_angles_is_the_closed_area(n):
 
 @pytest.mark.parametrize("n, L", REULEAUX_BANDS)
 def test_boundary_points_fold_onto_the_svg_grid(n, L):
-    grid = make_grid(2, 1024)
     for width in WIDTHS:
-        spec = ReuleauxSpec(n, width)
-        x, y = boundary(to_body(spec, L), grid)
-        z = np.array(body2d._boundary_points(support_values(spec, L), 1024))
+        values = support_values(ReuleauxSpec(n, width), L)
+        x, y = boundary_points(values, 1024)
+        z = np.array(body2d._boundary_points(values, 1024))
         assert np.abs(z.real - x).max() <= 1e-12 * width
         assert np.abs(z.imag - y).max() <= 1e-12 * width
 
@@ -349,7 +326,7 @@ def test_boundary_points_of_any_support(L, rng):
     k = np.concatenate(([1], np.repeat(np.arange(1, L + 1), 2)))
     values = rng.normal(size=2 * L + 1) / k**2
     values[0] = 3.0
-    x, y = boundary(SupportBody(1.0, SpectralCoeffs(2, L, values)), make_grid(2, 256))
+    x, y = boundary_points(values, 256)
     z = np.array(body2d._boundary_points(values.tolist(), 256))
     assert np.abs(z.real - x).max() <= 1e-13 and np.abs(z.imag - y).max() <= 1e-13
 

@@ -134,6 +134,22 @@ def test_validate_without_switches_keeps_the_sampled_check(tmp_path, capsys):
     assert cli.main(["validate", shape, "--convexity-tol", "0.12"]) == 0
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_validate_rejects_a_bad_convexity_tol(value, tmp_path, capsys):
+    # on a file without switches, where the bound is read: nan and -1 failed
+    # every sampled check and inf passed a dip of 0.089 B; 0 stays a bound
+    payload = json.loads(reuleaux_file(tmp_path, 3).read_text())
+    del payload["switches"]
+    shape = write(tmp_path / "bare.json", payload)
+    capsys.readouterr()
+    assert cli.main(["validate", shape, f"--convexity-tol={value}"]) == 2
+    captured = capsys.readouterr()
+    assert f"--convexity-tol: must be finite and >= 0, got '{value}'" in captured.err
+    assert not captured.out
+    assert cli.main(["validate", shape, "--convexity-tol", "0"]) == 1
+    assert "FAIL convexity" in capsys.readouterr().out
+
+
 def test_validate_refuses_a_width_too_large_for_a_float(tmp_path, capsys):
     assert cli.main(["validate", write(tmp_path / "w.json", dict(disk_payload(), width=10**400))]) == 2
     assert "malformed shape file: width must be a finite number" in capsys.readouterr().err

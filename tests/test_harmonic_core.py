@@ -13,13 +13,10 @@ from orbiform.harmonic_core import (
     apply_green,
     apply_laplacian,
     coeff_degrees,
-    default_max_degree,
     degree_one_residual,
-    differentiate,
     green_multipliers,
     index2,
     index3,
-    laplace_eigenvalue,
     make_grid,
     num_coeffs,
     project_linear_H,
@@ -97,7 +94,7 @@ def test_degree_slice_matches_labels():
 
 
 def test_basis_is_orthonormal_dim2(grid2_64):
-    L = default_max_degree(64)
+    L = 31
     n = num_coeffs(2, L)
     gram = np.empty((n, n))
     eye = np.eye(n)
@@ -129,8 +126,7 @@ def test_analyze_dim2_matches_explicit_quadrature(n, L, rng):
 
 # L < n/2 is plain evaluation. Above the band synthesize raises on the n-node
 # grid; evaluating every mode at those nodes is then synthesize on the least
-# power-of-two refinement that carries the band, at every step-th node (the
-# path body2d.boundary takes)
+# power-of-two refinement that carries the band, at every step-th node
 @pytest.mark.parametrize(
     "n,L", [(8, 3), (64, 31), (62, 20), (8, 4), (8, 8), (8, 17), (16, 40), (10, 33)]
 )
@@ -158,7 +154,7 @@ def test_synthesize_above_the_band_raises():
 @pytest.mark.parametrize("res", [16, 32])
 def test_dim3_transforms_match_real_spherical_harmonics(res, rng):
     grid = make_grid(3, res)
-    L = default_max_degree(res)
+    L = res // 2 - 1
     Y = real_sph_harm_matrix(L, grid.angles[:, 0], grid.angles[:, 1])
     c = rng.normal(size=num_coeffs(3, L))
     assert np.max(np.abs(synthesize(SpectralCoeffs(3, L, c), grid) - Y @ c)) <= 1e-12
@@ -176,7 +172,7 @@ def test_dim3_transform_memory_is_small_at_res_128(rng):
     # an N x (L+1)^2 basis matrix would take 256 MB here; the per-order
     # Legendre table takes 2 MB
     grid = make_grid(3, 128)
-    L = default_max_degree(128)
+    L = 63
     c = SpectralCoeffs(3, L, rng.normal(size=num_coeffs(3, L)))
     tracemalloc.start()
     try:
@@ -235,38 +231,11 @@ def test_parseval_inner_product(grid2_64, rng):
 # ---------------------------------------------------------------- operators
 
 
-def test_differentiate_matches_trig_calculus(grid2_64):
-    c = zero_coeffs(2, 5).values.copy()
-    c[index2(4, "cos")] = 1.0
-    d = differentiate(SpectralCoeffs(2, 5, c))
-    # d/dw cos(4w) = -4 sin(4w)
-    assert d.coeff(4, part="sin") == pytest.approx(-4.0)
-    assert d.coeff(4, part="cos") == 0.0
-    vals = synthesize(d, grid2_64)
-    assert np.allclose(vals, -4.0 * np.sin(4.0 * grid2_64.angles) / np.sqrt(np.pi))
-
-
-def test_differentiate_matches_per_mode_rule(rng):
-    c = SpectralCoeffs(2, 17, rng.normal(size=num_coeffs(2, 17)))
-    want = np.zeros(c.values.size)
-    for k in range(1, 18):
-        a, b = c.coeff(k, part="cos"), c.coeff(k, part="sin")
-        want[index2(k, "cos")] = k * b
-        want[index2(k, "sin")] = -k * a
-    assert np.array_equal(differentiate(c).values, want)
-
-
-def test_differentiate_rejects_dim3():
-    with pytest.raises(ValueError):
-        differentiate(zero_coeffs(3, 3))
-
-
 @pytest.mark.parametrize("dim", [2, 3])
 def test_laplacian_eigenfunctions(dim):
     L = 6
     for ell in range(L + 1):
-        lam = laplace_eigenvalue(dim, ell)
-        assert lam == ell * (ell + dim - 2)
+        lam = ell * (ell + dim - 2)  # -Laplace-Beltrami on degree ell of S^(dim-1)
         c = zero_coeffs(dim, L).values.copy()
         idx = index2(ell, "cos") if dim == 2 else index3(ell, min(ell, 1))
         c[idx] = 1.0
@@ -373,10 +342,10 @@ def test_project_linear_H_keeps_odd_high_degrees(rng):
     assert np.array_equal(project_linear_H(p).values, p.values)
 
 
-def test_default_max_degree_is_analyzable():
+def test_analyze_takes_band_limits_up_to_half_the_resolution():
     for res in (8, 64, 512):
         g = make_grid(2, res)
-        L = default_max_degree(res)
+        L = res // 2 - 1
         analyze(g, np.zeros(g.size), L)
         with pytest.raises(ValueError):
             analyze(g, np.zeros(g.size), L + 1)

@@ -5,6 +5,7 @@ Each case runs in a fresh interpreter, because this one has numpy loaded.
 
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -109,6 +110,17 @@ def test_validate_of_a_dim2_file_without_switches_samples_with_numpy(tmp_path):
 def test_lazy_names_resolve_to_their_module(name):
     module = importlib.import_module(f"orbiform.{orbiform._MODULE_OF[name]}")
     assert getattr(orbiform, name) is getattr(module, name)
+
+
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(orbiform.__path__) if m.name != "__main__")
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_all_lists_names_the_module_has_and_the_package_exports(module):
+    # perfbench's traced worker reads every name in each module's __all__
+    mod = importlib.import_module(f"orbiform.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+    assert set(orbiform._EXPORTS.get(module, ())) - set(mod.__all__) == set()
 
 
 def test_unknown_name_raises_attribute_error():

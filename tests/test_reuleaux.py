@@ -7,17 +7,16 @@ from hypothesis import given, settings, strategies as st
 from orbiform.body2d import (
     area_quadrature,
     body_from_deviation,
+    curvature_coeffs,
     eval_support,
     switch_support,
     validate,
 )
-from orbiform.harmonic_core import apply_green, index2, make_grid
+from orbiform.harmonic_core import SpectralCoeffs, apply_green, index2, make_grid
 from orbiform.reuleaux import (
     ReuleauxSpec,
     area_table,
     closed_area,
-    curvature_square_wave,
-    deviation_coeffs,
     format_area_table_csv,
     support_values,
     to_body,
@@ -29,6 +28,8 @@ from oracles import (
     PENTAGON_AREA,
     TRIANGLE_AREA,
     reuleaux_area_segments,
+    reuleaux_curvature,
+    reuleaux_deviation_coeffs,
     square_wave_cos_coeff,
 )
 
@@ -54,10 +55,13 @@ def test_spec_checks_its_inputs_and_derives_the_rest():
         ReuleauxSpec(4, 1.0)
     with pytest.raises(ValueError, match="width"):
         ReuleauxSpec(3, -1.0)
+    for sides in (3.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="sides must be an integer"):
+            ReuleauxSpec(sides, 1.0)
     with pytest.raises(TypeError):
         ReuleauxSpec(3, 1.0, 99.0, 0.1)  # amplitude and switch angle are not inputs
     spec = ReuleauxSpec(5, 2.0)
-    assert spec == ReuleauxSpec(5, 2.0)
+    assert spec == ReuleauxSpec(5, 2.0) == ReuleauxSpec(np.int64(5), 2.0)
     assert spec.switch_angle == np.pi / 10
     assert spec.amplitude == pytest.approx(2 * CORNER_AMPLITUDE_5, abs=1e-15)
 
@@ -69,25 +73,6 @@ def test_corner_amplitude_frozen_values():
 
 
 # ---------------------------------------------------------------- piecewise
-
-
-def test_square_wave_values_and_width_sum():
-    spec = ReuleauxSpec(3, 1.0)
-    om = np.linspace(0, 2 * np.pi, 240, endpoint=False)
-    r = curvature_square_wave(spec, om)
-    assert set(np.unique(r)) <= {0.0, 1.0}
-    assert np.max(np.abs(r + curvature_square_wave(spec, om + np.pi) - 1.0)) == 0.0
-
-
-def test_square_wave_window_layout():
-    spec = ReuleauxSpec(5, 1.0)
-    a = spec.switch_angle
-    # corner window centered at 0, arc window next door
-    assert curvature_square_wave(spec, 0.0) == 0.0
-    assert curvature_square_wave(spec, 2 * a) == 1.0
-    # half-open at the upper switch angle
-    assert curvature_square_wave(spec, a) == 1.0
-    assert curvature_square_wave(spec, -a) == 0.0
 
 
 def test_switch_support_peaks_and_antisymmetry():
@@ -103,9 +88,9 @@ def test_switch_support_peaks_and_antisymmetry():
 
 
 def test_deviation_coeffs_match_window_integration_oracle():
+    # the curvature deviation of the truncated body, R - B/2
     for n in (3, 5, 7):
-        spec = ReuleauxSpec(n, 1.0)
-        c = deviation_coeffs(spec, 6 * n)
+        c = curvature_coeffs(to_body(ReuleauxSpec(n, 1.0), 6 * n))
         for k in range(1, 6 * n + 1):
             want = square_wave_cos_coeff(n, 1.0, k)
             assert c.coeff(k, part="cos") == pytest.approx(want, abs=1e-13), (n, k)
@@ -113,10 +98,8 @@ def test_deviation_coeffs_match_window_integration_oracle():
 
 
 def test_deviation_coeffs_sparsity():
-    spec = ReuleauxSpec(3, 1.0)
-    c = deviation_coeffs(spec, 20)
-    nz = np.nonzero(c.values)[0]
-    assert set(nz) == {index2(3, "cos"), index2(9, "cos"), index2(15, "cos")}
+    nz = np.nonzero(support_values(ReuleauxSpec(3, 1.0), 20))[0]
+    assert set(nz) == {0, index2(3, "cos"), index2(9, "cos"), index2(15, "cos")}
 
 
 def test_series_converges_to_square_wave_away_from_switches():
@@ -124,11 +107,11 @@ def test_series_converges_to_square_wave_away_from_switches():
     grid = make_grid(2, 4096)
     from orbiform.harmonic_core import synthesize
 
-    exact = curvature_square_wave(spec, grid.angles)
+    exact = reuleaux_curvature(3, 1.0, grid.angles)
     away = np.abs(np.cos(3 * grid.angles)) > 0.2  # keep clear of the jumps
 
     def masked_err(L):
-        vals = synthesize(deviation_coeffs(spec, L), grid) + 0.5
+        vals = synthesize(curvature_coeffs(to_body(spec, L)), grid)
         return np.max(np.abs(vals[away] - exact[away]))
 
     coarse, fine = masked_err(255), masked_err(1023)
@@ -152,7 +135,8 @@ def test_support_values_are_the_green_composition(n):
     for width in (1.0, 2.0 ** (-1.0 / 3.0), 1.3, 1e-100, 1e100):
         for L in (4 * n, 1023, 4096):
             spec = ReuleauxSpec(n, width)
-            want = body_from_deviation(width, apply_green(deviation_coeffs(spec, L)))
+            deviation = SpectralCoeffs(2, L, reuleaux_deviation_coeffs(n, width, L))
+            want = body_from_deviation(width, apply_green(deviation))
             got = support_values(spec, L)
             assert all(type(v) is float for v in got)
             # equal floats: the same doubles, bit for bit, but for the sign of zero

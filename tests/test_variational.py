@@ -27,7 +27,6 @@ from orbiform.harmonic_core import (
 )
 from orbiform import harmonic_core, variational
 from orbiform.body2d import area_spectral, body_from_deviation, switch_window
-from orbiform.reuleaux import ReuleauxSpec, deviation_coeffs
 from orbiform.variational import (
     AdmissibleR,
     NumericalFailure,
@@ -49,7 +48,7 @@ from orbiform.variational import (
 )
 from orbiform.shapeio import ResultFile, loads_shape
 
-from oracles import TRIANGLE_AREA, TRIANGLE_PHI, square_wave_cos_coeff
+from oracles import TRIANGLE_AREA, TRIANGLE_PHI, reuleaux_curvature, square_wave_cos_coeff
 
 
 @pytest.fixture(scope="module")
@@ -70,10 +69,7 @@ def triangle_values(grid, scale=1.0):
     is a multiple of the sign pattern's period, so pair this with grids whose
     resolution is divisible by 12.
     """
-    from orbiform.reuleaux import curvature_square_wave
-
-    spec = ReuleauxSpec(3, scale)
-    return curvature_square_wave(spec, grid.angles) - 0.5 * scale
+    return reuleaux_curvature(3, scale, grid.angles) - 0.5 * scale
 
 
 # ---------------------------------------------------------------- admissibility
