@@ -18,7 +18,11 @@ trapezoid rule on 2L + 2 nodes for band limit L, which integrates p R exactly
 and so is the Parseval sum (1/2) sum (1 - k^2) c_k^2 of the support
 coefficients (body2d._area_parseval). Two gates exit 4: that area against the
 closed form at 2e-4 B^2, and the band-free area of the switch angles, pi B^2 /
-4 + phi / 2 (body2d.switch_phi), at n^2 eps B^2 for n sides.
+4 + phi / 2 (body2d.switch_phi), at n eps B^2 for n sides. Each step costs time
+linear in what it reads or writes: the support values, the Parseval sum and
+the shape file's text in the band limit (the sum and the writer skip the
+zeros, and shapeio writes the text without json), phi in the side count, and
+the SVG in SVG_SAMPLES log SVG_SAMPLES, by one in-place FFT (body2d._fft).
 
 validate prints one report format for every file: body2d.validate on a dim-2
 shape file (in closed form when it lists switches), AdmissibleR's checks
@@ -202,10 +206,11 @@ def _cmd_reuleaux(args) -> int:
     if abs(quad - exact) > 2e-4 * B2:
         print("error: quadrature area disagrees with the closed form", file=sys.stderr)
         return EXIT_REGRESSION
-    # the band-free area of the switches, pi B^2 / 4 + phi / 2: each of the
-    # n^2 kernel terms of phi may carry a rounding error of B^2 eps
+    # the band-free area of the switches, pi B^2 / 4 + phi / 2: phi sums O(n)
+    # terms, each of which may carry a rounding error of B^2 eps (at most
+    # 0.23 n eps B^2 measured, every odd n to 1365 at 29 widths)
     switch_area = 0.25 * math.pi * B2 + 0.5 * body2d.switch_phi(spec.switches, args.width)
-    if abs(switch_area - exact) > args.sides**2 * sys.float_info.epsilon * B2:
+    if abs(switch_area - exact) > args.sides * sys.float_info.epsilon * B2:
         print("error: the area of the switch angles disagrees with the closed form",
               file=sys.stderr)
         return EXIT_REGRESSION
@@ -276,7 +281,12 @@ def _cmd_optimize(args) -> int:
 
     stamp = datetime.now(timezone.utc).isoformat() if args.timestamp else None
     if args.out:
-        shapeio.write_text_atomic(args.out, variational.result_to_json(result, stamp))
+        try:
+            text = variational.result_to_json(result, stamp)
+        except shapeio.ShapeFormatError as exc:  # a NaN or infinity, which validate refuses
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        shapeio.write_text_atomic(args.out, text)
         print(f"wrote {args.out}")
     return EXIT_OK
 

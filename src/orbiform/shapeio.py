@@ -25,12 +25,14 @@ measure fractions. loads_shape reads both kinds and tells them apart by the
 Importing this module loads no numpy: the reader checks the schema with the
 standard library, and a SpectralCoeffs is built only for a caller that asks
 for one (ShapeFile.coeffs, entries_to_coeffs, and every result file); the
-writer dumps_shape takes the values as a list of floats.
+writer dumps_shape takes the values as a list of floats. Nor does it load
+json: one formatter (_dumps) writes both kinds of file, byte for byte what
+json.dumps(payload, indent=2) gives, and refuses a NaN or an infinity, as the
+reader does. Only loads_shape imports json.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import tempfile
@@ -111,20 +113,77 @@ def coeffs_to_entries(coeffs: SpectralCoeffs) -> list[dict]:
 
 
 def _entries(dim: int, values: list[float]) -> list[dict]:
-    """coeffs_to_entries of values in the flat layout of dim 2 or 3."""
-    max_degree = (len(values) - 1) // 2 if dim == 2 else math.isqrt(len(values)) - 1
-    name = "part" if dim == 2 else "order"
-    entries: list[dict] = []
-    for degree in range(max_degree + 1):
-        if dim == 3:
-            keys = range(-degree, degree + 1)
-        else:
-            keys = ("cos", "sin") if degree else ("cos",)
-        for key in keys:
-            v = values[_index(dim, degree, key)]
-            if v != 0.0:
-                entries.append({"degree": degree, name: key, "value": v})
+    """coeffs_to_entries of values in the flat layout of dim 2 or 3: index i
+    holds degree (i + 1) // 2, cos at odd i and sin at even i > 0, in dim 2,
+    and degree l = isqrt(i), order i - l^2 - l, in dim 3."""
+    if dim == 2:
+        return [{"degree": (i + 1) // 2, "part": "sin" if i and i % 2 == 0 else "cos", "value": v}
+                for i, v in enumerate(values) if v != 0.0]
+    entries = []
+    for i, v in enumerate(values):
+        if v != 0.0:
+            degree = math.isqrt(i)
+            entries.append({"degree": degree, "order": i - degree * degree - degree, "value": v})
     return entries
+
+
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r",
+            "\t": "\\t"}
+
+
+def _string(text: str) -> str:
+    """text quoted as json.dumps writes it: printable ASCII as it is, the rest
+    escaped, characters beyond U+FFFF as a surrogate pair."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    out = []
+    for ch in text:
+        code = ord(ch)
+        if ch in _ESCAPES:
+            out.append(_ESCAPES[ch])
+        elif " " <= ch <= "~":
+            out.append(ch)
+        elif code < 0x10000:
+            out.append(f"\\u{code:04x}")
+        else:
+            code -= 0x10000
+            out.append(f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}")
+    return '"' + "".join(out) + '"'
+
+
+def _json(obj, newline: str = "\n") -> str:
+    """obj as json.dumps(obj, indent=2) writes it, byte for byte, for the
+    dicts with string keys, lists, strings, numbers, booleans and None of the
+    files here; newline carries the indent of obj's own line. Floats are
+    written by float.__repr__, as json does (so a numpy float64 reads as a
+    plain number), and a non-finite one raises ShapeFormatError, since
+    loads_shape refuses NaN and Infinity."""
+    if isinstance(obj, str):
+        return _string(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            _fail(f"cannot write the non-finite number {float.__repr__(obj)}")
+        return float.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        items = [_json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    if isinstance(obj, dict):
+        items = [f"{_string(k)}: {_json(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _dumps(payload: dict) -> str:
+    """The text of a shape or result file: json.dumps(payload, indent=2) and
+    a newline, written without json."""
+    return _json(payload) + "\n"
 
 
 def _fail(msg: str) -> None:
@@ -140,6 +199,12 @@ def _check_value(v, what: str = "coefficient value") -> float:
     if not ok:
         _fail(f"{what} must be a finite number, got {v!r:.80}")
     return float(v)
+
+
+def _check_width(width) -> float:
+    if _check_value(width, "width") <= 0:
+        _fail(f"width must be a finite number > 0, got {width!r:.80}")
+    return float(width)
 
 
 def _check_degree(d) -> int:
@@ -211,16 +276,16 @@ def entries_to_coeffs(dim: int, entries) -> SpectralCoeffs:
 def dumps_shape(dim: int, width: float, values: list[float], switches=None) -> str:
     """The shape file's text for coefficient values in the flat layout of dim
     2 or 3, with "switches" (dim 2 only) when given; ShapeFormatError if
-    loads_shape would refuse its degrees or switches."""
+    loads_shape would refuse its width, degrees, switches or values."""
     entries = _entries(dim, values)
-    _check_max_degree(dim, max((e["degree"] for e in entries), default=0))
-    payload: dict = {"dim": dim, "width": float(width)}
+    _check_max_degree(dim, entries[-1]["degree"] if entries else 0)
+    payload: dict = {"dim": dim, "width": _check_width(width)}
     if switches is not None:
         if dim != 2:
             _fail("switches belong to dim-2 shape files only")
         payload["switches"] = list(_check_switches(list(switches)))
     payload["coeffs"] = entries
-    return json.dumps(payload, indent=2) + "\n"
+    return _dumps(payload)
 
 
 def loads_shape(text: str) -> ShapeFile | ResultFile:
@@ -229,6 +294,8 @@ def loads_shape(text: str) -> ShapeFile | ResultFile:
     A top-level "phi" key makes the text a result file; either kind is refused
     with ShapeFormatError unless it holds exactly the keys of its schema.
     """
+    import json
+
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also too many digits or too deep a nesting
@@ -248,12 +315,10 @@ def loads_shape(text: str) -> ShapeFile | ResultFile:
     dim = data["dim"]
     if not isinstance(dim, int) or dim not in (2, 3):  # True and False are neither
         _fail(f"dim must be 2 or 3, got {dim!r}")
-    width = data["width"]
-    if _check_value(width, "width") <= 0:
-        _fail(f"width must be a finite number > 0, got {width!r:.80}")
+    width = _check_width(data["width"])
     switches = _check_switches(data["switches"]) if "switches" in data else None
     if not result:
-        return ShapeFile(dim, float(width), *_parse_entries(dim, data["coeffs"]), switches)
+        return ShapeFile(dim, width, *_parse_entries(dim, data["coeffs"]), switches)
     coeffs = entries_to_coeffs(dim, data["coeffs"])
     for key in ("iterations", "seed"):
         if isinstance(data[key], bool) or not isinstance(data[key], int):
@@ -266,7 +331,7 @@ def loads_shape(text: str) -> ShapeFile | ResultFile:
     if not isinstance(data.get("timestamp", ""), str):
         _fail(f"timestamp must be a string, got {data['timestamp']!r}")
     area = _check_value(data["area"], "area") if dim == 2 else None
-    return ResultFile(dim, float(width), coeffs, _check_value(data["phi"], "phi"), area, switches)
+    return ResultFile(dim, width, coeffs, _check_value(data["phi"], "phi"), area, switches)
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -35,7 +35,6 @@ result then carries the exact body it certifies, OptimizationResult.polish.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -804,7 +803,7 @@ def result_to_json(result: OptimizationResult, timestamp: str | None = None) -> 
         payload["equivalence_warning"] = True
     if timestamp is not None:
         payload["timestamp"] = timestamp
-    return json.dumps(payload, indent=2) + "\n"
+    return shapeio._dumps(payload)
 
 
 def deviation_report(width: float, coeffs: SpectralCoeffs) -> ValidationReport:

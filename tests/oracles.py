@@ -4,6 +4,7 @@ Every constant frozen here was computed from the formulas in this file (or by
 direct arithmetic on them), never by running the code under test.
 """
 
+import json
 import math
 
 import numpy as np
@@ -126,6 +127,42 @@ def switch_phi(theta, width: float) -> float:
     theta = np.asarray(theta, dtype=float)
     jumps = width * (-1.0) ** np.arange(theta.size)
     return float(4.0 / np.pi * jumps @ switch_kernel_s(theta[:, None] - theta[None, :]) @ jumps)
+
+
+def switch_phi_pairwise(theta, width: float) -> float:
+    """switch_phi summed pair by pair with math, in the listed order: n S(0)
+    plus each pair i > j once, doubled, S being even; J_i J_j = B^2 when i
+    and j have the same parity and -B^2 otherwise. The sum over n^2 / 2
+    kernel values is taken with fsum."""
+    theta = [float(t) for t in theta]
+
+    def kernel(x: float) -> float:
+        a = abs(x)
+        c, u = math.cos(a), 2.0 * a - math.pi
+        return 0.125 * math.pi * (math.pi - 2.0 * a) - c - 0.25 * (c + u * math.sin(a))
+
+    terms = [len(theta) * kernel(0.0)]
+    for i, t in enumerate(theta):
+        terms += [(-2.0 if (i + j) % 2 else 2.0) * kernel(t - u) for j, u in enumerate(theta[:i])]
+    return 4.0 / math.pi * width * width * math.fsum(terms)
+
+
+def fft_recursive(a: list) -> list:
+    """sum_m a[m] exp(2 pi i m j / n) for j = 0..n-1, n a power of two: the
+    radix-2 split into even and odd halves, recursively, with the twiddle
+    complex(cos t, sin t), t = 2 pi m / n, times each odd value."""
+    n = len(a)
+    if n == 1:
+        return a
+    even, odd = fft_recursive(a[0::2]), fft_recursive(a[1::2])
+    turns = [2.0 * math.pi * m / n for m in range(n // 2)]
+    odd = [complex(math.cos(t), math.sin(t)) * v for t, v in zip(turns, odd)]
+    return [e + o for e, o in zip(even, odd)] + [e - o for e, o in zip(even, odd)]
+
+
+def json_text(payload) -> str:
+    """A file's text as the standard library's encoder writes it."""
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def shoelace(points: np.ndarray) -> float:

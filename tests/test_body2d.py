@@ -1,5 +1,6 @@
 """Planar constant-width bodies built from support expansions."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -39,7 +40,8 @@ from orbiform.harmonic_core import (
 from orbiform.reuleaux import ReuleauxSpec, closed_area, support_values, to_body
 
 from oracles import (
-    boundary_points, reuleaux_deviation_coeffs, shoelace, switch_kernel_s, switch_phi,
+    boundary_points, fft_recursive, reuleaux_deviation_coeffs, shoelace, switch_kernel_s,
+    switch_phi, switch_phi_pairwise,
 )
 
 
@@ -297,17 +299,41 @@ WIDTHS = (1.0, 2.0 ** (-1.0 / 3.0), 1.3)
 REULEAUX_BANDS = [(n, L) for n in (3, 5, 7, 255) for L in (64, 511, 1023, 4096) if L >= 4 * n]
 
 
-@pytest.mark.parametrize("n", [3, 5, 7, 255])
+@pytest.mark.parametrize("n", [3, 5, 7, 255, 1365])
 def test_switch_phi_of_the_regular_angles_is_the_closed_area(n):
-    # the bound `orbiform reuleaux` gates on: an ulp of B^2 per kernel term;
-    # n = 3, 5 and 7 read within 2 ulps of the area (n = 255: 1311 ulps)
+    # the bound `orbiform reuleaux` gates on: an ulp of B^2 per running-sum
+    # term; n = 3, 5 and 7 read within 2 ulps of the area
     for width in WIDTHS:
         spec = ReuleauxSpec(n, width)
         area = 0.25 * np.pi * width**2 + 0.5 * body2d.switch_phi(spec.switches, width)
         exact = closed_area(spec)
-        assert abs(area - exact) <= n * n * np.finfo(float).eps * width**2
+        assert abs(area - exact) <= n * np.finfo(float).eps * width**2
         if n < 9:
             assert abs(area - exact) <= 2 * np.spacing(exact)
+
+
+@pytest.mark.parametrize("order", ["sorted", "unsorted"])
+def test_switch_phi_forms_agree_on_random_lists(order, rng):
+    # the running sums and the pairwise sum against the numpy oracle, on
+    # lists that need not close; each side sums (4/pi) n^2 kernel terms of
+    # size below 3, so 8 n^2 eps B^2 bounds its rounding
+    for _ in range(200):
+        n = int(rng.integers(1, 64))
+        theta = rng.uniform(0.0, np.pi, n)
+        if order == "sorted":
+            theta = np.sort(theta)
+        width = float(rng.choice(WIDTHS))
+        want = switch_phi(theta, width)
+        tol = 8 * n * n * np.finfo(float).eps * width**2
+        assert abs(body2d.switch_phi(theta.tolist(), width) - want) <= tol
+        assert abs(switch_phi_pairwise(theta, width) - want) <= tol
+
+
+@pytest.mark.parametrize("n", [2**k for k in range(13)])
+def test_fft_is_the_recursive_radix_2_sum_bit_for_bit(n, rng):
+    # repr tells every double apart, -0.0 from 0.0 too
+    a = (rng.normal(size=n) + 1j * rng.normal(size=n)).tolist()
+    assert list(map(repr, body2d._fft(list(a)))) == list(map(repr, fft_recursive(list(a))))
 
 
 @pytest.mark.parametrize("n, L", REULEAUX_BANDS)
@@ -338,6 +364,20 @@ def test_parseval_area_is_the_trapezoid_area(n, L):
         want = area_quadrature(to_body(spec, L), make_grid(2, 2 * L + 2))
         got = body2d._area_parseval(support_values(spec, L))
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_parseval_area_skips_zeros_to_the_same_double(rng):
+    # fsum rounds the exact sum once, and zero terms add nothing to it
+    def dense(values):
+        return 0.5 * math.fsum((1 - ((i + 1) // 2) ** 2) * c * c for i, c in enumerate(values))
+
+    for n, L in REULEAUX_BANDS:
+        values = support_values(ReuleauxSpec(n, 1.3), L)
+        assert body2d._area_parseval(values) == dense(values)
+    values = rng.normal(size=2 * 600 + 1) * (rng.uniform(size=2 * 600 + 1) < 0.1)
+    values[[1, 5]] = -0.0
+    assert body2d._area_parseval(values.tolist()) == dense(values.tolist())
+    assert body2d._area_parseval([0.0, -0.0, 0.0]) == dense([0.0, -0.0, 0.0]) == 0.0
 
 
 # ---------------------------------------------------------------- random bodies

@@ -1,6 +1,7 @@
 """Command-line behavior: flags, exit codes, files, determinism."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -192,6 +193,23 @@ def test_reuleaux_area_gates_exit_4(name, message, monkeypatch, tmp_path, capsys
 
 
 OPT_FLAGS = ["optimize", "--grid", "64", "--modes", "16", "--restarts", "2", "--seed", "3"]
+
+
+def test_optimize_exits_3_rather_than_write_a_non_finite_result(monkeypatch, tmp_path, capsys):
+    best = variational.best_restart
+
+    def nan_phi(results):
+        result = best(results)
+        vars(result)["phi_value"] = math.nan  # a dim-3 file holds the restart's own phi
+        return result
+
+    monkeypatch.setattr(variational, "best_restart", nan_phi)
+    out = tmp_path / "r3.json"
+    argv = ["optimize", "--dim", "3", "--grid", "16", "--modes", "7", "--restarts", "1",
+            "--out", str(out)]
+    assert cli.main(argv) == 3
+    assert "numerical failure: cannot write the non-finite number nan" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_optimize_writes_result_json(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Shape JSON serialization: strict schema, atomic writes."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -18,6 +19,9 @@ from orbiform.shapeio import (
     loads_shape,
     write_text_atomic,
 )
+from orbiform import shapeio
+
+from oracles import json_text
 
 
 def test_roundtrip_dim2():
@@ -282,3 +286,71 @@ def test_switches_belong_to_dim2_shape_files_only():
         dumps_shape(3, 1.0, [0.0] * 4, [0.5])
     with pytest.raises(ShapeFormatError, match="at most 255"):
         dumps_shape(2, 1.0, [0.0] * 3, [0.1] * 256)
+
+
+TIMESTAMP = "2024-01-01T00:00:00+00:00"
+WRITER_PAYLOADS = {
+    "shape-2": {"dim": 2, "width": 1.3, "coeffs": SWITCHED["coeffs"]},
+    "shape-2-switches": {**SWITCHED, "switches": [-0.0, 1e-300, 2.5]},
+    "shape-3": {"dim": 3, "width": 0.5, "coeffs": [{"degree": 3, "order": -2, "value": -1e-300}]},
+    "empty-coeffs": {"dim": 2, "width": 1.0, "coeffs": []},
+    "empty-switches": {"dim": 2, "width": 1.0, "switches": [], "coeffs": []},
+    "result-2": {**RESULT, "switches": [0.5, 1.5, 2.5]},
+    "result-3": {**RESULT_3, "timestamp": TIMESTAMP},
+    "numpy-floats": {**RESULT, "width": np.float64(2.0), "phi": np.float64(-0.1),
+                     "coeffs": [{"degree": 3, "part": "sin", "value": np.float64(1 / 3)}]},
+    "strings": {"timestamp": 'quote " back \\ tab \t nul \0 del \x7f e\u0301 \u00e9 \U0001f600'},
+}
+
+
+@pytest.mark.parametrize("payload", WRITER_PAYLOADS.values(), ids=WRITER_PAYLOADS)
+def test_writer_is_the_json_encoder_byte_for_byte(payload):
+    assert shapeio._dumps(payload) == json_text(payload)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=20,
+))
+def test_writer_is_the_json_encoder_on_any_nesting(payload):
+    assert shapeio._dumps(payload) == json_text(payload)
+
+
+def entry(degree, key, value):
+    return {"degree": degree, "part" if isinstance(key, str) else "order": key, "value": value}
+
+
+@pytest.mark.parametrize("dim, values, switches, entries", [
+    (2, [1.25, 0.0, -0.0, 1e-300, 0.0, -0.5, 0.125], (0.5, 1.5, 2.5),
+     [entry(0, "cos", 1.25), entry(2, "cos", 1e-300), entry(3, "cos", -0.5),
+      entry(3, "sin", 0.125)]),
+    (2, [0.0] * 9, None, []),
+    (2, [np.float64(0.75)] + [0.0] * 5 + [np.float64(-1e-300)], [np.float64(0.1)],
+     [entry(0, "cos", np.float64(0.75)), entry(3, "sin", np.float64(-1e-300))]),
+    (3, [0.5, 0.0, 1e-300, -0.0, 0.0, 0.0, -0.75, 0.0, 2.0], None,
+     [entry(0, 0, 0.5), entry(1, 0, 1e-300), entry(2, 0, -0.75), entry(2, 2, 2.0)]),
+], ids=["dim2-switches", "dim2-zeros", "numpy-floats", "dim3"])
+def test_dumps_shape_writes_the_json_of_its_payload(dim, values, switches, entries):
+    payload = {"dim": dim, "width": 1.3}
+    if switches is not None:
+        payload["switches"] = list(switches)
+    payload["coeffs"] = entries
+    assert dumps_shape(dim, 1.3, values, switches) == json_text(payload)
+
+
+@pytest.mark.parametrize("width, values", [
+    (1.0, [float("nan"), 0.0, 0.0, 0.5, 0.0, 0.0, 0.0]),
+    (1.0, [1.0, 0.0, 0.0, -float("inf"), 0.0]),
+    (float("nan"), [1.0]),
+    (float("inf"), [1.0]),
+    (0.0, [1.0]),
+    (-1.0, [1.0]),
+], ids=["nan-value", "inf-value", "nan-width", "inf-width", "zero-width", "negative-width"])
+def test_writer_refuses_what_the_reader_refuses_as_a_number(width, values):
+    # loads_shape would refuse the file: it took NaN as a value, and no width <= 0
+    with pytest.raises(ShapeFormatError, match="finite number"):
+        dumps_shape(2, width, values)

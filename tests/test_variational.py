@@ -46,9 +46,11 @@ from orbiform.variational import (
     support_deviation,
     validate_result,
 )
-from orbiform.shapeio import ResultFile, loads_shape
+from orbiform.shapeio import ResultFile, ShapeFormatError, loads_shape
 
-from oracles import TRIANGLE_AREA, TRIANGLE_PHI, reuleaux_curvature, square_wave_cos_coeff
+from oracles import (
+    TRIANGLE_AREA, TRIANGLE_PHI, json_text, reuleaux_curvature, square_wave_cos_coeff,
+)
 
 
 @pytest.fixture(scope="module")
@@ -595,6 +597,22 @@ def test_result_json_schema():
     assert payload["area"] is not None
     again = json.loads(result_to_json(res, timestamp="2024-01-01T00:00:00+00:00"))
     assert again["timestamp"] == "2024-01-01T00:00:00+00:00"
+
+
+def test_result_file_text_is_the_json_encoders(grid3_16):
+    # written without json, and still json.dumps of what the file holds:
+    # every float by repr, "area": null and "equivalence_warning": true in dim 3
+    planar = minimize(1.0, make_grid(2, 128), 32, seed=1, restarts=SMALL)
+    spatial = minimize(1.0, grid3_16, 7, seed=2, restarts=1)
+    for res in (planar, spatial):
+        for stamp in (None, "2024-01-01T00:00:00+00:00"):
+            text = result_to_json(res, stamp)
+            assert text == json_text(json.loads(text))
+    # a NaN that validate would refuse is not written
+    broken = replace(spatial)
+    vars(broken)["phi_value"] = float("nan")
+    with pytest.raises(ShapeFormatError, match="non-finite number nan"):
+        result_to_json(broken)
 
 
 def test_minimize_labels_dim3_results_as_candidates(grid3_16):
