@@ -26,7 +26,7 @@ _EXPORTS = {
     "body2d": (
         "SupportBody", "ValidationReport", "area_quadrature", "area_spectral",
         "body_from_deviation", "curvature_coeffs", "disk", "eval_curvature_radius",
-        "eval_support", "perimeter", "random_body", "switch_support", "switch_window", "validate",
+        "eval_support", "perimeter", "random_body", "switch_window", "validate",
     ),
     "reuleaux": (
         "ReuleauxSpec", "area_table", "closed_area", "format_area_table_csv", "to_body",

@@ -10,9 +10,9 @@ invariants as CheckResults with width-scaled tolerances; area_spectral refuses
 a curvature radius with a degree-1 part (harmonic_core.require_translation_free).
 switch_window is the closed form of a bang-bang curvature, R in {0, B} with
 finitely many switches, which is what the minimizers of the area are;
-switch_checks gates a file that holds such a body, switch_support is that
-body's support with no band limit (switch_kernel), and switch_phi its Green
-form, whose area pi B^2 / 4 + phi / 2 `orbiform reuleaux` checks.
+switch_checks gates a file that holds such a body, switch_kernel gives the
+derivatives of its band-free Green kernel, and switch_phi its Green form,
+whose area pi B^2 / 4 + phi / 2 `orbiform reuleaux` checks.
 
 Importing this module loads no numpy: the window sums, switch_checks,
 switch_phi, the certificate of a shape file with switches, and the boundary
@@ -54,7 +54,6 @@ __all__ = [
     "switch_checks",
     "switch_kernel",
     "switch_phi",
-    "switch_support",
     "validate",
     "random_body",
 ]
@@ -111,21 +110,15 @@ def curvature_coeffs(body: SupportBody) -> SpectralCoeffs:
     return c.with_values((1.0 - degs.astype(float) ** 2) * c.values)
 
 
-def _jumps(count: int, width: float) -> list[float]:
-    return [width if j % 2 == 0 else -width for j in range(count)]
-
-
-def switch_jumps(count: int, width: float) -> np.ndarray:
+def switch_jumps(count: int, width: float) -> list[float]:
     """The jumps of R at listed switch angles: +B, -B, +B, ..., count of them."""
-    import numpy as np
-
-    return np.array(_jumps(count, float(width)))
+    return [width if j % 2 == 0 else -width for j in range(count)]
 
 
 def _window_sums(theta: list[float], width: float, max_degree: int):
     """switch_window as lists, with math: each sum runs over the angles in
     their listed order, one degree at a time."""
-    jumps = _jumps(len(theta), width)
+    jumps = switch_jumps(len(theta), width)
     ks = range(3, max_degree + 1, 2)
     sin_sums, cos_sums = [0.0] * len(ks), [0.0] * len(ks)
     for t, jump in zip(theta, jumps):
@@ -189,7 +182,7 @@ def switch_checks(switches, width: float, curvature) -> list[CheckResult]:
     n = len(theta)
     window, closure = _window_sums(theta, width, (len(curvature) - 1) // 2)
     faults = (n % 2 == 0) + sum(not 0.0 <= t < math.pi for t in theta)
-    jumps, levels = _jumps(n, width), [0.0]
+    jumps, levels = switch_jumps(n, width), [0.0]
     for j in sorted(range(n), key=theta.__getitem__):
         levels.append(levels[-1] + jumps[j])
     return [
@@ -231,7 +224,7 @@ def switch_phi(switches, width: float) -> float:
     VM (Python 3.11), and the area of a regular list is within n eps B^2 of
     reuleaux.closed_area."""
     theta = [float(t) for t in switches]
-    jumps = [-1.0 if i % 2 else 1.0 for i in range(len(theta))]
+    jumps = switch_jumps(len(theta), 1.0)
     cos, sin = [math.cos(t) for t in theta], [math.sin(t) for t in theta]
     c = math.fsum(j * x for j, x in zip(jumps, cos))
     s = math.fsum(j * x for j, x in zip(jumps, sin))
@@ -248,21 +241,6 @@ def switch_phi(switches, width: float) -> float:
     smooth = 0.125 * math.pi**2 * sum(jumps) ** 2 - 1.25 * (c * c + s * s) - (ts * c - tc * s)
     kink = 0.5 * math.pi * (math.fsum(sines) - math.fsum(lin))
     return 4.0 / math.pi * width * width * (smooth + kink)
-
-
-def switch_support(switches, width: float, omega) -> np.ndarray | float:
-    """Band-free mean-free support of a closed switch body at any real angles:
-    pbar(w) = -(2/pi) sum_k J_k S'(w - theta_k) for w mod 2 pi in [0, pi), and
-    pbar(w + pi) = -pbar(w). S has no degree 1, so a list that does not close
-    gives the support of its window's degrees >= 3."""
-    import numpy as np
-
-    theta = np.asarray(switches, dtype=float)
-    om = np.mod(omega, 2.0 * np.pi)
-    upper = om >= np.pi
-    ds, _ = switch_kernel(np.subtract.outer(np.where(upper, om - np.pi, om), theta))
-    p = np.where(upper, 2.0, -2.0) / np.pi * (ds @ switch_jumps(theta.size, width))
-    return float(p) if p.ndim == 0 else p
 
 
 def _eval2(coeffs: SpectralCoeffs, omega) -> np.ndarray | float:
@@ -487,25 +465,18 @@ def validate(body: SupportBody | ShapeFile, convexity_tol: float | None = None) 
     return ValidationReport(tuple(checks))
 
 
-def random_body(
-    rng: np.random.Generator,
-    width: float = 1.0,
-    max_degree: int = 15,
-    margin: float = 0.1,
-) -> SupportBody:
+def random_body(rng: np.random.Generator, width: float = 1.0) -> SupportBody:
     """Random valid constant-width body.
 
-    Draws odd-degree (>= 3) curvature-deviation coefficients with a 1/k^2 decay,
-    rescales so |R - width/2| <= (0.5 - margin) * width on a fine grid, and
+    Draws odd-degree (3 to 15) curvature-deviation coefficients with a 1/k^2
+    decay, rescales so |R - width/2| <= 0.4 * width on a fine grid, and
     integrates back to the support function through the resolvent multipliers.
     """
     import numpy as np
 
     from .harmonic_core import SpectralCoeffs, apply_green, index2, make_grid, synthesize, zero_coeffs
 
-    if not 0.0 < margin < 0.5:
-        raise ValueError("margin must be in (0, 0.5)")
-    L = max_degree
+    L = 15
     r_dev = zero_coeffs(2, L).values.copy()
     for k in range(3, L + 1, 2):
         scale = 1.0 / (k * k)
@@ -516,5 +487,5 @@ def random_body(
     vals = synthesize(rc, fine)
     peak = float(np.max(np.abs(vals)))
     if peak > 0:
-        rc = rc.with_values(rc.values * ((0.5 - margin) * width / peak))
+        rc = rc.with_values(rc.values * (0.4 * width / peak))
     return body_from_deviation(width, apply_green(rc))

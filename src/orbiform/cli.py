@@ -39,8 +39,9 @@ switch count, Newton steps, closure over B and max |pbar + l| over B at the
 switches, and the polished area, or why it declined. --out writes the
 restart as result JSON, with the polished body when there is one.
 
-Exit codes: 0 success, 1 invariant failure, 2 usage or malformed input,
-3 numerical failure, 4 regression (an internal cross-check went wrong),
+Exit codes: 0 success, 1 invariant failure, 2 usage, malformed input (a file
+that is not UTF-8 too) or an output path that cannot be written, 3 numerical
+failure, 4 regression (an internal cross-check went wrong),
 141 stdout closed before the output was written (a reader such as head
 exited; no traceback).
 All file output is written to a temp file and renamed into place, so failures
@@ -159,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_o.add_argument("--grid", type=_count(8, "even"), default=None, help="grid resolution")
     p_o.add_argument("--modes", type=_count(3), default=None, help="spectral band limit")
     p_o.add_argument("--restarts", type=_count(1), default=16)
-    p_o.add_argument("--seed", type=int, default=0)
+    p_o.add_argument("--seed", type=_count(0), default=0)
     p_o.add_argument("--out", type=str, default=None, help="result JSON path")
     p_o.add_argument("--timestamp", action="store_true", help="stamp the result JSON")
 
@@ -177,6 +178,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_t.add_argument("--width", type=_width, default=1.0, help=width_help)
     p_t.add_argument("--out", type=str, default=None, help="CSV path")
     return parser
+
+
+def _write(path: str, text: str) -> bool:
+    """Write text to path atomically and say so; False, with an error line
+    and no file left behind, if path cannot be written."""
+    from . import shapeio
+
+    try:
+        shapeio.write_text_atomic(path, text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    print(f"wrote {path}")
+    return True
 
 
 def _cmd_reuleaux(args) -> int:
@@ -214,12 +229,10 @@ def _cmd_reuleaux(args) -> int:
         print("error: the area of the switch angles disagrees with the closed form",
               file=sys.stderr)
         return EXIT_REGRESSION
-    if args.out:
-        shapeio.write_text_atomic(args.out, shape)
-        print(f"wrote {args.out}")
-    if args.svg:
-        shapeio.write_text_atomic(args.svg, render_svg(values))
-        print(f"wrote {args.svg}")
+    if args.out and not _write(args.out, shape):
+        return EXIT_USAGE
+    if args.svg and not _write(args.svg, render_svg(values)):
+        return EXIT_USAGE
     return EXIT_OK
 
 
@@ -259,8 +272,8 @@ def _cmd_optimize(args) -> int:
         f"restart={result.restart_index} converged={result.converged}"
     )
     print(
-        f"bang-bang violation={result.bangbang_violation:.6f} "
-        f"sign consistency={result.sign_consistency:.6f}"
+        f"bang-bang violation={result.bang_bang.violation:.6f} "
+        f"sign consistency={result.bang_bang.sign_consistency:.6f}"
     )
     if args.dim == 2:
         bench = TRIANGLE_AREA * args.width**2
@@ -286,8 +299,8 @@ def _cmd_optimize(args) -> int:
         except shapeio.ShapeFormatError as exc:  # a NaN or infinity, which validate refuses
             print(f"numerical failure: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
-        shapeio.write_text_atomic(args.out, text)
-        print(f"wrote {args.out}")
+        if not _write(args.out, text):
+            return EXIT_USAGE
     return EXIT_OK
 
 
@@ -295,14 +308,12 @@ def _cmd_validate(args) -> int:
     from . import body2d, shapeio
 
     try:
-        with open(args.file) as fh:
-            text = fh.read()
+        with open(args.file, encoding="utf-8") as fh:  # JSON's encoding, not the locale's
+            parsed = shapeio.loads_shape(fh.read())
     except OSError as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        parsed = shapeio.loads_shape(text)
-    except shapeio.ShapeFormatError as exc:
+    except (shapeio.ShapeFormatError, UnicodeDecodeError) as exc:
         print(f"malformed shape file: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -331,13 +342,10 @@ def _cmd_table(args) -> int:
         print("error: area table failed its monotonicity cross-check", file=sys.stderr)
         return EXIT_REGRESSION
     csv = reuleaux.format_area_table_csv(rows)
-    if args.out:
-        from . import shapeio
-
-        shapeio.write_text_atomic(args.out, csv)
-        print(f"wrote {args.out}")
-    else:
+    if not args.out:
         sys.stdout.write(csv)
+    elif not _write(args.out, csv):
+        return EXIT_USAGE
     return EXIT_OK
 
 

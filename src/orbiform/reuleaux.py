@@ -5,8 +5,7 @@ sweeps the circle, between corner windows where the curvature radius vanishes
 and arc windows where it equals B. Each window spans pi/n; with the support
 maximum placed at angle 0 the switch angles (ReuleauxSpec.switches) sit at
 odd multiples of alpha = pi/(2n), so the polygon is the regular case of
-body2d's bang-bang bodies and body2d.switch_support gives its support at any
-angle. That support peaks at the corner amplitude m, where
+body2d's bang-bang bodies. Its support peaks at the corner amplitude m, where
 cos(alpha) = B / (2m + B).
 
 The curvature radius is therefore an exact square wave taking {0, B}, whose

@@ -28,7 +28,8 @@ for one (ShapeFile.coeffs, entries_to_coeffs, and every result file); the
 writer dumps_shape takes the values as a list of floats. Nor does it load
 json: one formatter (_dumps) writes both kinds of file, byte for byte what
 json.dumps(payload, indent=2) gives, and refuses a NaN or an infinity, as the
-reader does. Only loads_shape imports json.
+reader does, and any string that json would escape. Only loads_shape imports
+json.
 """
 
 from __future__ import annotations
@@ -127,37 +128,22 @@ def _entries(dim: int, values: list[float]) -> list[dict]:
     return entries
 
 
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r",
-            "\t": "\\t"}
-
-
 def _string(text: str) -> str:
-    """text quoted as json.dumps writes it: printable ASCII as it is, the rest
-    escaped, characters beyond U+FFFF as a surrogate pair."""
-    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
-        return f'"{text}"'
-    out = []
-    for ch in text:
-        code = ord(ch)
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif " " <= ch <= "~":
-            out.append(ch)
-        elif code < 0x10000:
-            out.append(f"\\u{code:04x}")
-        else:
-            code -= 0x10000
-            out.append(f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}")
-    return '"' + "".join(out) + '"'
+    """text quoted as json.dumps writes it. The files hold only printable
+    ASCII strings (keys, "cos"/"sin" and --timestamp's ISO text), which json
+    writes as they are; any other string raises ShapeFormatError."""
+    if not (text.isascii() and text.isprintable()) or '"' in text or "\\" in text:
+        _fail(f"cannot write the string {text!r:.80}: it is not plain printable ASCII")
+    return f'"{text}"'
 
 
 def _json(obj, newline: str = "\n") -> str:
     """obj as json.dumps(obj, indent=2) writes it, byte for byte, for the
-    dicts with string keys, lists, strings, numbers, booleans and None of the
-    files here; newline carries the indent of obj's own line. Floats are
-    written by float.__repr__, as json does (so a numpy float64 reads as a
-    plain number), and a non-finite one raises ShapeFormatError, since
-    loads_shape refuses NaN and Infinity."""
+    dicts with string keys, lists, plain strings (_string), numbers, booleans
+    and None of the files here; newline carries the indent of obj's own line.
+    Floats are written by float.__repr__, as json does (so a numpy float64
+    reads as a plain number), and a non-finite one raises ShapeFormatError,
+    since loads_shape refuses NaN and Infinity."""
     if isinstance(obj, str):
         return _string(obj)
     if obj is None:
@@ -171,7 +157,7 @@ def _json(obj, newline: str = "\n") -> str:
             _fail(f"cannot write the non-finite number {float.__repr__(obj)}")
         return float.__repr__(obj)
     inner = newline + "  "
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         items = [_json(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
     if isinstance(obj, dict):

@@ -5,7 +5,8 @@ radii (mean B(d-1) for width B), Phi1[R] = (1/d) <G R, R> is proportional to the
 surface area and shares its minimizers among admissible candidates. Volume
 itself follows from surface area through the Blaschke relation
 Vol = B S / 2 - pi B^3 / 3, so surface-area minimization and volume
-minimization coincide for genuine constant-width bodies.
+minimization coincide for genuine constant-width bodies. ball_curvature_sum
+is the ball's R in dim 3; phi1 takes a curvature sum in either dimension.
 
 The caveat, and it is structural: an admissible deviation on the sphere need
 not be realizable as the curvature sum of an actual convex body, so dim-3
@@ -26,7 +27,6 @@ from .harmonic_core import (
     SphereGrid,
     quadratic_form_green,
     require_translation_free,
-    zero_coeffs,
 )
 
 __all__ = [
@@ -37,13 +37,11 @@ __all__ = [
 ]
 
 
-def ball_curvature_sum(width: float, dim: int = 3, max_degree: int = 0) -> SpectralCoeffs:
-    """Curvature-radius sum of the ball of the given width: constant (dim-1)*width/2."""
-    total = 2.0 * np.pi if dim == 2 else SPHERE_AREA
-    c = zero_coeffs(dim, max_degree).values.copy()
-    # constant mode has value 1/sqrt(total measure)
-    c[0] = 0.5 * (dim - 1) * width * np.sqrt(total)
-    return SpectralCoeffs(dim, max_degree, c)
+def ball_curvature_sum(width: float) -> SpectralCoeffs:
+    """Curvature-radius sum of the ball of the given width in R^3: the
+    constant width (two principal radii of width/2), degree 0 only."""
+    # the constant mode has value 1/sqrt(area of the sphere)
+    return SpectralCoeffs(3, 0, [width * np.sqrt(SPHERE_AREA)])
 
 
 def phi1(coeffs: SpectralCoeffs) -> float:

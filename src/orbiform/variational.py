@@ -488,15 +488,16 @@ class SwitchPolish:
 def _switch_residuals(theta: np.ndarray, lam: np.ndarray, width: float):
     """(residuals, Jacobian) of the polish's first-order system, band-free.
 
-    Residuals over the width: pbar(theta_j) + l(theta_j) (pbar of
-    body2d.switch_support, l = lam[0] cos + lam[1] sin), then the closure;
-    columns theta_1..theta_n, lam[0], lam[1]. For k != j, d pbar(theta_j) /
+    Residuals over the width: pbar(theta_j) + l(theta_j), with the band-free
+    support pbar(w) = -(2/pi) sum_k J_k S'(w - theta_k) and l = lam[0] cos +
+    lam[1] sin, then the closure; columns theta_1..theta_n, lam[0], lam[1].
+    The jumps J_k are body2d.switch_jumps'. For k != j, d pbar(theta_j) /
     d theta_k = (2/pi) J_k S''(theta_j - theta_k); a rotation moves no
     pbar(theta_j), so the diagonal is minus the rest of its row, plus l'.
     S is in closed form for |theta_j - theta_k| <= pi: angles in circular order.
     """
     n = theta.size
-    jumps = switch_jumps(n, width)
+    jumps = np.array(switch_jumps(n, float(width)))
     ds, dds = switch_kernel(np.subtract.outer(theta, theta))
     c1, s1 = np.cos(theta), np.sin(theta)
     off = (2.0 / np.pi) * dds * jumps
@@ -649,16 +650,9 @@ class OptimizationResult:
         return area_spectral(body_from_deviation(r.width, apply_green(project_linear_H(r.coeffs))))
 
     @cached_property
-    def _bang_bang(self) -> BangBangReport:
+    def bang_bang(self) -> BangBangReport:
+        """bang_bang_report of the minimizer."""
         return bang_bang_report(self.minimizer)
-
-    @property
-    def bangbang_violation(self) -> float:
-        return self._bang_bang.violation
-
-    @property
-    def sign_consistency(self) -> float:
-        return self._bang_bang.sign_consistency
 
     @property
     def equivalence_warning(self) -> bool:
@@ -792,8 +786,8 @@ def result_to_json(result: OptimizationResult, timestamp: str | None = None) -> 
         "area": polish.area if exact else result.area,
         "iterations": result.iterations,
         "seed": result.seed,
-        "violation": result.bangbang_violation,
-        "sign_consistency": result.sign_consistency,
+        "violation": result.bang_bang.violation,
+        "sign_consistency": result.bang_bang.sign_consistency,
     }
     if exact:
         payload["switches"] = list(polish.switches)

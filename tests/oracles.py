@@ -129,6 +129,24 @@ def switch_phi(theta, width: float) -> float:
     return float(4.0 / np.pi * jumps @ switch_kernel_s(theta[:, None] - theta[None, :]) @ jumps)
 
 
+def switch_support(switches, width: float, omega):
+    """Band-free mean-free support of a closed switch body at any real angles:
+    pbar(w) = -(2/pi) sum_k J_k S'(w - theta_k) for w mod 2 pi in [0, pi), and
+    pbar(w + pi) = -pbar(w). S has no degree 1, so a list that does not close
+    gives the support of its window's degrees >= 3. S' is body2d.switch_kernel's,
+    the kernel the switch polish solves with, so the tests that compare this
+    support with a synthesized window check that kernel."""
+    from orbiform.body2d import switch_kernel
+
+    theta = np.asarray(switches, dtype=float)
+    jumps = width * (-1.0) ** np.arange(theta.size)
+    om = np.mod(omega, 2.0 * np.pi)
+    upper = om >= np.pi
+    ds, _ = switch_kernel(np.subtract.outer(np.where(upper, om - np.pi, om), theta))
+    p = np.where(upper, 2.0, -2.0) / np.pi * (ds @ jumps)
+    return float(p) if p.ndim == 0 else p
+
+
 def switch_phi_pairwise(theta, width: float) -> float:
     """switch_phi summed pair by pair with math, in the listed order: n S(0)
     plus each pair i > j once, doubled, S being even; J_i J_j = B^2 when i

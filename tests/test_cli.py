@@ -328,6 +328,7 @@ def test_optimize_rejects_bad_flags(capsys):
     assert cli.main(["optimize", "--grid", "9"]) == 2
     assert cli.main(["optimize", "--modes", "-1"]) == 2
     assert cli.main(["optimize", "--modes", "2"]) == 2
+    assert cli.main(["optimize", "--seed", "-1"]) == 2
     assert cli.main(["optimize", "--grid", "64", "--modes", "40"]) == 2
     assert "--modes 40 needs --grid >= 82, got 64" in capsys.readouterr().err
 
@@ -420,6 +421,36 @@ def test_validate_refuses_a_float_dim(payload, tmp_path, capsys):
 
 def test_validate_missing_file(capsys):
     assert cli.main(["validate", "/no/such/file.json"]) == 2
+
+
+def test_validate_of_a_file_that_is_not_utf8_is_malformed(tmp_path, capsys):
+    # JSON text is UTF-8: the file is read as such, whatever the locale says
+    f = tmp_path / "bad.json"
+    f.write_bytes(b"\xff\xfe{}")
+    assert cli.main(["validate", str(f)]) == 2
+    assert "malformed shape file: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+
+UNWRITABLE = {
+    "reuleaux-out": ["reuleaux", "--sides", "3", "--modes", "64", "--out"],
+    "reuleaux-svg": ["reuleaux", "--sides", "3", "--modes", "64", "--svg"],
+    "optimize": [*OPT_FLAGS, "--out"],
+    "table": ["table", "--out"],
+}
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", sorted(UNWRITABLE))
+def test_an_output_path_that_cannot_be_written_exits_2(command, target, tmp_path, capsys):
+    path = tmp_path / "missing" / "x" if target == "missing-directory" else tmp_path / "d"
+    if target == "directory":
+        path.mkdir()
+    assert cli.main([*UNWRITABLE[command], str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: cannot write {path}: " in captured.err
+    assert f"wrote {path}" not in captured.out
+    # nothing is left behind: no temp file, and the directory stays empty
+    assert [p.name for p in tmp_path.rglob("*")] == ([] if target == "missing-directory" else ["d"])
 
 
 @pytest.mark.parametrize(

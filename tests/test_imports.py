@@ -40,6 +40,7 @@ def loaded_after(code: str) -> set[str]:
         ["optimize", "--grid", "64", "--modes", "40"],
         ["reuleaux", "--sides", "3", "--modes", "5"],
         ["table", "--max", "99"],  # the closed form is computed with math
+        ["optimize", "--seed", "-1"],
     ],
 )
 def test_parsing_leaves_numpy_unloaded(argv):

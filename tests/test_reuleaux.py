@@ -9,7 +9,6 @@ from orbiform.body2d import (
     body_from_deviation,
     curvature_coeffs,
     eval_support,
-    switch_support,
     validate,
 )
 from orbiform.harmonic_core import SpectralCoeffs, apply_green, index2, make_grid
@@ -31,6 +30,7 @@ from oracles import (
     reuleaux_curvature,
     reuleaux_deviation_coeffs,
     square_wave_cos_coeff,
+    switch_support,
 )
 
 

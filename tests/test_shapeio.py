@@ -289,6 +289,8 @@ def test_switches_belong_to_dim2_shape_files_only():
 
 
 TIMESTAMP = "2024-01-01T00:00:00+00:00"
+# the strings the writer takes: printable ASCII but the quote and the backslash
+PLAIN = "".join(chr(c) for c in range(0x20, 0x7F) if chr(c) not in '"\\')
 WRITER_PAYLOADS = {
     "shape-2": {"dim": 2, "width": 1.3, "coeffs": SWITCHED["coeffs"]},
     "shape-2-switches": {**SWITCHED, "switches": [-0.0, 1e-300, 2.5]},
@@ -299,7 +301,7 @@ WRITER_PAYLOADS = {
     "result-3": {**RESULT_3, "timestamp": TIMESTAMP},
     "numpy-floats": {**RESULT, "width": np.float64(2.0), "phi": np.float64(-0.1),
                      "coeffs": [{"degree": 3, "part": "sin", "value": np.float64(1 / 3)}]},
-    "strings": {"timestamp": 'quote " back \\ tab \t nul \0 del \x7f e\u0301 \u00e9 \U0001f600'},
+    "strings": {"timestamp": PLAIN},
 }
 
 
@@ -310,14 +312,25 @@ def test_writer_is_the_json_encoder_byte_for_byte(payload):
 
 @settings(deadline=None, max_examples=60)
 @given(st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text()
+    st.none() | st.booleans() | st.integers() | st.text(PLAIN)
     | st.floats(allow_nan=False, allow_infinity=False),
     lambda inner: (st.lists(inner, max_size=4)
-                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+                   | st.dictionaries(st.text(PLAIN, max_size=8), inner, max_size=4)),
     max_leaves=20,
 ))
 def test_writer_is_the_json_encoder_on_any_nesting(payload):
     assert shapeio._dumps(payload) == json_text(payload)
+
+
+@pytest.mark.parametrize("text", ['quote "', "back \\", "tab \t", "nul \0", "del \x7f",
+                                  "e\u0301", "\u00e9", "\U0001f600"],
+                         ids=["quote", "backslash", "tab", "nul", "del", "combining", "latin-1",
+                              "astral"])
+def test_writer_refuses_a_string_it_cannot_write_plainly(text):
+    # json would escape each of these; no file here holds one
+    for payload in ({"timestamp": text}, {text: 1}, [text]):
+        with pytest.raises(ShapeFormatError, match="cannot write the string"):
+            shapeio._dumps(payload)
 
 
 def entry(degree, key, value):

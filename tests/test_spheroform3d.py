@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from orbiform.body2d import curvature_coeffs, disk
 from orbiform.harmonic_core import (
     ClosednessError,
     SpectralCoeffs,
@@ -44,13 +45,14 @@ def test_phi1_rejects_translation_residue():
 
 def test_phi1_at_dim2_is_the_area():
     # same quadratic form one dimension down: phi1 of the disk is its area
-    assert phi1(ball_curvature_sum(1.0, dim=2)) == pytest.approx(np.pi / 4, rel=1e-14)
-    assert phi1(ball_curvature_sum(3.0, dim=2)) == pytest.approx(9 * np.pi / 4, rel=1e-14)
+    assert phi1(curvature_coeffs(disk(1.0))) == pytest.approx(np.pi / 4, rel=1e-14)
+    assert phi1(curvature_coeffs(disk(3.0))) == pytest.approx(9 * np.pi / 4, rel=1e-14)
 
 
 def test_phi1_perturbation_decreases(rng):
     # odd-degree deviations only lower the functional below the ball value
-    base = ball_curvature_sum(1.0, max_degree=5).values.copy()
+    base = zero_coeffs(3, 5).values.copy()
+    base[0] = ball_curvature_sum(1.0).values[0]
     c = SpectralCoeffs(3, 5, base)
     pert = base.copy()
     pert[index3(3, 2)] += 0.1

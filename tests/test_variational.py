@@ -488,8 +488,8 @@ def test_minimize_small_run_finds_triangle():
     assert res.converged
     assert res.phi_value < 0
     assert res.area == pytest.approx(0.70477, abs=5e-3)
-    assert res.bangbang_violation < 0.05
-    assert res.sign_consistency > 0.95
+    assert res.bang_bang.violation < 0.05
+    assert res.bang_bang.sign_consistency > 0.95
 
 
 def test_minimize_is_deterministic():
@@ -543,7 +543,7 @@ def test_minimize_best_restart_is_lowest_index_within_rel_tol(monkeypatch, phis,
 
 def test_result_derives_area_and_bang_bang_from_its_minimizer(grid240, monkeypatch):
     init = {f.name for f in fields(OptimizationResult) if f.init}
-    assert not init & {"area", "bangbang_violation", "sign_consistency"}
+    assert not init & {"area", "bang_bang"}
     reports = []
 
     def counting(r, *args):
@@ -557,7 +557,8 @@ def test_result_derives_area_and_bang_bang_from_its_minimizer(grid240, monkeypat
     results = minimize_restarts(1.0, make_grid(2, 128), 32, seed=4, restarts=SMALL)
     assert reports == [] and polished == []  # nothing is computed for the restarts that lose
     best = best_restart(results)
-    assert best.bangbang_violation < 0.05 and best.sign_consistency > 0.95
+    assert best.bang_bang.violation < 0.05 and best.bang_bang.sign_consistency > 0.95
+    assert best.bang_bang is best.bang_bang
     assert reports == [best.minimizer]  # one report gives both fractions
     assert best.polish is best.polish and polished == [best.minimizer]
 
@@ -565,7 +566,7 @@ def test_result_derives_area_and_bang_bang_from_its_minimizer(grid240, monkeypat
     other = replace(best, minimizer=half)
     body = body_from_deviation(1.0, apply_green(project_linear_H(half.coeffs)))
     assert other.area == area_spectral(body) != best.area
-    assert other.bangbang_violation == bang_bang_report(half).violation > 0.5
+    assert other.bang_bang == bang_bang_report(half) and other.bang_bang.violation > 0.5
 
 
 def test_minimize_restarts_provenance():
