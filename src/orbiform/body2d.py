@@ -9,12 +9,13 @@ constant-width relation forces 0 <= R <= B. validate reports these
 invariants as CheckResults with width-scaled tolerances; area_spectral refuses
 a curvature radius with a degree-1 part (harmonic_core.require_translation_free).
 switch_window is the closed form of a bang-bang curvature, R in {0, B} with
-finitely many switches, which is what the minimizers of the area are;
-switch_checks gates a file that holds such a body, switch_kernel gives the
-derivatives of its band-free Green kernel, and switch_phi its Green form,
-whose area pi B^2 / 4 + phi / 2 `orbiform reuleaux` checks.
+finitely many switches, which is what the minimizers of the area are, as
+lists of floats; switch_checks gates a file that holds such a body,
+switch_kernel gives the derivatives of its band-free Green kernel, and
+switch_phi its Green form, whose area pi B^2 / 4 + phi / 2 `orbiform
+reuleaux` checks.
 
-Importing this module loads no numpy: the window sums, switch_checks,
+Importing this module loads no numpy: switch_window, switch_checks,
 switch_phi, the certificate of a shape file with switches, and the boundary
 points and Parseval area of flat support values (_boundary_points,
 _area_parseval) use math only. So `orbiform validate` of such a file and
@@ -66,8 +67,8 @@ CLOSURE_RTOL = 1e-12  # closure of a switch list, over the width
 
 class SupportBody(namedtuple("SupportBody", ("width", "support_coeffs"))):
     """Constant-width planar body: width plus support-function coefficients,
-    checked at construction. Records here are named tuples, not dataclasses:
-    the dataclasses module costs a validate process about 15 ms to import."""
+    checked at construction. Records here are named tuples, not dataclasses,
+    so that a validate process does not import the dataclasses module."""
 
     __slots__ = ()
 
@@ -115,9 +116,25 @@ def switch_jumps(count: int, width: float) -> list[float]:
     return [width if j % 2 == 0 else -width for j in range(count)]
 
 
-def _window_sums(theta: list[float], width: float, max_degree: int):
-    """switch_window as lists, with math: each sum runs over the angles in
-    their listed order, one degree at a time."""
+def switch_window(switches, width: float, max_degree: int) -> tuple[list[float], list[float]]:
+    """Closed form of a bang-bang curvature deviation, from its switch angles.
+
+    The deviation R - B/2 is -B/2 on [0, theta_1) and jumps by J_j = +B, -B,
+    +B, ... at the switch angles 0 <= theta_1 < ... < theta_n < pi, n odd;
+    antipodal antisymmetry gives the jumps -J_j at theta_j + pi, so R takes
+    only the values 0 and B. Integrating by parts, its (cos, sin) coefficient
+    pair at odd degree k is (2 / (k sqrt(pi))) sum_j J_j (-sin k theta_j,
+    cos k theta_j), and zero at even k. Returns (values, closure) as lists:
+
+    - values: that window in the flat dim-2 layout up to max_degree, at odd
+      degrees 3..max_degree, exact zeros elsewhere;
+    - closure: sum_j J_j (sin theta_j, cos theta_j), which is sqrt(pi) / 2
+      times the degree-1 pair up to sign: zero exactly when the boundary closes.
+
+    math only, for any count and order of the angles, each sum taken in their
+    listed order; switch_checks gates both.
+    """
+    theta, width = [float(t) for t in switches], float(width)
     jumps = switch_jumps(len(theta), width)
     ks = range(3, max_degree + 1, 2)
     sin_sums, cos_sums = [0.0] * len(ks), [0.0] * len(ks)
@@ -137,31 +154,6 @@ def _window_sums(theta: list[float], width: float, max_degree: int):
     return values, [sin_closure, cos_closure]
 
 
-def switch_window(switches, width: float, max_degree: int) -> tuple[SpectralCoeffs, np.ndarray]:
-    """Closed form of a bang-bang curvature deviation, from its switch angles.
-
-    The deviation R - B/2 is -B/2 on [0, theta_1) and jumps by J_j = +B, -B,
-    +B, ... at the switch angles 0 <= theta_1 < ... < theta_n < pi, n odd;
-    antipodal antisymmetry gives the jumps -J_j at theta_j + pi, so R takes
-    only the values 0 and B. Integrating by parts, its (cos, sin) coefficient
-    pair at odd degree k is (2 / (k sqrt(pi))) sum_j J_j (-sin k theta_j,
-    cos k theta_j), and zero at even k. Returns (coeffs, closure):
-
-    - coeffs: that window at odd degrees 3..max_degree, exact zeros elsewhere;
-    - closure: sum_j J_j (sin theta_j, cos theta_j), which is sqrt(pi) / 2
-      times the degree-1 pair up to sign: zero exactly when the boundary closes.
-
-    The sums are taken with math for any count and order of the angles;
-    switch_checks gates both.
-    """
-    import numpy as np
-
-    from .harmonic_core import SpectralCoeffs
-
-    values, closure = _window_sums([float(t) for t in switches], float(width), max_degree)
-    return SpectralCoeffs(2, max_degree, np.array(values)), np.array(closure)
-
-
 def switch_checks(switches, width: float, curvature) -> list[CheckResult]:
     """The exact gates of a bang-bang body with these switch angles, whose
     curvature deviation R - B/2 a file holds as curvature, in the flat dim-2
@@ -175,12 +167,12 @@ def switch_checks(switches, width: float, curvature) -> list[CheckResult]:
       order, from R = 0 on [0, theta_1) by jumps of +B, -B, ..., stays in
       {0, B}; angles out of order push a piece to -B or 2B.
 
-    math only: at 255 switches and degree 4096 this takes 0.18 s on a shared
-    2-core VM (Python 3.11).
+    math only, at a cost of the switch count times the band limit in sin and
+    cos calls.
     """
     theta = [float(t) for t in switches]
     n = len(theta)
-    window, closure = _window_sums(theta, width, (len(curvature) - 1) // 2)
+    window, closure = switch_window(theta, width, (len(curvature) - 1) // 2)
     faults = (n % 2 == 0) + sum(not 0.0 <= t < math.pi for t in theta)
     jumps, levels = switch_jumps(n, width), [0.0]
     for j in sorted(range(n), key=theta.__getitem__):
@@ -220,9 +212,8 @@ def switch_phi(switches, width: float) -> float:
     increasing order they take each pair i > j once, doubled, through running
     sums over j < i of J_j {1, theta_j, cos theta_j, sin theta_j}. The totals
     and the per-angle terms are summed with fsum; math only, O(n) elementary
-    functions after one sort: n = 1365 takes about 2.4 ms on a shared 2-core
-    VM (Python 3.11), and the area of a regular list is within n eps B^2 of
-    reuleaux.closed_area."""
+    functions after one sort, and the area of a regular list is within n eps
+    B^2 of reuleaux.closed_area."""
     theta = [float(t) for t in switches]
     jumps = switch_jumps(len(theta), 1.0)
     cos, sin = [math.cos(t) for t in theta], [math.sin(t) for t in theta]
@@ -247,16 +238,13 @@ def _eval2(coeffs: SpectralCoeffs, omega) -> np.ndarray | float:
     """Evaluate a dim-2 expansion at arbitrary angles."""
     import numpy as np
 
-    from .harmonic_core import index2
-
     om = np.asarray(omega, dtype=float)
     scalar = om.ndim == 0
     om = np.atleast_1d(om)
     out = np.full(om.shape, coeffs.values[0] * MEAN_BASIS)
     inv_sqrt_pi = 1.0 / np.sqrt(np.pi)
     for k in range(1, coeffs.max_degree + 1):
-        a = coeffs.values[index2(k, "cos")]
-        b = coeffs.values[index2(k, "sin")]
+        a, b = coeffs.values[2 * k - 1], coeffs.values[2 * k]
         if a != 0.0 or b != 0.0:
             out += (a * np.cos(k * om) + b * np.sin(k * om)) * inv_sqrt_pi
     return float(out[0]) if scalar else out
@@ -474,14 +462,14 @@ def random_body(rng: np.random.Generator, width: float = 1.0) -> SupportBody:
     """
     import numpy as np
 
-    from .harmonic_core import SpectralCoeffs, apply_green, index2, make_grid, synthesize, zero_coeffs
+    from .harmonic_core import SpectralCoeffs, apply_green, make_grid, synthesize, zero_coeffs
 
     L = 15
     r_dev = zero_coeffs(2, L).values.copy()
     for k in range(3, L + 1, 2):
         scale = 1.0 / (k * k)
-        r_dev[index2(k, "cos")] = rng.normal(0.0, scale)
-        r_dev[index2(k, "sin")] = rng.normal(0.0, scale)
+        r_dev[2 * k - 1] = rng.normal(0.0, scale)
+        r_dev[2 * k] = rng.normal(0.0, scale)
     rc = SpectralCoeffs(2, L, r_dev)
     fine = make_grid(2, max(256, 4 * L + 4))
     vals = synthesize(rc, fine)

@@ -35,8 +35,6 @@ __all__ = [
     "make_grid",
     "num_coeffs",
     "coeff_degrees",
-    "index2",
-    "index3",
     "zero_coeffs",
     "analyze",
     "synthesize",
@@ -161,27 +159,6 @@ def coeff_degrees(dim: int, max_degree: int) -> np.ndarray:
     return np.repeat(ell, 2 * ell + 1)
 
 
-def index2(degree: int, part: str) -> int:
-    """Flat index of the dim-2 coefficient (degree, part), part in {cos, sin}."""
-    if part not in ("cos", "sin"):
-        raise ValueError(f"part must be 'cos' or 'sin', got {part!r}")
-    if degree == 0:
-        if part == "sin":
-            raise ValueError("degree 0 has no sin part")
-        return 0
-    return 2 * degree - 1 + (part == "sin")
-
-
-def index3(degree: int, order: int) -> int:
-    """Flat index of the dim-3 coefficient (degree, order), order in [-degree, degree].
-
-    Negative orders are the sin-type harmonics, non-negative the cos-type.
-    """
-    if abs(order) > degree:
-        raise ValueError(f"|order| <= degree required, got ({degree}, {order})")
-    return degree * degree + degree + order
-
-
 @dataclass(frozen=True)
 class SpectralCoeffs:
     """Real orthonormal harmonic coefficients up to max_degree.
@@ -218,10 +195,6 @@ class SpectralCoeffs:
         if self.dim == 2:
             return slice(0, 1) if degree == 0 else slice(2 * degree - 1, 2 * degree + 1)
         return slice(degree * degree, (degree + 1) ** 2)
-
-    def coeff(self, degree: int, *, part: str = "cos", order: int = 0) -> float:
-        idx = index2(degree, part) if self.dim == 2 else index3(degree, order)
-        return float(self.values[idx])
 
     def with_values(self, values: np.ndarray) -> "SpectralCoeffs":
         return SpectralCoeffs(self.dim, self.max_degree, values)

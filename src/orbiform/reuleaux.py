@@ -5,8 +5,7 @@ sweeps the circle, between corner windows where the curvature radius vanishes
 and arc windows where it equals B. Each window spans pi/n; with the support
 maximum placed at angle 0 the switch angles (ReuleauxSpec.switches) sit at
 odd multiples of alpha = pi/(2n), so the polygon is the regular case of
-body2d's bang-bang bodies. Its support peaks at the corner amplitude m, where
-cos(alpha) = B / (2m + B).
+body2d's bang-bang bodies.
 
 The curvature radius is therefore an exact square wave taking {0, B}, whose
 Fourier series is known in closed form; the support coefficients follow by the
@@ -42,9 +41,9 @@ __all__ = [
 class ReuleauxSpec(namedtuple("ReuleauxSpec", ("sides", "width"))):
     """Geometry of an odd Reuleaux polygon: the side count (an odd integer >= 3)
     and the width B, checked at construction. The switch angle alpha =
-    pi/(2*sides) and the corner support amplitude m, where cos(alpha) = B /
-    (2m + B), derive from them. A named tuple, as body2d.SupportBody is, so that `orbiform
-    reuleaux` does not import dataclasses."""
+    pi/(2*sides) and the switch angles derive from them. A named tuple, as
+    body2d.SupportBody is, so that `orbiform reuleaux` does not import
+    dataclasses."""
 
     __slots__ = ()
 
@@ -62,10 +61,6 @@ class ReuleauxSpec(namedtuple("ReuleauxSpec", ("sides", "width"))):
     @property
     def switch_angle(self) -> float:
         return math.pi / (2 * self.sides)
-
-    @property
-    def amplitude(self) -> float:
-        return 0.5 * self.width * (1.0 / math.cos(self.switch_angle) - 1.0)
 
     @property
     def switches(self) -> tuple[float, ...]:

@@ -101,8 +101,8 @@ class ShapeFormatError(ValueError):
 
 
 def _index(dim: int, degree: int, key) -> int:
-    """Flat index of (degree, part) in dim 2 or (degree, order) in dim 3, as
-    harmonic_core.index2 and index3 give it."""
+    """Flat index of (degree, part) in dim 2 or (degree, order) in dim 3, in
+    harmonic_core.SpectralCoeffs' layout; _entries inverts it."""
     if dim == 3:
         return degree * degree + degree + key
     return 0 if degree == 0 else 2 * degree - 1 + (key == "sin")

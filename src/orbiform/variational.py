@@ -489,27 +489,29 @@ def _switch_residuals(theta: np.ndarray, lam: np.ndarray, width: float):
     """(residuals, Jacobian) of the polish's first-order system, band-free.
 
     Residuals over the width: pbar(theta_j) + l(theta_j), with the band-free
-    support pbar(w) = -(2/pi) sum_k J_k S'(w - theta_k) and l = lam[0] cos +
-    lam[1] sin, then the closure; columns theta_1..theta_n, lam[0], lam[1].
-    The jumps J_k are body2d.switch_jumps'. For k != j, d pbar(theta_j) /
-    d theta_k = (2/pi) J_k S''(theta_j - theta_k); a rotation moves no
-    pbar(theta_j), so the diagonal is minus the rest of its row, plus l'.
-    S is in closed form for |theta_j - theta_k| <= pi: angles in circular order.
+    support pbar(w) = -(2/pi) sum_k J_k S'(w - theta_k) and l = B (lam[0] cos
+    + lam[1] sin), lam in units of B, then the closure; columns theta_1..theta_n,
+    lam[0], lam[1], each O(1) at any width, so lstsq's cut-off keeps them all.
+    J_k are body2d.switch_jumps'. For k != j, d pbar(theta_j) / d theta_k =
+    (2/pi) J_k S''(theta_j - theta_k); a rotation moves no pbar(theta_j), so the
+    diagonal is minus the rest of its row, plus l'. S is in closed form for
+    |theta_j - theta_k| <= pi: angles in circular order.
     """
     n = theta.size
     jumps = np.array(switch_jumps(n, float(width)))
     ds, dds = switch_kernel(np.subtract.outer(theta, theta))
     c1, s1 = np.cos(theta), np.sin(theta)
+    l0, l1 = lam * width
     off = (2.0 / np.pi) * dds * jumps
     np.fill_diagonal(off, 0.0)
     jac = np.zeros((n + 2, n + 2))
-    jac[:n, :n] = off + np.diag(-off.sum(axis=1) - lam[0] * s1 + lam[1] * c1)
-    jac[:n, n], jac[:n, n + 1] = c1, s1
+    jac[:n, :n] = off + np.diag(-off.sum(axis=1) - l0 * s1 + l1 * c1)
     jac[n, :n], jac[n + 1, :n] = jumps * c1, -jumps * s1
+    jac /= width
+    jac[:n, n], jac[:n, n + 1] = c1, s1
     pbar = (-2.0 / np.pi) * (ds @ jumps)
     closure = np.array([jumps @ s1, jumps @ c1])
-    resid = np.concatenate((pbar + lam[0] * c1 + lam[1] * s1, closure)) / width
-    return resid, jac / width
+    return np.concatenate((pbar + l0 * c1 + l1 * s1, closure)) / width, jac
 
 
 def _half_turn_list(theta: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -589,7 +591,7 @@ def polish_switches(r: AdmissibleR) -> SwitchPolish:
         resid = _switch_residuals(theta, -lam, B)[0]
     if not (theta[0] >= 0.0 and np.all(np.diff(theta) > 0.0) and theta[-1] < np.pi):
         return SwitchPolish(steps, "the switch angles left their order in [0, pi)")
-    window = switch_window(theta, B, L)[0]
+    window = SpectralCoeffs(2, L, np.array(switch_window(theta, B, L)[0]))
     phi_polished = quadratic_form_green(window)
     return SwitchPolish(
         steps,

@@ -22,6 +22,34 @@ CORNER_AMPLITUDE_5 = 0.025731112119133592  # (sec(pi/10) - 1) / 2
 TRIANGLE_VERTEX_RADIUS = 0.5773502691896258  # 1/sqrt(3): centroid to vertex, width 1
 
 
+def index2(degree: int, part: str) -> int:
+    """Flat index of the dim-2 coefficient (degree, part), part in {cos, sin}:
+    the constant first, then a (cos, sin) pair per degree."""
+    if part not in ("cos", "sin"):
+        raise ValueError(f"part must be 'cos' or 'sin', got {part!r}")
+    if degree == 0:
+        if part == "sin":
+            raise ValueError("degree 0 has no sin part")
+        return 0
+    return 2 * degree - 1 + (part == "sin")
+
+
+def index3(degree: int, order: int) -> int:
+    """Flat index of the dim-3 coefficient (degree, order), order in
+    [-degree, degree]: degree blocks of size 2 degree + 1, orders ascending.
+    Negative orders are the sin-type harmonics, non-negative the cos-type."""
+    if abs(order) > degree:
+        raise ValueError(f"|order| <= degree required, got ({degree}, {order})")
+    return degree * degree + degree + order
+
+
+def corner_amplitude(n: int, width: float) -> float:
+    """Support of the Reuleaux n-gon at a corner, over the mean B/2: the corner
+    sits at distance B / (2 cos(pi / (2n))) from the centre, so the amplitude
+    m solves cos(pi / (2n)) = B / (2m + B)."""
+    return 0.5 * width * (1.0 / math.cos(math.pi / (2 * n)) - 1.0)
+
+
 def reuleaux_area_segments(n: int, width: float) -> float:
     """Area by decomposition: regular vertex polygon plus n circular segments.
 

@@ -64,7 +64,7 @@ def test_reuleaux_writes_shape_and_svg(tmp_path, capsys):
     assert rc == 0
     f = loads_shape(shape.read_text())
     assert (f.dim, f.width, f.switches) == (2, 1.0, reuleaux.ReuleauxSpec(3, 1.0).switches)
-    assert f.coeffs.coeff(0) == pytest.approx(MEAN)
+    assert f.values[0] == pytest.approx(MEAN)
 
     root = ET.fromstring(svg.read_text())
     assert root.attrib["viewBox"] == "0 0 512 512"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbiform.harmonic_core import SpectralCoeffs, index2, index3, num_coeffs, zero_coeffs
+from orbiform.harmonic_core import SpectralCoeffs, num_coeffs, zero_coeffs
 from orbiform.shapeio import (
     ResultFile,
     ShapeFile,
@@ -21,7 +21,7 @@ from orbiform.shapeio import (
 )
 from orbiform import shapeio
 
-from oracles import json_text
+from oracles import index2, index3, json_text
 
 
 def test_roundtrip_dim2():
@@ -48,6 +48,28 @@ def test_roundtrip_dim3():
 def test_entries_skip_zeros():
     entries = coeffs_to_entries(zero_coeffs(2, 8))
     assert entries == []
+
+
+LAYOUT = {2: [(k, part) for k in range(65) for part in ("cos", "sin") if k or part == "cos"],
+          3: [(ell, m) for ell in range(65) for m in range(-ell, ell + 1)]}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_index_is_the_flat_layout_of_the_oracle(dim):
+    # every (degree, part) and (degree, order) up to degree 64, in order
+    oracle = index2 if dim == 2 else index3
+    got = [shapeio._index(dim, degree, key) for degree, key in LAYOUT[dim]]
+    assert got == [oracle(degree, key) for degree, key in LAYOUT[dim]]
+    assert got == list(range(num_coeffs(dim, 64)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_entries_invert_index(dim):
+    keyname = "part" if dim == 2 else "order"
+    values = [float(i + 1) for i in range(num_coeffs(dim, 64))]
+    entries = shapeio._entries(dim, values)
+    assert [(e["degree"], e[keyname]) for e in entries] == LAYOUT[dim]
+    assert [values[shapeio._index(dim, e["degree"], e[keyname])] for e in entries] == values
 
 
 def test_entry_schema_keys():
@@ -96,7 +118,7 @@ def test_result_file_is_told_apart_by_phi():
     got = loads_shape(json.dumps(RESULT))
     assert isinstance(got, ResultFile)
     assert (got.dim, got.width, got.phi, got.area) == (2, 2.0, -0.5, RESULT["area"])
-    assert got.coeffs.coeff(3, part="cos") == 0.25
+    assert got.coeffs.values[index2(3, "cos")] == 0.25
     got = loads_shape(json.dumps({**RESULT_3, "timestamp": "2024-01-01T00:00:00+00:00"}))
     assert (got.dim, got.area) == (3, None)
     # a shape file is a ShapeFile

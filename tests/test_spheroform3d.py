@@ -7,7 +7,6 @@ from orbiform.body2d import curvature_coeffs, disk
 from orbiform.harmonic_core import (
     ClosednessError,
     SpectralCoeffs,
-    index3,
     make_grid,
     num_coeffs,
     synthesize,
@@ -21,7 +20,7 @@ from orbiform.spheroform3d import (
 )
 from orbiform.variational import minimize
 
-from oracles import BALL3_PHI1, ball3_phi1
+from oracles import BALL3_PHI1, ball3_phi1, index3
 
 
 def test_ball_curvature_sum_is_constant_width(grid3_16):

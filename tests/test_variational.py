@@ -17,7 +17,6 @@ from orbiform.harmonic_core import (
     SpectralCoeffs,
     analyze,
     apply_green,
-    index2,
     make_grid,
     num_coeffs,
     project_linear_H,
@@ -49,7 +48,7 @@ from orbiform.variational import (
 from orbiform.shapeio import ResultFile, ShapeFormatError, loads_shape
 
 from oracles import (
-    TRIANGLE_AREA, TRIANGLE_PHI, json_text, reuleaux_curvature, square_wave_cos_coeff,
+    TRIANGLE_AREA, TRIANGLE_PHI, index2, json_text, reuleaux_curvature, square_wave_cos_coeff,
 )
 
 
@@ -698,6 +697,19 @@ def test_polish_reaches_the_truncated_triangle(grid2_512):
     assert np.mean(p.switches) == pytest.approx(np.mean(read), rel=0.0, abs=1e-13)
 
 
+@pytest.mark.parametrize("width", [1e-100, 1e-20, 1e20, 1e100])
+def test_polish_is_the_same_at_every_width(width):
+    # the closure multipliers are carried in units of B, so no width makes
+    # lstsq drop the angle directions
+    grid = make_grid(2, 16)
+    unit = minimize(1.0, grid, 7, seed=0, restarts=2).polish
+    p = minimize(width, grid, 7, seed=0, restarts=2).polish
+    assert unit.declined is None and p.declined is None and len(p.switches) == 3
+    assert np.allclose(p.switches, unit.switches, rtol=0.0, atol=1e-14)
+    assert p.closure <= 1e-14 and p.stationarity <= 1e-14
+    assert p.area == pytest.approx(unit.area * width * width, rel=1e-13, abs=0.0)
+
+
 def test_polish_declines_a_state_that_is_not_bang_bang(grid240):
     half = AdmissibleR(1.0, grid240, 60, 0.5 * triangle_values(grid240))
     p = polish_switches(half)
@@ -765,7 +777,7 @@ def test_validate_result_of_a_switch_file_at_the_reader_caps_stays_small():
     # 255 regular switches at degree 4096; a (2L + 1) x n matrix of the
     # window's derivatives in the angles alone would take 16 MiB
     theta = (2 * np.arange(1, 256) - 1) * np.pi / 510
-    window = switch_window(theta, 1.0, 4096)[0]
+    window = SpectralCoeffs(2, 4096, np.array(switch_window(theta, 1.0, 4096)[0]))
     green = quadratic_form_green(window)
     f = ResultFile(2, 1.0, window, green, np.pi / 4 + 0.5 * green, tuple(theta.tolist()))
     tracemalloc.start()
@@ -787,8 +799,8 @@ def test_half_turn_list_gives_the_point_reflection():
         window, closure = switch_window(theta, 1.3, 31)
         again, closure_again = switch_window(listed, 1.3, 31)
         sign = -1.0 if turned else 1.0
-        assert np.allclose(again.values, sign * window.values, rtol=0.0, atol=1e-14)
-        assert np.allclose(closure_again, sign * closure, rtol=0.0, atol=1e-14)
+        assert np.allclose(again, sign * np.array(window), rtol=0.0, atol=1e-14)
+        assert np.allclose(closure_again, sign * np.array(closure), rtol=0.0, atol=1e-14)
 
 
 def test_polish_is_dim2_only(grid3_16):
