@@ -33,7 +33,7 @@ _EXPORTS = {
     ),
     "variational": (
         "AdmissibleR", "BangBangReport", "NumericalFailure",
-        "OptimizationResult", "SolveStats", "SwitchPolish", "bang_bang_report", "best_restart",
+        "OptimizationResult", "SwitchPolish", "bang_bang_report", "best_restart",
         "box_bound", "canonical_align", "minimize", "minimize_restarts", "phi", "phi_gradient",
         "polish_switches", "project_admissible", "result_to_json", "support_deviation",
     ),

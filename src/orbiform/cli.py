@@ -30,7 +30,12 @@ shape file (in closed form when it lists switches), AdmissibleR's checks
 variational.validate_result on what optimize --out writes, which
 shapeio.loads_shape tells apart by its phi key.
 
-optimize prints one line per restart (phi, iterations, converged, projection
+table --max is at most TABLE_MAX_SIDES = 99999, past which consecutive
+closed-form areas can round to the same double and fail the cross-check.
+
+optimize holds --modes to the degree limit of the result file it may write
+(shapeio.MAX_DEGREE_2D or MAX_DEGREE_3D), so validate accepts what --out
+writes. It prints one line per restart (phi, iterations, converged, projection
 work: projections, newton_steps, max_newton_steps, line_searches), in dim 2
 or 3, then reports the restart that variational.best_restart picks, as
 minimize does. In dim 2 it prints that restart's grid area (before the
@@ -45,8 +50,9 @@ failure, 4 regression (an internal cross-check went wrong),
 141 stdout closed before the output was written (a reader such as head
 exited; no traceback).
 All file output is written to a temp file and renamed into place, so failures
-leave no partial files. Identical flags and seed produce identical bytes;
---timestamp opts into a nondeterministic field.
+leave no partial files, with the mode open() gives a new file. Identical flags
+and seed produce identical bytes; --timestamp opts into a nondeterministic
+field.
 """
 
 from __future__ import annotations
@@ -71,6 +77,10 @@ TRIANGLE_AREA = 0.5 * (math.pi - math.sqrt(3.0))  # width-1 benchmark
 # and the area and degree-1 checks fail from about 1e153 and 1e-160 on
 WIDTH_RANGE = (1e-100, 1e100)
 SVG_SAMPLES = 1024  # uniformly spaced normal angles on the rendered boundary; a power of two
+# largest table --max: from n = 184,519 on (199,053 at width 1) consecutive
+# closed-form areas round to the same double, which the cross-check refuses;
+# every table up to here is strictly increasing at widths across WIDTH_RANGE
+TABLE_MAX_SIDES = 99999
 
 
 def render_svg(values: list[float]) -> str:
@@ -123,16 +133,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _count(low: int, parity: str = ""):
-    """argparse type of an integer flag that must be >= low, and "odd" or "even" if asked."""
-    want = f"an {parity + ' ' if parity else ''}integer >= {low}"
+def _count(low: int, parity: str = "", high: float = math.inf):
+    """argparse type of an integer flag from low to high, and "odd" or "even" if asked."""
+    within = f">= {low}" if high == math.inf else f"from {low} to {high}"
+    want = f"an {parity + ' ' if parity else ''}integer {within}"
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            value = None
-        if value is None or value < low or parity not in ("", ("even", "odd")[value % 2]):
+            value = low - 1  # out of range, so refused below
+        if not low <= value <= high or parity not in ("", ("even", "odd")[value % 2]):
             raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
         return value
 
@@ -153,6 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_r.add_argument("--modes", type=int, default=512, help="spectral band limit")
     p_r.add_argument("--out", type=str, default=None, help="shape JSON path")
     p_r.add_argument("--svg", type=str, default=None, help="SVG rendering path")
+    p_r.set_defaults(run=_cmd_reuleaux)
 
     p_o = sub.add_parser("optimize", help="minimize the area functional")
     p_o.add_argument("--dim", type=int, choices=(2, 3), default=2)
@@ -163,6 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_o.add_argument("--seed", type=_count(0), default=0)
     p_o.add_argument("--out", type=str, default=None, help="result JSON path")
     p_o.add_argument("--timestamp", action="store_true", help="stamp the result JSON")
+    p_o.set_defaults(run=_cmd_optimize)
 
     p_v = sub.add_parser("validate", help="check invariants of a shape file")
     p_v.add_argument("file", type=str)
@@ -172,11 +185,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "R > width of a dim-2 shape file without switches (default 1e-9 * width); "
         "files with switches, as reuleaux --out writes, are checked in closed form",
     )
+    p_v.set_defaults(run=_cmd_validate)
 
     p_t = sub.add_parser("table", help="closed-form area table as CSV")
-    p_t.add_argument("--max", type=_count(3), default=21, help="largest side count")
+    p_t.add_argument("--max", type=_count(3, high=TABLE_MAX_SIDES), default=21,
+                     help="largest side count")
     p_t.add_argument("--width", type=_width, default=1.0, help=width_help)
     p_t.add_argument("--out", type=str, default=None, help="CSV path")
+    p_t.set_defaults(run=_cmd_table)
     return parser
 
 
@@ -244,9 +260,17 @@ def _cmd_optimize(args) -> int:
         print(f"error: --modes {modes} needs --grid >= {2 * modes + 2}, got {resolution}",
               file=sys.stderr)
         return EXIT_USAGE
+    from . import shapeio
+
+    # the degree limit of the result file, held with or without --out
+    limit = shapeio.MAX_DEGREE_2D if args.dim == 2 else shapeio.MAX_DEGREE_3D
+    if modes > limit:
+        print(f"error: --modes {modes} is above the dim-{args.dim} degree limit of {limit}",
+              file=sys.stderr)
+        return EXIT_USAGE
     from datetime import datetime, timezone
 
-    from . import shapeio, variational
+    from . import variational
     from .harmonic_core import make_grid
 
     try:
@@ -262,9 +286,9 @@ def _cmd_optimize(args) -> int:
     for r in results:
         print(
             f"restart {r.restart_index}: phi={r.phi_value!r} iterations={r.iterations} "
-            f"converged={r.converged} projections={r.stats.projections} "
-            f"newton_steps={r.stats.newton_steps} max_newton_steps={r.stats.max_newton_steps} "
-            f"line_searches={r.stats.line_searches}"
+            f"converged={r.converged} projections={r.projections} "
+            f"newton_steps={r.newton_steps} max_newton_steps={r.max_newton_steps} "
+            f"line_searches={r.line_searches}"
         )
     result = variational.best_restart(results)
     print(
@@ -355,13 +379,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    handlers = {
-        "reuleaux": _cmd_reuleaux,
-        "optimize": _cmd_optimize,
-        "validate": _cmd_validate,
-        "table": _cmd_table,
-    }
-    return handlers[args.command](args)
+    return args.run(args)
 
 
 def entrypoint() -> None:

@@ -321,12 +321,16 @@ def loads_shape(text: str) -> ShapeFile | ResultFile:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write via a temp file in the target directory, then rename into place."""
+    """Write via a temp file in the target directory, then rename into place
+    with the mode open(path, "w") gives a new file: 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")  # mode 0o600
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        umask = os.umask(0o022)  # the only way to read it is to set it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

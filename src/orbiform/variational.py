@@ -22,7 +22,7 @@ step while the dual still rises at it; otherwise it moves to the exact
 maximizer along the same direction by a breakpoint line search.
 Minimization is projected gradient descent with a doubling step, stopped
 by DESCENT_RTOL or, unconverged, at DESCENT_MAX_ITERATIONS; each restart
-reports its projection work in OptimizationResult.stats.
+reports its projection work in its OptimizationResult.
 
 On a grid a switch of the bang-bang minimizer can sit only at a node, so in
 dim 2 the descent's answer approaches the truth only as N^-2.
@@ -77,7 +77,6 @@ __all__ = [
     "BangBangReport",
     "NumericalFailure",
     "OptimizationResult",
-    "SolveStats",
     "SwitchPolish",
     "admissibility_residuals",
     "box_bound",
@@ -605,33 +604,26 @@ def polish_switches(r: AdmissibleR) -> SwitchPolish:
 
 
 @dataclass(frozen=True)
-class SolveStats:
-    """Work counters of one restart; result_to_json leaves them out.
-
-    projections: calls of the admissible projection, the start included.
-    newton_steps: Newton steps of the dual solve summed over those calls;
-    max_newton_steps: the most any single call took.
-    line_searches: Newton steps that fell back to the exact breakpoint line
-    search, summed like newton_steps.
-    """
-
-    projections: int = 0
-    newton_steps: int = 0
-    max_newton_steps: int = 0
-    line_searches: int = 0
-
-
-@dataclass(frozen=True)
 class OptimizationResult:
     """One restart's record; phi, area, the bang-bang fractions and the switch
-    polish derive from the minimizer, each when first read."""
+    polish derive from the minimizer, each when first read.
+
+    The projection work counters, which result_to_json leaves out:
+    projections, the calls of the admissible projection, the start included;
+    newton_steps, the Newton steps of the dual solve summed over those calls,
+    and max_newton_steps, the most any single call took; line_searches, the
+    Newton steps that fell back to the exact breakpoint line search.
+    """
 
     minimizer: AdmissibleR
     iterations: int
     seed: int
     restart_index: int
     converged: bool
-    stats: SolveStats = SolveStats()
+    projections: int = 0
+    newton_steps: int = 0
+    max_newton_steps: int = 0
+    line_searches: int = 0
 
     @cached_property
     def phi_value(self) -> float:
@@ -672,12 +664,9 @@ def _initial_values(ws: _Workspace, width: float, rng: np.random.Generator) -> G
     return ws.from_subspace(c)
 
 
-def _descend(
-    ws: _Workspace,
-    width: float,
-    start_values: GridFn,
-) -> tuple[AdmissibleR, int, bool, SolveStats]:
-    """Projected gradient descent with a doubling step.
+def _descend(ws: _Workspace, width: float, seed: int, restart_index: int) -> OptimizationResult:
+    """Restart restart_index: projected gradient descent with a doubling step
+    from _initial_values drawn by default_rng([seed, restart_index]).
 
     phi is concave and the projection exact, so every projected step lowers
     phi by at least |step|^2 / eta: no step is ever too long, and the descent
@@ -691,7 +680,8 @@ def _descend(
     eta = eta0
     eta_max = STEP_GROWTH_CAP * eta0
 
-    x, steps, line_searches = _project_exact(ws, start_values, bound)
+    start = _initial_values(ws, width, np.random.default_rng([seed, restart_index]))
+    x, steps, line_searches = _project_exact(ws, start, bound)
     newton_steps = [steps]
     c = analyze(ws.grid, x, ws.max_degree).values[ws.window]
     phi_cur = ws.phi_of(c)
@@ -718,9 +708,9 @@ def _descend(
                 f"a projected step raised phi by {-decrease / scale:.3e} of its value"
             )
         eta = min(eta * 2.0, eta_max)
-    stats = SolveStats(len(newton_steps), sum(newton_steps), max(newton_steps), line_searches)
     r = AdmissibleR(width, ws.grid, ws.max_degree, x)
-    return r, iterations, converged, stats
+    return OptimizationResult(r, iterations, seed, restart_index, converged, len(newton_steps),
+                              sum(newton_steps), max(newton_steps), line_searches)
 
 
 def minimize_restarts(
@@ -738,13 +728,7 @@ def minimize_restarts(
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     ws = _workspace_for(grid, max_degree)
-
-    results = []
-    for i in range(restarts):
-        start = _initial_values(ws, width, np.random.default_rng([seed, i]))
-        r, its, conv, stats = _descend(ws, width, start)
-        results.append(OptimizationResult(r, its, seed, i, conv, stats))
-    return results
+    return [_descend(ws, width, seed, i) for i in range(restarts)]
 
 
 def best_restart(results: list[OptimizationResult]) -> OptimizationResult:

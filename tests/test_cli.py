@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from orbiform import body2d, cli, reuleaux, variational
+from orbiform import body2d, cli, harmonic_core, reuleaux, variational
 from orbiform.harmonic_core import make_grid, synthesize
 from orbiform.shapeio import loads_shape
 from orbiform.variational import NumericalFailure
@@ -331,6 +331,22 @@ def test_optimize_rejects_bad_flags(capsys):
     assert cli.main(["optimize", "--seed", "-1"]) == 2
     assert cli.main(["optimize", "--grid", "64", "--modes", "40"]) == 2
     assert "--modes 40 needs --grid >= 82, got 64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim,grid,limit", [(2, 8196, 4096), (3, 514, 255)])
+def test_optimize_holds_modes_to_the_result_file_degree_limit(dim, grid, limit, monkeypatch,
+                                                              capsys):
+    # what optimize would write, validate must read: the check comes before any grid
+    def reached(*a, **k):
+        raise ValueError("reached the grid")
+
+    monkeypatch.setattr(harmonic_core, "make_grid", reached)
+    argv = ["optimize", "--dim", str(dim), "--grid", str(grid), "--restarts", "1"]
+    assert cli.main([*argv, "--modes", str(limit + 1)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --modes {limit + 1} is above the dim-{dim} degree limit of {limit}\n")
+    assert cli.main([*argv, "--modes", str(limit)]) == 2
+    assert capsys.readouterr().err == "error: reached the grid\n"
 
 
 def test_optimize_maps_numerical_failure(monkeypatch, capsys):
@@ -666,6 +682,17 @@ def test_table_writes_file(tmp_path, capsys):
 
 def test_table_rejects_bad_max(capsys):
     assert cli.main(["table", "--max", "2"]) == 2
+
+
+def test_table_max_stops_where_consecutive_areas_are_still_distinct(capsys):
+    # from n = 199,053 on, consecutive width-1 areas are the same double
+    assert cli.main(["table", "--max", "99999"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 + 49999 and out.split("\n")[-2].startswith("99999,")
+    for value in ("100001", "300001"):
+        assert cli.main(["table", "--max", value]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --max: must be an integer from 3 to 99999, got '{value}'\n")
 
 
 def test_table_detects_regression(monkeypatch, capsys):

@@ -41,6 +41,7 @@ def loaded_after(code: str) -> set[str]:
         ["reuleaux", "--sides", "3", "--modes", "5"],
         ["table", "--max", "99"],  # the closed form is computed with math
         ["optimize", "--seed", "-1"],
+        ["optimize", "--grid", "8196", "--modes", "4097"],  # above the file's degree limit
     ],
 )
 def test_parsing_leaves_numpy_unloaded(argv):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -238,6 +239,20 @@ def test_write_text_atomic_roundtrip(tmp_path):
     write_text_atomic(str(target), "replaced\n")
     assert target.read_text() == "replaced\n"
     assert os.listdir(tmp_path) == ["shape.json"]  # no temp litter
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_write_text_atomic_gives_the_mode_of_a_new_file(tmp_path, umask, mode):
+    # mkstemp makes its file 0o600 whatever the umask; the renamed file must not keep that
+    target, plain = tmp_path / "shape.json", tmp_path / "plain.txt"
+    saved = os.umask(umask)
+    try:
+        write_text_atomic(str(target), "data")
+        plain.write_text("data")
+        write_text_atomic(str(plain), "replaced")
+    finally:
+        os.umask(saved)
+    assert [stat.S_IMODE(p.stat().st_mode) for p in (target, plain)] == [mode, mode]
 
 
 def test_write_text_atomic_failure_leaves_no_partial(tmp_path):

@@ -30,7 +30,6 @@ from orbiform.variational import (
     AdmissibleR,
     NumericalFailure,
     OptimizationResult,
-    SolveStats,
     bang_bang_report,
     best_restart,
     box_bound,
@@ -267,6 +266,28 @@ def test_project_pairs_cover_odd_polar_grid(rng):
     r = project_admissible(rng.normal(0.0, 2.0, grid.size), 1.0, grid, 3)
     assert isinstance(r, AdmissibleR)
     assert np.max(np.abs(r.values)) == pytest.approx(1.0, abs=1e-12)
+
+
+# three nodes along the ray lam + t*d: node 0 is free for t in [0, 1], node 1
+# for t in [0, 0.25], node 2 does not move; so the slope is slope0 - 5t up to
+# 0.25, then slope0 - 1.25 - (t - 0.25) up to the last breakpoint, 1, where it
+# has dropped by 2 in all
+LINE = (np.array([0.0, 0.5, 0.3]), np.array([1.0, -2.0, 0.0]), np.ones(3), 1.0)
+
+
+def test_line_max_finds_the_root_inside_a_linear_piece():
+    assert variational._line_max(*LINE, 1.0) == pytest.approx(0.2, abs=1e-15)
+    assert variational._line_max(*LINE, 1.75) == pytest.approx(0.75, abs=1e-15)
+
+
+@pytest.mark.parametrize("slope0", [0.0, -1.0])
+def test_line_max_of_a_slope_that_is_not_positive_at_zero_is_zero(slope0):
+    assert variational._line_max(*LINE, slope0) == 0.0
+
+
+@pytest.mark.parametrize("slope0", [2.5, 1e300])
+def test_line_max_of_a_slope_that_never_turns_is_the_last_breakpoint(slope0):
+    assert variational._line_max(*LINE, slope0) == 1.0
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -647,17 +668,20 @@ def test_grid_frees_its_tables_with_it():
 def test_minimize_reports_projection_stats_outside_the_json():
     grid = make_grid(2, 128)
     results = minimize_restarts(1.0, grid, 32, seed=4, restarts=SMALL)
+    counters = ("projections", "newton_steps", "max_newton_steps", "line_searches")
     for res in results:
-        stats = res.stats
         # one projection of the start point, then one per descent iteration
-        assert stats.projections == res.iterations + 1
-        assert stats.max_newton_steps <= stats.newton_steps
-        assert stats.newton_steps <= stats.projections * stats.max_newton_steps
-        assert stats.max_newton_steps <= variational.PROJECTION_MAX_STEPS
-        assert stats.line_searches <= stats.newton_steps
-        assert result_to_json(res) == result_to_json(replace(res, stats=SolveStats()))
-        assert "stats" not in json.loads(result_to_json(res))
-    assert sum(r.stats.newton_steps for r in results) > 0
+        assert res.projections == res.iterations + 1
+        assert res.max_newton_steps <= res.newton_steps
+        assert res.newton_steps <= res.projections * res.max_newton_steps
+        assert res.max_newton_steps <= variational.PROJECTION_MAX_STEPS
+        assert res.line_searches <= res.newton_steps
+        bare = replace(res, **dict.fromkeys(counters, 0))
+        assert bare == OptimizationResult(res.minimizer, res.iterations, res.seed,
+                                          res.restart_index, res.converged)
+        assert result_to_json(res) == result_to_json(bare)
+        assert not set(counters) & set(json.loads(result_to_json(res)))
+    assert sum(r.newton_steps for r in results) > 0
 
 
 def test_result_derives_phi_from_its_minimizer(grid240):
