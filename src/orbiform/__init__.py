@@ -34,7 +34,7 @@ _EXPORTS = {
     "variational": (
         "AdmissibleR", "BangBangReport", "NumericalFailure",
         "OptimizationResult", "SwitchPolish", "bang_bang_report", "best_restart",
-        "box_bound", "canonical_align", "minimize", "minimize_restarts", "phi", "phi_gradient",
+        "box_bound", "canonical_align", "minimize_restarts", "phi", "phi_gradient",
         "polish_switches", "project_admissible", "result_to_json", "support_deviation",
     ),
     "spheroform3d": (

@@ -6,8 +6,8 @@ vanishes, and the odd degrees are free (degree 1 is a translation). The
 curvature radius of the boundary is R = p'' + p, a diagonal operation in
 coefficient space: degree k scales by (1 - k^2). Convexity is R >= 0 and the
 constant-width relation forces 0 <= R <= B. validate reports these
-invariants as CheckResults with width-scaled tolerances; area_spectral refuses
-a curvature radius with a degree-1 part (harmonic_core.require_translation_free).
+invariants as CheckResults with width-scaled tolerances. area_spectral is
+the Parseval sum of the support, (1/2) sum (1 - k^2) c_k^2, with fsum.
 switch_window is the closed form of a bang-bang curvature, R in {0, B} with
 finitely many switches, which is what the minimizers of the area are, as
 lists of floats; switch_checks gates a file that holds such a body,
@@ -104,11 +104,8 @@ def body_from_deviation(width: float, deviation: SpectralCoeffs) -> SupportBody:
 
 def curvature_coeffs(body: SupportBody) -> SpectralCoeffs:
     """Coefficients of the curvature radius R = p'' + p: degree k scales by 1 - k^2."""
-    from .harmonic_core import coeff_degrees
-
     c = body.support_coeffs
-    degs = coeff_degrees(2, c.max_degree)
-    return c.with_values((1.0 - degs.astype(float) ** 2) * c.values)
+    return c.with_values((1.0 - c.degrees() ** 2.0) * c.values)
 
 
 def switch_jumps(count: int, width: float) -> list[float]:
@@ -329,16 +326,10 @@ def _area_parseval(values: list[float]) -> float:
 
 
 def area_spectral(body: SupportBody) -> float:
-    """Area as the Green quadratic form (1/2) <G R, R> in coefficient space.
-
-    R never carries degree 1 for a closed boundary (the factor 1 - k^2 kills it),
-    so the reduced resolvent applies; a degree-1 residue raises ClosednessError.
-    """
-    from .harmonic_core import quadratic_form_green, require_translation_free
-
-    r = curvature_coeffs(body)
-    require_translation_free(r, "curvature radius")
-    return 0.5 * quadratic_form_green(r)
+    """Area as the Green quadratic form (1/2) <G R, R> in coefficient space,
+    which is _area_parseval of the support: G undoes the 1 - k^2 of R, and
+    degree 1, where R vanishes, adds nothing."""
+    return _area_parseval(body.support_coeffs.values.tolist())
 
 
 def perimeter(body: SupportBody, grid: SphereGrid) -> float:
@@ -418,6 +409,8 @@ def validate(body: SupportBody | ShapeFile, convexity_tol: float | None = None) 
 
     convexity_tol bounds both sampled curvature checks (R >= 0 and R <=
     width) and is absolute, in units of length; it defaults to 1e-9 * width.
+    Where R overflows a double its samples are inf or NaN, and both checks
+    fail with residual inf, with no numpy warning.
     Spectrally truncated Reuleaux polygons without their switches need a
     relaxed value that scales with the width, about 0.12 * width: plain
     Fourier truncation of their square-wave curvature dips 0.0895 * width
@@ -438,17 +431,18 @@ def validate(body: SupportBody | ShapeFile, convexity_tol: float | None = None) 
 
     import numpy as np
 
-    from .harmonic_core import make_grid, synthesize
+    from .harmonic_core import _synthesize2
 
-    B = body.width
-    grid = make_grid(2, max(64, 4 * body.max_degree + 4))
+    B, c = body.width, body.support_coeffs
     if convexity_tol is None:
         convexity_tol = 1e-9 * B
-    r_vals = synthesize(curvature_coeffs(body), grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r_vals = _synthesize2((1.0 - c.degrees() ** 2.0) * c.values, max(64, 4 * c.max_degree + 4))
+    lo, hi = (r_vals.min(), r_vals.max()) if np.isfinite(r_vals).all() else (-math.inf, math.inf)
     checks = [
-        _constant_width(body.support_coeffs.values.tolist(), B),
-        CheckResult("convexity", max(0.0, -float(np.min(r_vals))), convexity_tol),
-        CheckResult("curvature-bound", max(0.0, float(np.max(r_vals)) - B), convexity_tol),
+        _constant_width(c.values.tolist(), B),
+        CheckResult("convexity", max(0.0, -float(lo)), convexity_tol),
+        CheckResult("curvature-bound", max(0.0, float(hi) - B), convexity_tol),
     ]
     return ValidationReport(tuple(checks))
 

@@ -5,11 +5,12 @@ optimize (multi-restart functional minimization), validate (invariant checks
 on a shape file), table (closed-form area table as CSV).
 
 Parsing, --help and usage errors use the standard library only: flag ranges
-are argparse types, a handler checks the rules that tie --modes to --grid or
---sides before it imports anything, and each subcommand imports the modules it
-runs when it runs. reuleaux, table and validate of a dim-2 shape file with
-switches (what reuleaux --out writes) compute with math alone and load no
-numpy; optimize and the other validate paths do.
+are argparse types, optimize checks that --grid carries --modes before it
+imports anything (reuleaux.support_values checks --modes against --sides), and
+each subcommand imports the modules it runs when it runs. reuleaux, table and
+validate of a dim-2 shape file with switches (what reuleaux --out writes)
+compute with math alone and load no numpy; optimize and the other validate
+paths do.
 
 reuleaux holds its highest degree, the largest odd multiple of --sides up to
 --modes, to the writer's limit (shapeio.MAX_DEGREE_2D) whether or not it
@@ -28,7 +29,8 @@ validate prints one report format for every file: body2d.validate on a dim-2
 shape file (in closed form when it lists switches), AdmissibleR's checks
 (variational.deviation_report) on a dim-3 one, and
 variational.validate_result on what optimize --out writes, which
-shapeio.loads_shape tells apart by its phi key.
+shapeio.loads_shape tells apart by its phi key. A dim-2 body whose curvature
+radius overflows a double fails convexity and curvature-bound (residual inf).
 
 table --max is at most TABLE_MAX_SIDES = 99999, past which consecutive
 closed-form areas can round to the same double and fail the cross-check.
@@ -37,12 +39,13 @@ optimize holds --modes to the degree limit of the result file it may write
 (shapeio.MAX_DEGREE_2D or MAX_DEGREE_3D), so validate accepts what --out
 writes. It prints one line per restart (phi, iterations, converged, projection
 work: projections, newton_steps, max_newton_steps, line_searches), in dim 2
-or 3, then reports the restart that variational.best_restart picks, as
-minimize does. In dim 2 it prints that restart's grid area (before the
-polish), then the certificate of its switch polish (polish_switches): the
-switch count, Newton steps, closure over B and max |pbar + l| over B at the
-switches, and the polished area, or why it declined. --out writes the
-restart as result JSON, with the polished body when there is one.
+or 3, then reports the restart that variational.best_restart picks. In dim 2
+it prints that restart's grid area (before the polish; the Parseval sum of its
+support, as reuleaux's quadrature area is), then the certificate of its switch
+polish (polish_switches): the switch count, Newton steps, closure over B and
+max |pbar + l| over B at the switches, and the polished area, or why it
+declined. --out writes the restart as result JSON, with the polished body when
+there is one.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage, malformed input (a file
 that is not UTF-8 too) or an output path that cannot be written, 3 numerical
@@ -211,10 +214,6 @@ def _write(path: str, text: str) -> bool:
 
 
 def _cmd_reuleaux(args) -> int:
-    if args.modes < 4 * args.sides:
-        print(f"error: --modes {args.modes} too small for {args.sides} sides; "
-              f"need >= {4 * args.sides}", file=sys.stderr)
-        return EXIT_USAGE
     from . import body2d, reuleaux, shapeio
 
     spec = reuleaux.ReuleauxSpec(args.sides, args.width)

@@ -15,8 +15,8 @@ The Green operator implemented here is the reduced resolvent of the spherical
 Laplacian at its second eigenvalue d-1: diagonal in the harmonic basis, with
 the degree-1 eigenspace excluded (that subspace is the kernel of translations
 and the resolvent is undefined on it). require_translation_free is the one
-degree-1 check: apply_green, body2d.area_spectral, spheroform3d.phi1 and
-variational.AdmissibleR call it.
+degree-1 check: apply_green, spheroform3d.phi1 and variational.AdmissibleR
+call it.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+
+from .body2d import SQRT_PI
 
 __all__ = [
     "GridFn",
@@ -53,7 +55,6 @@ GridFn = np.ndarray
 
 TWO_PI = 2.0 * np.pi
 SPHERE_AREA = 4.0 * np.pi
-SQRT_PI = math.sqrt(math.pi)
 SQRT_TWO_PI = math.sqrt(TWO_PI)
 TINY = 2.2250738585072014e-308  # np.finfo(float).tiny, the least normal float
 
@@ -201,7 +202,11 @@ class SpectralCoeffs:
 
     def norm(self) -> float:
         v = self.values
-        return math.sqrt(v @ v)
+        squares = np.vdot(v, v)  # as v @ v, but an overflow to inf raises no warning
+        if squares == math.inf:  # past about 1.3e154: scale by the largest magnitude
+            top = np.abs(v).max()
+            return float(top * math.sqrt(np.vdot(v / top, v / top)))
+        return math.sqrt(squares)
 
 
 def zero_coeffs(dim: int, max_degree: int) -> SpectralCoeffs:

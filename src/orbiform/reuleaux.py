@@ -82,7 +82,7 @@ def support_values(spec: ReuleauxSpec, max_degree: int) -> list[float]:
     """
     if max_degree < 4 * spec.sides:
         raise ValueError(
-            f"max_degree {max_degree} too small for {spec.sides} sides; need >= {4 * spec.sides}"
+            f"band limit {max_degree} is too small for {spec.sides} sides; need >= {4 * spec.sides}"
         )
     from .body2d import MEAN_BASIS, SQRT_PI
 

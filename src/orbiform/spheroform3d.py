@@ -10,10 +10,11 @@ is the ball's R in dim 3; phi1 takes a curvature sum in either dimension.
 
 The caveat, and it is structural: an admissible deviation on the sphere need
 not be realizable as the curvature sum of an actual convex body, so dim-3
-minimization results are candidates, not certified bodies. variational.minimize
-runs on a dim-3 grid as on a dim-2 one, and every dim-3 OptimizationResult
-carries equivalence_warning=True for that reason. phi1 refuses a degree-1 part
-through harmonic_core.require_translation_free.
+minimization results are candidates, not certified bodies.
+variational.minimize_restarts runs on a dim-3 grid as on a dim-2 one, and
+every dim-3 OptimizationResult carries equivalence_warning=True for that
+reason. phi1 refuses a degree-1 part through
+harmonic_core.require_translation_free.
 """
 
 from __future__ import annotations

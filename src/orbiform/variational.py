@@ -84,7 +84,6 @@ __all__ = [
     "phi",
     "phi_gradient",
     "support_deviation",
-    "minimize",
     "minimize_restarts",
     "polish_switches",
     "best_restart",
@@ -120,10 +119,9 @@ def box_bound(dim: int, width: float) -> float:
 
 def admissibility_residuals(
     values: GridFn, grid: SphereGrid, width: float, coeffs: SpectralCoeffs
-) -> tuple[tuple[str, float, float], ...]:
-    """(name, residual, tolerance) of the box-bound, antipodal-antisymmetry
-    and translation-orthogonality checks; each passes when residual <= tolerance.
-    The first two use ADMISSIBLE_ATOL * width, the last
+) -> tuple[CheckResult, ...]:
+    """The box-bound, antipodal-antisymmetry and translation-orthogonality
+    checks. The first two use ADMISSIBLE_ATOL * width, the last
     harmonic_core.translation_residual, so every check is scale-free.
     """
     box = max(0.0, float(np.abs(values).max()) - box_bound(grid.dim, width))
@@ -131,9 +129,9 @@ def admissibility_residuals(
     h = grid.size // 2
     anti = float(np.abs(values[:h] + values[grid.antipode_index[:h]]).max())
     return (
-        ("box-bound", box, ADMISSIBLE_ATOL * width),
-        ("antipodal-antisymmetry", anti, ADMISSIBLE_ATOL * width),
-        ("translation-orthogonality", *translation_residual(coeffs)),
+        CheckResult("box-bound", box, ADMISSIBLE_ATOL * width),
+        CheckResult("antipodal-antisymmetry", anti, ADMISSIBLE_ATOL * width),
+        CheckResult("translation-orthogonality", *translation_residual(coeffs)),
     )
 
 
@@ -163,11 +161,11 @@ class AdmissibleR:
             raise ValueError("values shape does not match the grid")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "coeffs", analyze(self.grid, vals, self.max_degree))
-        for name, resid, tol in admissibility_residuals(vals, self.grid, self.width, self.coeffs):
-            if not resid <= tol:
-                if name == "translation-orthogonality":
+        for check in admissibility_residuals(vals, self.grid, self.width, self.coeffs):
+            if not check.passed:
+                if check.name == "translation-orthogonality":
                     require_translation_free(self.coeffs, "curvature deviation")
-                raise ValueError(f"{name} violated by {resid:.3e}")
+                raise ValueError(f"{check.name} violated by {check.residual:.3e}")
 
     @property
     def dim(self) -> int:
@@ -744,17 +742,6 @@ def best_restart(results: list[OptimizationResult]) -> OptimizationResult:
     return next(r for r in results if r.phi_value <= cutoff)
 
 
-def minimize(
-    width: float,
-    grid: SphereGrid,
-    max_degree: int,
-    seed: int,
-    restarts: int = 16,
-) -> OptimizationResult:
-    """The best_restart of minimize_restarts."""
-    return best_restart(minimize_restarts(width, grid, max_degree, seed, restarts))
-
-
 def result_to_json(result: OptimizationResult, timestamp: str | None = None) -> str:
     """Serialize a result; key order and float reprs are deterministic.
 
@@ -790,8 +777,7 @@ def deviation_report(width: float, coeffs: SpectralCoeffs) -> ValidationReport:
     """admissibility_residuals of a dim-3 deviation, sampled on the least
     grid of resolution >= 16 that carries its band limit."""
     grid = make_grid(3, max(16, 2 * coeffs.max_degree + 2))
-    checks = admissibility_residuals(synthesize(coeffs, grid), grid, width, coeffs)
-    return ValidationReport(tuple(CheckResult(*c) for c in checks))
+    return ValidationReport(admissibility_residuals(synthesize(coeffs, grid), grid, width, coeffs))
 
 
 def validate_result(f: shapeio.ResultFile) -> ValidationReport:

@@ -282,10 +282,10 @@ def test_criterion_9_cli_determinism_and_validate_taxonomy(tmp_path, capsys):
     assert time.perf_counter() - start < 60.0
 
 
-@pytest.mark.parametrize("name", ["box3d.json", "candidate3d.json"])
+@pytest.mark.parametrize("name", ["box3d.json", "candidate3d.json", "translate3d.json"])
 def test_validate_dim3_verdict_does_not_depend_on_the_width(name, tmp_path, capsys):
     code, payload = CORPUS[name]
-    for width in (1e-13, 1.0, 1e13):
+    for width in (1e-13, 1.0, 1e13, 1e300):
         entries = [{**e, "value": e["value"] * width} for e in payload["coeffs"]]
         path = tmp_path / name
         path.write_text(json.dumps({"dim": 3, "width": width, "coeffs": entries}))

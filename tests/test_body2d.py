@@ -142,13 +142,9 @@ def test_area_spectral_rejects_open_curvature():
         require_translation_free(SpectralCoeffs(2, 3, c), "test input")
 
 
-def test_area_spectral_names_a_degree_one_curvature(monkeypatch):
-    # curvature_coeffs zeroes degree 1 exactly; a broken one must not slip through
-    c = zero_coeffs(2, 3).values.copy()
-    c[0], c[index2(1, "sin")] = 1.0, 0.5
-    monkeypatch.setattr(body2d, "curvature_coeffs", lambda body: SpectralCoeffs(2, 3, c))
-    with pytest.raises(ClosednessError, match=r"degree-1.*\(degree=1, part=sin\)"):
-        area_spectral(disk(1.0))
+def test_area_spectral_is_the_parseval_sum_of_the_support(rng):
+    for b in [disk(1.0), *(random_body(rng, width=w) for w in (1e-100, 1.0, 1e100))]:
+        assert area_spectral(b) == body2d._area_parseval(b.support_coeffs.values.tolist())
 
 
 def test_barbier_perimeter(rng, grid2_256):

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -315,7 +316,8 @@ def test_optimize_writes_what_minimize_returns(dim, resolution, modes, tmp_path,
     rc = cli.main(["optimize", *flags, "--restarts", "3", "--seed", "5", "--out", str(out)])
     assert rc == 0
     stdout = capsys.readouterr().out
-    best = variational.minimize(1.0, make_grid(dim, resolution), modes, 5, restarts=3)
+    grid = make_grid(dim, resolution)
+    best = variational.best_restart(variational.minimize_restarts(1.0, grid, modes, 5, restarts=3))
     assert f"restart={best.restart_index} " in stdout
     assert out.read_text() == variational.result_to_json(best)
 
@@ -400,6 +402,20 @@ def test_validate_flags_nonconvex(tmp_path, capsys):
     )
     assert cli.main(["validate", f]) == 1
     assert "FAIL convexity" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", [1e307, 1e308])
+def test_validate_fails_a_body_whose_curvature_overflows(value, tmp_path, capsys):
+    # R = -8 * value * cos(3 w) / sqrt(pi): at 1e307 its samples overflow to
+    # NaN, at 1e308 its coefficients do; neither may pass or raise
+    f = write(tmp_path / "huge.json",
+              disk_payload(extra=[{"degree": 3, "part": "cos", "value": value}]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["validate", f]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL convexity: residual=inf" in out and "FAIL curvature-bound" in out
+    assert err == ""
 
 
 def test_validate_truncated_json(tmp_path, capsys):

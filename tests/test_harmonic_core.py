@@ -1,5 +1,6 @@
 """Transform layer: grids, real harmonic bases, spectral operators."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -316,6 +317,12 @@ def test_translation_residual_is_relative_to_the_norm():
     with pytest.raises(ClosednessError):
         require_translation_free(SpectralCoeffs(2, 3, c), "large translation")
     require_translation_free(zero_coeffs(3, 2), "the zero expansion")
+
+
+def test_norm_stays_finite_where_the_sum_of_squares_overflows():
+    c = SpectralCoeffs(3, 1, [0.0, 0.0, 1e299, 5e298])
+    assert c.norm() == pytest.approx(math.hypot(1e299, 5e298), rel=1e-15)
+    assert translation_residual(c)[1] == pytest.approx(1e-12 * c.norm(), rel=1e-15)
 
 
 def test_quadratic_form_green_signs(rng):

@@ -18,7 +18,7 @@ from orbiform.spheroform3d import (
     phi1,
     width_residual,
 )
-from orbiform.variational import minimize
+from orbiform.variational import best_restart, minimize_restarts
 
 from oracles import BALL3_PHI1, ball3_phi1, index3
 
@@ -86,7 +86,7 @@ def test_width_residual_zero_for_odd_harmonics(grid3_16, rng):
 
 
 def test_minimize3d_contract(grid3_16):
-    res = minimize(1.0, grid3_16, 7, seed=5, restarts=2)
+    res = best_restart(minimize_restarts(1.0, grid3_16, 7, seed=5, restarts=2))
     assert res.equivalence_warning
     assert res.area is None
     assert res.phi_value < 0

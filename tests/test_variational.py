@@ -34,7 +34,6 @@ from orbiform.variational import (
     best_restart,
     box_bound,
     canonical_align,
-    minimize,
     minimize_restarts,
     phi,
     phi_gradient,
@@ -228,7 +227,7 @@ def test_project_one_free_antipodal_pair_converges(grid240):
 def test_project_large_dim3_steps_stay_admissible(grid3_16):
     # the descent's step-size ladder eta0 * 2**k from a converged dim-3 state;
     # the longest steps once ran an alternating-projection solver into its cap
-    r = minimize(1.0, grid3_16, 7, seed=7, restarts=1).minimizer
+    r = best_restart(minimize_restarts(1.0, grid3_16, 7, seed=7, restarts=1)).minimizer
     grad = phi_gradient(r)
     phi0 = phi(r)
     for k in range(11):
@@ -324,7 +323,7 @@ def test_project_newton_steps_on_dim3_ladder(grid3_16):
     # the ladder of test_project_large_dim3_steps_stay_admissible: a solver
     # taking only Levenberg steps with a line search needed 63 Newton steps
     # on it; full Newton steps kept while the dual still rises take 46
-    r = minimize(1.0, grid3_16, 7, seed=7, restarts=1).minimizer
+    r = best_restart(minimize_restarts(1.0, grid3_16, 7, seed=7, restarts=1)).minimizer
     grad = phi_gradient(r)
     ws = variational._workspace_for(grid3_16, 7)
     steps = [
@@ -340,7 +339,7 @@ def test_project_line_searches_on_dim3_ladder(grid3_32):
     # took the breakpoint line search on 46 of the ladder's Newton steps;
     # keeping the full step while the dual still rises at it, or once it
     # meets the stopping rule, takes it on 24
-    r = minimize(1.0, grid3_32, 15, seed=7, restarts=4).minimizer
+    r = best_restart(minimize_restarts(1.0, grid3_32, 15, seed=7, restarts=4)).minimizer
     grad = phi_gradient(r)
     ws = variational._workspace_for(grid3_32, 15)
     searches = [
@@ -355,7 +354,7 @@ def test_project_satisfies_variational_inequality_on_dim3_ladder(grid3_16, rng):
     # and the dual Hessian is singular, then random inputs with many free
     # nodes. Zero, -P(v), the minimizer the ladder starts from and every
     # other projection are admissible points y
-    r = minimize(1.0, grid3_16, 7, seed=7, restarts=1).minimizer
+    r = best_restart(minimize_restarts(1.0, grid3_16, 7, seed=7, restarts=1)).minimizer
     grad = phi_gradient(r)
     inputs = [r.values - 5.0 * 2.0**k * grad for k in range(6, 11)]
     inputs += [rng.normal(0.0, scale, grid3_16.size) for scale in (0.5, 2.0, 20.0)]
@@ -504,7 +503,7 @@ SMALL = 3
 
 def test_minimize_small_run_finds_triangle():
     grid = make_grid(2, 128)
-    res = minimize(1.0, grid, 32, seed=11, restarts=SMALL)
+    res = best_restart(minimize_restarts(1.0, grid, 32, seed=11, restarts=SMALL))
     assert res.converged
     assert res.phi_value < 0
     assert res.area == pytest.approx(0.70477, abs=5e-3)
@@ -514,8 +513,8 @@ def test_minimize_small_run_finds_triangle():
 
 def test_minimize_is_deterministic():
     grid = make_grid(2, 128)
-    a = minimize(1.0, grid, 32, seed=4, restarts=SMALL)
-    b = minimize(1.0, grid, 32, seed=4, restarts=SMALL)
+    a = best_restart(minimize_restarts(1.0, grid, 32, seed=4, restarts=SMALL))
+    b = best_restart(minimize_restarts(1.0, grid, 32, seed=4, restarts=SMALL))
     assert result_to_json(a) == result_to_json(b)
     assert np.array_equal(a.minimizer.values, b.minimizer.values)
 
@@ -539,8 +538,8 @@ def test_minimize_iterations_do_not_depend_on_width(grid2_512):
 
 def test_minimize_scale_covariance():
     grid = make_grid(2, 128)
-    a = minimize(1.0, grid, 32, seed=2, restarts=SMALL)
-    b = minimize(2.0, grid, 32, seed=2, restarts=SMALL)
+    a = best_restart(minimize_restarts(1.0, grid, 32, seed=2, restarts=SMALL))
+    b = best_restart(minimize_restarts(2.0, grid, 32, seed=2, restarts=SMALL))
     assert b.phi_value == pytest.approx(4.0 * a.phi_value, rel=1e-12)
     assert b.area == pytest.approx(4.0 * a.area, rel=1e-12)
 
@@ -554,11 +553,9 @@ def test_minimize_scale_covariance():
         ([0.0, 0.0], 0),
     ],
 )
-def test_minimize_best_restart_is_lowest_index_within_rel_tol(monkeypatch, phis, best):
+def test_minimize_best_restart_is_lowest_index_within_rel_tol(phis, best):
     fake = [SimpleNamespace(phi_value=p, restart_index=i) for i, p in enumerate(phis)]
-    monkeypatch.setattr(variational, "minimize_restarts", lambda *args, **kwargs: fake)
-    result = minimize(1.0, make_grid(2, 64), 15, 0)
-    assert result.restart_index == best
+    assert best_restart(fake).restart_index == best
 
 
 def test_result_derives_area_and_bang_bang_from_its_minimizer(grid240, monkeypatch):
@@ -594,13 +591,13 @@ def test_minimize_restarts_provenance():
     results = minimize_restarts(1.0, grid, 32, seed=9, restarts=SMALL)
     assert [r.restart_index for r in results] == [0, 1, 2]
     assert all(r.seed == 9 for r in results)
-    best = minimize(1.0, grid, 32, seed=9, restarts=SMALL)
+    best = best_restart(minimize_restarts(1.0, grid, 32, seed=9, restarts=SMALL))
     assert best.phi_value == min(r.phi_value for r in results)
 
 
 def test_result_json_schema():
     grid = make_grid(2, 128)
-    res = minimize(1.0, grid, 32, seed=1, restarts=SMALL)
+    res = best_restart(minimize_restarts(1.0, grid, 32, seed=1, restarts=SMALL))
     payload = json.loads(result_to_json(res))
     assert list(payload.keys()) == [
         "dim",
@@ -623,8 +620,8 @@ def test_result_json_schema():
 def test_result_file_text_is_the_json_encoders(grid3_16):
     # written without json, and still json.dumps of what the file holds:
     # every float by repr, "area": null and "equivalence_warning": true in dim 3
-    planar = minimize(1.0, make_grid(2, 128), 32, seed=1, restarts=SMALL)
-    spatial = minimize(1.0, grid3_16, 7, seed=2, restarts=1)
+    planar = best_restart(minimize_restarts(1.0, make_grid(2, 128), 32, seed=1, restarts=SMALL))
+    spatial = best_restart(minimize_restarts(1.0, grid3_16, 7, seed=2, restarts=1))
     for res in (planar, spatial):
         for stamp in (None, "2024-01-01T00:00:00+00:00"):
             text = result_to_json(res, stamp)
@@ -637,10 +634,10 @@ def test_result_file_text_is_the_json_encoders(grid3_16):
 
 
 def test_minimize_labels_dim3_results_as_candidates(grid3_16):
-    res = minimize(1.0, grid3_16, 7, seed=2, restarts=1)
+    res = best_restart(minimize_restarts(1.0, grid3_16, 7, seed=2, restarts=1))
     assert res.equivalence_warning is True
     assert '"equivalence_warning": true' in result_to_json(res)
-    planar = minimize(1.0, make_grid(2, 64), 15, seed=2, restarts=1)
+    planar = best_restart(minimize_restarts(1.0, make_grid(2, 64), 15, seed=2, restarts=1))
     assert planar.equivalence_warning is False
     assert "equivalence_warning" not in result_to_json(planar)
 
@@ -687,7 +684,7 @@ def test_minimize_reports_projection_stats_outside_the_json():
 def test_result_derives_phi_from_its_minimizer(grid240):
     init = {f.name for f in fields(OptimizationResult) if f.init}
     assert not init & {"phi_value", "polish"}
-    best = minimize(1.0, make_grid(2, 128), 32, seed=4, restarts=SMALL)
+    best = best_restart(minimize_restarts(1.0, make_grid(2, 128), 32, seed=4, restarts=SMALL))
     assert best.phi_value == phi(best.minimizer) < 0.0
     half = AdmissibleR(1.0, grid240, 60, 0.5 * triangle_values(grid240))
     other = replace(best, minimizer=half)
@@ -704,7 +701,7 @@ def test_polish_reaches_the_truncated_triangle(grid2_512):
     floor_phi = sum(square_wave_cos_coeff(3, 1.0, int(k)) ** 2 / (1.0 - k * k) for k in ks)
     floor = (np.pi / 4 + 0.5 * floor_phi - TRIANGLE_AREA) / TRIANGLE_AREA
     assert floor == pytest.approx(2.629e-8, rel=1e-3)
-    res = minimize(1.0, grid2_512, 255, seed=7, restarts=16)
+    res = best_restart(minimize_restarts(1.0, grid2_512, 255, seed=7, restarts=16))
     p = res.polish
     assert p.declined is None and len(p.switches) == 3 and p.steps <= 5
     excess = (p.area - TRIANGLE_AREA) / TRIANGLE_AREA
@@ -726,8 +723,8 @@ def test_polish_is_the_same_at_every_width(width):
     # the closure multipliers are carried in units of B, so no width makes
     # lstsq drop the angle directions
     grid = make_grid(2, 16)
-    unit = minimize(1.0, grid, 7, seed=0, restarts=2).polish
-    p = minimize(width, grid, 7, seed=0, restarts=2).polish
+    unit = best_restart(minimize_restarts(1.0, grid, 7, seed=0, restarts=2)).polish
+    p = best_restart(minimize_restarts(width, grid, 7, seed=0, restarts=2)).polish
     assert unit.declined is None and p.declined is None and len(p.switches) == 3
     assert np.allclose(p.switches, unit.switches, rtol=0.0, atol=1e-14)
     assert p.closure <= 1e-14 and p.stationarity <= 1e-14
@@ -739,7 +736,7 @@ def test_polish_declines_a_state_that_is_not_bang_bang(grid240):
     p = polish_switches(half)
     assert p.declined.startswith("not bang-bang")
     assert p.switches is None and p.coeffs is None
-    res = minimize(1.0, make_grid(2, 128), 32, seed=4, restarts=SMALL)
+    res = best_restart(minimize_restarts(1.0, make_grid(2, 128), 32, seed=4, restarts=SMALL))
     other = replace(res, minimizer=half)
     assert other.polish.declined == p.declined
     # no switches without a converged polish: the file holds the window, and
@@ -750,7 +747,8 @@ def test_polish_declines_a_state_that_is_not_bang_bang(grid240):
 
 
 def test_polish_turns_a_state_positive_at_zero_by_pi():
-    r = minimize(1.0, make_grid(2, 128), 32, seed=4, restarts=SMALL).minimizer
+    results = minimize_restarts(1.0, make_grid(2, 128), 32, seed=4, restarts=SMALL)
+    r = best_restart(results).minimizer
     polished = []
     for values in (r.values, -r.values):
         flipped = AdmissibleR(1.0, r.grid, 32, values)
@@ -828,7 +826,7 @@ def test_half_turn_list_gives_the_point_reflection():
 
 
 def test_polish_is_dim2_only(grid3_16):
-    res = minimize(1.0, grid3_16, 7, seed=2, restarts=1)
+    res = best_restart(minimize_restarts(1.0, grid3_16, 7, seed=2, restarts=1))
     assert res.polish is None
     with pytest.raises(ValueError, match="dim 2"):
         polish_switches(res.minimizer)
@@ -839,5 +837,5 @@ def test_polish_is_dim2_only(grid3_16):
 def test_descent_never_beats_global_bound(seed):
     # phi of any admissible state is bounded below by the full box mass
     grid = make_grid(2, 64)
-    res = minimize(1.0, grid, 16, seed=seed, restarts=1)
+    res = best_restart(minimize_restarts(1.0, grid, 16, seed=seed, restarts=1))
     assert -1.0 < res.phi_value <= 0.0
