@@ -86,11 +86,9 @@ class SupportBody(namedtuple("SupportBody", ("width", "support_coeffs"))):
 
 def disk(width: float) -> SupportBody:
     """The disk of the given width (radius width/2)."""
-    from .harmonic_core import SpectralCoeffs, zero_coeffs
+    from .harmonic_core import SpectralCoeffs
 
-    c = zero_coeffs(2, 0).values.copy()
-    c[0] = 0.5 * width / MEAN_BASIS
-    return SupportBody(width, SpectralCoeffs(2, 0, c))
+    return SupportBody(width, SpectralCoeffs(2, 0, [0.5 * width / MEAN_BASIS]))
 
 
 def body_from_deviation(width: float, deviation: SpectralCoeffs) -> SupportBody:
@@ -343,7 +341,8 @@ def perimeter(body: SupportBody, grid: SphereGrid) -> float:
 
 
 class CheckResult(NamedTuple):
-    """One invariant check; it passes when the residual is within the tolerance."""
+    """One invariant check; it passes when the residual is finite and within
+    the tolerance, so an infinite residual fails even an infinite tolerance."""
 
     name: str
     residual: float
@@ -351,7 +350,7 @@ class CheckResult(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.tolerance
+        return self.residual <= self.tolerance and self.residual < math.inf
 
 
 class ValidationReport(NamedTuple):
@@ -456,17 +455,16 @@ def random_body(rng: np.random.Generator, width: float = 1.0) -> SupportBody:
     """
     import numpy as np
 
-    from .harmonic_core import SpectralCoeffs, apply_green, make_grid, synthesize, zero_coeffs
+    from .harmonic_core import SpectralCoeffs, _synthesize2, apply_green
 
     L = 15
-    r_dev = zero_coeffs(2, L).values.copy()
+    r_dev = np.zeros(2 * L + 1)
     for k in range(3, L + 1, 2):
         scale = 1.0 / (k * k)
         r_dev[2 * k - 1] = rng.normal(0.0, scale)
         r_dev[2 * k] = rng.normal(0.0, scale)
     rc = SpectralCoeffs(2, L, r_dev)
-    fine = make_grid(2, max(256, 4 * L + 4))
-    vals = synthesize(rc, fine)
+    vals = _synthesize2(rc.values, 256)  # synthesize on make_grid(2, 256)
     peak = float(np.max(np.abs(vals)))
     if peak > 0:
         rc = rc.with_values(rc.values * (0.4 * width / peak))

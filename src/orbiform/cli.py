@@ -28,9 +28,9 @@ the SVG in SVG_SAMPLES log SVG_SAMPLES, by one in-place FFT (body2d._fft).
 validate prints one report format for every file: body2d.validate on a dim-2
 shape file (in closed form when it lists switches), AdmissibleR's checks
 (variational.deviation_report) on a dim-3 one, and
-variational.validate_result on what optimize --out writes, which
-shapeio.loads_shape tells apart by its phi key. A dim-2 body whose curvature
-radius overflows a double fails convexity and curvature-bound (residual inf).
+variational.validate_result on what optimize --out writes, a ShapeFile whose
+phi shapeio.loads_shape has set. A dim-2 body whose curvature radius overflows
+a double fails convexity and curvature-bound (residual inf).
 
 table --max is at most TABLE_MAX_SIDES = 99999, past which consecutive
 closed-form areas can round to the same double and fail the cross-check.
@@ -340,7 +340,7 @@ def _cmd_validate(args) -> int:
         print(f"malformed shape file: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if isinstance(parsed, shapeio.ResultFile):
+    if parsed.phi is not None:
         from . import variational
 
         report = variational.validate_result(parsed)

@@ -2,10 +2,11 @@
 
 Shape schema: { "dim": 2|3, "width": number, "coeffs": [entry, ...] } with entries
 { "degree": int, "part": "cos"|"sin", "value": number } for dim 2 and
-{ "degree": int, "order": int, "value": number } for dim 3. Unknown fields are
-rejected at both levels. Entries may arrive in any order; writers emit them in
-increasing degree and skip exact zeros. Coefficient values are inner products
-against the orthonormal harmonic basis.
+{ "degree": int, "order": int, "value": number } for dim 3. Unknown fields, and
+a name given twice in one object, are rejected at both levels. Entries may
+arrive in any order; writers emit them in increasing degree and skip exact
+zeros. Coefficient values are inner products against the orthonormal harmonic
+basis.
 
 For dim 2 the coefficients describe the support function of a body; for dim 3
 they describe a curvature-sum deviation candidate. A dim-2 shape file may also
@@ -19,13 +20,13 @@ optional "switches" list of angles in dim 2 only (written before "coeffs") and
 an optional "timestamp" string. Here "coeffs" is a curvature-deviation window:
 the closed form of the switches when there are any, else the minimizer's
 analysis. "area" is null in dim 3, and "violation" and "sign_consistency" are
-measure fractions. loads_shape reads both kinds and tells them apart by the
-"phi" key.
+measure fractions. loads_shape reads both kinds as a ShapeFile, told apart by
+the "phi" key: a shape file's has phi and area None.
 
 Importing this module loads no numpy: the reader checks the schema with the
 standard library, and a SpectralCoeffs is built only for a caller that asks
-for one (ShapeFile.coeffs, entries_to_coeffs, and every result file); the
-writer dumps_shape takes the values as a list of floats. Nor does it load
+for one (ShapeFile.coeffs, entries_to_coeffs); the writer dumps_shape takes
+the values as a list of floats. Nor does it load
 json: one formatter (_dumps) writes both kinds of file, byte for byte what
 json.dumps(payload, indent=2) gives, and refuses a NaN or an infinity, as the
 reader does, and any string that json would escape. Only loads_shape imports
@@ -43,7 +44,6 @@ if TYPE_CHECKING:
     from .harmonic_core import SpectralCoeffs
 
 __all__ = [
-    "ResultFile",
     "ShapeFile",
     "ShapeFormatError",
     "coeffs_to_entries",
@@ -66,15 +66,17 @@ SHAPE_KEYS = ("dim", "width", "coeffs")
 
 
 class ShapeFile(NamedTuple):
-    """A shape file as read back: values are its coefficients in
-    harmonic_core's flat layout up to max_degree, and switches its switch
-    angles (None when the file has none)."""
+    """A shape or result file as read back: values are its coefficients in
+    harmonic_core's flat layout up to max_degree; switches, and a result
+    file's phi and area, are None where the file has none."""
 
     dim: int
     width: float
     max_degree: int
     values: list[float]
     switches: tuple[float, ...] | None = None
+    phi: float | None = None
+    area: float | None = None
 
     @property
     def coeffs(self) -> SpectralCoeffs:
@@ -82,18 +84,6 @@ class ShapeFile(NamedTuple):
         from .harmonic_core import SpectralCoeffs
 
         return SpectralCoeffs(self.dim, self.max_degree, self.values)
-
-
-class ResultFile(NamedTuple):
-    """An optimize result file as read back: its shape part, phi, area and
-    switch angles (None when the file has none)."""
-
-    dim: int
-    width: float
-    coeffs: SpectralCoeffs
-    phi: float
-    area: float | None
-    switches: tuple[float, ...] | None = None
 
 
 class ShapeFormatError(ValueError):
@@ -274,16 +264,27 @@ def dumps_shape(dim: int, width: float, values: list[float], switches=None) -> s
     return _dumps(payload)
 
 
-def loads_shape(text: str) -> ShapeFile | ResultFile:
-    """The ShapeFile of a shape file, or the ResultFile of a result file.
+def _object(pairs: list) -> dict:
+    """A JSON object's dict for json.loads; a name given twice in one object
+    raises ShapeFormatError, where json alone would keep the last."""
+    seen: set[str] = set()
+    for name, _ in pairs:
+        if name in seen:
+            _fail(f"the name {name!r:.80} appears twice in one object")
+        seen.add(name)
+    return dict(pairs)
 
-    A top-level "phi" key makes the text a result file; either kind is refused
-    with ShapeFormatError unless it holds exactly the keys of its schema.
-    """
+
+def loads_shape(text: str) -> ShapeFile:
+    """The ShapeFile of a shape file, or of a result file if the text has a
+    top-level "phi" key. Either kind is refused with ShapeFormatError unless it
+    holds exactly the keys of its schema, each once."""
     import json
 
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_object)
+    except ShapeFormatError:
+        raise
     except (ValueError, RecursionError) as exc:  # also too many digits or too deep a nesting
         raise ShapeFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -303,9 +304,9 @@ def loads_shape(text: str) -> ShapeFile | ResultFile:
         _fail(f"dim must be 2 or 3, got {dim!r}")
     width = _check_width(data["width"])
     switches = _check_switches(data["switches"]) if "switches" in data else None
+    shape = ShapeFile(dim, width, *_parse_entries(dim, data["coeffs"]), switches)
     if not result:
-        return ShapeFile(dim, width, *_parse_entries(dim, data["coeffs"]), switches)
-    coeffs = entries_to_coeffs(dim, data["coeffs"])
+        return shape
     for key in ("iterations", "seed"):
         if isinstance(data[key], bool) or not isinstance(data[key], int):
             _fail(f"{key} must be an integer, got {data[key]!r}")
@@ -317,7 +318,7 @@ def loads_shape(text: str) -> ShapeFile | ResultFile:
     if not isinstance(data.get("timestamp", ""), str):
         _fail(f"timestamp must be a string, got {data['timestamp']!r}")
     area = _check_value(data["area"], "area") if dim == 2 else None
-    return ResultFile(dim, width, coeffs, _check_value(data["phi"], "phi"), area, switches)
+    return shape._replace(phi=_check_value(data["phi"], "phi"), area=area)
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -216,10 +216,6 @@ class _Workspace:
     def phi_of(self, coeffs_h: np.ndarray) -> float:
         return float(np.dot(self.green * coeffs_h, coeffs_h))
 
-    def gradient_values(self, coeffs_h: np.ndarray) -> GridFn:
-        # gradient of phi in the grid L2 metric: 2 * (Green applied to the state)
-        return 2.0 * self.from_subspace(self.green * coeffs_h)
-
 
 def _line_max(
     u: np.ndarray, s: np.ndarray, w: np.ndarray, bound: float, slope0: float
@@ -688,7 +684,7 @@ def _descend(ws: _Workspace, width: float, seed: int, restart_index: int) -> Opt
 
     while iterations < DESCENT_MAX_ITERATIONS:
         iterations += 1
-        grad = ws.gradient_values(c)
+        grad = 2.0 * ws.from_subspace(ws.green * c)  # phi's gradient in the grid L2 metric
         candidate, steps, searches = _project_exact(ws, x - eta * grad, bound)
         newton_steps.append(steps)
         line_searches += searches
@@ -780,14 +776,15 @@ def deviation_report(width: float, coeffs: SpectralCoeffs) -> ValidationReport:
     return ValidationReport(admissibility_residuals(synthesize(coeffs, grid), grid, width, coeffs))
 
 
-def validate_result(f: shapeio.ResultFile) -> ValidationReport:
-    """Check the exact invariants of a result file, as `orbiform validate` does.
+def validate_result(f: shapeio.ShapeFile) -> ValidationReport:
+    """Check the exact invariants of a result file (a ShapeFile with phi set),
+    as `orbiform validate` does.
 
     Gated: coeffs holds odd degrees >= 3 only (the even-degree and degree-1
     residuals are zero), and phi is the Green form of coeffs to relative
-    RESULT_RTOL. In dim 2 also area = pi B^2 / 4 + phi / 2 to the same, and
-    the body that coeffs generates passes body2d.validate's constant-width
-    check.
+    RESULT_RTOL (a Green form that overflows to inf fails). In dim 2 also
+    area = pi B^2 / 4 + phi / 2 to the same, and the body that coeffs
+    generates passes body2d.validate's constant-width check.
 
     A dim-2 file with "switches" holds an exact bang-bang body, and
     body2d.switch_checks gates it too, with no tolerance beyond rounding:
@@ -803,7 +800,8 @@ def validate_result(f: shapeio.ResultFile) -> ValidationReport:
     B, c = f.width, f.coeffs
     degs = c.degrees()
     even = np.abs(c.values[degs % 2 == 0])
-    green = quadratic_form_green(c)
+    with np.errstate(over="ignore"):  # an overflow is inf, and the phi check fails on it
+        green = quadratic_form_green(c)
     checks = [
         CheckResult("odd-degrees", float(np.max(even, initial=0.0)), 0.0),
         CheckResult("translation-orthogonality", degree_one_residual(c), 0.0),
@@ -820,5 +818,5 @@ def validate_result(f: shapeio.ResultFile) -> ValidationReport:
     if f.switches is None:
         info = (body.check("convexity"), body.check("curvature-bound"))
         return ValidationReport(tuple(checks), info=info)
-    checks += switch_checks(f.switches, B, c.values.tolist())
+    checks += switch_checks(f.switches, B, f.values)
     return ValidationReport(tuple(checks))

@@ -418,6 +418,34 @@ def test_validate_fails_a_body_whose_curvature_overflows(value, tmp_path, capsys
     assert err == ""
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_validate_fails_a_result_whose_green_form_overflows(dim, tmp_path, capsys):
+    # the Green form of a degree-3 coefficient of 1e200 overflows to inf, and
+    # so does the phi check's tolerance; an infinite residual still fails
+    entry = {"degree": 3, "value": 1e200, **({"part": "cos"} if dim == 2 else {"order": 0})}
+    payload = {"dim": dim, "width": 1.0, "phi": 1e308, "area": 5e307 if dim == 2 else None,
+               "iterations": 1, "seed": 0, "violation": 0.0, "sign_consistency": 1.0,
+               "coeffs": [entry], **({} if dim == 2 else {"equivalence_warning": True})}
+    f = write(tmp_path / "huge.json", payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["validate", f]) == 1
+    out, err = capsys.readouterr()
+    assert "FAIL phi: residual=inf tol=inf" in out
+    assert err == ""
+
+
+def test_validate_refuses_a_name_given_twice(tmp_path, capsys):
+    # the triangle of width 2 given a first width of 1: json alone keeps the
+    # last, and the file validated at width 2
+    tri = tmp_path / "tri.json"
+    assert cli.main(["reuleaux", "--sides", "3", "--width", "2", "--out", str(tri)]) == 0
+    text = tri.read_text().replace('"width": 2.0', '"width": 1.0, "width": 2.0')
+    f = write(tmp_path / "two.json", text)
+    assert cli.main(["validate", f]) == 2
+    assert "'width' appears twice" in capsys.readouterr().err
+
+
 def test_validate_truncated_json(tmp_path, capsys):
     f = write(tmp_path / "trunc.json", '{"dim": 2, "width"')
     assert cli.main(["validate", f]) == 2

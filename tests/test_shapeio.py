@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from orbiform.harmonic_core import SpectralCoeffs, num_coeffs, zero_coeffs
 from orbiform.shapeio import (
-    ResultFile,
     ShapeFile,
     ShapeFormatError,
     coeffs_to_entries,
@@ -117,13 +116,43 @@ RESULT_3 = {**RESULT, "dim": 3, "area": None, "coeffs": [], "equivalence_warning
 
 def test_result_file_is_told_apart_by_phi():
     got = loads_shape(json.dumps(RESULT))
-    assert isinstance(got, ResultFile)
+    assert isinstance(got, ShapeFile)
     assert (got.dim, got.width, got.phi, got.area) == (2, 2.0, -0.5, RESULT["area"])
     assert got.coeffs.values[index2(3, "cos")] == 0.25
     got = loads_shape(json.dumps({**RESULT_3, "timestamp": "2024-01-01T00:00:00+00:00"}))
     assert (got.dim, got.area) == (3, None)
     # a shape file is a ShapeFile
     assert isinstance(loads_shape(dumps_shape(2, 1.0, [0.0] * 7)), ShapeFile)
+
+
+@pytest.mark.parametrize("result", [RESULT, RESULT_3], ids=["dim2", "dim3"])
+def test_both_kinds_of_file_read_back_as_one_record(result):
+    got = loads_shape(json.dumps(result))
+    want = entries_to_coeffs(result["dim"], result["coeffs"])
+    assert got.coeffs.max_degree == want.max_degree
+    assert got.coeffs.values.tolist() == want.values.tolist()
+    assert (got.phi, got.area) == (result["phi"], result["area"])
+    shape = loads_shape(json.dumps({k: result[k] for k in ("dim", "width", "coeffs")}))
+    assert type(shape) is type(got) is ShapeFile
+    assert (shape.phi, shape.area) == (None, None)
+    assert shape == got._replace(phi=None, area=None)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dim": 2, "width": 1.0, "width": 2.0, "coeffs": []}',
+        '{"dim": 2, "width": 1.0, "coeffs": [{"degree": 3, "part": "cos", "value": 0.1, '
+        '"value": 0.2}]}',
+        json.dumps(RESULT).replace('"phi": -0.5', '"phi": -0.5, "phi": 0.0'),
+    ],
+    ids=["top-level", "entry", "result"],
+)
+def test_a_name_given_twice_is_refused(text):
+    # json alone keeps the last value: a Reuleaux file with two widths would
+    # validate at the second
+    with pytest.raises(ShapeFormatError, match="appears twice in one object"):
+        loads_shape(text)
 
 
 @pytest.mark.parametrize(

@@ -43,7 +43,7 @@ from orbiform.variational import (
     support_deviation,
     validate_result,
 )
-from orbiform.shapeio import ResultFile, ShapeFormatError, loads_shape
+from orbiform.shapeio import ShapeFile, ShapeFormatError, loads_shape
 
 from oracles import (
     TRIANGLE_AREA, TRIANGLE_PHI, index2, json_text, reuleaux_curvature, square_wave_cos_coeff,
@@ -801,7 +801,8 @@ def test_validate_result_of_a_switch_file_at_the_reader_caps_stays_small():
     theta = (2 * np.arange(1, 256) - 1) * np.pi / 510
     window = SpectralCoeffs(2, 4096, np.array(switch_window(theta, 1.0, 4096)[0]))
     green = quadratic_form_green(window)
-    f = ResultFile(2, 1.0, window, green, np.pi / 4 + 0.5 * green, tuple(theta.tolist()))
+    f = ShapeFile(2, 1.0, 4096, window.values.tolist(), tuple(theta.tolist()),
+                  green, np.pi / 4 + 0.5 * green)
     tracemalloc.start()
     try:
         report = validate_result(f)
