@@ -16,14 +16,13 @@ switch_phi its Green form, whose area pi B^2 / 4 + phi / 2 `orbiform
 reuleaux` checks.
 
 Importing this module loads no numpy: switch_window, switch_checks,
-switch_phi, the certificate of a shape file with switches, and the boundary
-points and Parseval area of flat support values (_boundary_points,
-_area_parseval) use math only. So `orbiform validate` of such a file and
-`orbiform reuleaux` are standard-library paths, and the functions that compute
-on arrays import numpy when they run. What `orbiform reuleaux` calls here
-costs time linear in its input: switch_phi O(n) in the switch count after one
-sort, _area_parseval one pass that skips zeros, and _boundary_points the band
-limit plus one in-place FFT of n log n.
+switch_phi, the certificate of a shape file with switches, and the Parseval
+area of flat support values (_area_parseval) use math only. So `orbiform
+validate` of such a file and `orbiform reuleaux` are standard-library paths,
+and the functions that compute on arrays import numpy when they run. What
+`orbiform reuleaux` calls here costs time linear in its input: switch_phi
+O(n) in the switch count after one sort, and _area_parseval one pass that
+skips zeros.
 """
 
 from __future__ import annotations
@@ -253,57 +252,6 @@ def eval_support(body: SupportBody, omega) -> np.ndarray | float:
 def eval_curvature_radius(body: SupportBody, omega) -> np.ndarray | float:
     """Curvature radius R = p'' + p at the given angles."""
     return _eval2(curvature_coeffs(body), omega)
-
-
-def _fft(a: list[complex]) -> list[complex]:
-    """sum_m a[m] exp(2 pi i m j / n) for j = 0..n-1, n a power of two, in
-    place: radix 2, the input in bit-reversed order, then log2(n) rounds of
-    butterflies e +- w o on blocks of each size, w = exp(2 pi i m / size) at
-    offset m. A round slices by offset while there are no more offsets than
-    blocks, else by block: at most sqrt(n / 2) slices of each list a round."""
-    n = len(a)
-    order = [0]
-    while len(order) < n:
-        order = [2 * r for r in order] + [2 * r + 1 for r in order]
-    a[:] = [a[r] for r in order]
-    size = 2
-    while size <= n:
-        half = size // 2
-        turns = [2.0 * math.pi * m / size for m in range(half)]
-        w = [complex(math.cos(t), math.sin(t)) for t in turns]
-        if half <= n // size:
-            for m in range(half):
-                even, odd = a[m::size], [w[m] * v for v in a[m + half::size]]
-                a[m::size] = [e + o for e, o in zip(even, odd)]
-                a[m + half::size] = [e - o for e, o in zip(even, odd)]
-        else:
-            for s in range(0, n, size):
-                even, odd = a[s:s + half], [x * v for x, v in zip(w, a[s + half:s + size])]
-                a[s:s + half] = [e + o for e, o in zip(even, odd)]
-                a[s + half:s + size] = [e - o for e, o in zip(even, odd)]
-        size *= 2
-    return a
-
-
-def _boundary_points(values: list[float], n: int) -> list[complex]:
-    """Boundary points x + i y at the normal angles 2 pi j / n, j = 0..n-1, of
-    the support in the flat dim-2 layout, with math; n a power of two, >= 2.
-
-    x + i y = (p + i p') exp(i w), and degree k of p + i p' is
-    ((1 - k)(a - i b) exp(i k w) + (1 + k)(a + i b) exp(-i k w)) / (2 sqrt pi)
-    for the pair (a, b). At the n nodes exp(i m w) depends on m mod n only, so
-    each term is added to bin (m + 1) mod n, and one FFT sums the bins. The
-    cost is the band limit plus n log n.
-    """
-    bins = [0j] * n
-    bins[1] = values[0] * MEAN_BASIS
-    scale = 0.5 / SQRT_PI
-    for k in range(1, (len(values) - 1) // 2 + 1):
-        a, b = values[2 * k - 1], values[2 * k]
-        if a or b:
-            bins[(k + 1) % n] += (1 - k) * scale * complex(a, -b)
-            bins[(1 - k) % n] += (1 + k) * scale * complex(a, b)
-    return _fft(bins)
 
 
 def area_quadrature(body: SupportBody, grid: SphereGrid) -> float:

@@ -19,11 +19,12 @@ trapezoid rule on 2L + 2 nodes for band limit L, which integrates p R exactly
 and so is the Parseval sum (1/2) sum (1 - k^2) c_k^2 of the support
 coefficients (body2d._area_parseval). Two gates exit 4: that area against the
 closed form at 2e-4 B^2, and the band-free area of the switch angles, pi B^2 /
-4 + phi / 2 (body2d.switch_phi), at n eps B^2 for n sides. Each step costs time
-linear in what it reads or writes: the support values, the Parseval sum and
-the shape file's text in the band limit (the sum and the writer skip the
-zeros, and shapeio writes the text without json), phi in the side count, and
-the SVG in SVG_SAMPLES log SVG_SAMPLES, by one in-place FFT (body2d._fft).
+4 + phi / 2 (body2d.switch_phi), at n eps B^2 for n sides. Both areas print
+as repr. Each step costs time linear in what it reads or writes: the support
+values, the Parseval sum and the shape file's text in the band limit (the sum
+and the writer skip the zeros, and shapeio writes the text without json), phi
+and the SVG, the polygon's n arcs drawn exactly (render_svg), in the side
+count.
 
 validate prints one report format for every file: body2d.validate on a dim-2
 shape file (in closed form when it lists switches), AdmissibleR's checks
@@ -40,12 +41,11 @@ optimize holds --modes to the degree limit of the result file it may write
 writes. It prints one line per restart (phi, iterations, converged, projection
 work: projections, newton_steps, max_newton_steps, line_searches), in dim 2
 or 3, then reports the restart that variational.best_restart picks. In dim 2
-it prints that restart's grid area (before the polish; the Parseval sum of its
-support, as reuleaux's quadrature area is), then the certificate of its switch
-polish (polish_switches): the switch count, Newton steps, closure over B and
-max |pbar + l| over B at the switches, and the polished area, or why it
-declined. --out writes the restart as result JSON, with the polished body when
-there is one.
+it prints that restart's grid area (before the polish; pi B^2 / 4 + phi / 2 of
+the printed phi), then the certificate of its switch polish (polish_switches):
+the switch count, Newton steps, closure over B and max |pbar + l| over B at
+the switches, and the polished area, or why it declined. --out writes the
+restart as result JSON, with the polished body when there is one.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage, malformed input (a file
 that is not UTF-8 too) or an output path that cannot be written, 3 numerical
@@ -79,35 +79,33 @@ TRIANGLE_AREA = 0.5 * (math.pi - math.sqrt(3.0))  # width-1 benchmark
 # every subcommand succeeds across it, while B**2 overflows past about 1e154
 # and the area and degree-1 checks fail from about 1e153 and 1e-160 on
 WIDTH_RANGE = (1e-100, 1e100)
-SVG_SAMPLES = 1024  # uniformly spaced normal angles on the rendered boundary; a power of two
 # largest table --max: from n = 184,519 on (199,053 at width 1) consecutive
 # closed-form areas round to the same double, which the cross-check refuses;
 # every table up to here is strictly increasing at widths across WIDTH_RANGE
 TABLE_MAX_SIDES = 99999
 
 
-def render_svg(values: list[float]) -> str:
-    """Render the boundary of the support whose flat dim-2 coefficients are
-    values as one closed path in a 512 x 512 viewBox, 5% margin. The path
-    visits SVG_SAMPLES normal angles, which must be a power of two: the points
-    come from one radix-2 FFT (body2d._boundary_points), with math only. The
-    area line reuleaux prints beside it is the trapezoid sum of p R, exact at
-    2L + 2 nodes, taken in coefficient space."""
-    from . import body2d
-
-    points = body2d._boundary_points(values, SVG_SAMPLES)
-    x, y = [z.real for z in points], [z.imag for z in points]
-    xmin, ymin = min(x), min(y)
-    span = max(max(x) - xmin, max(y) - ymin, sys.float_info.min)
+def render_svg(spec) -> str:
+    """Draw the Reuleaux polygon of spec (a reuleaux.ReuleauxSpec) exactly: one
+    closed path of n arcs of radius B in a 512 x 512 viewBox, 5% margin, from
+    corner v_k = rho (cos 2 pi k / n, sin 2 pi k / n), rho = B / (2 cos alpha),
+    to v_(k+1), each centred on the opposite corner. The body spans B in every
+    direction and is symmetric about the x axis: its box is [rho - B, rho] x
+    [-B/2, B/2]. Taken in units of B, the drawing depends neither on the width
+    nor on --modes; math only, O(n)."""
+    n = spec.sides
+    rho = 0.5 / math.cos(spec.switch_angle)  # over B
     margin = 0.05 * 512
-    scale = (512 - 2 * margin) / span
+    scale = 512 - 2 * margin  # pixels per B
     # svg y axis points down; flip so the figure is not mirrored
-    steps = " L ".join(f"{margin + (a - xmin) * scale:.3f} {512 - margin - (b - ymin) * scale:.3f}"
-                       for a, b in zip(x, y))
-    path = f"M {steps} Z"
+    corners = [f"{margin + (1.0 - rho + rho * math.cos(t)) * scale:.3f} "
+               f"{512 - margin - (0.5 + rho * math.sin(t)) * scale:.3f}"
+               for t in (2.0 * math.pi * k / n for k in range(n))]
+    # sweep flag 0: after the flip, each arc turns about the opposite corner
+    arcs = " ".join(f"A {scale:.3f} {scale:.3f} 0 0 0 {v}" for v in corners[1:] + corners[:1])
     return (
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 512 512">\n'
-        f'  <path d="{path}" fill="none" stroke="black" stroke-width="1.5"/>\n'
+        f'  <path d="M {corners[0]} {arcs} Z" fill="none" stroke="black" stroke-width="1.5"/>\n'
         "</svg>\n"
     )
 
@@ -231,8 +229,8 @@ def _cmd_reuleaux(args) -> int:
     exact = reuleaux.closed_area(spec)
     quad = body2d._area_parseval(values)  # the trapezoid sum on 2L + 2 nodes
     print(f"sides={args.sides} width={args.width!r}")
-    print(f"closed-form area: {exact:.12f}")
-    print(f"quadrature area:  {quad:.12f}")
+    print(f"closed-form area: {exact!r}")
+    print(f"quadrature area:  {quad!r}")
     if abs(quad - exact) > 2e-4 * B2:
         print("error: quadrature area disagrees with the closed form", file=sys.stderr)
         return EXIT_REGRESSION
@@ -246,7 +244,7 @@ def _cmd_reuleaux(args) -> int:
         return EXIT_REGRESSION
     if args.out and not _write(args.out, shape):
         return EXIT_USAGE
-    if args.svg and not _write(args.svg, render_svg(values)):
+    if args.svg and not _write(args.svg, render_svg(spec)):
         return EXIT_USAGE
     return EXIT_OK
 

@@ -46,7 +46,6 @@ from .body2d import (
     RESULT_RTOL,
     CheckResult,
     ValidationReport,
-    area_spectral,
     body_from_deviation,
     switch_checks,
     switch_jumps,
@@ -145,6 +144,7 @@ class AdmissibleR:
     that; clipped and other rough states are first-class members. coeffs is
     not an input: it is always analyze(grid, values, max_degree), the
     samples' analysis window at the stated band limit, not a reconstruction.
+    max_degree is at least 3, the lowest degree of the window phi reads.
     """
 
     width: float
@@ -156,6 +156,8 @@ class AdmissibleR:
     def __post_init__(self):
         if not math.isfinite(self.width) or self.width <= 0:
             raise ValueError(f"width must be finite and > 0, got {self.width}")
+        if self.max_degree < 3:
+            raise ValueError("the admissible subspace needs max_degree >= 3")
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.grid.size,):
             raise ValueError("values shape does not match the grid")
@@ -379,13 +381,16 @@ def _workspace_for(grid: SphereGrid, max_degree: int) -> _Workspace:
 
 
 def phi(r: AdmissibleR) -> float:
-    """The Green quadratic form of the deviation; <= 0, and 0 only at zero."""
-    return quadratic_form_green(project_linear_H(r.coeffs))
+    """The Green quadratic form of the deviation's window (odd degrees 3 to
+    max_degree), as the descent takes it; <= 0, and 0 only at zero."""
+    ws = _workspace_for(r.grid, r.max_degree)
+    return ws.phi_of(r.coeffs.values[ws.window])
 
 
 def support_deviation(r: AdmissibleR) -> GridFn:
     """Mean-free support function generated by the deviation (Green applied)."""
-    return synthesize(apply_green(project_linear_H(r.coeffs)), r.grid)
+    ws = _workspace_for(r.grid, r.max_degree)
+    return ws.from_subspace(ws.green * r.coeffs.values[ws.window])
 
 
 def phi_gradient(r: AdmissibleR) -> GridFn:
@@ -484,7 +489,7 @@ def _switch_residuals(theta: np.ndarray, lam: np.ndarray, width: float):
     Residuals over the width: pbar(theta_j) + l(theta_j), with the band-free
     support pbar(w) = -(2/pi) sum_k J_k S'(w - theta_k) and l = B (lam[0] cos
     + lam[1] sin), lam in units of B, then the closure; columns theta_1..theta_n,
-    lam[0], lam[1], each O(1) at any width, so lstsq's cut-off keeps them all.
+    lam[0], lam[1], each O(1) at any width, so its conditioning is scale-free.
     J_k are body2d.switch_jumps'. For k != j, d pbar(theta_j) / d theta_k =
     (2/pi) J_k S''(theta_j - theta_k); a rotation moves no pbar(theta_j), so the
     diagonal is minus the rest of its row, plus l'. S is in closed form for
@@ -542,11 +547,14 @@ def polish_switches(r: AdmissibleR) -> SwitchPolish:
     closure (rank n + 1), so one more equation holds the mean of the angles
     at that of the reading, which spreads the reading error of each angle
     (up to half a node) over all of them. Newton's method solves the n + 3
-    equations by least squares and stops once every residual over B is at
-    most POLISH_RTOL. It declines, saying why, on an even switch count, on
-    samples that are not bang-bang, at POLISH_MAX_STEPS steps, or when the
-    angles leave their order. Otherwise the solve is the answer, even where
-    the grid's window reads a lower phi, as it can with nodes on the switches.
+    equations as a square system, the gauge in place of stationarity at
+    theta_1: sum_j J_j (pbar + l)(theta_j) is B lam . closure (S' is odd), so
+    that equation holds once the others do. It stops once all n + 3 residuals
+    over B are at most POLISH_RTOL. It declines, saying why, on an even switch
+    count, on samples that are not bang-bang, on a singular Newton system, at
+    POLISH_MAX_STEPS steps, or when the angles leave their order. Otherwise
+    the solve is the answer, even where the grid's window reads a lower phi,
+    as it can with nodes on the switches.
     """
     if r.dim != 2:
         raise ValueError("polish_switches is defined for dim 2 only")
@@ -573,7 +581,11 @@ def polish_switches(r: AdmissibleR) -> SwitchPolish:
         worst = float(np.abs(resid).max())
         if worst <= POLISH_RTOL or not math.isfinite(worst) or steps == POLISH_MAX_STEPS:
             break
-        step = np.linalg.lstsq(np.vstack((jac, gauge)), resid, rcond=None)[0]
+        jac[0] = gauge
+        try:
+            step = np.linalg.solve(jac, np.append(resid[-1], resid[1:-1]))
+        except np.linalg.LinAlgError:
+            return SwitchPolish(steps, f"a singular Newton system at step {steps}")
         theta -= step[:n]
         lam -= step[n:]
     if not worst <= POLISH_RTOL:
@@ -631,11 +643,10 @@ class OptimizationResult:
 
     @cached_property
     def area(self) -> float | None:
-        """Area of the dim-2 body the minimizer generates; None in dim 3."""
-        r = self.minimizer
-        if r.dim != 2:
-            return None
-        return area_spectral(body_from_deviation(r.width, apply_green(project_linear_H(r.coeffs))))
+        """Area of the dim-2 body the minimizer generates, pi B^2 / 4 +
+        phi_value / 2 as the polish and validate_result take it; None in dim 3."""
+        B = self.minimizer.width
+        return 0.25 * np.pi * B * B + 0.5 * self.phi_value if self.minimizer.dim == 2 else None
 
     @cached_property
     def bang_bang(self) -> BangBangReport:

@@ -193,28 +193,9 @@ def switch_phi_pairwise(theta, width: float) -> float:
     return 4.0 / math.pi * width * width * math.fsum(terms)
 
 
-def fft_recursive(a: list) -> list:
-    """sum_m a[m] exp(2 pi i m j / n) for j = 0..n-1, n a power of two: the
-    radix-2 split into even and odd halves, recursively, with the twiddle
-    complex(cos t, sin t), t = 2 pi m / n, times each odd value."""
-    n = len(a)
-    if n == 1:
-        return a
-    even, odd = fft_recursive(a[0::2]), fft_recursive(a[1::2])
-    turns = [2.0 * math.pi * m / n for m in range(n // 2)]
-    odd = [complex(math.cos(t), math.sin(t)) * v for t, v in zip(turns, odd)]
-    return [e + o for e, o in zip(even, odd)] + [e - o for e, o in zip(even, odd)]
-
-
 def json_text(payload) -> str:
     """A file's text as the standard library's encoder writes it."""
     return json.dumps(payload, indent=2) + "\n"
-
-
-def shoelace(points: np.ndarray) -> float:
-    """Polygon area from an (N, 2) vertex loop."""
-    x, y = points[:, 0], points[:, 1]
-    return 0.5 * float(np.abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
 def ball3_phi1(width: float) -> float:

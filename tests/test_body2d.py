@@ -38,8 +38,8 @@ from orbiform.harmonic_core import (
 from orbiform.reuleaux import ReuleauxSpec, closed_area, support_values, to_body
 
 from oracles import (
-    boundary_points, fft_recursive, index2, reuleaux_deviation_coeffs, shoelace, switch_kernel_s,
-    switch_phi, switch_phi_pairwise, switch_support,
+    index2, reuleaux_deviation_coeffs, switch_kernel_s, switch_phi, switch_phi_pairwise,
+    switch_support,
 )
 
 
@@ -87,29 +87,6 @@ def test_curvature_coeffs_scaling():
 
 
 # ---------------------------------------------------------------- boundary
-
-
-def test_boundary_point_on_disk():
-    z = np.array(body2d._boundary_points(disk(1.0).support_coeffs.values.tolist(), 32))
-    assert np.allclose(np.abs(z), 0.5, atol=1e-14)
-
-
-def test_boundary_supports_body():
-    # x(w) . normal(w) must reproduce p(w); the tangential part is p'(w)
-    b = small_cos3_body()
-    om = 2 * np.pi * np.arange(32) / 32
-    z = np.array(body2d._boundary_points(b.support_coeffs.values.tolist(), 32))
-    proj = z.real * np.cos(om) + z.imag * np.sin(om)
-    assert np.max(np.abs(proj - eval_support(b, om))) <= 1e-13
-
-
-def test_boundary_curve_matches_shoelace(grid2_512):
-    b = to_body(ReuleauxSpec(3, 1.0), 255)
-    z = np.array(body2d._boundary_points(b.support_coeffs.values.tolist(), 512))
-    # vertices sit on the convex curve, so the polygon is inscribed: the
-    # shoelace value sits just below the quadrature area by the chord deficit
-    deficit = area_quadrature(b, grid2_512) - shoelace(np.stack([z.real, z.imag], axis=1))
-    assert 0.0 < deficit < 1e-4
 
 
 def test_width_across_boundary():
@@ -293,8 +270,8 @@ def test_switch_support_of_a_closed_irregular_body_is_its_window(rng):
 
 
 WIDTHS = (1.0, 2.0 ** (-1.0 / 3.0), 1.3)
-# Reuleaux (sides, band limit) pairs below the 1024-node SVG grid's band (L <
-# 512) and above it; a body needs L >= 4 * sides
+# Reuleaux (sides, band limit) pairs from low to the reader's highest band;
+# a body needs L >= 4 * sides
 REULEAUX_BANDS = [(n, L) for n in (3, 5, 7, 255) for L in (64, 511, 1023, 4096) if L >= 4 * n]
 
 
@@ -326,34 +303,6 @@ def test_switch_phi_forms_agree_on_random_lists(order, rng):
         tol = 8 * n * n * np.finfo(float).eps * width**2
         assert abs(body2d.switch_phi(theta.tolist(), width) - want) <= tol
         assert abs(switch_phi_pairwise(theta, width) - want) <= tol
-
-
-@pytest.mark.parametrize("n", [2**k for k in range(13)])
-def test_fft_is_the_recursive_radix_2_sum_bit_for_bit(n, rng):
-    # repr tells every double apart, -0.0 from 0.0 too
-    a = (rng.normal(size=n) + 1j * rng.normal(size=n)).tolist()
-    assert list(map(repr, body2d._fft(list(a)))) == list(map(repr, fft_recursive(list(a))))
-
-
-@pytest.mark.parametrize("n, L", REULEAUX_BANDS)
-def test_boundary_points_fold_onto_the_svg_grid(n, L):
-    for width in WIDTHS:
-        values = support_values(ReuleauxSpec(n, width), L)
-        x, y = boundary_points(values, 1024)
-        z = np.array(body2d._boundary_points(values, 1024))
-        assert np.abs(z.real - x).max() <= 1e-12 * width
-        assert np.abs(z.imag - y).max() <= 1e-12 * width
-
-
-@pytest.mark.parametrize("L", [3, 600, 2500])
-def test_boundary_points_of_any_support(L, rng):
-    # every degree, cos and sin, translation and even degrees included
-    k = np.concatenate(([1], np.repeat(np.arange(1, L + 1), 2)))
-    values = rng.normal(size=2 * L + 1) / k**2
-    values[0] = 3.0
-    x, y = boundary_points(values, 256)
-    z = np.array(body2d._boundary_points(values.tolist(), 256))
-    assert np.abs(z.real - x).max() <= 1e-13 and np.abs(z.imag - y).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n, L", REULEAUX_BANDS)

@@ -17,6 +17,8 @@ from orbiform.harmonic_core import make_grid, synthesize
 from orbiform.shapeio import loads_shape
 from orbiform.variational import NumericalFailure
 
+from oracles import boundary_points
+
 MEAN = 0.5 * np.sqrt(2 * np.pi)  # degree-0 coefficient of the width-1 disk
 
 
@@ -39,6 +41,18 @@ def test_reuleaux_prints_both_areas(capsys):
     out = capsys.readouterr().out
     assert "closed-form area: 0.704770923010" in out
     assert "quadrature area:  0.7047" in out
+
+
+@pytest.mark.parametrize("width", [1e-100, 1e100])
+def test_reuleaux_prints_its_areas_as_repr(width, capsys):
+    # fixed-point digits read 0.000000000000 at the smallest width
+    for sides in (3, 5):
+        spec = reuleaux.ReuleauxSpec(sides, width)
+        assert cli.main(["reuleaux", "--sides", str(sides), "--width", repr(width)]) == 0
+        lines = dict(line.split(": ") for line in capsys.readouterr().out.splitlines()[1:])
+        assert float(lines["closed-form area"]) == reuleaux.closed_area(spec)
+        values = reuleaux.support_values(spec, 512)
+        assert float(lines["quadrature area"]) == body2d._area_parseval(values)
 
 
 def test_reuleaux_rejects_even_sides(capsys):
@@ -73,6 +87,96 @@ def test_reuleaux_writes_shape_and_svg(tmp_path, capsys):
     assert len(paths) == 1
     d = paths[0].attrib["d"]
     assert d.startswith("M ") and d.endswith(" Z")
+
+
+SVG_RADIUS = 460.8  # pixels per width: 512 less a 5% margin on each side
+
+
+def svg_arcs(text):
+    """The start point, and (radius, flags, end point) of each arc, of the
+    one path in an SVG that reuleaux writes."""
+    (d,) = re.findall(r' d="([^"]*)"', text)
+    words = d.split()
+    assert words[0] == "M" and words[-1] == "Z" and (len(words) - 4) % 8 == 0
+    arcs = [words[i:i + 8] for i in range(3, len(words) - 1, 8)]
+    assert all(a[0] == "A" and a[1] == a[2] for a in arcs)
+    start = (float(words[1]), float(words[2]))
+    return start, [(a[1], " ".join(a[3:6]), (float(a[6]), float(a[7]))) for a in arcs]
+
+
+def svg_corners(sides, width):
+    """The polygon's corners rho (cos 2 pi k / n, sin 2 pi k / n), rho = B /
+    (2 cos(pi / 2n)), in the viewBox: its box [rho - B, rho] x [-B/2, B/2]
+    fills 512 x 512 less a 5% margin, with y down."""
+    rho = 0.5 * width / math.cos(math.pi / (2 * sides))
+    t = 2.0 * math.pi * np.arange(sides) / sides
+    x, y = rho * np.cos(t), rho * np.sin(t)
+    scale = SVG_RADIUS / width
+    return np.stack((25.6 + (x - rho + width) * scale, 486.4 - (y + 0.5 * width) * scale), axis=1)
+
+
+def svg_arc_centre(p, q, r):
+    """Centre of the SVG arc from p to q of radius r with both flags 0: the
+    endpoint-to-centre conversion of SVG 1.1, appendix F.6.5."""
+    hx, hy = 0.5 * (p[0] - q[0]), 0.5 * (p[1] - q[1])
+    coef = -math.sqrt((r * r - hx * hx - hy * hy) / (hx * hx + hy * hy))  # flags equal
+    return np.array((coef * hy + 0.5 * (p[0] + q[0]), -coef * hx + 0.5 * (p[1] + q[1])))
+
+
+@pytest.mark.parametrize("sides", [3, 5, 7, 255])
+def test_reuleaux_svg_draws_the_n_arcs(sides):
+    for width in (1e-100, 1.0, 1e100):
+        start, arcs = svg_arcs(cli.render_svg(reuleaux.ReuleauxSpec(sides, width)))
+        assert len(arcs) == sides
+        assert all(radius == "460.800" and flags == "0 0 0" for radius, flags, _ in arcs)
+        ends = np.array([start] + [end for _, _, end in arcs])
+        corners = svg_corners(sides, width)
+        assert np.abs(ends - np.vstack((corners, corners[:1]))).max() <= 6e-4
+        for k in range(sides):
+            # the endpoints carry 3 decimals; the centre moves by their error
+            # times the radius over the half chord
+            half_chord = 0.5 * math.dist(ends[k], ends[k + 1])
+            centre = svg_arc_centre(ends[k], ends[k + 1], SVG_RADIUS)
+            opposite = corners[(k + (sides + 1) // 2) % sides]
+            assert np.abs(centre - opposite).max() <= 1e-3 * (1.0 + SVG_RADIUS / half_chord)
+
+
+@pytest.mark.parametrize("sides", [3, 5, 7, 255])
+def test_reuleaux_svg_is_the_same_at_every_band_limit(sides, tmp_path, capsys):
+    for width in (1e-100, 1.0, 1e100):
+        want = cli.render_svg(reuleaux.ReuleauxSpec(sides, width))
+        for modes in (4 * sides, 1024, 4096):
+            svg = tmp_path / f"{sides}-{modes}.svg"
+            argv = ["reuleaux", "--sides", str(sides), "--width", repr(width),
+                    "--modes", str(modes), "--svg", str(svg)]
+            assert cli.main(argv) == 0
+            assert svg.read_text() == want
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("sides, modes", [(3, 4096), (5, 2048), (7, 1024)])
+def test_reuleaux_svg_follows_the_truncated_support(sides, modes):
+    # boundary points of the support at 1024 normal angles, in the viewBox,
+    # lie within 0.03 px of the drawn outline: distance to an arc where the
+    # point lies in its angular sector, else to the arc's nearer end. The
+    # farthest sit next to a corner, where the truncated boundary overshoots
+    # it: 0.0034, 0.0117 and 0.0218 px at these three band limits
+    spec = reuleaux.ReuleauxSpec(sides, 1.0)
+    x, y = boundary_points(reuleaux.support_values(spec, modes), 1024)
+    rho = 0.5 / math.cos(spec.switch_angle)
+    pts = np.stack((25.6 + (x - rho + 1.0) * SVG_RADIUS, 486.4 - (y + 0.5) * SVG_RADIUS), axis=1)
+    start, arcs = svg_arcs(cli.render_svg(spec))
+    ends = [np.array(start)] + [np.array(end) for _, _, end in arcs]
+    dist = np.full(len(pts), np.inf)
+    for p, q in zip(ends, ends[1:]):
+        c = svg_arc_centre(p, q, SVG_RADIUS)
+        a, b, v = p - c, q - c, pts - c
+        turn = np.sign(a[0] * b[1] - a[1] * b[0])
+        inside = (np.sign(a[0] * v[:, 1] - a[1] * v[:, 0]) == turn) & (
+            np.sign(v[:, 0] * b[1] - v[:, 1] * b[0]) == turn)
+        to_ends = np.minimum(np.hypot(*(pts - p).T), np.hypot(*(pts - q).T))
+        dist = np.minimum(dist, np.where(inside, np.abs(np.hypot(*v.T) - SVG_RADIUS), to_ends))
+    assert dist.max() <= 0.03
 
 
 CERTIFICATE = ("constant-width", "switches", "closure", "closed-form", "convexity",

@@ -105,6 +105,15 @@ def test_admissible_rejects_translation_component(grid240):
         AdmissibleR(1.0, grid240, 60, vals)
 
 
+@pytest.mark.parametrize("max_degree", [0, 1, 2])
+def test_admissible_rejects_a_band_below_the_window(grid240, max_degree):
+    # phi reads odd degrees 3 and up, so a lower band limit has no phi
+    with pytest.raises(ValueError, match="max_degree >= 3"):
+        AdmissibleR(1.0, grid240, max_degree, np.zeros(grid240.size))
+    with pytest.raises(ValueError, match="max_degree >= 3"):
+        minimize_restarts(1.0, grid240, max_degree, seed=0, restarts=1)
+
+
 def test_admissible_r_analyzes_its_own_values(grid240):
     # coeffs is not an input, so it cannot disagree with the values
     vals = triangle_values(grid240)
@@ -582,8 +591,21 @@ def test_result_derives_area_and_bang_bang_from_its_minimizer(grid240, monkeypat
     half = AdmissibleR(1.0, grid240, 60, 0.5 * triangle_values(grid240))
     other = replace(best, minimizer=half)
     body = body_from_deviation(1.0, apply_green(project_linear_H(half.coeffs)))
-    assert other.area == area_spectral(body) != best.area
+    assert other.area == 0.25 * np.pi + 0.5 * phi(half) != best.area
+    assert other.area == pytest.approx(area_spectral(body), rel=4 * np.finfo(float).eps, abs=0.0)
     assert other.bang_bang == bang_bang_report(half) and other.bang_bang.violation > 0.5
+
+
+@pytest.mark.parametrize("width", [1.0, 1.3])
+def test_each_restart_has_one_phi_and_one_area(width):
+    # phi is the Green form of the descent's own window, and the area is
+    # pi B^2 / 4 + phi / 2 of that phi, bit for bit, on every restart
+    grid = make_grid(2, 512)
+    ws = variational._workspace_for(grid, 255)
+    for r in minimize_restarts(width, grid, 255, seed=0, restarts=16):
+        window = analyze(grid, r.minimizer.values, 255).values[ws.window]
+        assert r.phi_value == phi(r.minimizer) == ws.phi_of(window)
+        assert r.area == 0.25 * np.pi * width * width + 0.5 * r.phi_value
 
 
 def test_minimize_restarts_provenance():
@@ -729,6 +751,31 @@ def test_polish_is_the_same_at_every_width(width):
     assert np.allclose(p.switches, unit.switches, rtol=0.0, atol=1e-14)
     assert p.closure <= 1e-14 and p.stationarity <= 1e-14
     assert p.area == pytest.approx(unit.area * width * width, rel=1e-13, abs=0.0)
+
+
+def test_polish_solves_a_square_system(monkeypatch):
+    # no least squares: restart 0 of seed 33 at (16, 7) is a pentagon and
+    # restart 1 the triangle, and both polish with lstsq gone
+    def refuse(*args, **kwargs):
+        raise AssertionError("lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    results = minimize_restarts(1.0, make_grid(2, 16), 7, seed=33, restarts=2)
+    for res, n in zip(results, (5, 3)):
+        p = polish_switches(res.minimizer)
+        assert p.declined is None and len(p.switches) == n
+        assert p.closure <= 1e-14 and p.stationarity <= 1e-14
+        assert validate_result(loads_shape(result_to_json(res))).valid
+
+
+def test_polish_declines_a_singular_newton_system(monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    res = best_restart(minimize_restarts(1.0, make_grid(2, 16), 7, seed=33, restarts=2))
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    p = polish_switches(res.minimizer)
+    assert p.declined == "a singular Newton system at step 0" and p.switches is None
 
 
 def test_polish_declines_a_state_that_is_not_bang_bang(grid240):
