@@ -5,9 +5,10 @@ In harmonic coefficients that means the mean of p is B/2, every even degree >= 2
 vanishes, and the odd degrees are free (degree 1 is a translation). The
 curvature radius of the boundary is R = p'' + p, a diagonal operation in
 coefficient space: degree k scales by (1 - k^2). Convexity is R >= 0 and the
-constant-width relation forces 0 <= R <= B. validate reports these
-invariants as CheckResults with width-scaled tolerances. area_spectral is
-the Parseval sum of the support, (1/2) sum (1 - k^2) c_k^2, with fsum.
+constant-width relation forces 0 <= R <= B. validate reports these invariants
+as CheckResults with width-scaled tolerances, for a body or any dim-2 file.
+area_spectral is the Parseval sum of the support, (1/2) sum (1 - k^2) c_k^2,
+and _green_form that of a curvature window, sum_{k != 1} c_k^2 / (1 - k^2).
 switch_window is the closed form of a bang-bang curvature, R in {0, B} with
 finitely many switches, which is what the minimizers of the area are, as
 lists of floats; switch_checks gates a file that holds such a body,
@@ -16,13 +17,12 @@ switch_phi its Green form, whose area pi B^2 / 4 + phi / 2 `orbiform
 reuleaux` checks.
 
 Importing this module loads no numpy: switch_window, switch_checks,
-switch_phi, the certificate of a shape file with switches, and the Parseval
-area of flat support values (_area_parseval) use math only. So `orbiform
-validate` of such a file and `orbiform reuleaux` are standard-library paths,
-and the functions that compute on arrays import numpy when they run. What
-`orbiform reuleaux` calls here costs time linear in its input: switch_phi
-O(n) in the switch count after one sort, and _area_parseval one pass that
-skips zeros.
+switch_phi, the fsum forms _area_parseval and _green_form, and validate of a
+shape or result file with switches use math only. So `orbiform validate` of
+such a file and `orbiform reuleaux` are standard-library paths, and the
+functions that compute on arrays import numpy when they run. What `orbiform
+reuleaux` calls here costs time linear in its input: switch_phi O(n) in the
+switch count after one sort, and _area_parseval one pass that skips zeros.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ __all__ = [
 
 MEAN_BASIS = 1.0 / math.sqrt(2.0 * math.pi)  # value of the orthonormal constant mode on S^1
 SQRT_PI = math.sqrt(math.pi)
-RESULT_RTOL = 1e-12  # closed-form window (and validate_result's phi and area), relative
+RESULT_RTOL = 1e-12  # closed-form window, and a result file's phi and area, relative
 CLOSURE_RTOL = 1e-12  # closure of a switch list, over the width
 
 
@@ -271,6 +271,17 @@ def _area_parseval(values: list[float]) -> float:
     return 0.5 * math.fsum((1 - ((i + 1) // 2) ** 2) * c * c for i, c in enumerate(values) if c)
 
 
+def _green_form(values: list[float]) -> float:
+    """quadratic_form_green of flat dim-2 values, with math: sum over degrees
+    k != 1 of c_k^2 / (1 - k^2), summed with fsum. Where that overflows, or
+    its terms overflow to both inf and -inf, it is inf."""
+    try:
+        return math.fsum(c * c / (1 - ((i + 1) // 2) ** 2) for i, c in enumerate(values)
+                         if c and i not in (1, 2))
+    except (OverflowError, ValueError):
+        return math.inf
+
+
 def area_spectral(body: SupportBody) -> float:
     """Area as the Green quadratic form (1/2) <G R, R> in coefficient space,
     which is _area_parseval of the support: G undoes the 1 - k^2 of R, and
@@ -326,72 +337,87 @@ class ValidationReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _constant_width(values: list[float], width: float) -> CheckResult:
-    """Mean B/2 and no even degree >= 2 in flat dim-2 support values (degree k
-    >= 1 at indices 2k - 1 and 2k)."""
-    even = max(map(abs, values[3::4] + values[4::4]), default=0.0)
-    mean = abs(values[0] * MEAN_BASIS - 0.5 * width)
-    return CheckResult("constant-width", max(even, mean), 1e-10 * width)
-
-
 def validate(body: SupportBody | ShapeFile, convexity_tol: float | None = None) -> ValidationReport:
-    """Check the constant-width invariants of a body or of a dim-2 shape file
+    """Check the constant-width invariants of a body or of a dim-2 file
     (shapeio.ShapeFile), and report per-check residuals.
 
-    A shape file that lists switches, as `orbiform reuleaux --out` writes
-    them, is certified in closed form with math alone, and convexity_tol is
-    not used: constant-width as below, then switch_checks on the curvature
-    form of the support, each coefficient times 1 - k^2 (degree 0 dropped,
-    degree 1 vanishes). In that form the rounding stays relative to the
-    window: at 255 switches and degree 4096 closed-form reads 2.1e-14 of the
-    window's largest value (n = 3, 5, 7: at most 1.1e-15), where comparing
-    supports, the window over 1 - k^2, reads 1.2e-11, above RESULT_RTOL.
+    A result file (phi set, as `orbiform optimize --out` writes it) holds a
+    curvature window, gated on its flat values: odd-degrees and
+    translation-orthogonality (no even-degree or degree-1 entry), phi (its
+    _green_form; inf where that overflows) and area (pi B^2 / 4 + phi / 2),
+    both to relative RESULT_RTOL, and constant-width of the support it
+    implies: degree 0 plus B/2 / MEAN_BASIS, degree k >= 2 times 1 / (1 - k^2).
 
-    Any other file is checked as the SupportBody of its coefficients. The
-    curvature checks sample R on max(64, 4L + 4) nodes for band limit L,
-    two per half-period of the highest mode, so the residual does not hinge on
-    where the nodes fall on a Gibbs peak: Reuleaux 3-, 5- and 7-gons at
-    L = 512 to 4096 all read 0.0895 * width within 3e-5 * width, where 2L + 2
-    nodes give the triangle 0.077 * width at L = 1024 and 0.0895 at L = 1023.
+    A file that lists switches, a result or a shape file (`orbiform reuleaux
+    --out`), adds switch_checks on its curvature window and is certified with
+    math alone; convexity_tol is not used. A shape file's window is each
+    support coefficient times 1 - k^2, so the rounding stays relative to the
+    window: at 255 switches and degree 4096 closed-form reads 2.1e-14 of its
+    largest value, where comparing supports reads 1.2e-11, above RESULT_RTOL.
 
-    convexity_tol bounds both sampled curvature checks (R >= 0 and R <=
-    width) and is absolute, in units of length; it defaults to 1e-9 * width.
-    Where R overflows a double its samples are inf or NaN, and both checks
-    fail with residual inf, with no numpy warning.
-    Spectrally truncated Reuleaux polygons without their switches need a
-    relaxed value that scales with the width, about 0.12 * width: plain
-    Fourier truncation of their square-wave curvature dips 0.0895 * width
-    below zero next to each switch angle, at every band limit (the Gibbs
-    overshoot of a jump of size B), which is a property of the truncation,
-    not a defect of the body. A bare 0.12 therefore only fits width 1.
+    Otherwise convexity and curvature-bound sample R on max(64, 4L + 4) nodes
+    for band limit L, two per half-period of the highest mode, so the
+    residual does not hinge on where the nodes fall on a Gibbs peak: Reuleaux
+    3-, 5- and 7-gons at L = 512 to 4096 all read 0.0895 B within 3e-5 B,
+    where 2L + 2 nodes give the triangle 0.077 B at L = 1024 and 0.0895 B at
+    L = 1023. On a result file they are information: its window truncates a
+    grid state, which overshoots the box where it switches (by 0.137 B).
+    convexity_tol bounds both (R >= 0 and R <= width), absolute, in
+    units of length; it defaults to 1e-9 * width. Where R overflows a double
+    its samples are inf or NaN, and both fail with residual inf, with no numpy
+    warning. Truncated Reuleaux polygons without their switches need about
+    0.12 * width: their truncated square-wave curvature dips 0.0895 * width
+    below zero next to each switch angle at every band limit (the Gibbs
+    overshoot of a jump of size B), a property of the truncation, not of the
+    body.
 
     Closedness is not checked: R = p'' + p scales degree 1 by 1 - 1^2 = 0, so
     every support expansion gives a closed boundary.
     """
-    if not isinstance(body, SupportBody):
-        if body.switches is not None:
-            B, v = body.width, body.values
-            curvature = [0.0] + [(1.0 - ((i + 1) // 2) ** 2) * v[i] for i in range(1, len(v))]
-            checks = [_constant_width(v, B), *switch_checks(body.switches, B, curvature)]
-            return ValidationReport(tuple(checks))
-        body = SupportBody(body.width, body.coeffs)
+    B, checks, window = body.width, [], None
+    if isinstance(body, SupportBody):
+        support, switches = body.support_coeffs.values.tolist(), None
+    elif body.phi is None:  # a shape file holds the support
+        support, switches = body.values, body.switches
+    else:  # a result file holds the curvature window
+        v = window = body.values
+        switches = body.switches
+        green, area = _green_form(v), 0.25 * math.pi * B * B + 0.5 * body.phi
+        checks = [
+            CheckResult("odd-degrees", max(map(abs, v[:1] + v[3::4] + v[4::4])), 0.0),
+            CheckResult("translation-orthogonality", max(map(abs, v[1:3]), default=0.0), 0.0),
+            CheckResult("phi", abs(body.phi - green), RESULT_RTOL * abs(green)),
+            CheckResult("area", abs(body.area - area), RESULT_RTOL * abs(area)),
+        ]
+        support = [c * (1.0 / (1 - ((i + 1) // 2) ** 2)) if i > 2 else 0.0 for i, c in enumerate(v)]
+        support[0] = v[0] + 0.5 * B / MEAN_BASIS
+    # constant width: mean B/2 and no even degree >= 2 (at 4j - 1 and 4j) in the support
+    even = max(map(abs, support[3::4] + support[4::4]), default=0.0)
+    mean = abs(support[0] * MEAN_BASIS - 0.5 * B)
+    checks.append(CheckResult("constant-width", max(even, mean), 1e-10 * B))
+    if switches is not None:
+        if window is None:  # the curvature form of a shape file's support
+            window = [(1.0 - ((i + 1) // 2) ** 2) * c if i else 0.0 for i, c in enumerate(support)]
+        return ValidationReport(tuple(checks + switch_checks(switches, B, window)))
 
     import numpy as np
 
-    from .harmonic_core import _synthesize2
+    from .harmonic_core import _synthesize2, coeff_degrees
 
-    B, c = body.width, body.support_coeffs
     if convexity_tol is None:
         convexity_tol = 1e-9 * B
+    p = np.array(support, dtype=float)
+    L = p.size // 2
     with np.errstate(over="ignore", invalid="ignore"):
-        r_vals = _synthesize2((1.0 - c.degrees() ** 2.0) * c.values, max(64, 4 * c.max_degree + 4))
+        r_vals = _synthesize2((1.0 - coeff_degrees(2, L) ** 2.0) * p, max(64, 4 * L + 4))
     lo, hi = (r_vals.min(), r_vals.max()) if np.isfinite(r_vals).all() else (-math.inf, math.inf)
-    checks = [
-        _constant_width(c.values.tolist(), B),
+    sampled = (
         CheckResult("convexity", max(0.0, -float(lo)), convexity_tol),
         CheckResult("curvature-bound", max(0.0, float(hi) - B), convexity_tol),
-    ]
-    return ValidationReport(tuple(checks))
+    )
+    if window is not None:  # a result file's truncated window: information
+        return ValidationReport(tuple(checks), info=sampled)
+    return ValidationReport((*checks, *sampled))
 
 
 def random_body(rng: np.random.Generator, width: float = 1.0) -> SupportBody:

@@ -2,15 +2,15 @@
 
 Subcommands: reuleaux (closed-form polygons, optional shape JSON and SVG),
 optimize (multi-restart functional minimization), validate (invariant checks
-on a shape file), table (closed-form area table as CSV).
+on a shape or result file), table (closed-form area table as CSV).
 
 Parsing, --help and usage errors use the standard library only: flag ranges
 are argparse types, optimize checks that --grid carries --modes before it
 imports anything (reuleaux.support_values checks --modes against --sides), and
 each subcommand imports the modules it runs when it runs. reuleaux, table and
-validate of a dim-2 shape file with switches (what reuleaux --out writes)
-compute with math alone and load no numpy; optimize and the other validate
-paths do.
+validate of a dim-2 file with switches (what reuleaux --out writes, and
+optimize --out when its polish converged) compute with math alone and load
+no numpy; optimize and the other validate paths do.
 
 reuleaux holds its highest degree, the largest odd multiple of --sides up to
 --modes, to the writer's limit (shapeio.MAX_DEGREE_2D) whether or not it
@@ -27,11 +27,11 @@ and the SVG, the polygon's n arcs drawn exactly (render_svg), in the side
 count.
 
 validate prints one report format for every file: body2d.validate on a dim-2
-shape file (in closed form when it lists switches), AdmissibleR's checks
-(variational.deviation_report) on a dim-3 one, and
-variational.validate_result on what optimize --out writes, a ShapeFile whose
-phi shapeio.loads_shape has set. A dim-2 body whose curvature radius overflows
-a double fails convexity and curvature-bound (residual inf).
+file, shape or result (a ShapeFile whose phi shapeio.loads_shape has set, as
+optimize --out writes it); on a dim-3 one variational.validate_result or, for
+a shape file, AdmissibleR's checks (variational.deviation_report). A dim-2
+body whose curvature radius overflows a double fails convexity and
+curvature-bound (residual inf).
 
 table --max is at most TABLE_MAX_SIDES = 99999, past which consecutive
 closed-form areas can round to the same double and fail the cross-check.
@@ -338,17 +338,14 @@ def _cmd_validate(args) -> int:
         print(f"malformed shape file: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if parsed.phi is not None:
-        from . import variational
-
-        report = variational.validate_result(parsed)
-    elif parsed.dim == 2:
+    if parsed.dim == 2:
         report = body2d.validate(parsed, convexity_tol=args.convexity_tol)
     else:
-        # a dim-3 shape file holds a curvature-sum deviation: AdmissibleR's checks
         from . import variational
 
-        report = variational.deviation_report(parsed.width, parsed.coeffs)
+        # a dim-3 shape file holds a curvature-sum deviation: AdmissibleR's checks
+        report = (variational.deviation_report(parsed.width, parsed.coeffs) if parsed.phi is None
+                  else variational.validate_result(parsed))
     print(report.summary())
     return EXIT_OK if report.valid else EXIT_INVARIANT
 

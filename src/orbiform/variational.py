@@ -10,7 +10,8 @@ wherever the gradient (twice the mean-free support function) is nonzero.
 admissibility_residuals computes the three checks (box, antisymmetry,
 degree 1) once; AdmissibleR enforces them and `orbiform validate` reports
 them for dim-3 shape files (deviation_report). validate_result checks the
-exact invariants of the result files that result_to_json writes.
+exact invariants of the dim-3 result files that result_to_json writes, and
+body2d.validate those of dim 2, in math.
 
 Projection onto the intersection is solved exactly: the box is odd and
 separable, so only the degree-1 constraints couple the nodes, and their 2
@@ -46,8 +47,6 @@ from .body2d import (
     RESULT_RTOL,
     CheckResult,
     ValidationReport,
-    body_from_deviation,
-    switch_checks,
     switch_jumps,
     switch_kernel,
     switch_window,
@@ -59,7 +58,6 @@ from .harmonic_core import (
     SphereGrid,
     TWO_PI,
     analyze,
-    apply_green,
     coeff_degrees,
     degree_one_residual,
     green_multipliers,
@@ -596,12 +594,12 @@ def polish_switches(r: AdmissibleR) -> SwitchPolish:
         resid = _switch_residuals(theta, -lam, B)[0]
     if not (theta[0] >= 0.0 and np.all(np.diff(theta) > 0.0) and theta[-1] < np.pi):
         return SwitchPolish(steps, "the switch angles left their order in [0, pi)")
-    window = SpectralCoeffs(2, L, np.array(switch_window(theta, B, L)[0]))
-    phi_polished = quadratic_form_green(window)
+    window = switch_window(theta, B, L)[0]
+    phi_polished = body2d._green_form(window)  # as body2d.validate reads it back
     return SwitchPolish(
         steps,
         switches=tuple(float(t) for t in theta),
-        coeffs=window,
+        coeffs=SpectralCoeffs(2, L, np.array(window)),
         phi=phi_polished,
         area=0.25 * np.pi * B * B + 0.5 * phi_polished,
         closure=float(np.abs(resid[n : n + 2]).max()),
@@ -644,7 +642,7 @@ class OptimizationResult:
     @cached_property
     def area(self) -> float | None:
         """Area of the dim-2 body the minimizer generates, pi B^2 / 4 +
-        phi_value / 2 as the polish and validate_result take it; None in dim 3."""
+        phi_value / 2 as the polish and body2d.validate take it; None in dim 3."""
         B = self.minimizer.width
         return 0.25 * np.pi * B * B + 0.5 * self.phi_value if self.minimizer.dim == 2 else None
 
@@ -788,25 +786,15 @@ def deviation_report(width: float, coeffs: SpectralCoeffs) -> ValidationReport:
 
 
 def validate_result(f: shapeio.ShapeFile) -> ValidationReport:
-    """Check the exact invariants of a result file (a ShapeFile with phi set),
-    as `orbiform validate` does.
+    """Check the exact invariants of a dim-3 result file (a ShapeFile with
+    phi set), as `orbiform validate` does; body2d.validate checks dim 2.
 
     Gated: coeffs holds odd degrees >= 3 only (the even-degree and degree-1
     residuals are zero), and phi is the Green form of coeffs to relative
-    RESULT_RTOL (a Green form that overflows to inf fails). In dim 2 also
-    area = pi B^2 / 4 + phi / 2 to the same, and the body that coeffs
-    generates passes body2d.validate's constant-width check.
-
-    A dim-2 file with "switches" holds an exact bang-bang body, and
-    body2d.switch_checks gates it too, with no tolerance beyond rounding:
-    switches, closure, closed-form (coeffs against the window,
-    RESULT_RTOL), convexity and curvature-bound.
-
-    Otherwise coeffs is a truncated window of a grid state, whose samples
-    overshoot the box wherever the state switches, by an amount that depends
-    on where the samples fall (0.137 * B in dim 2): the box overshoot, and in
-    dim 2 the convexity and curvature-bound residuals, are reported as
-    information, not gated.
+    RESULT_RTOL (a Green form that overflows to inf fails). coeffs is a
+    truncated window of a grid state, whose samples overshoot the box wherever
+    the state switches, by an amount that depends on where the samples fall:
+    the box overshoot is reported as information, not gated.
     """
     B, c = f.width, f.coeffs
     degs = c.degrees()
@@ -818,16 +806,4 @@ def validate_result(f: shapeio.ShapeFile) -> ValidationReport:
         CheckResult("translation-orthogonality", degree_one_residual(c), 0.0),
         CheckResult("phi", abs(f.phi - green), RESULT_RTOL * abs(green)),
     ]
-    if f.dim == 3:
-        return ValidationReport(tuple(checks), info=(deviation_report(B, c).check("box-bound"),))
-    area = 0.25 * np.pi * B * B + 0.5 * f.phi
-    checks.append(CheckResult("area", abs(f.area - area), RESULT_RTOL * abs(area)))
-    # the degree-1 check above reports that part; the resolvent is undefined on it
-    window = c.with_values(np.where(degs == 1, 0.0, c.values))
-    body = body2d.validate(body_from_deviation(B, apply_green(window)))
-    checks.append(body.check("constant-width"))
-    if f.switches is None:
-        info = (body.check("convexity"), body.check("curvature-bound"))
-        return ValidationReport(tuple(checks), info=info)
-    checks += switch_checks(f.switches, B, f.values)
-    return ValidationReport(tuple(checks))
+    return ValidationReport(tuple(checks), info=(deviation_report(B, c).check("box-bound"),))

@@ -522,14 +522,18 @@ def test_validate_fails_a_body_whose_curvature_overflows(value, tmp_path, capsys
     assert err == ""
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_validate_fails_a_result_whose_green_form_overflows(dim, tmp_path, capsys):
+@pytest.mark.parametrize("dim, degrees", [(2, [3]), (3, [3]), (2, [0, 3])],
+                         ids=["2", "3", "2-degrees-0-and-3"])
+def test_validate_fails_a_result_whose_green_form_overflows(dim, degrees, tmp_path, capsys):
     # the Green form of a degree-3 coefficient of 1e200 overflows to inf, and
-    # so does the phi check's tolerance; an infinite residual still fails
-    entry = {"degree": 3, "value": 1e200, **({"part": "cos"} if dim == 2 else {"order": 0})}
+    # so does the phi check's tolerance; an infinite residual still fails.
+    # With degree 0 at 1e200 too its terms are inf and -inf, which fsum
+    # refuses: the form is inf all the same
+    part = {"part": "cos"} if dim == 2 else {"order": 0}
     payload = {"dim": dim, "width": 1.0, "phi": 1e308, "area": 5e307 if dim == 2 else None,
                "iterations": 1, "seed": 0, "violation": 0.0, "sign_consistency": 1.0,
-               "coeffs": [entry], **({} if dim == 2 else {"equivalence_warning": True})}
+               "coeffs": [{"degree": k, "value": 1e200, **part} for k in degrees],
+               **({} if dim == 2 else {"equivalence_warning": True})}
     f = write(tmp_path / "huge.json", payload)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -628,6 +632,8 @@ def test_validate_accepts_what_optimize_writes(dim, resolution, modes, tmp_path,
     assert cli.main(["validate", str(out)]) == 0
     report = capsys.readouterr().out
     assert "PASS odd-degrees" in report and "PASS phi" in report and "FAIL" not in report
+    if dim == 2:  # the polish writes the Green form that validate reads back
+        assert "PASS phi: residual=0.000e+00" in report
     # dim 2 writes the polished bang-bang body, whose convexity is exact and
     # gated; the dim-3 window's box overshoot is printed, not gated
     assert ("PASS convexity" if dim == 2 else "INFO box-bound") in report

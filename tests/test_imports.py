@@ -100,6 +100,20 @@ def test_validate_of_a_switch_file_loads_no_numpy(tmp_path):
     assert "orbiform.harmonic_core" not in loaded
 
 
+def test_validate_of_an_optimize_file_with_switches_loads_no_numpy(tmp_path):
+    # optimize writes the polished switches in this process; validate
+    # certifies them in a fresh one with math alone
+    from orbiform import cli
+
+    path = tmp_path / "r.json"
+    assert cli.main(["optimize", "--grid", "16", "--modes", "7", "--restarts", "2",
+                     "--out", str(path)]) == 0
+    assert '"switches"' in path.read_text()
+    loaded = loaded_after(f"from orbiform import cli\nassert cli.main(['validate', '{path}']) == 0")
+    assert "orbiform.body2d" in loaded
+    assert not {"numpy", "orbiform.harmonic_core", "orbiform.variational"} & loaded
+
+
 def test_validate_of_a_dim2_file_without_switches_samples_with_numpy(tmp_path):
     path = tmp_path / "disk.json"
     path.write_text('{"dim": 2, "width": 1.0, "coeffs": [{"degree": 0, "part": "cos", '

@@ -24,7 +24,7 @@ from orbiform.harmonic_core import (
     synthesize,
     zero_coeffs,
 )
-from orbiform import harmonic_core, variational
+from orbiform import body2d, cli, harmonic_core, variational
 from orbiform.body2d import area_spectral, body_from_deviation, switch_window
 from orbiform.variational import (
     AdmissibleR,
@@ -41,7 +41,6 @@ from orbiform.variational import (
     project_admissible,
     result_to_json,
     support_deviation,
-    validate_result,
 )
 from orbiform.shapeio import ShapeFile, ShapeFormatError, loads_shape
 
@@ -731,7 +730,9 @@ def test_polish_reaches_the_truncated_triangle(grid2_512):
     assert 0.0 < excess < (res.area - TRIANGLE_AREA) / TRIANGLE_AREA / 400
     assert np.allclose(np.diff(p.switches), np.pi / 3, rtol=0.0, atol=1e-12)
     assert p.closure <= 1e-14 and p.stationarity <= 1e-14
-    assert p.phi == quadratic_form_green(p.coeffs) < res.phi_value
+    # the Green form validate reads back, and the BLAS one to rounding
+    assert p.phi == body2d._green_form(p.coeffs.values.tolist()) < res.phi_value
+    assert p.phi == pytest.approx(quadratic_form_green(p.coeffs), rel=1e-15, abs=0.0)
     # oriented by the mean of the angles read off the samples' sign changes
     x = res.minimizer.values[:257]
     assert x[0] < 0.0  # no turn by pi
@@ -765,7 +766,7 @@ def test_polish_solves_a_square_system(monkeypatch):
         p = polish_switches(res.minimizer)
         assert p.declined is None and len(p.switches) == n
         assert p.closure <= 1e-14 and p.stationarity <= 1e-14
-        assert validate_result(loads_shape(result_to_json(res))).valid
+        assert body2d.validate(loads_shape(result_to_json(res))).valid
 
 
 def test_polish_declines_a_singular_newton_system(monkeypatch):
@@ -789,8 +790,26 @@ def test_polish_declines_a_state_that_is_not_bang_bang(grid240):
     # no switches without a converged polish: the file holds the window, and
     # its sampled convexity is information
     assert "switches" not in json.loads(result_to_json(other))
-    report = validate_result(loads_shape(result_to_json(other)))
+    report = body2d.validate(loads_shape(result_to_json(other)))
     assert report.valid and "INFO convexity" in report.summary()
+
+
+def test_validate_of_a_declined_polish_gates_the_window_and_samples_as_information(
+        grid240, tmp_path, capsys):
+    # the file of the declined polish above, through the CLI: the window's
+    # exact checks gate, its sampled convexity and curvature-bound do not
+    half = AdmissibleR(1.0, grid240, 60, 0.5 * triangle_values(grid240))
+    res = best_restart(minimize_restarts(1.0, make_grid(2, 128), 32, seed=4, restarts=SMALL))
+    path = tmp_path / "declined.json"
+    path.write_text(result_to_json(replace(res, minimizer=half)))
+    assert cli.main(["validate", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "PASS odd-degrees", "PASS translation-orthogonality", "PASS phi", "PASS area",
+        "PASS constant-width", "INFO convexity", "INFO curvature-bound",
+    ]
+    assert lines[5:] == ["INFO convexity: residual=0.000e+00 (not gated)",
+                         "INFO curvature-bound: residual=0.000e+00 (not gated)"]
 
 
 def test_polish_turns_a_state_positive_at_zero_by_pi():
@@ -802,7 +821,7 @@ def test_polish_turns_a_state_positive_at_zero_by_pi():
         p = polish_switches(flipped)
         assert p.declined is None and 0.0 <= p.switches[0] < p.switches[-1] < np.pi
         text = result_to_json(OptimizationResult(flipped, 1, 0, 0, True))
-        assert validate_result(loads_shape(text)).valid
+        assert body2d.validate(loads_shape(text)).valid
         polished.append(p)
     # the turn by pi keeps the switch angles and the body
     assert polished[0].switches == polished[1].switches
@@ -823,7 +842,7 @@ def test_polish_of_an_aliased_grid_minimum_is_the_truncated_triangle(grid240):
     assert p.area == pytest.approx(np.pi / 4 + 0.5 * floor_phi, rel=1e-13)
     text = result_to_json(OptimizationResult(r, 1, 0, 0, True))
     assert json.loads(text)["switches"] == list(p.switches)
-    assert validate_result(loads_shape(text)).valid
+    assert body2d.validate(loads_shape(text)).valid
 
 
 def test_switch_residuals_jacobian_matches_finite_differences(rng):
@@ -852,7 +871,7 @@ def test_validate_result_of_a_switch_file_at_the_reader_caps_stays_small():
                   green, np.pi / 4 + 0.5 * green)
     tracemalloc.start()
     try:
-        report = validate_result(f)
+        report = body2d.validate(f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
