@@ -4,24 +4,19 @@ Each case runs in a fresh interpreter, because this one has numpy loaded.
 """
 
 import importlib
-import os
 import pkgutil
-import subprocess
-import sys
 
 import pytest
 
 import orbiform
 
+from test_entrypoint import run_child
+
 
 def loaded_after(code: str) -> set[str]:
     """Module names loaded by a fresh interpreter after running code."""
-    src = os.path.dirname(os.path.dirname(orbiform.__file__))
-    out = subprocess.run(
-        [sys.executable, "-c", f"{code}\nimport sys\nprint(' '.join(sys.modules))"],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
-    ).stdout
+    out = run_child(["-c", f"{code}\nimport sys\nprint(' '.join(sys.modules))"],
+                    capture_output=True, text=True, check=True).stdout
     return set(out.split("\n")[-2].split())
 
 
