@@ -8,7 +8,8 @@ coefficient space: degree k scales by (1 - k^2). Convexity is R >= 0 and the
 constant-width relation forces 0 <= R <= B. validate reports these invariants
 as CheckResults with width-scaled tolerances, for a body or any dim-2 file.
 area_spectral is the Parseval sum of the support, (1/2) sum (1 - k^2) c_k^2,
-and _green_form that of a curvature window, sum_{k != 1} c_k^2 / (1 - k^2).
+and _green_form that of a curvature window, sum_{k != 1} c_k^2 / (1 - k^2):
+in dims 2 and 3 the one fsum that every phi and both validators take.
 switch_window is the closed form of a bang-bang curvature, R in {0, B} with
 finitely many switches, which is what the minimizers of the area are, as
 lists of floats; switch_checks gates a file that holds such a body,
@@ -77,10 +78,6 @@ class SupportBody(namedtuple("SupportBody", ("width", "support_coeffs"))):
         if support_coeffs.dim != 2:
             raise ValueError("SupportBody requires dim-2 coefficients")
         return super().__new__(cls, width, support_coeffs)
-
-    @property
-    def max_degree(self) -> int:
-        return self.support_coeffs.max_degree
 
 
 def disk(width: float) -> SupportBody:
@@ -271,13 +268,16 @@ def _area_parseval(values: list[float]) -> float:
     return 0.5 * math.fsum((1 - ((i + 1) // 2) ** 2) * c * c for i, c in enumerate(values) if c)
 
 
-def _green_form(values: list[float]) -> float:
-    """quadratic_form_green of flat dim-2 values, with math: sum over degrees
-    k != 1 of c_k^2 / (1 - k^2), summed with fsum. Where that overflows, or
-    its terms overflow to both inf and -inf, it is inf."""
+def _green_form(values: list[float], dim: int = 2) -> float:
+    """Green form of flat values in dim 2 or 3, with math: c^2 / ((dim - 1) -
+    k (k + dim - 2)) per nonzero c at degree k != 1 ((i + 1) // 2 at index i
+    in dim 2, isqrt(i) in dim 3), all in one fsum, which rounds the exact sum
+    once: the same double in any order of the terms, on any CPU. Where that
+    overflows, or its terms overflow to both inf and -inf, it is inf."""
+    degree = (lambda i: (i + 1) // 2) if dim == 2 else math.isqrt
     try:
-        return math.fsum(c * c / (1 - ((i + 1) // 2) ** 2) for i, c in enumerate(values)
-                         if c and i not in (1, 2))
+        return math.fsum(c * c / ((dim - 1) - k * (k + dim - 2)) for i, c in enumerate(values)
+                         if c and (k := degree(i)) != 1)
     except (OverflowError, ValueError):
         return math.inf
 

@@ -53,7 +53,8 @@ failure, 4 regression (an internal cross-check went wrong),
 141 stdout closed before the output was written (a reader such as head
 exited; no traceback).
 All file output is written to a temp file and renamed into place, so failures
-leave no partial files, with the mode open() gives a new file. Identical flags
+leave no partial files, with the mode open() gives a new file; it is written
+before the first stdout line, so a closed stdout stops no file. Identical flags
 and seed produce identical bytes; --timestamp opts into a nondeterministic
 field.
 """
@@ -197,18 +198,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(path: str, text: str) -> bool:
-    """Write text to path atomically and say so; False, with an error line
-    and no file left behind, if path cannot be written."""
+def _finish(lines: list[str], files=(), code: int = EXIT_OK) -> int:
+    """Write each (path, text) of files whose path is set, atomically and in
+    order, then print lines and a "wrote" line per file written, and return
+    code: no file waits on stdout, so a reader that went away stops none. At
+    the first path that cannot be written, EXIT_USAGE, with an error line and
+    no file of that path left behind."""
     from . import shapeio
 
-    try:
-        shapeio.write_text_atomic(path, text)
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-        return False
-    print(f"wrote {path}")
-    return True
+    for path, text in files:
+        if path:
+            try:
+                shapeio.write_text_atomic(path, text)
+            except OSError as exc:
+                print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+                code = EXIT_USAGE
+                break
+            lines.append(f"wrote {path}")
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
+    return code
 
 
 def _cmd_reuleaux(args) -> int:
@@ -228,25 +236,20 @@ def _cmd_reuleaux(args) -> int:
     B2 = args.width**2
     exact = reuleaux.closed_area(spec)
     quad = body2d._area_parseval(values)  # the trapezoid sum on 2L + 2 nodes
-    print(f"sides={args.sides} width={args.width!r}")
-    print(f"closed-form area: {exact!r}")
-    print(f"quadrature area:  {quad!r}")
-    if abs(quad - exact) > 2e-4 * B2:
-        print("error: quadrature area disagrees with the closed form", file=sys.stderr)
-        return EXIT_REGRESSION
+    lines = [f"sides={args.sides} width={args.width!r}", f"closed-form area: {exact!r}",
+             f"quadrature area:  {quad!r}"]
     # the band-free area of the switches, pi B^2 / 4 + phi / 2: phi sums O(n)
     # terms, each of which may carry a rounding error of B^2 eps (at most
     # 0.23 n eps B^2 measured, every odd n to 1365 at 29 widths)
     switch_area = 0.25 * math.pi * B2 + 0.5 * body2d.switch_phi(spec.switches, args.width)
-    if abs(switch_area - exact) > args.sides * sys.float_info.epsilon * B2:
-        print("error: the area of the switch angles disagrees with the closed form",
-              file=sys.stderr)
-        return EXIT_REGRESSION
-    if args.out and not _write(args.out, shape):
-        return EXIT_USAGE
-    if args.svg and not _write(args.svg, render_svg(spec)):
-        return EXIT_USAGE
-    return EXIT_OK
+    if abs(quad - exact) > 2e-4 * B2:
+        error = "quadrature area disagrees with the closed form"
+    elif abs(switch_area - exact) > args.sides * sys.float_info.epsilon * B2:
+        error = "the area of the switch angles disagrees with the closed form"
+    else:
+        return _finish(lines, [(args.out, shape), (args.svg, args.svg and render_svg(spec))])
+    print(f"error: {error}", file=sys.stderr)
+    return _finish(lines, code=EXIT_REGRESSION)
 
 
 def _cmd_optimize(args) -> int:
@@ -280,49 +283,45 @@ def _cmd_optimize(args) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    for r in results:
-        print(
-            f"restart {r.restart_index}: phi={r.phi_value!r} iterations={r.iterations} "
-            f"converged={r.converged} projections={r.projections} "
-            f"newton_steps={r.newton_steps} max_newton_steps={r.max_newton_steps} "
-            f"line_searches={r.line_searches}"
-        )
+    lines = [
+        f"restart {r.restart_index}: phi={r.phi_value!r} iterations={r.iterations} "
+        f"converged={r.converged} projections={r.projections} "
+        f"newton_steps={r.newton_steps} max_newton_steps={r.max_newton_steps} "
+        f"line_searches={r.line_searches}"
+        for r in results
+    ]
     result = variational.best_restart(results)
-    print(
+    lines += [
         f"phi={result.phi_value!r} iterations={result.iterations} "
-        f"restart={result.restart_index} converged={result.converged}"
-    )
-    print(
+        f"restart={result.restart_index} converged={result.converged}",
         f"bang-bang violation={result.bang_bang.violation:.6f} "
-        f"sign consistency={result.bang_bang.sign_consistency:.6f}"
-    )
+        f"sign consistency={result.bang_bang.sign_consistency:.6f}",
+    ]
     if args.dim == 2:
         bench = TRIANGLE_AREA * args.width**2
         excess = (result.area - bench) / bench
-        print(f"grid area={result.area!r}")
-        print(f"benchmark (odd 3-gon, same width): {bench!r}  grid excess={100 * excess:.4f}%")
+        lines += [f"grid area={result.area!r}",
+                  f"benchmark (odd 3-gon, same width): {bench!r}  grid excess={100 * excess:.4f}%"]
         polish = result.polish
         if polish.declined is None:
-            print(f"switch polish: switches={len(polish.switches)} newton_steps={polish.steps} "
-                  f"closure/B={polish.closure:.3e} max|pbar+l|/B={polish.stationarity:.3e}")
             excess = (polish.area - bench) / bench
-            print(f"polished area={polish.area!r}  excess={100 * excess:.4e}%")
+            lines += [f"switch polish: switches={len(polish.switches)} newton_steps={polish.steps} "
+                      f"closure/B={polish.closure:.3e} max|pbar+l|/B={polish.stationarity:.3e}",
+                      f"polished area={polish.area!r}  excess={100 * excess:.4e}%"]
         else:
-            print(f"switch polish declined after {polish.steps} Newton steps: {polish.declined}")
+            lines.append(f"switch polish declined after {polish.steps} Newton steps: "
+                         f"{polish.declined}")
     else:
-        print("note: dim-3 result is a candidate; surface-area/volume equivalence "
-              "assumes the deviation is realizable by a convex body")
+        lines.append("note: dim-3 result is a candidate; surface-area/volume equivalence "
+                     "assumes the deviation is realizable by a convex body")
 
     stamp = datetime.now(timezone.utc).isoformat() if args.timestamp else None
-    if args.out:
-        try:
-            text = variational.result_to_json(result, stamp)
-        except shapeio.ShapeFormatError as exc:  # a NaN or infinity, which validate refuses
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        if not _write(args.out, text):
-            return EXIT_USAGE
-    return EXIT_OK
+    try:
+        text = variational.result_to_json(result, stamp) if args.out else None
+    except shapeio.ShapeFormatError as exc:  # a NaN or infinity, which validate refuses
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return _finish(lines, code=EXIT_NUMERICAL)
+    return _finish(lines, [(args.out, text)])
 
 
 def _cmd_validate(args) -> int:
@@ -360,10 +359,9 @@ def _cmd_table(args) -> int:
         print("error: area table failed its monotonicity cross-check", file=sys.stderr)
         return EXIT_REGRESSION
     csv = reuleaux.format_area_table_csv(rows)
-    if not args.out:
-        sys.stdout.write(csv)
-    elif not _write(args.out, csv):
-        return EXIT_USAGE
+    if args.out:
+        return _finish([], [(args.out, csv)])
+    sys.stdout.write(csv)
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .body2d import SQRT_PI
+from .body2d import SQRT_PI, _green_form
 
 __all__ = [
     "GridFn",
@@ -401,11 +401,9 @@ def apply_green(coeffs: SpectralCoeffs) -> SpectralCoeffs:
 
 
 def quadratic_form_green(coeffs: SpectralCoeffs) -> float:
-    """<G f, f> = sum over degrees != 1 of g_l * coeff^2 (degree 1 is ignored)."""
-    degs = coeffs.degrees()
-    mask = degs != 1
-    vals = coeffs.values[mask]
-    return float(np.dot(green_multipliers(coeffs.dim, coeffs.max_degree)[degs[mask]] * vals, vals))
+    """<G f, f> = sum over degrees l != 1 of coeff^2 / ((dim-1) - l*(l+dim-2)),
+    degree 1 ignored: body2d._green_form of the values, one fsum, inf where it overflows."""
+    return _green_form(coeffs.values.tolist(), coeffs.dim)
 
 
 def project_linear_H(coeffs: SpectralCoeffs) -> SpectralCoeffs:

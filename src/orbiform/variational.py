@@ -60,7 +60,6 @@ from .harmonic_core import (
     analyze,
     coeff_degrees,
     degree_one_residual,
-    green_multipliers,
     make_grid,
     project_linear_H,
     quadratic_form_green,
@@ -176,8 +175,9 @@ class _Workspace:
     """Window mask and degree-1 columns for one (grid, max_degree) pair.
 
     Two different linear objects live here. The functional only sees the
-    analysis window: coefficients at odd degrees >= 3 up to max_degree, with
-    their Green multipliers, give phi and its gradient. The constraint
+    analysis window: coefficients at odd degrees >= 3 up to max_degree give
+    phi (phi_of: body2d._green_form's terms and fsum, as validate reads it)
+    and, with their Green multipliers, its gradient. The constraint
     subspace for the projection is much bigger: all antipodally antisymmetric
     sample vectors orthogonal to the degree-1 harmonics. Samples are not
     forced to be band-limited; a clipped square wave is a perfectly good
@@ -191,7 +191,9 @@ class _Workspace:
         self.max_degree = max_degree
         degs = coeff_degrees(grid.dim, max_degree)
         self.window = (degs % 2 == 1) & (degs >= 3)
-        self.green = green_multipliers(grid.dim, max_degree)[degs[self.window]]
+        ell = degs[self.window]
+        self.denom = (grid.dim - 1.0) - ell * (ell + grid.dim - 2.0)  # of body2d._green_form
+        self.green = 1.0 / self.denom
         # the projection works on odd vectors: one node per antipodal pair,
         # the one with the smaller index, carrying the weight of both; in
         # both dims (make_grid's layout) those are the first half of the nodes
@@ -214,7 +216,8 @@ class _Workspace:
         return synthesize(SpectralCoeffs(self.grid.dim, self.max_degree, full), self.grid)
 
     def phi_of(self, coeffs_h: np.ndarray) -> float:
-        return float(np.dot(self.green * coeffs_h, coeffs_h))
+        """body2d._green_form of the window, bitwise: its terms in one fsum."""
+        return math.fsum((coeffs_h * coeffs_h / self.denom).tolist())
 
 
 def _line_max(
@@ -791,7 +794,8 @@ def validate_result(f: shapeio.ShapeFile) -> ValidationReport:
 
     Gated: coeffs holds odd degrees >= 3 only (the even-degree and degree-1
     residuals are zero), and phi is the Green form of coeffs to relative
-    RESULT_RTOL (a Green form that overflows to inf fails). coeffs is a
+    RESULT_RTOL (a Green form that overflows to inf fails), in the fsum of
+    phi_of, so phi reads residual 0 on what optimize wrote. coeffs is a
     truncated window of a grid state, whose samples overshoot the box wherever
     the state switches, by an amount that depends on where the samples fall:
     the box overshoot is reported as information, not gated.
@@ -799,8 +803,7 @@ def validate_result(f: shapeio.ShapeFile) -> ValidationReport:
     B, c = f.width, f.coeffs
     degs = c.degrees()
     even = np.abs(c.values[degs % 2 == 0])
-    with np.errstate(over="ignore"):  # an overflow is inf, and the phi check fails on it
-        green = quadratic_form_green(c)
+    green = quadratic_form_green(c)
     checks = [
         CheckResult("odd-degrees", float(np.max(even, initial=0.0)), 0.0),
         CheckResult("translation-orthogonality", degree_one_residual(c), 0.0),

@@ -476,6 +476,7 @@ def test_optimize_reports_a_capped_descent(dim, resolution, modes, tmp_path, cap
         assert any(line.startswith("switch polish declined") and "not bang-bang" in line
                    for line in lines)
     assert cli.main(["validate", str(out)]) == 0
+    assert "PASS phi: residual=0.000e+00" in capsys.readouterr().out  # the descent's own phi
 
 
 # ---------------------------------------------------------------- validate
@@ -618,19 +619,21 @@ def test_an_output_path_that_cannot_be_written_exits_2(command, target, tmp_path
     assert [p.name for p in tmp_path.rglob("*")] == ([] if target == "missing-directory" else ["d"])
 
 
-@pytest.mark.parametrize(
-    "dim, resolution, modes", [(2, 64, 16), (3, 16, 7)], ids=["dim2", "dim3"]
-)
-def test_validate_accepts_what_optimize_writes(dim, resolution, modes, tmp_path, capsys):
+@pytest.mark.parametrize("dim, resolution, modes, seed, width", [
+    (2, 64, 16, 0, 1.3), (3, 16, 7, 0, 1.3), (3, 16, 7, 1, 1.0), (3, 24, 11, 5, 1.0),
+], ids=["dim2", "dim3", "dim3-grid16-seed1", "dim3-grid24-seed5"])
+def test_validate_accepts_what_optimize_writes(dim, resolution, modes, seed, width, tmp_path,
+                                               capsys):
     out = tmp_path / "r.json"
     flags = ["--dim", str(dim), "--grid", str(resolution), "--modes", str(modes)]
-    assert cli.main(["optimize", *flags, "--restarts", "2", "--width", "1.3", "--out", str(out)]) == 0
+    assert cli.main(["optimize", *flags, "--restarts", "2", "--seed", str(seed),
+                     "--width", repr(width), "--out", str(out)]) == 0
     capsys.readouterr()
     assert cli.main(["validate", str(out)]) == 0
     report = capsys.readouterr().out
-    assert "PASS odd-degrees" in report and "PASS phi" in report and "FAIL" not in report
-    if dim == 2:  # the polish writes the Green form that validate reads back
-        assert "PASS phi: residual=0.000e+00" in report
+    assert "PASS odd-degrees" in report and "FAIL" not in report
+    # optimize writes the Green form that validate reads back, in one fsum
+    assert "PASS phi: residual=0.000e+00" in report
     # dim 2 writes the polished bang-bang body, whose convexity is exact and
     # gated; the dim-3 window's box overshoot is printed, not gated
     assert ("PASS convexity" if dim == 2 else "INFO box-bound") in report

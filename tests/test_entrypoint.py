@@ -94,15 +94,33 @@ def test_row(row, cwd):
     assert check is None or check(done, cwd), done.stdout + done.stderr
 
 
-@pytest.mark.parametrize(
-    "argv", [["table", "--max", "99"], ["optimize", "--grid", "64", "--modes", "16", "--restarts", "1"]]
-)
-def test_a_closed_pipe_ends_with_exit_141_and_no_traceback(argv):
+def run_into_a_closed_pipe(argv, **kwargs):
     read, write = os.pipe()
     os.close(read)  # the reader is gone before the first byte
     try:
-        done = run_child(["-m", "orbiform", *argv], stdout=write, stderr=subprocess.PIPE, text=True)
+        done = run_child(["-m", "orbiform", *argv], stdout=write, stderr=subprocess.PIPE, text=True,
+                         **kwargs)
     finally:
         os.close(write)
     assert done.returncode == cli.EXIT_PIPE == 141
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv", [["table", "--max", "99"], ["optimize", "--grid", "64", "--modes", "16", "--restarts", "1"]]
+)
+def test_a_closed_pipe_ends_with_exit_141_and_no_traceback(argv):
+    run_into_a_closed_pipe(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    "optimize --grid 16 --modes 7 --restarts 1 --seed 33 --out r.json",
+    "optimize --dim 3 --grid 16 --modes 7 --restarts 2 --seed 1 --out r.json",
+    "reuleaux --sides 5 --modes 64 --out r.json --svg r.svg",
+])
+def test_a_closed_pipe_stops_no_output_file(argv, tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONUNBUFFERED", "1")  # the first line meets the closed pipe
+    run_into_a_closed_pipe(argv.split(), cwd=tmp_path)
+    assert (tmp_path / "r.svg").exists() == ("--svg" in argv)
+    assert run_child(["-m", "orbiform", "validate", "r.json"], cwd=tmp_path,
+                     capture_output=True).returncode == 0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbiform import body2d
 from orbiform.harmonic_core import (
     ClosednessError,
     SpectralCoeffs,
@@ -333,6 +334,22 @@ def test_quadratic_form_green_signs(rng):
         c[zero_coeffs(dim, L).degree_slice(1)] = 0.0
         assert quadratic_form_green(SpectralCoeffs(dim, L, c)) < 0
     assert quadratic_form_green(zero_coeffs(2, 10)) == 0.0
+
+
+@pytest.mark.parametrize("dim, L", [(2, 255), (3, 15)])
+def test_quadratic_form_green_is_one_fsum_of_the_multiplier_terms(dim, L, rng):
+    # one double: body2d._green_form, the exact sum of g_l c^2 rounded once,
+    # in any order of the terms; a BLAS dot agrees to rounding
+    for scale in (1e-3, 1.0, 1e5):
+        c = SpectralCoeffs(dim, L, scale * rng.normal(size=num_coeffs(dim, L)))
+        got = quadratic_form_green(c)
+        assert got == body2d._green_form(c.values.tolist(), dim)
+        ell = c.degrees()
+        denom = ((dim - 1) - ell * (ell + dim - 2)).tolist()  # 0 at degree 1 only
+        terms = [x * x / d for x, d in zip(c.values.tolist(), denom) if d]
+        assert got == math.fsum(terms[::-1]) == math.fsum(sorted(terms))
+        g = green_multipliers(dim, L)[ell]
+        assert got == pytest.approx(float(np.dot(g * c.values, c.values)), rel=1e-13, abs=0.0)
 
 
 def test_project_linear_H_keeps_odd_high_degrees(rng):

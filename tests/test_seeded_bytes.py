@@ -11,6 +11,9 @@ A change that moves output bytes on purpose re-records that file in the same
 commit and says which digests moved and why:
 
     PYTHONPATH=src python tests/test_seeded_bytes.py
+
+which prints on stderr each command whose digests moved and which of its
+outputs moved: exit, stdout or a file name.
 """
 
 import contextlib
@@ -81,6 +84,13 @@ if __name__ == "__main__":
         os.chdir(tmp)
         recorded = run_all()
         os.chdir(here)
+    with open(DIGESTS) as fh:
+        before = json.load(fh)
+    for cmd in {**before, **recorded}:
+        was, now = before.get(cmd, {}), recorded.get(cmd, {})
+        moved = [key for key in {**was, **now} if was.get(key) != now.get(key)]
+        if moved:
+            print(f"moved {', '.join(moved)}: {cmd}", file=sys.stderr)
     with open(DIGESTS, "w") as fh:
         fh.write(json.dumps(recorded, indent=1) + "\n")
     print(f"recorded {len(recorded)} commands in {DIGESTS}", file=sys.stderr)

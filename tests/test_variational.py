@@ -607,6 +607,19 @@ def test_each_restart_has_one_phi_and_one_area(width):
         assert r.area == 0.25 * np.pi * width * width + 0.5 * r.phi_value
 
 
+@pytest.mark.parametrize("dim, resolution, L", [(2, 512, 255), (3, 32, 15)])
+def test_the_descent_phi_is_the_green_form_of_its_window(dim, resolution, L, rng):
+    # phi_of sums the window's terms in its own fsum, bit for bit the Green
+    # form of the flat list that holds the window and zeros elsewhere
+    ws = variational._workspace_for(make_grid(dim, resolution), L)
+    for scale in (1e-3, 1.0, 1e5):
+        window = scale * rng.normal(size=int(ws.window.sum()))
+        full = np.zeros(ws.window.size)
+        full[ws.window] = window
+        assert ws.phi_of(window) == body2d._green_form(full.tolist(), dim)
+    assert ws.phi_of(np.zeros(int(ws.window.sum()))) == 0.0
+
+
 def test_minimize_restarts_provenance():
     grid = make_grid(2, 128)
     results = minimize_restarts(1.0, grid, 32, seed=9, restarts=SMALL)
@@ -730,9 +743,9 @@ def test_polish_reaches_the_truncated_triangle(grid2_512):
     assert 0.0 < excess < (res.area - TRIANGLE_AREA) / TRIANGLE_AREA / 400
     assert np.allclose(np.diff(p.switches), np.pi / 3, rtol=0.0, atol=1e-12)
     assert p.closure <= 1e-14 and p.stationarity <= 1e-14
-    # the Green form validate reads back, and the BLAS one to rounding
+    # the Green form validate reads back
     assert p.phi == body2d._green_form(p.coeffs.values.tolist()) < res.phi_value
-    assert p.phi == pytest.approx(quadratic_form_green(p.coeffs), rel=1e-15, abs=0.0)
+    assert p.phi == quadratic_form_green(p.coeffs)
     # oriented by the mean of the angles read off the samples' sign changes
     x = res.minimizer.values[:257]
     assert x[0] < 0.0  # no turn by pi
