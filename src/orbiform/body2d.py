@@ -6,10 +6,12 @@ vanishes, and the odd degrees are free (degree 1 is a translation). The
 curvature radius of the boundary is R = p'' + p, a diagonal operation in
 coefficient space: degree k scales by (1 - k^2). Convexity is R >= 0 and the
 constant-width relation forces 0 <= R <= B. validate reports these invariants
-as CheckResults with width-scaled tolerances, for a body or any dim-2 file.
+as CheckResults with width-scaled tolerances, for a body or a file: it is
+`orbiform validate` of every file, and gates a result file's window the same
+way in dims 2 and 3 (a dim-3 file's box check comes from variational).
 area_spectral is the Parseval sum of the support, (1/2) sum (1 - k^2) c_k^2,
 and _green_form that of a curvature window, sum_{k != 1} c_k^2 / (1 - k^2):
-in dims 2 and 3 the one fsum that every phi and both validators take.
+in dims 2 and 3 the one fsum that every phi and validate take.
 switch_window is the closed form of a bang-bang curvature, R in {0, B} with
 finitely many switches, which is what the minimizers of the area are, as
 lists of floats; switch_checks gates a file that holds such a body,
@@ -338,15 +340,22 @@ class ValidationReport(NamedTuple):
 
 
 def validate(body: SupportBody | ShapeFile, convexity_tol: float | None = None) -> ValidationReport:
-    """Check the constant-width invariants of a body or of a dim-2 file
-    (shapeio.ShapeFile), and report per-check residuals.
+    """Check the invariants of a body or of a file (shapeio.ShapeFile) in dim
+    2 or 3, and report per-check residuals: `orbiform validate` of any file.
 
     A result file (phi set, as `orbiform optimize --out` writes it) holds a
-    curvature window, gated on its flat values: odd-degrees and
-    translation-orthogonality (no even-degree or degree-1 entry), phi (its
-    _green_form; inf where that overflows) and area (pi B^2 / 4 + phi / 2),
-    both to relative RESULT_RTOL, and constant-width of the support it
+    curvature window, gated on its flat values in either dim: odd-degrees and
+    translation-orthogonality (no even-degree or degree-1 entry, at the
+    degrees _green_form reads), and phi (its _green_form; inf where that
+    overflows) to relative RESULT_RTOL. In dim 2 area (pi B^2 / 4 + phi / 2)
+    follows to the same tolerance, and constant-width of the support it
     implies: degree 0 plus B/2 / MEAN_BASIS, degree k >= 2 times 1 / (1 - k^2).
+    In dim 3 the window truncates a grid state, whose samples overshoot the
+    box wherever the state switches, by an amount that depends on where the
+    samples fall: the box-bound of variational.deviation_report is printed as
+    information, not gated. A dim-3 shape file holds a curvature-sum
+    deviation and gets AdmissibleR's checks, deviation_report. Dim 3 loads
+    numpy.
 
     A file that lists switches, a result or a shape file (`orbiform reuleaux
     --out`), adds switch_checks on its curvature window and is certified with
@@ -378,17 +387,30 @@ def validate(body: SupportBody | ShapeFile, convexity_tol: float | None = None) 
     if isinstance(body, SupportBody):
         support, switches = body.support_coeffs.values.tolist(), None
     elif body.phi is None:  # a shape file holds the support
+        if body.dim == 3:  # or, in dim 3, a curvature-sum deviation: AdmissibleR's checks
+            from .variational import deviation_report
+
+            return deviation_report(B, body.coeffs)
         support, switches = body.values, body.switches
     else:  # a result file holds the curvature window
         v = window = body.values
-        switches = body.switches
-        green, area = _green_form(v), 0.25 * math.pi * B * B + 0.5 * body.phi
+        dim, switches = body.dim, body.switches
+        # even degrees: 0, then 4j - 1 and 4j in dim 2; isqrt(i) even in dim 3
+        even = v[:1] + v[3::4] + v[4::4] if dim == 2 else [
+            c for i, c in enumerate(v) if not math.isqrt(i) % 2]
+        green = _green_form(v, dim)
         checks = [
-            CheckResult("odd-degrees", max(map(abs, v[:1] + v[3::4] + v[4::4])), 0.0),
-            CheckResult("translation-orthogonality", max(map(abs, v[1:3]), default=0.0), 0.0),
+            CheckResult("odd-degrees", max(map(abs, even)), 0.0),
+            CheckResult("translation-orthogonality", max(map(abs, v[1:dim + 1]), default=0.0), 0.0),
             CheckResult("phi", abs(body.phi - green), RESULT_RTOL * abs(green)),
-            CheckResult("area", abs(body.area - area), RESULT_RTOL * abs(area)),
         ]
+        if dim == 3:  # the box overshoot of a grid state's window: information
+            from .variational import deviation_report
+
+            return ValidationReport(tuple(checks),
+                                    info=(deviation_report(B, body.coeffs).check("box-bound"),))
+        area = 0.25 * math.pi * B * B + 0.5 * body.phi
+        checks.append(CheckResult("area", abs(body.area - area), RESULT_RTOL * abs(area)))
         support = [c * (1.0 / (1 - ((i + 1) // 2) ** 2)) if i > 2 else 0.0 for i, c in enumerate(v)]
         support[0] = v[0] + 0.5 * B / MEAN_BASIS
     # constant width: mean B/2 and no even degree >= 2 (at 4j - 1 and 4j) in the support

@@ -26,12 +26,11 @@ and the writer skip the zeros, and shapeio writes the text without json), phi
 and the SVG, the polygon's n arcs drawn exactly (render_svg), in the side
 count.
 
-validate prints one report format for every file: body2d.validate on a dim-2
-file, shape or result (a ShapeFile whose phi shapeio.loads_shape has set, as
-optimize --out writes it); on a dim-3 one variational.validate_result or, for
-a shape file, AdmissibleR's checks (variational.deviation_report). A dim-2
-body whose curvature radius overflows a double fails convexity and
-curvature-bound (residual inf).
+validate prints body2d.validate's report of every file, shape or result (a
+ShapeFile whose phi shapeio.loads_shape has set, as optimize --out writes it),
+in dim 2 or 3. A dim-2 body whose curvature radius overflows a double fails
+convexity and curvature-bound, and a dim-3 deviation whose samples overflow
+reads box-bound inf.
 
 table --max is at most TABLE_MAX_SIDES = 99999, past which consecutive
 closed-form areas can round to the same double and fail the cross-check.
@@ -337,14 +336,7 @@ def _cmd_validate(args) -> int:
         print(f"malformed shape file: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if parsed.dim == 2:
-        report = body2d.validate(parsed, convexity_tol=args.convexity_tol)
-    else:
-        from . import variational
-
-        # a dim-3 shape file holds a curvature-sum deviation: AdmissibleR's checks
-        report = (variational.deviation_report(parsed.width, parsed.coeffs) if parsed.phi is None
-                  else variational.validate_result(parsed))
+    report = body2d.validate(parsed, convexity_tol=args.convexity_tol)
     print(report.summary())
     return EXIT_OK if report.valid else EXIT_INVARIANT
 

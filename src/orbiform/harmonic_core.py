@@ -205,7 +205,7 @@ class SpectralCoeffs:
         squares = np.vdot(v, v)  # as v @ v, but an overflow to inf raises no warning
         if squares == math.inf:  # past about 1.3e154: scale by the largest magnitude
             top = np.abs(v).max()
-            return float(top * math.sqrt(np.vdot(v / top, v / top)))
+            return float(top) * math.sqrt(np.vdot(v / top, v / top))  # float product: inf, no warning
         return math.sqrt(squares)
 
 

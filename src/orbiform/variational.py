@@ -8,10 +8,10 @@ Green quadratic form, strictly negative definite on the subspace, so its
 minimum over the box sits at extreme points: a.e. on the boundary of the box
 wherever the gradient (twice the mean-free support function) is nonzero.
 admissibility_residuals computes the three checks (box, antisymmetry,
-degree 1) once; AdmissibleR enforces them and `orbiform validate` reports
-them for dim-3 shape files (deviation_report). validate_result checks the
-exact invariants of the dim-3 result files that result_to_json writes, and
-body2d.validate those of dim 2, in math.
+degree 1) once; AdmissibleR enforces them and deviation_report samples them
+for body2d.validate, which `orbiform validate` runs on every file: all three
+on a dim-3 shape file, and the box as information on a dim-3 result file,
+whose exact invariants it checks in math as it does those of dim 2.
 
 Projection onto the intersection is solved exactly: the box is odd and
 separable, so only the degree-1 constraints couple the nodes, and their 2
@@ -44,7 +44,6 @@ import numpy as np
 
 from . import body2d, shapeio
 from .body2d import (
-    RESULT_RTOL,
     CheckResult,
     ValidationReport,
     switch_jumps,
@@ -59,10 +58,8 @@ from .harmonic_core import (
     TWO_PI,
     analyze,
     coeff_degrees,
-    degree_one_residual,
     make_grid,
     project_linear_H,
-    quadratic_form_green,
     require_translation_free,
     synthesize,
     translation_residual,
@@ -87,7 +84,6 @@ __all__ = [
     "canonical_align",
     "result_to_json",
     "deviation_report",
-    "validate_result",
 ]
 
 ADMISSIBLE_ATOL = 1e-12  # slack of the box and antisymmetry checks, per unit width
@@ -120,7 +116,8 @@ def admissibility_residuals(
     checks. The first two use ADMISSIBLE_ATOL * width, the last
     harmonic_core.translation_residual, so every check is scale-free.
     """
-    box = max(0.0, float(np.abs(values).max()) - box_bound(grid.dim, width))
+    peak = float(np.abs(values).max())  # a NaN sample is as far out as inf
+    box = max(0.0, peak - box_bound(grid.dim, width)) if math.isfinite(peak) else math.inf
     # the first half of the nodes holds one node of each antipodal pair
     h = grid.size // 2
     anti = float(np.abs(values[:h] + values[grid.antipode_index[:h]]).max())
@@ -783,30 +780,11 @@ def result_to_json(result: OptimizationResult, timestamp: str | None = None) -> 
 
 def deviation_report(width: float, coeffs: SpectralCoeffs) -> ValidationReport:
     """admissibility_residuals of a dim-3 deviation, sampled on the least
-    grid of resolution >= 16 that carries its band limit."""
+    grid of resolution >= 16 that carries its band limit. Where the samples
+    overflow a double they are inf or NaN and box-bound reads inf, with no
+    numpy warning."""
     grid = make_grid(3, max(16, 2 * coeffs.max_degree + 2))
-    return ValidationReport(admissibility_residuals(synthesize(coeffs, grid), grid, width, coeffs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = synthesize(coeffs, grid)
+        return ValidationReport(admissibility_residuals(values, grid, width, coeffs))
 
-
-def validate_result(f: shapeio.ShapeFile) -> ValidationReport:
-    """Check the exact invariants of a dim-3 result file (a ShapeFile with
-    phi set), as `orbiform validate` does; body2d.validate checks dim 2.
-
-    Gated: coeffs holds odd degrees >= 3 only (the even-degree and degree-1
-    residuals are zero), and phi is the Green form of coeffs to relative
-    RESULT_RTOL (a Green form that overflows to inf fails), in the fsum of
-    phi_of, so phi reads residual 0 on what optimize wrote. coeffs is a
-    truncated window of a grid state, whose samples overshoot the box wherever
-    the state switches, by an amount that depends on where the samples fall:
-    the box overshoot is reported as information, not gated.
-    """
-    B, c = f.width, f.coeffs
-    degs = c.degrees()
-    even = np.abs(c.values[degs % 2 == 0])
-    green = quadratic_form_green(c)
-    checks = [
-        CheckResult("odd-degrees", float(np.max(even, initial=0.0)), 0.0),
-        CheckResult("translation-orthogonality", degree_one_residual(c), 0.0),
-        CheckResult("phi", abs(f.phi - green), RESULT_RTOL * abs(green)),
-    ]
-    return ValidationReport(tuple(checks), info=(deviation_report(B, c).check("box-bound"),))

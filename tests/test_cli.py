@@ -655,10 +655,16 @@ def test_validate_result_checks_area_and_degree_one(tmp_path, capsys):
     moved = write(tmp_path / "area.json", dict(payload, area=payload["area"] + 1e-9))
     assert cli.main(["validate", moved]) == 1
     assert "FAIL area" in capsys.readouterr().out
-    entry = {"degree": 1, "part": "sin", "value": 1e-3}
-    shifted = write(tmp_path / "deg1.json", dict(payload, coeffs=payload["coeffs"] + [entry]))
-    assert cli.main(["validate", shifted]) == 1
-    assert "FAIL translation-orthogonality" in capsys.readouterr().out
+    dim3 = tmp_path / "r3.json"
+    assert cli.main(["optimize", "--dim", "3", "--grid", "16", "--modes", "7", "--restarts", "1",
+                     "--out", str(dim3)]) == 0
+    capsys.readouterr()
+    # degree 1 sits at flat indices 1, 2 in dim 2 and 1, 2, 3 in dim 3: order +1 is index 3
+    for result, entry in [(payload, {"degree": 1, "part": "sin", "value": 1e-3}),
+                          (json.loads(dim3.read_text()), {"degree": 1, "order": 1, "value": 1e-3})]:
+        shifted = write(tmp_path / "deg1.json", dict(result, coeffs=result["coeffs"] + [entry]))
+        assert cli.main(["validate", shifted]) == 1
+        assert "FAIL translation-orthogonality" in capsys.readouterr().out
     missing = write(tmp_path / "seed.json", {k: v for k, v in payload.items() if k != "seed"})
     assert cli.main(["validate", missing]) == 2
     assert "result keys must be" in capsys.readouterr().err

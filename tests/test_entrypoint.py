@@ -25,6 +25,9 @@ O2 = ('{"dim": 2, "width": 1.0, "coeffs": [{"degree": 0, "part": "cos", '
       '"value": 1.2533141373155003}, {"degree": 3, "part": "cos", "value": 1e30%d}]}')
 GREEN = ('"width": 1.0, "phi": 1e308, "iterations": 1, "seed": 0, "violation": 0.0, '
          '"sign_consistency": 1.0, ')
+# a degree-7 dim-3 window at +-1.7e308, sign (-1)^order: its samples overflow to inf and NaN
+N7 = ', "coeffs": [%s]}' % ", ".join(
+    '{"degree": 7, "order": %d, "value": %s1.7e308}' % (m, "-" * (m % 2)) for m in range(-7, 8))
 ROWS = [
     ("--help", 0),
     ("optimize --grid 64 --modes 16 --restarts 2 --out r.json", 0),
@@ -70,6 +73,11 @@ ROWS = [
      '"coeffs": [{"degree": 3, "part": "cos", "value": 1e200}]}'),
     ("validate g3.json", 1, lambda p, d: p.stderr == "", '{"dim": 3, ' + GREEN + '"area": null, '
      '"equivalence_warning": true, "coeffs": [{"degree": 3, "order": 0, "value": 1e200}]}'),
+    # and samples that overflow read box-bound inf, gated on a shape file, information on a result
+    ("validate n3.json", 1, lambda p, d: p.stderr == "" and "FAIL box-bound: residual=inf"
+     in p.stdout, '{"dim": 3, "width": 1.0' + N7),
+    ("validate m3.json", 1, lambda p, d: p.stderr == "" and "INFO box-bound: residual=inf"
+     in p.stdout, '{"dim": 3, ' + GREEN + '"area": null, "equivalence_warning": true' + N7),
     ("validate w.json", 2, None, lambda d: (d / "t.json").read_text().replace(  # a name twice
         '"width": 1.0', '"width": 1.0, "width": 2.0', 1)),
 ]

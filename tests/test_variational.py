@@ -137,6 +137,8 @@ def test_admissibility_residuals_names_and_order(grid240):
     assert all(resid <= tol for _, resid, tol in checks)
     box, anti, _ = variational.admissibility_residuals(2.0 * vals, grid240, 1.0, r.coeffs)
     assert box[1] == pytest.approx(0.5) and anti[1] == 0.0
+    vals[7] = np.nan  # as an inf - inf in a synthesis that overflows: as far out as inf
+    assert variational.admissibility_residuals(vals, grid240, 1.0, r.coeffs)[0][1] == np.inf
 
 
 # ---------------------------------------------------------------- projection
