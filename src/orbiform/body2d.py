@@ -15,17 +15,17 @@ in dims 2 and 3 the one fsum that every phi and validate take.
 switch_window is the closed form of a bang-bang curvature, R in {0, B} with
 finitely many switches, which is what the minimizers of the area are, as
 lists of floats; switch_checks gates a file that holds such a body,
-switch_kernel gives the derivatives of its band-free Green kernel, and
-switch_phi its Green form, whose area pi B^2 / 4 + phi / 2 `orbiform
-reuleaux` checks.
+switch_phi gives its band-free Green form, whose area pi B^2 / 4 + phi / 2
+`orbiform reuleaux` checks, and switch_system the first-order conditions of
+that form over the switch angles, which the switch polish solves.
 
 Importing this module loads no numpy: switch_window, switch_checks,
-switch_phi, the fsum forms _area_parseval and _green_form, and validate of a
-shape or result file with switches use math only. So `orbiform validate` of
-such a file and `orbiform reuleaux` are standard-library paths, and the
+switch_phi, switch_system, the fsum forms _area_parseval and _green_form, and
+validate of a shape or result file with switches use math only. So `orbiform
+validate` of such a file and `orbiform reuleaux` are standard-library paths;
 functions that compute on arrays import numpy when they run. What `orbiform
-reuleaux` calls here costs time linear in its input: switch_phi O(n) in the
-switch count after one sort, and _area_parseval one pass that skips zeros.
+reuleaux` calls here is linear in its input: switch_phi O(n) in the switch
+count after one sort, and _area_parseval one pass that skips zeros.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ __all__ = [
     "switch_jumps",
     "switch_window",
     "switch_checks",
-    "switch_kernel",
+    "switch_system",
     "switch_phi",
     "validate",
     "random_body",
@@ -180,23 +180,11 @@ def switch_checks(switches, width: float, curvature) -> list[CheckResult]:
     ]
 
 
-def switch_kernel(x):
-    """(S'(x), S''(x)) for |x| <= pi. S(x) = sum over odd k >= 3 of cos(k x) /
-    (k^2 (1 - k^2)) = (pi/8)(pi - 2|x|) - cos x - (cos x + (2|x| - pi) sin|x|)/4,
-    by 1/(k^2 (1 - k^2)) = 1/k^2 - 1/(k^2 - 1) and the two odd-k cosine series.
-    The Green form of a switch list is (4/pi) sum_ij J_i J_j S(theta_i - theta_j)."""
-    import numpy as np
-
-    a = np.abs(x)
-    cos, sin = np.cos(a), np.sin(a)
-    u = 2.0 * a - np.pi
-    return np.sign(x) * (0.75 * sin - 0.25 * u * cos - 0.25 * np.pi), 0.25 * (cos + u * sin)
-
-
 def switch_phi(switches, width: float) -> float:
     """Band-free Green form of a switch list: phi = (4/pi) sum_ij J_i J_j
-    S(theta_i - theta_j), with S as in switch_kernel and the jumps J of
-    switch_jumps. The body of a closed list has area pi B^2 / 4 + phi / 2.
+    S(theta_i - theta_j), with the jumps J of switch_jumps and the kernel S(x)
+    = sum over odd k >= 3 of cos(k x) / (k^2 (1 - k^2)). The body of a closed
+    list has area pi B^2 / 4 + phi / 2.
 
     On |x| <= pi, S(x) = pi^2/8 - (5/4) cos x - (1/2) x sin x - (pi/4)|x| +
     (pi/4) sin|x|. The first three terms are smooth and separable, so their
@@ -225,6 +213,44 @@ def switch_phi(switches, width: float) -> float:
     smooth = 0.125 * math.pi**2 * sum(jumps) ** 2 - 1.25 * (c * c + s * s) - (ts * c - tc * s)
     kink = 0.5 * math.pi * (math.fsum(sines) - math.fsum(lin))
     return 4.0 / math.pi * width * width * (smooth + kink)
+
+
+def switch_system(switches, lam) -> tuple[list[float], list[list[float]]]:
+    """(residuals, Jacobian) of the switch polish's first-order system, in
+    units of B (jumps J_k = +-1, lam the closure's multipliers over B).
+
+    Residuals: pbar(theta_j) + lam[0] cos theta_j + lam[1] sin theta_j at
+    each switch, pbar(w) = -(2/pi) sum_k J_k S'(w - theta_k) the band-free
+    support, then the closure of switch_window; columns theta_1..theta_n,
+    lam[0], lam[1]. With u = 2|x| - pi, on |x| <= pi: S'(x) = sign(x) (3/4
+    sin|x| - u cos|x| / 4 - pi/4) and S''(x) = (cos|x| + u sin|x|) / 4, S
+    being switch_phi's kernel. Off the diagonal d pbar(theta_j) / d theta_k =
+    (2/pi) J_k S''(theta_j - theta_k); a rotation moves no pbar(theta_j), so
+    the diagonal is minus the rest of its row, plus the multipliers' term.
+    math only: one pass over the pairs, each row summed in listed order.
+    """
+    theta = [float(t) for t in switches]
+    lam0, lam1 = map(float, lam)
+    n = len(theta)
+    jumps = switch_jumps(n, 1.0)
+    cos, sin = [math.cos(t) for t in theta], [math.sin(t) for t in theta]
+    sums = [0.0] * n  # sum_k J_k S'(theta_j - theta_k)
+    jac = [[0.0] * (n + 2) for _ in range(n + 2)]
+    for j in range(n):
+        for k in range(j + 1, n):
+            x = theta[j] - theta[k]
+            a = abs(x)
+            c, s, u = math.cos(a), math.sin(a), 2.0 * a - math.pi
+            ds = math.copysign(1.0, x) * (0.75 * s - 0.25 * u * c - 0.25 * math.pi)
+            dds = 2.0 / math.pi * (0.25 * (c + u * s))
+            jac[j][k], jac[k][j] = jumps[k] * dds, jumps[j] * dds
+            sums[j], jac[j][j] = sums[j] + jumps[k] * ds, jac[j][j] - jac[j][k]  # row j
+            sums[k], jac[k][k] = sums[k] - jumps[j] * ds, jac[k][k] - jac[k][j]  # row k
+        jac[j][j] = jac[j][j] - lam0 * sin[j] + lam1 * cos[j]  # row j has all its pairs
+        jac[j][n:] = cos[j], sin[j]
+        jac[n][j], jac[n + 1][j] = jumps[j] * cos[j], -jumps[j] * sin[j]
+    resid = [-2.0 / math.pi * t + lam0 * c + lam1 * s for t, c, s in zip(sums, cos, sin)]
+    return resid + switch_window(theta, 1.0, 0)[1], jac
 
 
 def _eval2(coeffs: SpectralCoeffs, omega) -> np.ndarray | float:

@@ -372,6 +372,9 @@ def translation_residual(coeffs: SpectralCoeffs) -> tuple[float, float]:
     """(degree_one_residual, DEGREE_ONE_RTOL * norm): the expansion counts as
     translation-free when the first does not exceed the second."""
     tol = DEGREE_ONE_RTOL * max(coeffs.norm(), TINY)
+    if tol == math.inf:  # the norm overflows: (RTOL top) |c / top|, top the largest |c|
+        top = float(np.abs(coeffs.values).max())
+        tol = DEGREE_ONE_RTOL * top * coeffs.with_values(coeffs.values / top).norm()
     return degree_one_residual(coeffs), tol
 
 

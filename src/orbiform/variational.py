@@ -29,7 +29,7 @@ On a grid a switch of the bang-bang minimizer can sit only at a node, so in
 dim 2 the descent's answer approaches the truth only as N^-2.
 polish_switches takes the winning restart's switch angles off the grid: it
 solves the band-free first-order conditions of phi over the switch angles
-(body2d.switch_kernel), with the closure of the boundary as a constraint, by
+(body2d.switch_system), with the closure of the boundary as a constraint, by
 Newton's method (switching-time optimization in bang-bang control). The
 result then carries the exact body it certifies, OptimizationResult.polish.
 """
@@ -46,8 +46,7 @@ from . import body2d, shapeio
 from .body2d import (
     CheckResult,
     ValidationReport,
-    switch_jumps,
-    switch_kernel,
+    switch_system,
     switch_window,
 )
 from .harmonic_core import (
@@ -120,10 +119,11 @@ def admissibility_residuals(
     box = max(0.0, peak - box_bound(grid.dim, width)) if math.isfinite(peak) else math.inf
     # the first half of the nodes holds one node of each antipodal pair
     h = grid.size // 2
-    anti = float(np.abs(values[:h] + values[grid.antipode_index[:h]]).max())
+    anti = float(np.abs(values[:h] + values[grid.antipode_index[:h]]).max())  # inf - inf: NaN
+    tol = ADMISSIBLE_ATOL * width
     return (
-        CheckResult("box-bound", box, ADMISSIBLE_ATOL * width),
-        CheckResult("antipodal-antisymmetry", anti, ADMISSIBLE_ATOL * width),
+        CheckResult("box-bound", box, tol),
+        CheckResult("antipodal-antisymmetry", anti if math.isfinite(anti) else math.inf, tol),
         CheckResult("translation-orthogonality", *translation_residual(coeffs)),
     )
 
@@ -481,36 +481,7 @@ class SwitchPolish:
     stationarity: float | None = None
 
 
-def _switch_residuals(theta: np.ndarray, lam: np.ndarray, width: float):
-    """(residuals, Jacobian) of the polish's first-order system, band-free.
-
-    Residuals over the width: pbar(theta_j) + l(theta_j), with the band-free
-    support pbar(w) = -(2/pi) sum_k J_k S'(w - theta_k) and l = B (lam[0] cos
-    + lam[1] sin), lam in units of B, then the closure; columns theta_1..theta_n,
-    lam[0], lam[1], each O(1) at any width, so its conditioning is scale-free.
-    J_k are body2d.switch_jumps'. For k != j, d pbar(theta_j) / d theta_k =
-    (2/pi) J_k S''(theta_j - theta_k); a rotation moves no pbar(theta_j), so the
-    diagonal is minus the rest of its row, plus l'. S is in closed form for
-    |theta_j - theta_k| <= pi: angles in circular order.
-    """
-    n = theta.size
-    jumps = np.array(switch_jumps(n, float(width)))
-    ds, dds = switch_kernel(np.subtract.outer(theta, theta))
-    c1, s1 = np.cos(theta), np.sin(theta)
-    l0, l1 = lam * width
-    off = (2.0 / np.pi) * dds * jumps
-    np.fill_diagonal(off, 0.0)
-    jac = np.zeros((n + 2, n + 2))
-    jac[:n, :n] = off + np.diag(-off.sum(axis=1) - l0 * s1 + l1 * c1)
-    jac[n, :n], jac[n + 1, :n] = jumps * c1, -jumps * s1
-    jac /= width
-    jac[:n, n], jac[:n, n + 1] = c1, s1
-    pbar = (-2.0 / np.pi) * (ds @ jumps)
-    closure = np.array([jumps @ s1, jumps @ c1])
-    return np.concatenate((pbar + l0 * c1 + l1 * s1, closure)) / width, jac
-
-
-def _half_turn_list(theta: np.ndarray) -> tuple[np.ndarray, bool]:
+def _half_turn_list(theta: list[float]) -> tuple[list[float], bool]:
     """(angles, turned): an end angle past 0 or pi replaced by its antipode
     at the other end of the list.
 
@@ -520,9 +491,9 @@ def _half_turn_list(theta: np.ndarray) -> tuple[np.ndarray, bool]:
     window negated); turned says whether that happened.
     """
     if theta[0] < 0.0:
-        return np.append(theta[1:], theta[0] + np.pi), True
-    if theta[-1] >= np.pi:
-        return np.insert(theta[:-1], 0, theta[-1] - np.pi), True
+        return theta[1:] + [theta[0] + math.pi], True
+    if theta[-1] >= math.pi:
+        return [theta[-1] - math.pi] + theta[:-1], True
     return theta, False
 
 
@@ -540,7 +511,7 @@ def polish_switches(r: AdmissibleR) -> SwitchPolish:
     phi over the angles with a closed boundary solves pbar(theta_j) +
     l(theta_j) = 0 at every switch, l a degree-1 harmonic whose two
     coefficients are the closure's multipliers, together with the closure.
-    These are band-free (_switch_residuals): the band limit enters only the
+    These are band-free (switch_system): the band limit enters only the
     window built after the solve. A rotation moves neither phi nor the
     closure (rank n + 1), so one more equation holds the mean of the angles
     at that of the reading, which spreads the reading error of each angle
@@ -572,16 +543,15 @@ def polish_switches(r: AdmissibleR) -> SwitchPolish:
         return SwitchPolish(0, f"not bang-bang: {stray} samples off the box faces away from a switch")
     read = (change + half[change] / (half[change] - half[change + 1])) * (TWO_PI / n_nodes)
     theta, lam = read.copy(), np.zeros(2)
-    gauge = np.concatenate((np.full(n, 1.0 / n), (0.0, 0.0)))
     for steps in range(POLISH_MAX_STEPS + 1):
-        resid, jac = _switch_residuals(theta, lam, B)
-        resid = np.append(resid, theta.mean() - read.mean())
+        resid, jac = switch_system(theta, lam)
+        resid.append(theta.mean() - read.mean())
         worst = float(np.abs(resid).max())
         if worst <= POLISH_RTOL or not math.isfinite(worst) or steps == POLISH_MAX_STEPS:
             break
-        jac[0] = gauge
+        jac[0] = [1.0 / n] * n + [0.0, 0.0]  # the gauge: the mean of the angles
         try:
-            step = np.linalg.solve(jac, np.append(resid[-1], resid[1:-1]))
+            step = np.linalg.solve(jac, [resid[-1], *resid[1:-1]])
         except np.linalg.LinAlgError:
             return SwitchPolish(steps, f"a singular Newton system at step {steps}")
         theta -= step[:n]
@@ -589,21 +559,21 @@ def polish_switches(r: AdmissibleR) -> SwitchPolish:
     if not worst <= POLISH_RTOL:
         return SwitchPolish(
             steps, f"no convergence in {steps} Newton steps (largest residual {worst:.3e} of B)")
-    theta, turned = _half_turn_list(theta)
+    theta, turned = _half_turn_list(theta.tolist())
     if turned:
-        resid = _switch_residuals(theta, -lam, B)[0]
-    if not (theta[0] >= 0.0 and np.all(np.diff(theta) > 0.0) and theta[-1] < np.pi):
+        resid = switch_system(theta, -lam)[0]
+    if not (theta[0] >= 0.0 and all(a < b for a, b in zip(theta, theta[1:])) and theta[-1] < math.pi):
         return SwitchPolish(steps, "the switch angles left their order in [0, pi)")
     window = switch_window(theta, B, L)[0]
     phi_polished = body2d._green_form(window)  # as body2d.validate reads it back
     return SwitchPolish(
         steps,
-        switches=tuple(float(t) for t in theta),
+        switches=tuple(theta),
         coeffs=SpectralCoeffs(2, L, np.array(window)),
         phi=phi_polished,
         area=0.25 * np.pi * B * B + 0.5 * phi_polished,
-        closure=float(np.abs(resid[n : n + 2]).max()),
-        stationarity=float(np.abs(resid[:n]).max()),
+        closure=max(map(abs, resid[n : n + 2])),
+        stationarity=max(map(abs, resid[:n])),
     )
 
 

@@ -143,6 +143,17 @@ def switch_kernel_s(x):
     return triangle - resolvent
 
 
+def switch_kernel(x):
+    """(S'(x), S''(x)) for |x| <= pi. S(x) = sum over odd k >= 3 of cos(k x) /
+    (k^2 (1 - k^2)) = (pi/8)(pi - 2|x|) - cos x - (cos x + (2|x| - pi) sin|x|)/4,
+    by 1/(k^2 (1 - k^2)) = 1/k^2 - 1/(k^2 - 1) and the two odd-k cosine series.
+    The Green form of a switch list is (4/pi) sum_ij J_i J_j S(theta_i - theta_j)."""
+    a = np.abs(x)
+    cos, sin = np.cos(a), np.sin(a)
+    u = 2.0 * a - np.pi
+    return np.sign(x) * (0.75 * sin - 0.25 * u * cos - 0.25 * np.pi), 0.25 * (cos + u * sin)
+
+
 def switch_phi(theta, width: float) -> float:
     """Green form of the bang-bang curvature with switch angles theta in [0, pi).
 
@@ -161,11 +172,9 @@ def switch_support(switches, width: float, omega):
     """Band-free mean-free support of a closed switch body at any real angles:
     pbar(w) = -(2/pi) sum_k J_k S'(w - theta_k) for w mod 2 pi in [0, pi), and
     pbar(w + pi) = -pbar(w). S has no degree 1, so a list that does not close
-    gives the support of its window's degrees >= 3. S' is body2d.switch_kernel's,
-    the kernel the switch polish solves with, so the tests that compare this
-    support with a synthesized window check that kernel."""
-    from orbiform.body2d import switch_kernel
-
+    gives the support of its window's degrees >= 3, summed pair by pair with
+    switch_kernel's S' in numpy: the reference for the support, and for the
+    residuals of body2d.switch_system, which the switch polish solves."""
     theta = np.asarray(switches, dtype=float)
     jumps = width * (-1.0) ** np.arange(theta.size)
     om = np.mod(omega, 2.0 * np.pi)

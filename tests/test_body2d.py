@@ -20,7 +20,6 @@ from orbiform.body2d import (
     perimeter,
     random_body,
     switch_jumps,
-    switch_kernel,
     switch_window,
     validate,
 )
@@ -38,8 +37,8 @@ from orbiform.harmonic_core import (
 from orbiform.reuleaux import ReuleauxSpec, closed_area, support_values, to_body
 
 from oracles import (
-    index2, reuleaux_deviation_coeffs, switch_kernel_s, switch_phi, switch_phi_pairwise,
-    switch_support,
+    index2, reuleaux_deviation_coeffs, switch_kernel, switch_kernel_s, switch_phi,
+    switch_phi_pairwise, switch_support,
 )
 
 
@@ -267,6 +266,25 @@ def test_switch_support_of_a_closed_irregular_body_is_its_window(rng):
     grid = make_grid(2, 16384)
     want = synthesize(apply_green(SpectralCoeffs(2, 8191, np.array(window))), grid)
     assert np.abs(switch_support(theta, B, grid.angles) - want).max() <= 1e-8 * B
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 63])
+def test_switch_system_is_the_pairwise_numpy_oracle(n, rng):
+    # residuals: the oracle's support at the switches plus the multipliers'
+    # degree 1, then the closure; off-diagonal Jacobian: (2/pi) J_k S''. Sums
+    # of n terms of size up to 1, so the two orders agree to n ulps
+    eps = np.finfo(float).eps
+    jumps = np.array(switch_jumps(n, 1.0))
+    for _ in range(20):
+        theta = np.sort(rng.uniform(0.0, np.pi, n))
+        lam = rng.normal(0.0, 0.3, 2)
+        resid, jac = body2d.switch_system(theta, lam)
+        want = switch_support(theta, 1.0, theta) + lam[0] * np.cos(theta) + lam[1] * np.sin(theta)
+        closure = [jumps @ np.sin(theta), jumps @ np.cos(theta)]
+        assert np.allclose(resid, np.append(want, closure), rtol=0.0, atol=n * eps)
+        off = 2.0 / np.pi * switch_kernel(np.subtract.outer(theta, theta))[1] * jumps
+        mask = ~np.eye(n, dtype=bool)
+        assert np.allclose(np.array(jac)[:n, :n][mask], off[mask], rtol=0.0, atol=n * eps)
 
 
 WIDTHS = (1.0, 2.0 ** (-1.0 / 3.0), 1.3)

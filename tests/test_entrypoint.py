@@ -75,9 +75,13 @@ ROWS = [
      '"equivalence_warning": true, "coeffs": [{"degree": 3, "order": 0, "value": 1e200}]}'),
     # and samples that overflow read box-bound inf, gated on a shape file, information on a result
     ("validate n3.json", 1, lambda p, d: p.stderr == "" and "FAIL box-bound: residual=inf"
-     in p.stdout, '{"dim": 3, "width": 1.0' + N7),
+     in p.stdout and "FAIL antipodal-antisymmetry: residual=inf" in p.stdout,
+     '{"dim": 3, "width": 1.0' + N7),
     ("validate m3.json", 1, lambda p, d: p.stderr == "" and "INFO box-bound: residual=inf"
      in p.stdout, '{"dim": 3, ' + GREEN + '"area": null, "equivalence_warning": true' + N7),
+    # a translation under a norm that overflows: its tolerance stays finite
+    ("validate d1.json", 1, lambda p, d: p.stderr == "" and "FAIL translation-orthogonality"
+     in p.stdout, '{"dim": 3, "width": 1.0' + N7[:-2] + ', {"degree": 1, "order": 0, "value": 1e300}]}'),
     ("validate w.json", 2, None, lambda d: (d / "t.json").read_text().replace(  # a name twice
         '"width": 1.0', '"width": 1.0, "width": 2.0', 1)),
 ]

@@ -109,6 +109,15 @@ def test_validate_of_an_optimize_file_with_switches_loads_no_numpy(tmp_path):
     assert not {"numpy", "orbiform.harmonic_core", "orbiform.variational"} & loaded
 
 
+def test_the_switch_polish_system_loads_no_numpy():
+    # the polish's residuals and Jacobian are math, so a certificate can reuse them
+    loaded = loaded_after("from orbiform import body2d\n"
+                          "resid, jac = body2d.switch_system([0.5, 1.5, 2.5], [0.1, -0.2])\n"
+                          "assert len(resid) == 5 and len(jac) == 5")
+    assert "orbiform.body2d" in loaded
+    assert not {"numpy", "orbiform.harmonic_core"} & loaded
+
+
 def test_validate_of_a_dim2_file_without_switches_samples_with_numpy(tmp_path):
     path = tmp_path / "disk.json"
     path.write_text('{"dim": 2, "width": 1.0, "coeffs": [{"degree": 0, "part": "cos", '

@@ -139,6 +139,11 @@ def test_admissibility_residuals_names_and_order(grid240):
     assert box[1] == pytest.approx(0.5) and anti[1] == 0.0
     vals[7] = np.nan  # as an inf - inf in a synthesis that overflows: as far out as inf
     assert variational.admissibility_residuals(vals, grid240, 1.0, r.coeffs)[0][1] == np.inf
+    # an antipodal pair of inf and -inf: antisymmetric in sign, and its sum is NaN
+    vals[7], vals[grid240.antipode_index[7]] = np.inf, -np.inf
+    with np.errstate(invalid="ignore"):
+        box, anti, _ = variational.admissibility_residuals(vals, grid240, 1.0, r.coeffs)
+    assert box[1] == anti[1] == np.inf
 
 
 # ---------------------------------------------------------------- projection
@@ -794,6 +799,15 @@ def test_polish_declines_a_singular_newton_system(monkeypatch):
     assert p.declined == "a singular Newton system at step 0" and p.switches is None
 
 
+def test_polish_declines_at_its_step_cap(monkeypatch):
+    # one Newton step from the grid's reading leaves residuals above POLISH_RTOL
+    res = best_restart(minimize_restarts(1.0, make_grid(2, 16), 7, seed=33, restarts=2))
+    monkeypatch.setattr(variational, "POLISH_MAX_STEPS", 1)
+    p = polish_switches(res.minimizer)
+    assert p.declined.startswith("no convergence in 1 Newton steps (largest residual ")
+    assert p.steps == 1 and p.switches is None
+
+
 def test_polish_declines_a_state_that_is_not_bang_bang(grid240):
     half = AdmissibleR(1.0, grid240, 60, 0.5 * triangle_values(grid240))
     p = polish_switches(half)
@@ -863,16 +877,16 @@ def test_polish_of_an_aliased_grid_minimum_is_the_truncated_triangle(grid240):
 def test_switch_residuals_jacobian_matches_finite_differences(rng):
     theta = np.sort(rng.uniform(0.0, np.pi, 5))
     lam = rng.normal(0.0, 0.1, 2)
-    resid, jac = variational._switch_residuals(theta, lam, 1.3)
+    resid, jac = body2d.switch_system(theta, lam)
     h = 1e-6
     x = np.concatenate((theta, lam))
     for j in range(x.size):
         up, down = x.copy(), x.copy()
         up[j] += h
         down[j] -= h
-        r_up = variational._switch_residuals(up[:5], up[5:], 1.3)[0]
-        r_down = variational._switch_residuals(down[:5], down[5:], 1.3)[0]
-        assert np.allclose(jac[:, j], (r_up - r_down) / (2 * h), rtol=0.0, atol=1e-8)
+        r_up = np.array(body2d.switch_system(up[:5], up[5:])[0])
+        r_down = np.array(body2d.switch_system(down[:5], down[5:])[0])
+        assert np.allclose(np.array(jac)[:, j], (r_up - r_down) / (2 * h), rtol=0.0, atol=1e-8)
     assert np.abs(resid[5:]).max() > 0.01
 
 
@@ -896,7 +910,6 @@ def test_validate_result_of_a_switch_file_at_the_reader_caps_stays_small():
 
 def test_half_turn_list_gives_the_point_reflection():
     for theta in ([-0.05, 1.0, 2.2], [0.4, 1.5, np.pi + 0.02], [0.1, 0.5, 1.2, 2.0, 3.0]):
-        theta = np.array(theta)
         listed, turned = variational._half_turn_list(theta)
         assert turned == (theta[0] < 0.0 or theta[-1] >= np.pi)
         assert 0.0 <= listed[0] and np.all(np.diff(listed) > 0.0) and listed[-1] < np.pi
