@@ -26,17 +26,18 @@ _EXPORTS = {
     "body2d": (
         "SupportBody", "ValidationReport", "area_quadrature", "area_spectral",
         "body_from_deviation", "curvature_coeffs", "disk", "eval_curvature_radius",
-        "eval_support", "perimeter", "random_body", "switch_window", "validate",
+        "eval_support", "perimeter", "random_body", "validate",
     ),
     "reuleaux": (
         "ReuleauxSpec", "area_table", "closed_area", "format_area_table_csv", "to_body",
     ),
     "variational": (
         "AdmissibleR", "BangBangReport", "NumericalFailure",
-        "OptimizationResult", "SwitchPolish", "bang_bang_report", "best_restart",
+        "OptimizationResult", "bang_bang_report", "best_restart",
         "box_bound", "canonical_align", "minimize_restarts", "phi", "phi_gradient",
         "polish_switches", "project_admissible", "result_to_json", "support_deviation",
     ),
+    "switches": ("SwitchPolish", "switch_window"),
     "spheroform3d": (
         "ball_curvature_sum", "blaschke_volume", "phi1", "width_residual",
     ),

@@ -12,20 +12,10 @@ way in dims 2 and 3 (a dim-3 file's box check comes from variational).
 area_spectral is the Parseval sum of the support, (1/2) sum (1 - k^2) c_k^2,
 and _green_form that of a curvature window, sum_{k != 1} c_k^2 / (1 - k^2):
 in dims 2 and 3 the one fsum that every phi and validate take.
-switch_window is the closed form of a bang-bang curvature, R in {0, B} with
-finitely many switches, which is what the minimizers of the area are, as
-lists of floats; switch_checks gates a file that holds such a body,
-switch_phi gives its band-free Green form, whose area pi B^2 / 4 + phi / 2
-`orbiform reuleaux` checks, and switch_system the first-order conditions of
-that form over the switch angles, which the switch polish solves.
 
-Importing this module loads no numpy: switch_window, switch_checks,
-switch_phi, switch_system, the fsum forms _area_parseval and _green_form, and
-validate of a shape or result file with switches use math only. So `orbiform
-validate` of such a file and `orbiform reuleaux` are standard-library paths;
-functions that compute on arrays import numpy when they run. What `orbiform
-reuleaux` calls here is linear in its input: switch_phi O(n) in the switch
-count after one sort, and _area_parseval one pass that skips zeros.
+Importing this module loads no numpy, and functions that compute on arrays
+import it when they run; the fsum forms, and validate of a file with switches
+(orbiform.switches), use math alone.
 """
 
 from __future__ import annotations
@@ -52,11 +42,6 @@ __all__ = [
     "area_quadrature",
     "area_spectral",
     "perimeter",
-    "switch_jumps",
-    "switch_window",
-    "switch_checks",
-    "switch_system",
-    "switch_phi",
     "validate",
     "random_body",
 ]
@@ -64,7 +49,6 @@ __all__ = [
 MEAN_BASIS = 1.0 / math.sqrt(2.0 * math.pi)  # value of the orthonormal constant mode on S^1
 SQRT_PI = math.sqrt(math.pi)
 RESULT_RTOL = 1e-12  # closed-form window, and a result file's phi and area, relative
-CLOSURE_RTOL = 1e-12  # closure of a switch list, over the width
 
 
 class SupportBody(namedtuple("SupportBody", ("width", "support_coeffs"))):
@@ -102,155 +86,6 @@ def curvature_coeffs(body: SupportBody) -> SpectralCoeffs:
     """Coefficients of the curvature radius R = p'' + p: degree k scales by 1 - k^2."""
     c = body.support_coeffs
     return c.with_values((1.0 - c.degrees() ** 2.0) * c.values)
-
-
-def switch_jumps(count: int, width: float) -> list[float]:
-    """The jumps of R at listed switch angles: +B, -B, +B, ..., count of them."""
-    return [width if j % 2 == 0 else -width for j in range(count)]
-
-
-def switch_window(switches, width: float, max_degree: int) -> tuple[list[float], list[float]]:
-    """Closed form of a bang-bang curvature deviation, from its switch angles.
-
-    The deviation R - B/2 is -B/2 on [0, theta_1) and jumps by J_j = +B, -B,
-    +B, ... at the switch angles 0 <= theta_1 < ... < theta_n < pi, n odd;
-    antipodal antisymmetry gives the jumps -J_j at theta_j + pi, so R takes
-    only the values 0 and B. Integrating by parts, its (cos, sin) coefficient
-    pair at odd degree k is (2 / (k sqrt(pi))) sum_j J_j (-sin k theta_j,
-    cos k theta_j), and zero at even k. Returns (values, closure) as lists:
-
-    - values: that window in the flat dim-2 layout up to max_degree, at odd
-      degrees 3..max_degree, exact zeros elsewhere;
-    - closure: sum_j J_j (sin theta_j, cos theta_j), which is sqrt(pi) / 2
-      times the degree-1 pair up to sign: zero exactly when the boundary closes.
-
-    math only, for any count and order of the angles, each sum taken in their
-    listed order; switch_checks gates both.
-    """
-    theta, width = [float(t) for t in switches], float(width)
-    jumps = switch_jumps(len(theta), width)
-    ks = range(3, max_degree + 1, 2)
-    sin_sums, cos_sums = [0.0] * len(ks), [0.0] * len(ks)
-    for t, jump in zip(theta, jumps):
-        kt = [k * t for k in ks]
-        sin_sums = [a + s * jump for a, s in zip(sin_sums, map(math.sin, kt))]
-        cos_sums = [a + c * jump for a, c in zip(cos_sums, map(math.cos, kt))]
-    scale = 2.0 / SQRT_PI
-    values = [0.0] * (2 * max_degree + 1)
-    for k, s, c in zip(ks, sin_sums, cos_sums):
-        values[2 * k - 1] = -scale * s / k
-        values[2 * k] = scale * c / k
-    sin_closure = cos_closure = 0.0
-    for t, jump in zip(theta, jumps):
-        sin_closure += jump * math.sin(t)
-        cos_closure += jump * math.cos(t)
-    return values, [sin_closure, cos_closure]
-
-
-def switch_checks(switches, width: float, curvature) -> list[CheckResult]:
-    """The exact gates of a bang-bang body with these switch angles, whose
-    curvature deviation R - B/2 a file holds as curvature, in the flat dim-2
-    layout up to its band limit. No tolerance goes beyond rounding:
-
-    - switches: an odd count of angles in [0, pi) (residual: faults found);
-    - closure: the closure of switch_window, to CLOSURE_RTOL * B;
-    - closed-form: curvature equals switch_window's window at the same band
-      limit to RESULT_RTOL of the window's largest value;
-    - convexity and curvature-bound: R read off the switches in their listed
-      order, from R = 0 on [0, theta_1) by jumps of +B, -B, ..., stays in
-      {0, B}; angles out of order push a piece to -B or 2B.
-
-    math only, at a cost of the switch count times the band limit in sin and
-    cos calls.
-    """
-    theta = [float(t) for t in switches]
-    n = len(theta)
-    window, closure = switch_window(theta, width, (len(curvature) - 1) // 2)
-    faults = (n % 2 == 0) + sum(not 0.0 <= t < math.pi for t in theta)
-    jumps, levels = switch_jumps(n, width), [0.0]
-    for j in sorted(range(n), key=theta.__getitem__):
-        levels.append(levels[-1] + jumps[j])
-    return [
-        CheckResult("switches", float(faults), 0.0),
-        CheckResult("closure", max(map(abs, closure)), CLOSURE_RTOL * width),
-        CheckResult("closed-form", max(abs(c - w) for c, w in zip(curvature, window)),
-                    RESULT_RTOL * max(map(abs, window))),
-        CheckResult("convexity", max(0.0, -min(levels)), 0.0),
-        CheckResult("curvature-bound", max(0.0, max(levels) - width), 0.0),
-    ]
-
-
-def switch_phi(switches, width: float) -> float:
-    """Band-free Green form of a switch list: phi = (4/pi) sum_ij J_i J_j
-    S(theta_i - theta_j), with the jumps J of switch_jumps and the kernel S(x)
-    = sum over odd k >= 3 of cos(k x) / (k^2 (1 - k^2)). The body of a closed
-    list has area pi B^2 / 4 + phi / 2.
-
-    On |x| <= pi, S(x) = pi^2/8 - (5/4) cos x - (1/2) x sin x - (pi/4)|x| +
-    (pi/4) sin|x|. The first three terms are smooth and separable, so their
-    double sums are products of totals over j of J_j {1, cos, sin, theta cos,
-    theta sin}(theta_j). The last two depend on |x|: over the angles in
-    increasing order they take each pair i > j once, doubled, through running
-    sums over j < i of J_j {1, theta_j, cos theta_j, sin theta_j}. The totals
-    and the per-angle terms are summed with fsum; math only, O(n) elementary
-    functions after one sort, and the area of a regular list is within n eps
-    B^2 of reuleaux.closed_area."""
-    theta = [float(t) for t in switches]
-    jumps = switch_jumps(len(theta), 1.0)
-    cos, sin = [math.cos(t) for t in theta], [math.sin(t) for t in theta]
-    c = math.fsum(j * x for j, x in zip(jumps, cos))
-    s = math.fsum(j * x for j, x in zip(jumps, sin))
-    tc = math.fsum(j * t * x for j, t, x in zip(jumps, theta, cos))
-    ts = math.fsum(j * t * x for j, t, x in zip(jumps, theta, sin))
-    # J_i sum_{j<i} J_j (theta_i - theta_j), and the same of sin(theta_i - theta_j)
-    lin, sines = [], []
-    a0 = at = ac = as_ = 0.0
-    for i in sorted(range(len(theta)), key=theta.__getitem__):
-        jump, t = jumps[i], theta[i]
-        lin.append(jump * (t * a0 - at))
-        sines.append(jump * (sin[i] * ac - cos[i] * as_))
-        a0, at, ac, as_ = a0 + jump, at + jump * t, ac + jump * cos[i], as_ + jump * sin[i]
-    smooth = 0.125 * math.pi**2 * sum(jumps) ** 2 - 1.25 * (c * c + s * s) - (ts * c - tc * s)
-    kink = 0.5 * math.pi * (math.fsum(sines) - math.fsum(lin))
-    return 4.0 / math.pi * width * width * (smooth + kink)
-
-
-def switch_system(switches, lam) -> tuple[list[float], list[list[float]]]:
-    """(residuals, Jacobian) of the switch polish's first-order system, in
-    units of B (jumps J_k = +-1, lam the closure's multipliers over B).
-
-    Residuals: pbar(theta_j) + lam[0] cos theta_j + lam[1] sin theta_j at
-    each switch, pbar(w) = -(2/pi) sum_k J_k S'(w - theta_k) the band-free
-    support, then the closure of switch_window; columns theta_1..theta_n,
-    lam[0], lam[1]. With u = 2|x| - pi, on |x| <= pi: S'(x) = sign(x) (3/4
-    sin|x| - u cos|x| / 4 - pi/4) and S''(x) = (cos|x| + u sin|x|) / 4, S
-    being switch_phi's kernel. Off the diagonal d pbar(theta_j) / d theta_k =
-    (2/pi) J_k S''(theta_j - theta_k); a rotation moves no pbar(theta_j), so
-    the diagonal is minus the rest of its row, plus the multipliers' term.
-    math only: one pass over the pairs, each row summed in listed order.
-    """
-    theta = [float(t) for t in switches]
-    lam0, lam1 = map(float, lam)
-    n = len(theta)
-    jumps = switch_jumps(n, 1.0)
-    cos, sin = [math.cos(t) for t in theta], [math.sin(t) for t in theta]
-    sums = [0.0] * n  # sum_k J_k S'(theta_j - theta_k)
-    jac = [[0.0] * (n + 2) for _ in range(n + 2)]
-    for j in range(n):
-        for k in range(j + 1, n):
-            x = theta[j] - theta[k]
-            a = abs(x)
-            c, s, u = math.cos(a), math.sin(a), 2.0 * a - math.pi
-            ds = math.copysign(1.0, x) * (0.75 * s - 0.25 * u * c - 0.25 * math.pi)
-            dds = 2.0 / math.pi * (0.25 * (c + u * s))
-            jac[j][k], jac[k][j] = jumps[k] * dds, jumps[j] * dds
-            sums[j], jac[j][j] = sums[j] + jumps[k] * ds, jac[j][j] - jac[j][k]  # row j
-            sums[k], jac[k][k] = sums[k] - jumps[j] * ds, jac[k][k] - jac[k][j]  # row k
-        jac[j][j] = jac[j][j] - lam0 * sin[j] + lam1 * cos[j]  # row j has all its pairs
-        jac[j][n:] = cos[j], sin[j]
-        jac[n][j], jac[n + 1][j] = jumps[j] * cos[j], -jumps[j] * sin[j]
-    resid = [-2.0 / math.pi * t + lam0 * c + lam1 * s for t, c, s in zip(sums, cos, sin)]
-    return resid + switch_window(theta, 1.0, 0)[1], jac
 
 
 def _eval2(coeffs: SpectralCoeffs, omega) -> np.ndarray | float:
@@ -384,7 +219,7 @@ def validate(body: SupportBody | ShapeFile, convexity_tol: float | None = None) 
     numpy.
 
     A file that lists switches, a result or a shape file (`orbiform reuleaux
-    --out`), adds switch_checks on its curvature window and is certified with
+    --out`), adds switches.switch_checks on its curvature window and is certified with
     math alone; convexity_tol is not used. A shape file's window is each
     support coefficient times 1 - k^2, so the rounding stays relative to the
     window: at 255 switches and degree 4096 closed-form reads 2.1e-14 of its
@@ -446,6 +281,8 @@ def validate(body: SupportBody | ShapeFile, convexity_tol: float | None = None) 
     if switches is not None:
         if window is None:  # the curvature form of a shape file's support
             window = [(1.0 - ((i + 1) // 2) ** 2) * c if i else 0.0 for i, c in enumerate(support)]
+        from .switches import switch_checks
+
         return ValidationReport(tuple(checks + switch_checks(switches, B, window)))
 
     import numpy as np

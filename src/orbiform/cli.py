@@ -19,7 +19,7 @@ trapezoid rule on 2L + 2 nodes for band limit L, which integrates p R exactly
 and so is the Parseval sum (1/2) sum (1 - k^2) c_k^2 of the support
 coefficients (body2d._area_parseval). Two gates exit 4: that area against the
 closed form at 2e-4 B^2, and the band-free area of the switch angles, pi B^2 /
-4 + phi / 2 (body2d.switch_phi), at n eps B^2 for n sides. Both areas print
+4 + phi / 2 (switches.switch_phi), at n eps B^2 for n sides. Both areas print
 as repr. Each step costs time linear in what it reads or writes: the support
 values, the Parseval sum and the shape file's text in the band limit (the sum
 and the writer skip the zeros, and shapeio writes the text without json), phi
@@ -219,7 +219,7 @@ def _finish(lines: list[str], files=(), code: int = EXIT_OK) -> int:
 
 
 def _cmd_reuleaux(args) -> int:
-    from . import body2d, reuleaux, shapeio
+    from . import body2d, reuleaux, shapeio, switches
 
     spec = reuleaux.ReuleauxSpec(args.sides, args.width)
     try:
@@ -240,7 +240,7 @@ def _cmd_reuleaux(args) -> int:
     # the band-free area of the switches, pi B^2 / 4 + phi / 2: phi sums O(n)
     # terms, each of which may carry a rounding error of B^2 eps (at most
     # 0.23 n eps B^2 measured, every odd n to 1365 at 29 widths)
-    switch_area = 0.25 * math.pi * B2 + 0.5 * body2d.switch_phi(spec.switches, args.width)
+    switch_area = 0.25 * math.pi * B2 + 0.5 * switches.switch_phi(spec.switches, args.width)
     if abs(quad - exact) > 2e-4 * B2:
         error = "quadrature area disagrees with the closed form"
     elif abs(switch_area - exact) > args.sides * sys.float_info.epsilon * B2:

@@ -5,7 +5,7 @@ sweeps the circle, between corner windows where the curvature radius vanishes
 and arc windows where it equals B. Each window spans pi/n; with the support
 maximum placed at angle 0 the switch angles (ReuleauxSpec.switches) sit at
 odd multiples of alpha = pi/(2n), so the polygon is the regular case of
-body2d's bang-bang bodies.
+the bang-bang bodies of orbiform.switches.
 
 The curvature radius is therefore an exact square wave taking {0, B}, whose
 Fourier series is known in closed form; the support coefficients follow by the
@@ -64,7 +64,7 @@ class ReuleauxSpec(namedtuple("ReuleauxSpec", ("sides", "width"))):
 
     @property
     def switches(self) -> tuple[float, ...]:
-        """(2j - 1) alpha for j = 1..sides, in body2d's switch convention."""
+        """(2j - 1) alpha for j = 1..sides, in the convention of orbiform.switches."""
         return tuple((2 * j - 1) * self.switch_angle for j in range(1, self.sides + 1))
 
 

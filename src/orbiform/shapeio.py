@@ -11,7 +11,7 @@ basis.
 For dim 2 the coefficients describe the support function of a body; for dim 3
 they describe a curvature-sum deviation candidate. A dim-2 shape file may also
 list "switches" (written before "coeffs"): the switch angles of a bang-bang
-body, as `orbiform reuleaux --out` writes them, in body2d.switch_window's
+body, as `orbiform reuleaux --out` writes them, in orbiform.switches'
 convention. body2d.validate then certifies the file in closed form.
 
 Result schema, what `orbiform optimize --out` writes (variational.result_to_json):
@@ -58,7 +58,7 @@ __all__ = [
 # table, 128 MiB at degree 255 and growing as L^3, held only while its grid lives
 MAX_DEGREE_2D, MAX_DEGREE_3D = 4096, 255
 # most switch angles a file may hold; validate's closed form of them costs
-# the count times the degree in math calls (body2d.switch_checks)
+# the count times the degree in math calls (switches.switch_checks)
 MAX_SWITCHES = 255
 RESULT_KEYS = ("dim", "width", "phi", "area", "iterations", "seed", "violation",
                "sign_consistency", "coeffs")

@@ -27,11 +27,12 @@ reports its projection work in its OptimizationResult.
 
 On a grid a switch of the bang-bang minimizer can sit only at a node, so in
 dim 2 the descent's answer approaches the truth only as N^-2.
-polish_switches takes the winning restart's switch angles off the grid: it
-solves the band-free first-order conditions of phi over the switch angles
-(body2d.switch_system), with the closure of the boundary as a constraint, by
-Newton's method (switching-time optimization in bang-bang control). The
-result then carries the exact body it certifies, OptimizationResult.polish.
+polish_switches reads the winning restart's switch angles off the grid and
+takes them off it with switches.polish: Newton's method on the band-free
+first-order conditions of phi over the angles, with the closure of the
+boundary as a constraint (switching-time optimization in bang-bang
+control). The result then carries the exact body it certifies,
+OptimizationResult.polish.
 """
 
 from __future__ import annotations
@@ -42,13 +43,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import body2d, shapeio
-from .body2d import (
-    CheckResult,
-    ValidationReport,
-    switch_system,
-    switch_window,
-)
+from . import shapeio, switches
+from .body2d import CheckResult, ValidationReport
 from .harmonic_core import (
     GridFn,
     SpectralCoeffs,
@@ -69,7 +65,6 @@ __all__ = [
     "BangBangReport",
     "NumericalFailure",
     "OptimizationResult",
-    "SwitchPolish",
     "admissibility_residuals",
     "box_bound",
     "project_admissible",
@@ -94,8 +89,6 @@ SINGULAR_RTOL = 1e-10  # |det| over Hadamard's bound below which a small solve i
 STEP_GROWTH_CAP = 2.0**10  # line-search eta never exceeds this multiple of eta0
 BANG_RTOL = 1e-9  # a node within this share of the box bound sits on the box face
 BANG_EPSILON = 1e-3  # bang_bang_report's threshold on both fields, per unit width
-POLISH_RTOL = 1e-14  # polish_switches stops here: residuals over B; rounding leaves ~1e-16
-POLISH_MAX_STEPS = 20  # Newton steps of polish_switches; 3 or 4 suffice from a grid minimizer
 ALIGN_RTOL = 1e-12  # canonical_align: support maxima this close, over max |pbar|, tie
 
 
@@ -456,73 +449,18 @@ def canonical_align(r: AdmissibleR) -> AdmissibleR:
     return AdmissibleR(r.width, r.grid, r.max_degree, rolled)
 
 
-@dataclass(frozen=True)
-class SwitchPolish:
-    """A dim-2 minimizer's switch angles solved off the grid, or why not.
-
-    declined is None when the solve converged. Then switches are the angles
-    in body2d.switch_window's convention (of the minimizer's body or of that
-    body turned by pi, whichever has R = 0 just after angle 0), coeffs their
-    closed-form window at the minimizer's band limit, phi its Green form and
-    area pi B^2 / 4 + phi / 2. closure and stationarity are the certificate,
-    both over B: the largest closure component, and max_j |pbar(theta_j) +
-    l(theta_j)| with l the degree-1 multiplier of the closure. Otherwise
-    declined says why, and the fields after steps are None: no declined
-    polish reports switches.
-    """
-
-    steps: int
-    declined: str | None = None
-    switches: tuple[float, ...] | None = None
-    coeffs: SpectralCoeffs | None = None
-    phi: float | None = None
-    area: float | None = None
-    closure: float | None = None
-    stationarity: float | None = None
-
-
-def _half_turn_list(theta: list[float]) -> tuple[list[float], bool]:
-    """(angles, turned): an end angle past 0 or pi replaced by its antipode
-    at the other end of the list.
-
-    Ordered angles a little outside [0, pi) arise when a fit moves an end
-    angle over the edge. The antipode carries the opposite jump, so in
-    switch_window's convention the new list is the body turned by pi (its
-    window negated); turned says whether that happened.
-    """
-    if theta[0] < 0.0:
-        return theta[1:] + [theta[0] + math.pi], True
-    if theta[-1] >= math.pi:
-        return [theta[-1] - math.pi] + theta[:-1], True
-    return theta, False
-
-
-def polish_switches(r: AdmissibleR) -> SwitchPolish:
+def polish_switches(r: AdmissibleR) -> switches.SwitchPolish:
     """Solve a dim-2 bang-bang minimizer's switch angles off the grid.
 
     The start is read off the sign changes of the samples over [0, pi], each
-    placed by linear interpolation between its two nodes; samples that are
-    positive at angle 0 are turned by pi first (an exact symmetry that keeps
-    the switch angles), so that R = 0 just after 0 as switch_window wants.
-    Every sample off the box faces (BANG_RTOL) must sit next to a switch.
-
-    Moving switch j moves phi by -4 J_j pbar(theta_j) (the L2 gradient of
-    phi is 2 pbar, and each switch has an antipodal twin). So a minimum of
-    phi over the angles with a closed boundary solves pbar(theta_j) +
-    l(theta_j) = 0 at every switch, l a degree-1 harmonic whose two
-    coefficients are the closure's multipliers, together with the closure.
-    These are band-free (switch_system): the band limit enters only the
-    window built after the solve. A rotation moves neither phi nor the
-    closure (rank n + 1), so one more equation holds the mean of the angles
-    at that of the reading, which spreads the reading error of each angle
-    (up to half a node) over all of them. Newton's method solves the n + 3
-    equations as a square system, the gauge in place of stationarity at
-    theta_1: sum_j J_j (pbar + l)(theta_j) is B lam . closure (S' is odd), so
-    that equation holds once the others do. It stops once all n + 3 residuals
-    over B are at most POLISH_RTOL. It declines, saying why, on an even switch
-    count, on samples that are not bang-bang, on a singular Newton system, at
-    POLISH_MAX_STEPS steps, or when the angles leave their order. Otherwise
-    the solve is the answer, even where the grid's window reads a lower phi,
+    placed by linear interpolation between its two nodes, so each angle is
+    off by up to half a node; samples that are positive at angle 0 are turned
+    by pi first (an exact symmetry that keeps the switch angles), so that R =
+    0 just after 0 as the switches module has it. Every sample off the box
+    faces (BANG_RTOL) must sit next to a switch. It declines, saying why, on
+    an even switch count or on samples that are not bang-bang; otherwise it
+    is switches.polish of the angles read, at the width and band limit of r.
+    The solve is the answer even where the grid's window reads a lower phi,
     as it can with nodes on the switches.
     """
     if r.dim != 2:
@@ -534,47 +472,16 @@ def polish_switches(r: AdmissibleR) -> SwitchPolish:
     change = np.flatnonzero(above[1:] != above[:-1])
     n = change.size
     if n % 2 == 0:
-        return SwitchPolish(0, f"an even count of switches ({n}) in [0, pi)")
+        return switches.SwitchPolish(0, f"an even count of switches ({n}) in [0, pi)")
     near = np.zeros(half.size, dtype=bool)
     near[change] = near[change + 1] = True
     near[0] = near[-1] = near[0] | near[-1]  # nodes 0 and N/2 are antipodes
     stray = int(np.sum((np.abs(half) < box_bound(2, B) * (1.0 - BANG_RTOL)) & ~near))
     if stray:
-        return SwitchPolish(0, f"not bang-bang: {stray} samples off the box faces away from a switch")
+        return switches.SwitchPolish(
+            0, f"not bang-bang: {stray} samples off the box faces away from a switch")
     read = (change + half[change] / (half[change] - half[change + 1])) * (TWO_PI / n_nodes)
-    theta, lam = read.copy(), np.zeros(2)
-    for steps in range(POLISH_MAX_STEPS + 1):
-        resid, jac = switch_system(theta, lam)
-        resid.append(theta.mean() - read.mean())
-        worst = float(np.abs(resid).max())
-        if worst <= POLISH_RTOL or not math.isfinite(worst) or steps == POLISH_MAX_STEPS:
-            break
-        jac[0] = [1.0 / n] * n + [0.0, 0.0]  # the gauge: the mean of the angles
-        try:
-            step = np.linalg.solve(jac, [resid[-1], *resid[1:-1]])
-        except np.linalg.LinAlgError:
-            return SwitchPolish(steps, f"a singular Newton system at step {steps}")
-        theta -= step[:n]
-        lam -= step[n:]
-    if not worst <= POLISH_RTOL:
-        return SwitchPolish(
-            steps, f"no convergence in {steps} Newton steps (largest residual {worst:.3e} of B)")
-    theta, turned = _half_turn_list(theta.tolist())
-    if turned:
-        resid = switch_system(theta, -lam)[0]
-    if not (theta[0] >= 0.0 and all(a < b for a, b in zip(theta, theta[1:])) and theta[-1] < math.pi):
-        return SwitchPolish(steps, "the switch angles left their order in [0, pi)")
-    window = switch_window(theta, B, L)[0]
-    phi_polished = body2d._green_form(window)  # as body2d.validate reads it back
-    return SwitchPolish(
-        steps,
-        switches=tuple(theta),
-        coeffs=SpectralCoeffs(2, L, np.array(window)),
-        phi=phi_polished,
-        area=0.25 * np.pi * B * B + 0.5 * phi_polished,
-        closure=max(map(abs, resid[n : n + 2])),
-        stationarity=max(map(abs, resid[:n])),
-    )
+    return switches.polish(read.tolist(), B, L)
 
 
 @dataclass(frozen=True)
@@ -605,7 +512,7 @@ class OptimizationResult:
         return phi(self.minimizer)
 
     @cached_property
-    def polish(self) -> SwitchPolish | None:
+    def polish(self) -> switches.SwitchPolish | None:
         """polish_switches of the minimizer in dim 2; None in dim 3."""
         return polish_switches(self.minimizer) if self.minimizer.dim == 2 else None
 
@@ -739,8 +646,8 @@ def result_to_json(result: OptimizationResult, timestamp: str | None = None) -> 
     }
     if exact:
         payload["switches"] = list(polish.switches)
-    window = polish.coeffs if exact else project_linear_H(r.coeffs)
-    payload["coeffs"] = shapeio.coeffs_to_entries(window)
+    payload["coeffs"] = (shapeio._entries(2, polish.window) if exact
+                         else shapeio.coeffs_to_entries(project_linear_H(r.coeffs)))
     if result.equivalence_warning:
         payload["equivalence_warning"] = True
     if timestamp is not None:

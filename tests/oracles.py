@@ -174,7 +174,7 @@ def switch_support(switches, width: float, omega):
     pbar(w + pi) = -pbar(w). S has no degree 1, so a list that does not close
     gives the support of its window's degrees >= 3, summed pair by pair with
     switch_kernel's S' in numpy: the reference for the support, and for the
-    residuals of body2d.switch_system, which the switch polish solves."""
+    residuals of switches.switch_system, which the switch polish solves."""
     theta = np.asarray(switches, dtype=float)
     jumps = width * (-1.0) ** np.arange(theta.size)
     om = np.mod(omega, 2.0 * np.pi)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbiform import body2d
+from orbiform import body2d, switches
 from orbiform.body2d import (
     SupportBody,
     area_quadrature,
@@ -19,8 +19,6 @@ from orbiform.body2d import (
     eval_support,
     perimeter,
     random_body,
-    switch_jumps,
-    switch_window,
     validate,
 )
 from orbiform.harmonic_core import (
@@ -35,6 +33,7 @@ from orbiform.harmonic_core import (
     zero_coeffs,
 )
 from orbiform.reuleaux import ReuleauxSpec, closed_area, support_values, to_body
+from orbiform.switches import switch_jumps, switch_window
 
 from oracles import (
     index2, reuleaux_deviation_coeffs, switch_kernel, switch_kernel_s, switch_phi,
@@ -237,7 +236,7 @@ def test_switch_window_green_form_is_the_kernel_sum(n, rng):
     got = quadratic_form_green(window)
     assert got == pytest.approx(switch_phi(theta, 1.3), rel=1e-12, abs=0.0)
     # the math sum in body2d against the numpy oracle
-    assert body2d.switch_phi(theta, 1.3) == pytest.approx(switch_phi(theta, 1.3), rel=1e-13, abs=0.0)
+    assert switches.switch_phi(theta, 1.3) == pytest.approx(switch_phi(theta, 1.3), rel=1e-13, abs=0.0)
 
 
 def test_switch_kernel_is_the_derivative_of_the_oracle_kernel(rng):
@@ -278,7 +277,7 @@ def test_switch_system_is_the_pairwise_numpy_oracle(n, rng):
     for _ in range(20):
         theta = np.sort(rng.uniform(0.0, np.pi, n))
         lam = rng.normal(0.0, 0.3, 2)
-        resid, jac = body2d.switch_system(theta, lam)
+        resid, jac = switches.switch_system(theta, lam)
         want = switch_support(theta, 1.0, theta) + lam[0] * np.cos(theta) + lam[1] * np.sin(theta)
         closure = [jumps @ np.sin(theta), jumps @ np.cos(theta)]
         assert np.allclose(resid, np.append(want, closure), rtol=0.0, atol=n * eps)
@@ -299,7 +298,7 @@ def test_switch_phi_of_the_regular_angles_is_the_closed_area(n):
     # term; n = 3, 5 and 7 read within 2 ulps of the area
     for width in WIDTHS:
         spec = ReuleauxSpec(n, width)
-        area = 0.25 * np.pi * width**2 + 0.5 * body2d.switch_phi(spec.switches, width)
+        area = 0.25 * np.pi * width**2 + 0.5 * switches.switch_phi(spec.switches, width)
         exact = closed_area(spec)
         assert abs(area - exact) <= n * np.finfo(float).eps * width**2
         if n < 9:
@@ -319,7 +318,7 @@ def test_switch_phi_forms_agree_on_random_lists(order, rng):
         width = float(rng.choice(WIDTHS))
         want = switch_phi(theta, width)
         tol = 8 * n * n * np.finfo(float).eps * width**2
-        assert abs(body2d.switch_phi(theta.tolist(), width) - want) <= tol
+        assert abs(switches.switch_phi(theta.tolist(), width) - want) <= tol
         assert abs(switch_phi_pairwise(theta, width) - want) <= tol
 
 

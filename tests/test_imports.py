@@ -110,12 +110,25 @@ def test_validate_of_an_optimize_file_with_switches_loads_no_numpy(tmp_path):
 
 
 def test_the_switch_polish_system_loads_no_numpy():
-    # the polish's residuals and Jacobian are math, so a certificate can reuse them
-    loaded = loaded_after("from orbiform import body2d\n"
-                          "resid, jac = body2d.switch_system([0.5, 1.5, 2.5], [0.1, -0.2])\n"
+    # switch space is math up to the polish's Newton step, so a certificate
+    # can reuse its window, checks, Green form, residuals and Jacobian
+    loaded = loaded_after("from orbiform import switches\n"
+                          "theta = [0.5, 1.5, 2.5]\n"
+                          "window, closure = switches.switch_window(theta, 1.0, 7)\n"
+                          "assert len(switches.switch_checks(theta, 1.0, window)) == 5\n"
+                          "assert switches.switch_phi(theta, 1.0) < 0.0\n"
+                          "resid, jac = switches.switch_system(theta, [0.1, -0.2])\n"
                           "assert len(resid) == 5 and len(jac) == 5")
-    assert "orbiform.body2d" in loaded
-    assert not {"numpy", "orbiform.harmonic_core"} & loaded
+    assert "orbiform.switches" in loaded
+    assert not {"numpy", "orbiform.harmonic_core", "orbiform.variational"} & loaded
+
+
+def test_the_switch_polish_imports_numpy_linalg_when_it_runs():
+    loaded = loaded_after("from orbiform import switches\n"
+                          "p = switches.polish([0.5, 1.5, 2.5], 1.0, 7)\n"
+                          "assert p.declined is None and len(p.switches) == 3")
+    assert "numpy.linalg" in loaded
+    assert not {"orbiform.harmonic_core", "orbiform.variational"} & loaded
 
 
 def test_validate_of_a_dim2_file_without_switches_samples_with_numpy(tmp_path):

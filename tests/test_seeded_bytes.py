@@ -2,7 +2,8 @@
 
 Runs through cli.main, in this process, the commands whose outputs refactors
 must leave byte-identical: optimize --out in dim 2 and dim 3 and validate on
-what it writes, table, and reuleaux --out --svg at seven (sides, modes) pairs
+what it writes, a one-restart dim-2 optimize whose winner polishes to five
+switches and validate on its file, table, and reuleaux --out --svg at seven (sides, modes) pairs
 and three widths, each followed by validate with and without
 --convexity-tol 0.12 * width. Each command's exit code and stdout, and every
 file it writes, are hashed and compared with seeded_digests.json.
@@ -38,6 +39,9 @@ def commands():
         yield ["optimize", "--dim", str(dim), "--grid", str(grid), "--modes", str(modes),
                "--restarts", str(restarts), "--seed", "7", "--out", out]
         yield ["validate", out]
+    yield ["optimize", "--grid", "16", "--modes", "7", "--restarts", "1", "--seed", "33",
+           "--out", "pentagon.json"]
+    yield ["validate", "pentagon.json"]
     yield ["table", "--max", "99"]
     for i, width in enumerate(WIDTHS):
         for sides, modes in REULEAUX:

@@ -3,6 +3,7 @@
 import gc
 import inspect
 import json
+import math
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
@@ -24,8 +25,8 @@ from orbiform.harmonic_core import (
     synthesize,
     zero_coeffs,
 )
-from orbiform import body2d, cli, harmonic_core, variational
-from orbiform.body2d import area_spectral, body_from_deviation, switch_window
+from orbiform import body2d, cli, harmonic_core, switches, variational
+from orbiform.body2d import area_spectral, body_from_deviation
 from orbiform.variational import (
     AdmissibleR,
     NumericalFailure,
@@ -43,6 +44,7 @@ from orbiform.variational import (
     support_deviation,
 )
 from orbiform.shapeio import ShapeFile, ShapeFormatError, loads_shape
+from orbiform.switches import polish, switch_window
 
 from oracles import (
     TRIANGLE_AREA, TRIANGLE_PHI, index2, json_text, reuleaux_curvature, square_wave_cos_coeff,
@@ -751,8 +753,8 @@ def test_polish_reaches_the_truncated_triangle(grid2_512):
     assert np.allclose(np.diff(p.switches), np.pi / 3, rtol=0.0, atol=1e-12)
     assert p.closure <= 1e-14 and p.stationarity <= 1e-14
     # the Green form validate reads back
-    assert p.phi == body2d._green_form(p.coeffs.values.tolist()) < res.phi_value
-    assert p.phi == quadratic_form_green(p.coeffs)
+    assert p.phi == body2d._green_form(p.window) < res.phi_value
+    assert p.phi == quadratic_form_green(SpectralCoeffs(2, 255, np.array(p.window)))
     # oriented by the mean of the angles read off the samples' sign changes
     x = res.minimizer.values[:257]
     assert x[0] < 0.0  # no turn by pi
@@ -802,7 +804,7 @@ def test_polish_declines_a_singular_newton_system(monkeypatch):
 def test_polish_declines_at_its_step_cap(monkeypatch):
     # one Newton step from the grid's reading leaves residuals above POLISH_RTOL
     res = best_restart(minimize_restarts(1.0, make_grid(2, 16), 7, seed=33, restarts=2))
-    monkeypatch.setattr(variational, "POLISH_MAX_STEPS", 1)
+    monkeypatch.setattr(switches, "POLISH_MAX_STEPS", 1)
     p = polish_switches(res.minimizer)
     assert p.declined.startswith("no convergence in 1 Newton steps (largest residual ")
     assert p.steps == 1 and p.switches is None
@@ -812,7 +814,7 @@ def test_polish_declines_a_state_that_is_not_bang_bang(grid240):
     half = AdmissibleR(1.0, grid240, 60, 0.5 * triangle_values(grid240))
     p = polish_switches(half)
     assert p.declined.startswith("not bang-bang")
-    assert p.switches is None and p.coeffs is None
+    assert p.switches is None and p.window is None
     res = best_restart(minimize_restarts(1.0, make_grid(2, 128), 32, seed=4, restarts=SMALL))
     other = replace(res, minimizer=half)
     assert other.polish.declined == p.declined
@@ -854,7 +856,7 @@ def test_polish_turns_a_state_positive_at_zero_by_pi():
         polished.append(p)
     # the turn by pi keeps the switch angles and the body
     assert polished[0].switches == polished[1].switches
-    assert np.array_equal(polished[0].coeffs.values, polished[1].coeffs.values)
+    assert polished[0].window == polished[1].window
 
 
 def test_polish_of_an_aliased_grid_minimum_is_the_truncated_triangle(grid240):
@@ -877,15 +879,15 @@ def test_polish_of_an_aliased_grid_minimum_is_the_truncated_triangle(grid240):
 def test_switch_residuals_jacobian_matches_finite_differences(rng):
     theta = np.sort(rng.uniform(0.0, np.pi, 5))
     lam = rng.normal(0.0, 0.1, 2)
-    resid, jac = body2d.switch_system(theta, lam)
+    resid, jac = switches.switch_system(theta, lam)
     h = 1e-6
     x = np.concatenate((theta, lam))
     for j in range(x.size):
         up, down = x.copy(), x.copy()
         up[j] += h
         down[j] -= h
-        r_up = np.array(body2d.switch_system(up[:5], up[5:])[0])
-        r_down = np.array(body2d.switch_system(down[:5], down[5:])[0])
+        r_up = np.array(switches.switch_system(up[:5], up[5:])[0])
+        r_down = np.array(switches.switch_system(down[:5], down[5:])[0])
         assert np.allclose(np.array(jac)[:, j], (r_up - r_down) / (2 * h), rtol=0.0, atol=1e-8)
     assert np.abs(resid[5:]).max() > 0.01
 
@@ -910,7 +912,7 @@ def test_validate_result_of_a_switch_file_at_the_reader_caps_stays_small():
 
 def test_half_turn_list_gives_the_point_reflection():
     for theta in ([-0.05, 1.0, 2.2], [0.4, 1.5, np.pi + 0.02], [0.1, 0.5, 1.2, 2.0, 3.0]):
-        listed, turned = variational._half_turn_list(theta)
+        listed, turned = switches._half_turn_list(theta)
         assert turned == (theta[0] < 0.0 or theta[-1] >= np.pi)
         assert 0.0 <= listed[0] and np.all(np.diff(listed) > 0.0) and listed[-1] < np.pi
         window, closure = switch_window(theta, 1.3, 31)
@@ -918,6 +920,49 @@ def test_half_turn_list_gives_the_point_reflection():
         sign = -1.0 if turned else 1.0
         assert np.allclose(again, sign * np.array(window), rtol=0.0, atol=1e-14)
         assert np.allclose(closure_again, sign * np.array(closure), rtol=0.0, atol=1e-14)
+
+
+def test_polish_declines_an_even_count_of_switches():
+    p = polish_switches(AdmissibleR(1.0, make_grid(2, 16), 7, np.zeros(16)))
+    assert p == (0, "an even count of switches (0) in [0, pi)", None, None, None, None, None, None)
+
+
+def test_polish_turns_an_end_angle_below_zero_by_pi():
+    # a triangle turned by -0.01 is stationary as read; its first angle is
+    # below 0, so the polish lists its antipode last and negates the window
+    shift = 0.01
+    read = [-shift, math.pi / 3 - shift, 2 * math.pi / 3 - shift]
+    turned = [math.pi / 3 - shift, 2 * math.pi / 3 - shift, math.pi - shift]
+    p, direct = polish(read, 1.0, 15), polish(turned, 1.0, 15)
+    assert p.steps == direct.steps == 0 and p.declined is None
+    assert p.switches == direct.switches == tuple(turned)
+    assert p.window == direct.window
+    assert np.allclose(p.window, -np.array(switch_window(read, 1.0, 15)[0]), rtol=0.0, atol=1e-15)
+    assert (p.closure, p.stationarity) == (direct.closure, direct.stationarity)
+    assert p.closure <= 1e-15 and p.stationarity <= 1e-15
+
+
+def test_polish_declines_angles_that_leave_their_order():
+    p = polish([-0.19393529009745206, 0.051184340343450985, 2.8270925729532945], 1.0, 15)
+    assert p.declined == "the switch angles left their order in [0, pi)"
+    assert p.steps == 8 and p.switches is None
+
+
+def test_every_restart_of_the_sweep_polishes_to_a_closed_stationary_body():
+    # 480 restarts: five grids, seeds 0-23, four restarts each, every one
+    # polished, not only the winners
+    counts, most_steps = {}, 0
+    for n_nodes, modes in ((16, 7), (24, 11), (64, 31), (128, 63), (512, 255)):
+        grid = make_grid(2, n_nodes)
+        for seed in range(24):
+            for res in minimize_restarts(1.0, grid, modes, seed, restarts=4):
+                p = polish_switches(res.minimizer)
+                assert p.declined is None, (n_nodes, seed, res.restart_index, p.declined)
+                assert p.closure <= switches.POLISH_RTOL and p.stationarity <= switches.POLISH_RTOL
+                counts[len(p.switches)] = counts.get(len(p.switches), 0) + 1
+                most_steps = max(most_steps, p.steps)
+    assert counts == {3: 476, 5: 4}
+    assert most_steps <= 5
 
 
 def test_polish_is_dim2_only(grid3_16):
