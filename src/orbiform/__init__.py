@@ -19,9 +19,9 @@ __version__ = "0.1.0"
 # submodule -> the names the package exports from it
 _EXPORTS = {
     "harmonic_core": (
-        "ClosednessError", "GridFn", "SpectralCoeffs", "SphereGrid", "analyze",
-        "apply_green", "apply_laplacian", "degree_one_residual", "green_multipliers",
-        "make_grid", "project_linear_H", "quadratic_form_green", "synthesize", "zero_coeffs",
+        "ClosednessError", "GridFn", "SpectralCoeffs", "SphereGrid", "analyze", "apply_green",
+        "apply_laplacian", "make_grid", "project_linear_H", "quadratic_form_green",
+        "synthesize", "zero_coeffs",
     ),
     "body2d": (
         "SupportBody", "ValidationReport", "area_quadrature", "area_spectral",

@@ -131,15 +131,27 @@ def _area_parseval(values: list[float]) -> float:
     return 0.5 * math.fsum((1 - ((i + 1) // 2) ** 2) * c * c for i, c in enumerate(values) if c)
 
 
+def green_denominator(dim: int, degree):
+    """(dim - 1) - l (l + dim - 2) at degree l, an int or an integer array: the
+    exact eigenvalue of Laplacian + (dim - 1) on S^(dim-1), the inverse of the
+    Green operator; 0 at degree 1, the translations, where no inverse exists."""
+    return (dim - 1) - degree * (degree + dim - 2)
+
+
+def area_from_phi(width: float, phi: float) -> float:
+    """The area pi B^2 / 4 + phi / 2 of a width-B body whose Green form is phi."""
+    return 0.25 * math.pi * width * width + 0.5 * phi
+
+
 def _green_form(values: list[float], dim: int = 2) -> float:
-    """Green form of flat values in dim 2 or 3, with math: c^2 / ((dim - 1) -
-    k (k + dim - 2)) per nonzero c at degree k != 1 ((i + 1) // 2 at index i
+    """Green form of flat values in dim 2 or 3, with math: c^2 over
+    green_denominator per nonzero c at degree k != 1 ((i + 1) // 2 at index i
     in dim 2, isqrt(i) in dim 3), all in one fsum, which rounds the exact sum
     once: the same double in any order of the terms, on any CPU. Where that
     overflows, or its terms overflow to both inf and -inf, it is inf."""
     degree = (lambda i: (i + 1) // 2) if dim == 2 else math.isqrt
     try:
-        return math.fsum(c * c / ((dim - 1) - k * (k + dim - 2)) for i, c in enumerate(values)
+        return math.fsum(c * c / green_denominator(dim, k) for i, c in enumerate(values)
                          if c and (k := degree(i)) != 1)
     except (OverflowError, ValueError):
         return math.inf
@@ -208,9 +220,9 @@ def validate(body: SupportBody | ShapeFile, convexity_tol: float | None = None) 
     curvature window, gated on its flat values in either dim: odd-degrees and
     translation-orthogonality (no even-degree or degree-1 entry, at the
     degrees _green_form reads), and phi (its _green_form; inf where that
-    overflows) to relative RESULT_RTOL. In dim 2 area (pi B^2 / 4 + phi / 2)
-    follows to the same tolerance, and constant-width of the support it
-    implies: degree 0 plus B/2 / MEAN_BASIS, degree k >= 2 times 1 / (1 - k^2).
+    overflows) to relative RESULT_RTOL. In dim 2 area (area_from_phi) follows
+    to the same tolerance, and constant-width of the support it implies:
+    degree 0 plus B/2 / MEAN_BASIS, degree k >= 2 times 1 / (1 - k^2).
     In dim 3 the window truncates a grid state, whose samples overshoot the
     box wherever the state switches, by an amount that depends on where the
     samples fall: the box-bound of variational.deviation_report is printed as
@@ -270,7 +282,7 @@ def validate(body: SupportBody | ShapeFile, convexity_tol: float | None = None) 
 
             return ValidationReport(tuple(checks),
                                     info=(deviation_report(B, body.coeffs).check("box-bound"),))
-        area = 0.25 * math.pi * B * B + 0.5 * body.phi
+        area = area_from_phi(B, body.phi)
         checks.append(CheckResult("area", abs(body.area - area), RESULT_RTOL * abs(area)))
         support = [c * (1.0 / (1 - ((i + 1) // 2) ** 2)) if i > 2 else 0.0 for i, c in enumerate(v)]
         support[0] = v[0] + 0.5 * B / MEAN_BASIS

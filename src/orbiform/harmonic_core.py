@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .body2d import SQRT_PI, _green_form
+from .body2d import SQRT_PI, _green_form, green_denominator
 
 __all__ = [
     "GridFn",
@@ -41,11 +41,9 @@ __all__ = [
     "analyze",
     "synthesize",
     "apply_laplacian",
-    "green_multipliers",
     "apply_green",
     "quadratic_form_green",
     "project_linear_H",
-    "degree_one_residual",
     "translation_residual",
     "require_translation_free",
 ]
@@ -97,10 +95,6 @@ class SphereGrid:
     @property
     def size(self) -> int:
         return self.weights.size
-
-    @property
-    def total_measure(self) -> float:
-        return TWO_PI if self.dim == 2 else SPHERE_AREA
 
     def inner(self, f: GridFn, g: GridFn) -> float:
         """Quadrature L2 inner product of two grid functions."""
@@ -342,40 +336,16 @@ def apply_laplacian(coeffs: SpectralCoeffs) -> SpectralCoeffs:
     return coeffs.with_values(-lam * coeffs.values)
 
 
-def green_multipliers(dim: int, max_degree: int) -> np.ndarray:
-    """Diagonal multipliers of the reduced resolvent, indexed by degree.
-
-    g_l = 1 / ((dim-1) - l*(l+dim-2)) for l != 1. Degree 1 carries 0: dim-1
-    is exactly the degree-1 eigenvalue, and the reduced resolvent vanishes on
-    that eigenspace.
-    """
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    ell = np.arange(max_degree + 1, dtype=float)
-    denom = (dim - 1) - ell * (ell + dim - 2)
-    denom[ell == 1] = np.inf
-    return 1.0 / denom
-
-
-def degree_one_residual(coeffs: SpectralCoeffs) -> float:
-    """Largest |degree-1 coefficient|, or 0.0 when the band limit is 0.
-
-    The degree-1 harmonics are the translations.
-    """
-    block = coeffs.values[coeffs.degree_slice(1)]
-    return float(np.abs(block).max()) if block.size else 0.0
-
-
 def translation_residual(coeffs: SpectralCoeffs) -> tuple[float, float]:
-    """(degree_one_residual, DEGREE_ONE_RTOL * norm): the expansion counts as
-    translation-free when the first does not exceed the second."""
+    """(largest |degree-1 coefficient|, 0.0 at band limit 0; DEGREE_ONE_RTOL *
+    norm): the expansion is free of the degree-1 harmonics, the translations,
+    when the first does not exceed the second."""
+    block = coeffs.values[coeffs.degree_slice(1)]
     tol = DEGREE_ONE_RTOL * max(coeffs.norm(), TINY)
     if tol == math.inf:  # the norm overflows: (RTOL top) |c / top|, top the largest |c|
         top = float(np.abs(coeffs.values).max())
         tol = DEGREE_ONE_RTOL * top * coeffs.with_values(coeffs.values / top).norm()
-    return degree_one_residual(coeffs), tol
+    return (float(np.abs(block).max()) if block.size else 0.0), tol
 
 
 def require_translation_free(coeffs: SpectralCoeffs, what: str) -> None:
@@ -399,12 +369,13 @@ def apply_green(coeffs: SpectralCoeffs) -> SpectralCoeffs:
     at degree 1.
     """
     require_translation_free(coeffs, "resolvent input")
-    mult = green_multipliers(coeffs.dim, coeffs.max_degree)[coeffs.degrees()]
+    ell = coeffs.degrees()
+    mult = 1.0 / np.where(ell == 1, np.inf, green_denominator(coeffs.dim, ell))  # 0 at degree 1
     return coeffs.with_values(coeffs.values * mult)
 
 
 def quadratic_form_green(coeffs: SpectralCoeffs) -> float:
-    """<G f, f> = sum over degrees l != 1 of coeff^2 / ((dim-1) - l*(l+dim-2)),
+    """<G f, f> = sum over degrees l != 1 of coeff^2 / body2d.green_denominator,
     degree 1 ignored: body2d._green_form of the values, one fsum, inf where it overflows."""
     return _green_form(coeffs.values.tolist(), coeffs.dim)
 

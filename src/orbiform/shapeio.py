@@ -46,7 +46,6 @@ if TYPE_CHECKING:
 __all__ = [
     "ShapeFile",
     "ShapeFormatError",
-    "coeffs_to_entries",
     "entries_to_coeffs",
     "dumps_shape",
     "loads_shape",
@@ -98,15 +97,10 @@ def _index(dim: int, degree: int, key) -> int:
     return 0 if degree == 0 else 2 * degree - 1 + (key == "sin")
 
 
-def coeffs_to_entries(coeffs: SpectralCoeffs) -> list[dict]:
-    """The nonzero coefficients as file entries, in the flat layout's order."""
-    return _entries(coeffs.dim, coeffs.values.tolist())
-
-
 def _entries(dim: int, values: list[float]) -> list[dict]:
-    """coeffs_to_entries of values in the flat layout of dim 2 or 3: index i
-    holds degree (i + 1) // 2, cos at odd i and sin at even i > 0, in dim 2,
-    and degree l = isqrt(i), order i - l^2 - l, in dim 3."""
+    """The nonzero values of the flat layout of dim 2 or 3 as file entries, in
+    order: index i holds degree (i + 1) // 2, cos at odd i and sin at even
+    i > 0, in dim 2, and degree l = isqrt(i), order i - l^2 - l, in dim 3."""
     if dim == 2:
         return [{"degree": (i + 1) // 2, "part": "sin" if i and i % 2 == 0 else "cos", "value": v}
                 for i, v in enumerate(values) if v != 0.0]

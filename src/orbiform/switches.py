@@ -17,7 +17,7 @@ from functools import reduce
 from operator import add
 from typing import NamedTuple
 
-from .body2d import RESULT_RTOL, SQRT_PI, CheckResult, _green_form
+from .body2d import RESULT_RTOL, SQRT_PI, CheckResult, _green_form, area_from_phi
 
 __all__ = ["SwitchPolish", "switch_jumps", "switch_window", "switch_checks", "switch_phi",
            "switch_system", "polish"]
@@ -264,7 +264,7 @@ def polish(read: list[float], width: float, max_degree: int) -> SwitchPolish:
         switches=tuple(theta),
         window=window,
         phi=phi,
-        area=0.25 * math.pi * width * width + 0.5 * phi,
+        area=area_from_phi(width, phi),
         closure=max(map(abs, resid[n : n + 2])),
         stationarity=max(map(abs, resid[:n])),
     )

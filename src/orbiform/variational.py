@@ -44,12 +44,13 @@ from functools import cached_property
 import numpy as np
 
 from . import shapeio, switches
-from .body2d import CheckResult, ValidationReport
+from .body2d import CheckResult, ValidationReport, area_from_phi, green_denominator
 from .harmonic_core import (
     GridFn,
     SpectralCoeffs,
     SPHERE_AREA,
     SphereGrid,
+    TINY,
     TWO_PI,
     analyze,
     coeff_degrees,
@@ -181,8 +182,7 @@ class _Workspace:
         self.max_degree = max_degree
         degs = coeff_degrees(grid.dim, max_degree)
         self.window = (degs % 2 == 1) & (degs >= 3)
-        ell = degs[self.window]
-        self.denom = (grid.dim - 1.0) - ell * (ell + grid.dim - 2.0)  # of body2d._green_form
+        self.denom = green_denominator(grid.dim, degs[self.window]).astype(float)
         self.green = 1.0 / self.denom
         # the projection works on odd vectors: one node per antipodal pair,
         # the one with the smaller index, carrying the weight of both; in
@@ -310,7 +310,7 @@ def _project_exact(
     u = 0.5 * (values[:h] - values[ws.pair])
     u = u - B1 @ (B1_w.T @ u)  # exact when nothing clips
     gtol = PROJECTION_RTOL * bound / ws.basis_1_sup
-    dual_scale = bound * math.sqrt(ws.grid.total_measure)  # bounds |B1_w^T x|
+    dual_scale = bound * math.sqrt(TWO_PI if ws.grid.dim == 2 else SPHERE_AREA)  # bounds |B1_w^T x|
     x = np.minimum(np.maximum(u, -bound), bound)
     g = B1_w.T @ x
     line_searches = 0
@@ -518,10 +518,9 @@ class OptimizationResult:
 
     @cached_property
     def area(self) -> float | None:
-        """Area of the dim-2 body the minimizer generates, pi B^2 / 4 +
-        phi_value / 2 as the polish and body2d.validate take it; None in dim 3."""
+        """The dim-2 body's area_from_phi of phi_value, as validate takes it; None in dim 3."""
         B = self.minimizer.width
-        return 0.25 * np.pi * B * B + 0.5 * self.phi_value if self.minimizer.dim == 2 else None
+        return area_from_phi(B, self.phi_value) if self.minimizer.dim == 2 else None
 
     @cached_property
     def bang_bang(self) -> BangBangReport:
@@ -577,7 +576,7 @@ def _descend(ws: _Workspace, width: float, seed: int, restart_index: int) -> Opt
         c_new = analyze(ws.grid, candidate, ws.max_degree).values[ws.window]
         phi_new = ws.phi_of(c_new)
         decrease = phi_cur - phi_new
-        scale = max(abs(phi_cur), np.finfo(float).tiny)
+        scale = max(abs(phi_cur), TINY)
         if decrease > 0:
             x, c, phi_cur = candidate, c_new, phi_new
         if abs(decrease) <= DESCENT_RTOL * scale:
@@ -646,8 +645,8 @@ def result_to_json(result: OptimizationResult, timestamp: str | None = None) -> 
     }
     if exact:
         payload["switches"] = list(polish.switches)
-    payload["coeffs"] = (shapeio._entries(2, polish.window) if exact
-                         else shapeio.coeffs_to_entries(project_linear_H(r.coeffs)))
+    payload["coeffs"] = shapeio._entries(
+        r.dim, polish.window if exact else project_linear_H(r.coeffs).values.tolist())
     if result.equivalence_warning:
         payload["equivalence_warning"] = True
     if timestamp is not None:

@@ -136,6 +136,11 @@ def test_area_scale_covariance(scale):
     assert area_spectral(b2) == pytest.approx(scale * scale * area_spectral(b1), rel=1e-12)
 
 
+def test_body_from_deviation_refuses_dim3():
+    with pytest.raises(ValueError, match="deviation must be dim-2"):
+        body_from_deviation(1.0, zero_coeffs(3, 2))
+
+
 # ---------------------------------------------------------------- validate
 
 
@@ -145,6 +150,11 @@ def test_validate_disk_passes():
     names = {c.name for c in report.checks}
     assert {"constant-width", "convexity", "curvature-bound"} <= names
     assert "PASS" in report.summary()
+
+
+def test_report_check_of_an_unknown_name_raises_key_error():
+    with pytest.raises(KeyError, match="no-such-check"):
+        validate(disk(1.0)).check("no-such-check")
 
 
 def test_validate_flags_even_harmonic():

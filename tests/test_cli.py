@@ -768,7 +768,8 @@ def dim3_file(tmp_path, case):
 def test_validate_dim3_agrees_with_admissible_r(case, tmp_path, capsys):
     path = dim3_file(tmp_path, case)
     rc = cli.main(["validate", path])
-    f = loads_shape(open(path).read())
+    with open(path) as fh:
+        f = loads_shape(fh.read())
     width, coeffs = f.width, f.coeffs
     grid = make_grid(3, max(16, 2 * coeffs.max_degree + 2))
     values = synthesize(coeffs, grid)

@@ -15,8 +15,6 @@ from orbiform.harmonic_core import (
     apply_green,
     apply_laplacian,
     coeff_degrees,
-    degree_one_residual,
-    green_multipliers,
     make_grid,
     num_coeffs,
     project_linear_H,
@@ -245,14 +243,20 @@ def test_laplacian_eigenfunctions(dim):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_green_multiplier_table(dim):
-    g = green_multipliers(dim, 8)
-    assert g.shape == (9,)
+    # apply_green of ones (degree 1 left out) is its multiplier at every index
+    c = np.ones(num_coeffs(dim, 8))
+    c[zero_coeffs(dim, 8).degree_slice(1)] = 0.0
+    g = apply_green(SpectralCoeffs(dim, 8, c)).values
+    ell = coeff_degrees(dim, 8)
     assert g[0] == pytest.approx(1.0 / (dim - 1))
-    assert g[1] == 0.0  # the reduced resolvent vanishes on the degree-1 eigenspace
-    for ell in range(2, 9):
-        expect = 1.0 / ((dim - 1) - ell * (ell + dim - 2))
-        assert g[ell] == pytest.approx(expect)
-        assert g[ell] < 0
+    assert np.all(g[ell == 1] == 0.0)  # the reduced resolvent vanishes on the degree-1 eigenspace
+    for k in range(2, 9):
+        expect = 1.0 / ((dim - 1) - k * (k + dim - 2))
+        assert np.all(g[ell == k] == expect)
+        assert 1.0 / body2d.green_denominator(dim, k) == expect < 0
+    assert body2d.green_denominator(dim, 1) == 0
+    assert body2d.green_denominator(dim, ell).tolist() == [
+        (dim - 1) - k * (k + dim - 2) for k in ell.tolist()]
 
 
 @pytest.mark.parametrize("dim,L", [(2, 12), (3, 8)])
@@ -282,12 +286,29 @@ def test_green_rejects_degree_one_input():
         apply_green(SpectralCoeffs(2, 4, c))
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: SpectralCoeffs(4, 2, np.zeros(5)), "dim must be 2 or 3, got 4"),
+        (lambda: SpectralCoeffs(2, -1, np.zeros(1)), "max_degree must be >= 0"),
+        (lambda: SpectralCoeffs(2, 2, np.zeros(4)), r"shape \(4,\), expected \(5,\)"),
+        (lambda: SpectralCoeffs(2, 1, [0.0, math.nan, 0.0]), "coefficients must be finite"),
+        (lambda: analyze(make_grid(2, 16), np.zeros(15), 3), r"shape \(15,\), expected \(16,\)"),
+        (lambda: synthesize(zero_coeffs(3, 2), make_grid(2, 16)), "coeffs dim 3, grid dim 2"),
+    ],
+    ids=["dim-4", "max-degree--1", "coeffs-shape", "coeffs-nan", "analyze-shape", "synthesize-dims"],
+)
+def test_spectral_inputs_are_refused(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_degree_one_residual_is_largest_translation_coefficient():
     c = zero_coeffs(3, 4).values.copy()
     c[index3(1, -1)], c[index3(1, 1)], c[index3(3, 0)] = 0.25, -0.5, 7.0
-    assert degree_one_residual(SpectralCoeffs(3, 4, c)) == 0.5
-    assert degree_one_residual(SpectralCoeffs(2, 0, np.array([3.0]))) == 0.0
-    assert degree_one_residual(zero_coeffs(2, 5)) == 0.0
+    assert translation_residual(SpectralCoeffs(3, 4, c))[0] == 0.5
+    assert translation_residual(SpectralCoeffs(2, 0, np.array([3.0])))[0] == 0.0
+    assert translation_residual(zero_coeffs(2, 5))[0] == 0.0
 
 
 @pytest.mark.parametrize(
@@ -348,7 +369,7 @@ def test_quadratic_form_green_is_one_fsum_of_the_multiplier_terms(dim, L, rng):
         denom = ((dim - 1) - ell * (ell + dim - 2)).tolist()  # 0 at degree 1 only
         terms = [x * x / d for x, d in zip(c.values.tolist(), denom) if d]
         assert got == math.fsum(terms[::-1]) == math.fsum(sorted(terms))
-        g = green_multipliers(dim, L)[ell]
+        g = np.array([1.0 / d if d else 0.0 for d in denom])
         assert got == pytest.approx(float(np.dot(g * c.values, c.values)), rel=1e-13, abs=0.0)
 
 

@@ -3,7 +3,9 @@
 Each case runs in a fresh interpreter, because this one has numpy loaded.
 """
 
+import ast
 import importlib
+import os
 import pkgutil
 
 import pytest
@@ -155,6 +157,38 @@ def test_all_lists_names_the_module_has_and_the_package_exports(module):
     mod = importlib.import_module(f"orbiform.{module}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
     assert set(orbiform._EXPORTS.get(module, ())) - set(mod.__all__) == set()
+
+
+def perfbench_span_names() -> set[str]:
+    """Every "module.name" span that perfbench/run.py reads: SOLVE_SPANS,
+    WRITE_SPANS and the first argument of each named(...) call."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "run.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id in ("SOLVE_SPANS", "WRITE_SPANS")
+                for t in node.targets):
+            names.update(ast.literal_eval(node.value))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "named" and node.args):
+            names.add(ast.literal_eval(node.args[0]))
+    return names
+
+
+def test_every_span_the_benchmark_reads_is_in_its_module_all():
+    # the traced worker wraps only the names of each module's __all__, so a
+    # span whose function left __all__ (or its module) would read as 0 s
+    spans = perfbench_span_names()
+    assert {"variational.minimize_restarts", "shapeio.loads_shape", "body2d.validate"} <= spans
+    missing = []
+    for span in sorted(spans):
+        module, name = span.split(".")
+        if name not in importlib.import_module(f"orbiform.{module}").__all__:
+            missing.append(span)
+    assert missing == []
 
 
 def test_unknown_name_raises_attribute_error():

@@ -13,7 +13,6 @@ from orbiform.harmonic_core import SpectralCoeffs, num_coeffs, zero_coeffs
 from orbiform.shapeio import (
     ShapeFile,
     ShapeFormatError,
-    coeffs_to_entries,
     dumps_shape,
     entries_to_coeffs,
     loads_shape,
@@ -46,8 +45,8 @@ def test_roundtrip_dim3():
 
 
 def test_entries_skip_zeros():
-    entries = coeffs_to_entries(zero_coeffs(2, 8))
-    assert entries == []
+    assert shapeio._entries(2, zero_coeffs(2, 8).values.tolist()) == []
+    assert shapeio._entries(3, [0.0] * num_coeffs(3, 4)) == []
 
 
 LAYOUT = {2: [(k, part) for k in range(65) for part in ("cos", "sin") if k or part == "cos"],
@@ -75,11 +74,11 @@ def test_entries_invert_index(dim):
 def test_entry_schema_keys():
     c = zero_coeffs(2, 3).values.copy()
     c[index2(3, "sin")] = 1.0
-    e = coeffs_to_entries(SpectralCoeffs(2, 3, c))
+    e = shapeio._entries(2, c.tolist())
     assert e == [{"degree": 3, "part": "sin", "value": 1.0}]
     c3 = zero_coeffs(3, 2).values.copy()
     c3[index3(2, -1)] = 1.0
-    e3 = coeffs_to_entries(SpectralCoeffs(3, 2, c3))
+    e3 = shapeio._entries(3, c3.tolist())
     assert e3 == [{"degree": 2, "order": -1, "value": 1.0}]
 
 
@@ -99,6 +98,11 @@ def test_entry_schema_keys():
         '{"dim": 2, "width": 1.0, "coeffs": [{"degree": 1, "part": "cos", "value": "x"}]}',
         '{"dim": 3, "width": 1.0, "coeffs": [{"degree": 1, "order": 2, "value": 0.5}]}',
         '{"dim": 3, "width": 1.0, "coeffs": [{"degree": 1, "part": "cos", "value": 0.5}]}',
+        "[]",  # the top level is not an object
+        "3",
+        "null",
+        '{"dim": 2, "width": 1.0, "coeffs": {}}',  # coeffs is not a list
+        '{"dim": 2, "width": 1.0, "coeffs": [1]}',  # an entry is not an object
     ],
 )
 def test_malformed_inputs_rejected(text):

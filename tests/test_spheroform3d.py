@@ -71,6 +71,23 @@ def test_blaschke_volume_linear_in_surface():
     assert v2 - v1 == pytest.approx(0.5, rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "surface, width, match",
+    [(1.0, 0.0, "width"), (1.0, np.inf, "width"), (-1.0, 1.0, "surface_area"),
+     (np.nan, 1.0, "surface_area")],
+)
+def test_blaschke_volume_refuses_bad_inputs(surface, width, match):
+    with pytest.raises(ValueError, match=match):
+        blaschke_volume(surface, width)
+
+
+def test_width_residual_refuses_a_dim2_grid_or_a_wrong_shape(grid3_16, grid2_64):
+    with pytest.raises(ValueError, match="dim-3 grid"):
+        width_residual(np.zeros(grid2_64.size), grid2_64, 1.0)
+    with pytest.raises(ValueError, match="shape does not match"):
+        width_residual(np.zeros(grid3_16.size - 1), grid3_16, 1.0)
+
+
 def test_width_residual_zero_for_odd_harmonics(grid3_16, rng):
     base = synthesize(ball_curvature_sum(1.0), grid3_16)
     c = zero_coeffs(3, 5).values.copy()

@@ -115,6 +115,21 @@ def test_admissible_rejects_a_band_below_the_window(grid240, max_degree):
         minimize_restarts(1.0, grid240, max_degree, seed=0, restarts=1)
 
 
+@pytest.mark.parametrize(
+    "width, size, match",
+    [(0.0, 240, "width must be finite and > 0"), (1.0, 239, "values shape does not match")],
+    ids=["width-0", "shape"],
+)
+def test_admissible_rejects_a_bad_width_or_shape(grid240, width, size, match):
+    with pytest.raises(ValueError, match=match):
+        AdmissibleR(width, grid240, 7, np.zeros(size))
+
+
+def test_minimize_refuses_zero_restarts(grid240):
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        minimize_restarts(1.0, grid240, 7, seed=0, restarts=0)
+
+
 def test_admissible_r_analyzes_its_own_values(grid240):
     # coeffs is not an input, so it cannot disagree with the values
     vals = triangle_values(grid240)
@@ -463,6 +478,13 @@ def test_bang_bang_report_flags_interior_mass(grid240):
     r = AdmissibleR(1.0, grid240, 60, 0.5 * triangle_values(grid240))
     rep = bang_bang_report(r)
     assert rep.violation > 0.5
+
+
+def test_canonical_align_refuses_dim3_and_keeps_a_zero_deviation(grid240, grid3_16):
+    with pytest.raises(ValueError, match="dim 2 only"):
+        canonical_align(AdmissibleR(1.0, grid3_16, 3, np.zeros(grid3_16.size)))
+    zero = AdmissibleR(1.0, grid240, 7, np.zeros(grid240.size))
+    assert canonical_align(zero) is zero
 
 
 def test_canonical_align_idempotent_and_rotation_invariant():
