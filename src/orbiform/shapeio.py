@@ -302,8 +302,8 @@ def loads_shape(text: str) -> ShapeFile:
     if not result:
         return shape
     for key in ("iterations", "seed"):
-        if isinstance(data[key], bool) or not isinstance(data[key], int):
-            _fail(f"{key} must be an integer, got {data[key]!r}")
+        if isinstance(data[key], bool) or not isinstance(data[key], int) or data[key] < 0:
+            _fail(f"{key} must be an integer >= 0, got {data[key]!r}")
     for key in ("violation", "sign_consistency"):
         if not 0.0 <= _check_value(data[key], key) <= 1.0:
             _fail(f"{key} must be a fraction in [0, 1], got {data[key]!r}")

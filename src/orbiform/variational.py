@@ -38,12 +38,14 @@ OptimizationResult.polish.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import permutations, product
 
 import numpy as np
 
-from . import shapeio, switches
+from . import shapeio
 from .body2d import CheckResult, ValidationReport, area_from_phi, green_denominator
 from .harmonic_core import (
     GridFn,
@@ -465,6 +467,7 @@ def polish_switches(r: AdmissibleR) -> switches.SwitchPolish:
     """
     if r.dim != 2:
         raise ValueError("polish_switches is defined for dim 2 only")
+    from . import switches
     B, L, n_nodes = r.width, r.max_degree, r.grid.size
     x = r.values if r.values[0] <= 0.0 else -r.values
     half = x[: n_nodes // 2 + 1]
@@ -533,19 +536,46 @@ class OptimizationResult:
         return self.minimizer.dim == 3
 
 
-def _initial_values(ws: _Workspace, width: float, rng: np.random.Generator) -> GridFn:
-    """Uniform random coefficients on odd degrees 3..15, synthesized."""
-    sub_degs = coeff_degrees(ws.grid.dim, ws.max_degree)[ws.window]
-    cap = min(15, ws.max_degree)
-    c = np.zeros(sub_degs.size)
-    active = sub_degs <= cap
-    c[active] = rng.uniform(-0.5 * width, 0.5 * width, size=int(np.sum(active)))
-    return ws.from_subspace(c)
+def _start_draws(seed: int, restart_index: int, width: float, n: int) -> list[float]:
+    """np.random.default_rng([seed, restart_index]).uniform(-width/2, width/2, n)
+    bit for bit in integers, as numpy's Generator streams are not frozen (NEP 19):
+    SeedSequence's pool of 4 words seeds PCG64 (O'Neill 2014). A negative
+    integer raises ValueError and a non-integer TypeError, as in numpy."""
+    words = [k >> s & 0xFFFFFFFF for k in map(operator.index, (seed, restart_index))
+             for s in range(0, max(k.bit_length(), 1), 32)]  # each low word first
+    if min(seed, restart_index) < 0:
+        raise ValueError(f"seed and restart index must be >= 0, got {seed}, {restart_index}")
+    const = [0x43B0D7E5]
+
+    def hashmix(value: int, mult: int = 0x931E8875) -> int:
+        value ^= const[0]
+        const[0] = const[0] * mult & 0xFFFFFFFF
+        value = value * const[0] & 0xFFFFFFFF
+        return value ^ value >> 16
+
+    # mix every pool word into every other, then each word past the pool into all four
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)] + words[4:]
+    for src, dst in [*permutations(range(4), 2), *product(range(4, len(pool)), range(4))]:
+        mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashmix(pool[src])) & 0xFFFFFFFF
+        pool[dst] = mixed ^ mixed >> 16
+    const[0] = 0x8B51F9DD  # generate_state(4, np.uint64)
+    s = [hashmix(pool[i % 4], 0x58F38DED) for i in range(8)]
+    u = [s[i] | s[i + 1] << 32 for i in (0, 2, 4, 6)]  # little-endian pairs of words
+    mult, mask = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+    inc = (u[2] << 65 | u[3] << 1 | 1) & mask  # pcg_setseq_128_srandom_r
+    state = ((inc + (u[0] << 64 | u[1])) * mult + inc) & mask
+    low, draws = -0.5 * width, []
+    for _ in range(n):
+        state = (state * mult + inc) & mask
+        x, rot = (state >> 64 ^ state) & 0xFFFFFFFFFFFFFFFF, state >> 122  # XSL-RR output
+        x = (x >> rot | x << 64 - rot) & 0xFFFFFFFFFFFFFFFF
+        draws.append(low + (0.5 * width - low) * ((x >> 11) * 2.0**-53))
+    return draws
 
 
 def _descend(ws: _Workspace, width: float, seed: int, restart_index: int) -> OptimizationResult:
     """Restart restart_index: projected gradient descent with a doubling step
-    from _initial_values drawn by default_rng([seed, restart_index]).
+    from the window of degrees <= 15 that _start_draws(seed, restart_index) draws.
 
     phi is concave and the projection exact, so every projected step lowers
     phi by at least |step|^2 / eta: no step is ever too long, and the descent
@@ -559,8 +589,10 @@ def _descend(ws: _Workspace, width: float, seed: int, restart_index: int) -> Opt
     eta = eta0
     eta_max = STEP_GROWTH_CAP * eta0
 
-    start = _initial_values(ws, width, np.random.default_rng([seed, restart_index]))
-    x, steps, line_searches = _project_exact(ws, start, bound)
+    drawn = coeff_degrees(ws.grid.dim, ws.max_degree)[ws.window] <= 15
+    start = np.zeros(drawn.size)
+    start[drawn] = _start_draws(seed, restart_index, width, int(drawn.sum()))
+    x, steps, line_searches = _project_exact(ws, ws.from_subspace(start), bound)
     newton_steps = [steps]
     c = analyze(ws.grid, x, ws.max_degree).values[ws.window]
     phi_cur = ws.phi_of(c)
@@ -601,8 +633,9 @@ def minimize_restarts(
 ) -> list[OptimizationResult]:
     """Run every restart and return the per-restart results, index order.
 
-    Restart i draws from default_rng([seed, i]), so a restart's result does
-    not depend on how many restarts run.
+    Restart i draws as default_rng([seed, i]) would (_start_draws), so its
+    result does not depend on how many restarts run; a negative seed raises
+    ValueError and one that is not an integer TypeError.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")

@@ -2,6 +2,7 @@
 can read a file an earlier row wrote. A row is (argv, exit code, check(run, dir), input file)."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -84,6 +85,11 @@ ROWS = [
      in p.stdout, '{"dim": 3, "width": 1.0' + N7[:-2] + ', {"degree": 1, "order": 0, "value": 1e300}]}'),
     ("validate w.json", 2, None, lambda d: (d / "t.json").read_text().replace(  # a name twice
         '"width": 1.0', '"width": 1.0, "width": 2.0', 1)),
+    # a seed or iteration count that no optimize run writes
+    ("validate s5.json", 2, lambda p, d: "seed must be an integer >= 0, got -5" in p.stderr,
+     lambda d: (d / "r.json").read_text().replace('"seed": 0', '"seed": -5', 1)),
+    ("validate i3.json", 2, lambda p, d: "iterations must be an integer >= 0, got -3" in p.stderr,
+     lambda d: re.sub('"iterations": [0-9]+', '"iterations": -3', (d / "r.json").read_text())),
 ]
 
 

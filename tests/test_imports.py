@@ -133,6 +133,16 @@ def test_the_switch_polish_imports_numpy_linalg_when_it_runs():
     assert not {"orbiform.harmonic_core", "orbiform.variational"} & loaded
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_optimize_draws_its_starts_without_numpy_random(dim):
+    # the starts are _start_draws, integer arithmetic; dim 3 polishes nothing
+    argv = ["optimize", "--dim", str(dim), "--grid", "16", "--modes", "7", "--restarts", "2"]
+    loaded = loaded_after(f"from orbiform import cli\nassert cli.main({argv!r}) == 0")
+    assert "orbiform.variational" in loaded
+    assert "numpy.random" not in loaded
+    assert ("orbiform.switches" in loaded) == (dim == 2)
+
+
 def test_validate_of_a_dim2_file_without_switches_samples_with_numpy(tmp_path):
     path = tmp_path / "disk.json"
     path.write_text('{"dim": 2, "width": 1.0, "coeffs": [{"degree": 0, "part": "cos", '

@@ -169,6 +169,8 @@ def test_a_name_given_twice_is_refused(text):
         {"phi": "x"},
         {"iterations": 2.0},
         {"seed": True},
+        {"seed": -5},  # no optimize run writes a negative seed or count
+        {"iterations": -3},
         {"violation": 1.5},
         {"sign_consistency": -0.1},
         {"timestamp": 5},

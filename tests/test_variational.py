@@ -559,11 +559,38 @@ def test_minimize_is_deterministic():
 
 
 def test_minimize_restart_count_does_not_change_result():
-    # restart i draws from default_rng([seed, i]) whatever the restart count
+    # restart i draws as default_rng([seed, i]) would, whatever the restart count
     grid = make_grid(2, 128)
     one = minimize_restarts(1.0, grid, 32, seed=4, restarts=1)
     three = minimize_restarts(1.0, grid, 32, seed=4, restarts=3)
     assert result_to_json(one[0]) == result_to_json(three[0])
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3])
+def test_start_draws_are_numpys_generator_draws_bit_for_bit(seed):
+    # with the restart's word, 2**64 + 5 fills SeedSequence's pool of 4 words
+    # and 2**128 + 3 runs past it, so its last words are mixed in afterwards
+    for i in [*range(16), 2**40]:
+        for width in (1e-100, 1.0, 1e100):
+            for n in (0, 1, 14, 133):
+                want = np.random.default_rng([seed, i]).uniform(-width / 2, width / 2, n)
+                assert variational._start_draws(seed, i, width, n) == want.tolist()
+
+
+def test_start_draws_are_pinned():
+    # the contract holds even if numpy's Generator ever moves its stream
+    got = [x.hex() for x in variational._start_draws(7, 0, 1.0, 3)]
+    assert got == ["0x1.00320d4f8f2a4p-3", "0x1.96bf36f2bc99ap-2", "0x1.1a4d597e502bep-2"]
+
+
+@pytest.mark.parametrize("seed,error", [(-1, ValueError), (1.5, TypeError)])
+def test_minimize_refuses_a_seed_numpy_would_refuse(seed, error):
+    with pytest.raises(error):
+        minimize_restarts(1.0, make_grid(2, 16), 7, seed=seed, restarts=1)
+    with pytest.raises(error):
+        np.random.default_rng([seed, 0])
+    with pytest.raises(error):  # as a restart index
+        variational._start_draws(0, seed, 1.0, 1)
 
 
 def test_minimize_iterations_do_not_depend_on_width(grid2_512):
