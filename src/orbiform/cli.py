@@ -28,12 +28,7 @@ without json), phi and the SVG, the polygon's n arcs drawn exactly
 
 validate prints body2d.validate's report of every file, shape or result (a
 ShapeFile whose phi shapeio.loads_shape has set, as optimize --out writes it),
-in dim 2 or 3. A dim-2 body whose curvature radius overflows a double fails
-convexity and curvature-bound, and a dim-3 deviation whose samples overflow
-reads box-bound inf.
-
-table --max is at most TABLE_MAX_SIDES = 99999, past which consecutive
-closed-form areas can round to the same double and fail the cross-check.
+in dim 2 or 3.
 
 optimize holds --modes to the degree limit of the result file it may write
 (shapeio.MAX_DEGREE_2D or MAX_DEGREE_3D), so validate accepts what --out
@@ -50,12 +45,8 @@ Exit codes: 0 success, 1 invariant failure, 2 usage, malformed input (a file
 that is not UTF-8 too) or an output path that cannot be written, 3 numerical
 failure, 4 regression (an internal cross-check went wrong),
 141 stdout closed before the output was written (a reader such as head
-exited; no traceback).
-All file output is written to a temp file and renamed into place, so failures
-leave no partial files, with the mode open() gives a new file; it is written
-before the first stdout line, so a closed stdout stops no file. Identical flags
-and seed produce identical bytes; --timestamp opts into a nondeterministic
-field.
+exited; no traceback). Files are written as _finish says. Identical flags and
+seed produce identical bytes; --timestamp opts into a nondeterministic field.
 """
 
 from __future__ import annotations
@@ -110,28 +101,21 @@ def render_svg(spec) -> str:
     )
 
 
-def _width(text: str) -> float:
-    """argparse type of --width: a finite number > 0 inside WIDTH_RANGE."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    lo, hi = WIDTH_RANGE
-    if not lo <= value <= hi:
-        within = f", within {lo:g} to {hi:g}" if 0.0 < value < math.inf else ""
-        raise argparse.ArgumentTypeError(f"must be finite and > 0{within}, got {text!r}")
-    return value
+def _real(low: float, high: float = math.inf):
+    """argparse type of a float flag: a finite number from low to high."""
 
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not low <= value <= high or value == math.inf:
+            within = f", within {low:g} to {high:g}" if 0.0 < value < math.inf else ""
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'>' if low else '>='} 0{within}, got {text!r}")
+        return value
 
-def _tolerance(text: str) -> float:
-    """argparse type of --convexity-tol: a finite number >= 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-    return value
+    return parse
 
 
 def _count(low: int, parity: str = "", high: float = math.inf):
@@ -161,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_r = sub.add_parser("reuleaux", help="closed-form Reuleaux polygon")
     p_r.add_argument("--sides", type=_count(3, "odd"), required=True, help="odd side count >= 3")
-    p_r.add_argument("--width", type=_width, default=1.0, help=width_help)
+    p_r.add_argument("--width", type=_real(*WIDTH_RANGE), default=1.0, help=width_help)
     p_r.add_argument("--modes", type=int, default=512, help="spectral band limit")
     p_r.add_argument("--out", type=str, default=None, help="shape JSON path")
     p_r.add_argument("--svg", type=str, default=None, help="SVG rendering path")
@@ -169,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_o = sub.add_parser("optimize", help="minimize the area functional")
     p_o.add_argument("--dim", type=int, choices=(2, 3), default=2)
-    p_o.add_argument("--width", type=_width, default=1.0, help=width_help)
+    p_o.add_argument("--width", type=_real(*WIDTH_RANGE), default=1.0, help=width_help)
     p_o.add_argument("--grid", type=_count(8, "even"), default=None, help="grid resolution")
     p_o.add_argument("--modes", type=_count(3), default=None, help="spectral band limit")
     p_o.add_argument("--restarts", type=_count(1), default=16)
@@ -181,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_v = sub.add_parser("validate", help="check invariants of a shape file")
     p_v.add_argument("file", type=str)
     p_v.add_argument(
-        "--convexity-tol", type=_tolerance, default=None,
+        "--convexity-tol", type=_real(0.0), default=None,
         help="absolute tolerance, in units of length, on the sampled R < 0 and "
         "R > width of a dim-2 shape file without switches (default 1e-9 * width); "
         "files with switches, as reuleaux --out writes, are checked in closed form",
@@ -191,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_t = sub.add_parser("table", help="closed-form area table as CSV")
     p_t.add_argument("--max", type=_count(3, high=TABLE_MAX_SIDES), default=21,
                      help="largest side count")
-    p_t.add_argument("--width", type=_width, default=1.0, help=width_help)
+    p_t.add_argument("--width", type=_real(*WIDTH_RANGE), default=1.0, help=width_help)
     p_t.add_argument("--out", type=str, default=None, help="CSV path")
     p_t.set_defaults(run=_cmd_table)
     return parser

@@ -177,10 +177,10 @@ def _check_width(width) -> float:
     return float(width)
 
 
-def _check_degree(d) -> int:
-    if isinstance(d, bool) or not isinstance(d, int) or d < 0:
-        _fail(f"degree must be a non-negative integer, got {d!r}")
-    return d
+def _check_count(v, what: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        _fail(f"{what} must be an integer >= 0, got {v!r}")
+    return v
 
 
 def _check_max_degree(dim: int, degree: int) -> None:
@@ -201,27 +201,19 @@ def _parse_entries(dim: int, entries) -> tuple[int, list[float]]:
         _fail("coeffs must be a list")
     max_degree = 0
     parsed: list[tuple[int, object, float]] = []
+    name = "part" if dim == 2 else "order"
     for e in entries:
         if not isinstance(e, dict):
             _fail("each coefficient entry must be an object")
-        if dim == 2:
-            if set(e.keys()) != {"degree", "part", "value"}:
-                _fail(f"dim-2 entry keys must be degree/part/value, got {sorted(e.keys())}")
-            degree = _check_degree(e["degree"])
-            part = e["part"]
-            if part not in ("cos", "sin"):
-                _fail(f"part must be 'cos' or 'sin', got {part!r}")
-            if degree == 0 and part == "sin":
-                _fail("degree 0 has no sin part")
-            key = part
-        else:
-            if set(e.keys()) != {"degree", "order", "value"}:
-                _fail(f"dim-3 entry keys must be degree/order/value, got {sorted(e.keys())}")
-            degree = _check_degree(e["degree"])
-            order = e["order"]
-            if isinstance(order, bool) or not isinstance(order, int) or abs(order) > degree:
-                _fail(f"order must be an integer with |order| <= degree, got {order!r}")
-            key = order
+        if set(e.keys()) != {"degree", name, "value"}:
+            _fail(f"dim-{dim} entry keys must be degree/{name}/value, got {sorted(e.keys())}")
+        degree, key = _check_count(e["degree"], "degree"), e[name]
+        if dim == 2 and key not in ("cos", "sin"):
+            _fail(f"part must be 'cos' or 'sin', got {key!r}")
+        if dim == 2 and degree == 0 and key == "sin":
+            _fail("degree 0 has no sin part")
+        if dim == 3 and (isinstance(key, bool) or not isinstance(key, int) or abs(key) > degree):
+            _fail(f"order must be an integer with |order| <= degree, got {key!r}")
         value = _check_value(e["value"])
         parsed.append((degree, key, value))
         max_degree = max(max_degree, degree)
@@ -302,8 +294,7 @@ def loads_shape(text: str) -> ShapeFile:
     if not result:
         return shape
     for key in ("iterations", "seed"):
-        if isinstance(data[key], bool) or not isinstance(data[key], int) or data[key] < 0:
-            _fail(f"{key} must be an integer >= 0, got {data[key]!r}")
+        _check_count(data[key], key)
     for key in ("violation", "sign_consistency"):
         if not 0.0 <= _check_value(data[key], key) <= 1.0:
             _fail(f"{key} must be a fraction in [0, 1], got {data[key]!r}")

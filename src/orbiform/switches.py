@@ -52,20 +52,18 @@ def switch_window(switches, width: float, max_degree: int) -> tuple[list[float],
     jumps = switch_jumps(len(theta), width)
     ks = range(3, max_degree + 1, 2)
     sin_sums, cos_sums = [0.0] * len(ks), [0.0] * len(ks)
+    closure = [0.0, 0.0]
     for t, jump in zip(theta, jumps):
         kt = [k * t for k in ks]
         sin_sums = [a + s * jump for a, s in zip(sin_sums, map(math.sin, kt))]
         cos_sums = [a + c * jump for a, c in zip(cos_sums, map(math.cos, kt))]
+        closure = [closure[0] + jump * math.sin(t), closure[1] + jump * math.cos(t)]
     scale = 2.0 / SQRT_PI
     values = [0.0] * (2 * max_degree + 1)
     for k, s, c in zip(ks, sin_sums, cos_sums):
         values[2 * k - 1] = -scale * s / k
         values[2 * k] = scale * c / k
-    sin_closure = cos_closure = 0.0
-    for t, jump in zip(theta, jumps):
-        sin_closure += jump * math.sin(t)
-        cos_closure += jump * math.cos(t)
-    return values, [sin_closure, cos_closure]
+    return values, closure
 
 
 def switch_checks(switches, width: float, curvature) -> list[CheckResult]:
@@ -86,7 +84,10 @@ def switch_checks(switches, width: float, curvature) -> list[CheckResult]:
     """
     theta = [float(t) for t in switches]
     n = len(theta)
-    window, closure = switch_window(theta, width, (len(curvature) - 1) // 2)
+    try:
+        window, closure = switch_window(theta, width, (len(curvature) - 1) // 2)
+    except ValueError:  # k theta overflowed to an infinity, which has no sin or cos
+        window, closure = [math.inf], [math.inf]
     faults = (n % 2 == 0) + sum(not 0.0 <= t < math.pi for t in theta)
     jumps, levels = switch_jumps(n, width), [0.0]
     for j in sorted(range(n), key=theta.__getitem__):

@@ -13,17 +13,9 @@ for body2d.validate, which `orbiform validate` runs on every file: all three
 on a dim-3 shape file, and the box as information on a dim-3 result file,
 whose exact invariants it checks in math as it does those of dim 2.
 
-Projection onto the intersection is solved exactly: the box is odd and
-separable, so only the degree-1 constraints couple the nodes, and their 2
-(dim 2) or 3 (dim 3) Lagrange multipliers solve a small concave dual (a
-continuous quadratic knapsack with 2-3 constraints). The solve runs on one
-node per antipodal pair. Each step solves the Newton system once (with a
-Levenberg shift only where the dual Hessian is singular) and keeps the full
-step while the dual still rises at it; otherwise it moves to the exact
-maximizer along the same direction by a breakpoint line search.
-Minimization is projected gradient descent with a doubling step, stopped
-by DESCENT_RTOL or, unconverged, at DESCENT_MAX_ITERATIONS; each restart
-reports its projection work in its OptimizationResult.
+Projection onto the intersection is solved exactly, through the small
+concave dual of its 2 or 3 degree-1 multipliers (_project_exact), and
+minimization is projected gradient descent from seeded starts (_descend).
 
 On a grid a switch of the bang-bang minimizer can sit only at a node, so in
 dim 2 the descent's answer approaches the truth only as N^-2.
@@ -596,11 +588,8 @@ def _descend(ws: _Workspace, width: float, seed: int, restart_index: int) -> Opt
     newton_steps = [steps]
     c = analyze(ws.grid, x, ws.max_degree).values[ws.window]
     phi_cur = ws.phi_of(c)
-    iterations = 0
-    converged = False
 
-    while iterations < DESCENT_MAX_ITERATIONS:
-        iterations += 1
+    for iterations in range(1, DESCENT_MAX_ITERATIONS + 1):
         grad = 2.0 * ws.from_subspace(ws.green * c)  # phi's gradient in the grid L2 metric
         candidate, steps, searches = _project_exact(ws, x - eta * grad, bound)
         newton_steps.append(steps)
@@ -611,8 +600,8 @@ def _descend(ws: _Workspace, width: float, seed: int, restart_index: int) -> Opt
         scale = max(abs(phi_cur), TINY)
         if decrease > 0:
             x, c, phi_cur = candidate, c_new, phi_new
-        if abs(decrease) <= DESCENT_RTOL * scale:
-            converged = True
+        converged = abs(decrease) <= DESCENT_RTOL * scale
+        if converged:
             break
         if decrease < 0:
             raise NumericalFailure(

@@ -83,6 +83,10 @@ ROWS = [
     # a translation under a norm that overflows: its tolerance stays finite
     ("validate d1.json", 1, lambda p, d: p.stderr == "" and "FAIL translation-orthogonality"
      in p.stdout, '{"dim": 3, "width": 1.0' + N7[:-2] + ', {"degree": 1, "order": 0, "value": 1e300}]}'),
+    # an angle so large that k theta overflows fails switches, closure and closed-form
+    ("validate x5.json", 1, lambda p, d: p.stderr == "" and "FAIL closed-form: residual=inf"
+     in p.stdout, '{"dim": 2, "width": 1.0, "switches": [-1e308], "coeffs": '
+     '[{"degree": 5, "part": "cos", "value": 0.1}]}'),
     ("validate w.json", 2, None, lambda d: (d / "t.json").read_text().replace(  # a name twice
         '"width": 1.0', '"width": 1.0, "width": 2.0', 1)),
     # a seed or iteration count that no optimize run writes

@@ -82,6 +82,11 @@ def test_entry_schema_keys():
     assert e3 == [{"degree": 2, "order": -1, "value": 1.0}]
 
 
+# a negative degree, whose message is pinned in both dims
+DEGREE_2 = '{"dim": 2, "width": 1.0, "coeffs": [{"degree": -1, "part": "cos", "value": 0.5}]}'
+DEGREE_3 = '{"dim": 3, "width": 1.0, "coeffs": [{"degree": -1, "order": 0, "value": 0.5}]}'
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -94,7 +99,8 @@ def test_entry_schema_keys():
         '{"dim": 2, "width": 1.0, "coeffs": [{"degree": 1, "value": 0.5}]}',
         '{"dim": 2, "width": 1.0, "coeffs": [{"degree": 1, "part": "tan", "value": 0.5}]}',
         '{"dim": 2, "width": 1.0, "coeffs": [{"degree": 0, "part": "sin", "value": 0.5}]}',
-        '{"dim": 2, "width": 1.0, "coeffs": [{"degree": -1, "part": "cos", "value": 0.5}]}',
+        DEGREE_2,
+        DEGREE_3,
         '{"dim": 2, "width": 1.0, "coeffs": [{"degree": 1, "part": "cos", "value": "x"}]}',
         '{"dim": 3, "width": 1.0, "coeffs": [{"degree": 1, "order": 2, "value": 0.5}]}',
         '{"dim": 3, "width": 1.0, "coeffs": [{"degree": 1, "part": "cos", "value": 0.5}]}',
@@ -106,7 +112,8 @@ def test_entry_schema_keys():
     ],
 )
 def test_malformed_inputs_rejected(text):
-    with pytest.raises(ShapeFormatError):
+    pinned = "degree must be an integer >= 0, got -1" if text in (DEGREE_2, DEGREE_3) else None
+    with pytest.raises(ShapeFormatError, match=pinned):
         loads_shape(text)
 
 
